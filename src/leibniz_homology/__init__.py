@@ -63,7 +63,6 @@ from .liealg import (
 from .linalg import (
     CapExceededError,
     ExactEliminator,
-    ModularEliminator,
     PrimeDisagreementError,
     RankCertificate,
     SparseMatrix,
@@ -71,7 +70,6 @@ from .linalg import (
     kernel_basis,
     rank,
     rank_mod_p,
-    rank_mod_p_streamed,
     solve,
 )
 from .repspace import (

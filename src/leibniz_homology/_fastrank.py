@@ -1,171 +1,8 @@
-"""Optional numba-accelerated sparse echelon elimination over F_p.
+"""Compatibility stub: the package has no compiled modular kernel.
 
-Same mathematics as ``SparseModularEliminator`` (streamed columns, reduced
-basis rows kept sparse), specialized to row-echelon form with an append-only
-row pool:
-
-* rows are stored pivot-first in flat (index, value) arrays, normalized to
-  lead 1, and never modified after insertion;
-* an incoming column is reduced with a min-heap over its support; a row's
-  off-pivot entries all exceed its pivot, so heap pops are nondecreasing and
-  one sweep fully reduces the column;
-* products stay below 2^62 for any p < 2^31, so 30-bit primes are fine.
-
-The pure-Python engine remains the fallback when numba is unavailable.
+``SparseModularEliminator`` in ``linalg`` is the only modular engine.  The
+one reader of this module is ``benchmark/sample.py``, which records
+``HAVE_NUMBA`` in each sample's environment block.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-@njit(cache=True)
-def _modinv(a: np.int64, p: np.int64) -> np.int64:
-    t, newt = np.int64(0), np.int64(1)
-    r, newr = p, a % p
-    while newr:
-        q = r // newr
-        t, newt = newt, t - q * newt
-        r, newr = newr, r - q * newr
-    return t % p
-
-
-@njit(cache=True)
-def _heap_push(heap, size, value):
-    heap[size] = value
-    i = size
-    while i > 0:
-        parent = (i - 1) >> 1
-        if heap[parent] <= heap[i]:
-            break
-        heap[parent], heap[i] = heap[i], heap[parent]
-        i = parent
-    return size + 1
-
-
-@njit(cache=True)
-def _heap_pop(heap, size):
-    top = heap[0]
-    size -= 1
-    heap[0] = heap[size]
-    i = 0
-    while True:
-        left = 2 * i + 1
-        if left >= size:
-            break
-        child = left
-        right = left + 1
-        if right < size and heap[right] < heap[left]:
-            child = right
-        if heap[i] <= heap[child]:
-            break
-        heap[i], heap[child] = heap[child], heap[i]
-        i = child
-    return top, size
-
-
-@njit(cache=True)
-def _eliminate(indptr, ridx, vals, start, p, pivrow, row_start, pool_idx, pool_val,
-               rank_in, pool_len_in, scratch, heap):
-    """Resumable streamed elimination; returns (next column, rank, pool length).
-
-    Stops early when the pool needs to grow or the rank saturates.
-    """
-    rank = rank_in
-    pool_len = pool_len_in
-    ncols = indptr.size - 1
-    rowdim = pivrow.size
-    j = start
-    while j < ncols:
-        if rank >= rowdim:
-            return ncols, rank, pool_len
-        if pool_len + rowdim + 1 > pool_idx.size:
-            return j, rank, pool_len
-        hs = 0
-        for t in range(indptr[j], indptr[j + 1]):
-            c = ridx[t]
-            v = vals[t] % p
-            if v:
-                if scratch[c] == 0:
-                    hs = _heap_push(heap, hs, c)
-                scratch[c] = (scratch[c] + v) % p
-        newpiv = np.int64(-1)
-        while hs > 0:
-            c, hs = _heap_pop(heap, hs)
-            while hs > 0 and heap[0] == c:
-                _, hs = _heap_pop(heap, hs)
-            f = scratch[c]
-            if f == 0:
-                continue
-            r = pivrow[c]
-            if r < 0:
-                newpiv = c
-                break
-            scratch[c] = 0
-            for t in range(row_start[r] + 1, row_start[r + 1]):
-                idx = pool_idx[t]
-                old = scratch[idx]
-                nv = (old - f * pool_val[t]) % p
-                scratch[idx] = nv
-                if old == 0:
-                    hs = _heap_push(heap, hs, idx)
-        if newpiv >= 0:
-            inv = _modinv(scratch[newpiv], p)
-            pool_idx[pool_len] = newpiv
-            pool_val[pool_len] = 1
-            pool_len += 1
-            scratch[newpiv] = 0
-            while hs > 0:
-                c, hs = _heap_pop(heap, hs)
-                v = scratch[c]
-                if v:
-                    pool_idx[pool_len] = c
-                    pool_val[pool_len] = (v * inv) % p
-                    pool_len += 1
-                    scratch[c] = 0
-            pivrow[newpiv] = rank
-            rank += 1
-            row_start[rank] = pool_len
-        j += 1
-    return j, rank, pool_len
-
-
-def csc_rank_mod_p(indptr, ridx, vals, rowdim: int, p: int) -> int:
-    """Rank over F_p of the CSC columns, via the jitted echelon kernel."""
-    if rowdim == 0 or indptr.size <= 1:
-        return 0
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    ridx = np.ascontiguousarray(ridx, dtype=np.int64)
-    vals = np.ascontiguousarray(vals, dtype=np.int64)
-    pivrow = np.full(rowdim, -1, dtype=np.int64)
-    row_start = np.zeros(rowdim + 1, dtype=np.int64)
-    cap = max(1 << 16, 4 * (len(ridx) + rowdim))
-    pool_idx = np.zeros(cap, dtype=np.int64)
-    pool_val = np.zeros(cap, dtype=np.int64)
-    scratch = np.zeros(rowdim, dtype=np.int64)
-    heap = np.zeros(rowdim + 1, dtype=np.int64)
-    j = rank = pool_len = 0
-    ncols = indptr.size - 1
-    while j < ncols:
-        j, rank, pool_len = _eliminate(
-            indptr, ridx, vals, j, np.int64(p), pivrow, row_start,
-            pool_idx, pool_val, rank, pool_len, scratch, heap,
-        )
-        if j < ncols:
-            cap *= 2
-            pool_idx = np.resize(pool_idx, cap)
-            pool_val = np.resize(pool_val, cap)
-    return int(rank)
+HAVE_NUMBA = False

@@ -29,7 +29,17 @@ import numpy as np
 
 from .liealg import Coeff, LieAlgebra
 from .linalg import CapExceededError, SparseMatrix
-from .repspace import Chain, Space, SpaceMismatchError, mixed_space, sort_wedge, tensor_space
+from .repspace import (
+    Chain,
+    Space,
+    SpaceMismatchError,
+    _colex_rank,
+    _colex_unrank,
+    _perm_sign,
+    mixed_space,
+    sort_wedge,
+    tensor_space,
+)
 
 __all__ = [
     "TensorWeightBlock",
@@ -56,97 +66,53 @@ class TensorWeightBlock:
     """Words of the k-th tensor power with exactly w weight-1 factors.
 
     Rank order: colex rank of the set of weight-1 positions, then the
-    mixed-radix codes of the weight-1 and weight-0 factor tuples.
+    mixed-radix codes of the weight-1 and weight-0 factor tuples.  With
+    ``w=None`` the grading is ignored: every factor counts as weight 0, so
+    the block is the whole tensor power in plain mixed-radix order.
     """
 
     def __init__(self, algebra: LieAlgebra, k: int, w: Optional[int]):
         self.algebra = algebra
         self.k = k
         self.w = w
-        if w is None:
-            self.count = algebra.dim**k
-            return
-        ones = [i for i, wt in enumerate(algebra.weights) if wt == 1]
-        zeros = [i for i, wt in enumerate(algebra.weights) if wt == 0]
-        self._ones = ones
-        self._zeros = zeros
-        self._one_pos = {idx: t for t, idx in enumerate(ones)}
-        self._zero_pos = {idx: t for t, idx in enumerate(zeros)}
-        self.count = (
-            math.comb(k, w) * len(ones) ** w * len(zeros) ** (k - w)
-            if 0 <= w <= k
-            else 0
-        )
+        self._wts = algebra.weights if w is not None else (0,) * algebra.dim
+        self._nw = w if w is not None else 0
+        self._ones = [i for i, wt in enumerate(self._wts) if wt == 1]
+        self._zeros = [i for i, wt in enumerate(self._wts) if wt == 0]
+        self._one_pos = {idx: t for t, idx in enumerate(self._ones)}
+        self._zero_pos = {idx: t for t, idx in enumerate(self._zeros)}
+        self._nt = len(self._ones) ** self._nw
+        self._ns = len(self._zeros) ** max(k - self._nw, 0)
+        self.count = math.comb(k, self._nw) * self._nt * self._ns
 
     def rank(self, word: Word) -> int:
-        if self.w is None:
-            r = 0
-            d = self.algebra.dim
-            for idx in word:
-                r = r * d + idx
-            return r
-        wts = self.algebra.weights
+        wts = self._wts
         positions = [t for t, idx in enumerate(word) if wts[idx] == 1]
-        sub = sum(math.comb(c, t + 1) for t, c in enumerate(positions))
         rt = 0
         for t in positions:
             rt = rt * len(self._ones) + self._one_pos[word[t]]
         rs = 0
-        for t, idx in enumerate(word):
+        for idx in word:
             if wts[idx] == 0:
                 rs = rs * len(self._zeros) + self._zero_pos[idx]
-        nt = len(self._ones) ** self.w
-        ns = len(self._zeros) ** (self.k - self.w)
-        return (sub * nt + rt) * ns + rs
+        return (_colex_rank(positions) * self._nt + rt) * self._ns + rs
 
     def unrank(self, r: int) -> Word:
-        if self.w is None:
-            d = self.algebra.dim
-            out = []
-            for _ in range(self.k):
-                out.append(r % d)
-                r //= d
-            return tuple(reversed(out))
-        ns = len(self._zeros) ** (self.k - self.w)
-        nt = len(self._ones) ** self.w
-        rs = r % ns
-        r //= ns
-        rt = r % nt
-        sub = r // nt
-        positions = self._colex_unrank(sub, self.w)
+        r, rs = divmod(r, self._ns)
+        sub, rt = divmod(r, self._nt)
         tvals = []
-        for _ in range(self.w):
-            tvals.append(self._ones[rt % len(self._ones)])
-            rt //= len(self._ones)
-        tvals.reverse()
+        for _ in range(self._nw):
+            rt, c = divmod(rt, len(self._ones))
+            tvals.append(self._ones[c])
         svals = []
-        for _ in range(self.k - self.w):
-            svals.append(self._zeros[rs % len(self._zeros)])
-            rs //= len(self._zeros)
-        svals.reverse()
-        word = [0] * self.k
-        posset = set(positions)
-        ti = si = 0
-        for t in range(self.k):
-            if t in posset:
-                word[t] = tvals[ti]
-                ti += 1
-            else:
-                word[t] = svals[si]
-                si += 1
-        return tuple(word)
-
-    @staticmethod
-    def _colex_unrank(r: int, k: int) -> list[int]:
-        out = [0] * k
-        while k > 0:
-            hi = k - 1
-            while math.comb(hi + 1, k) <= r:
-                hi += 1
-            out[k - 1] = hi
-            r -= math.comb(hi, k)
-            k -= 1
-        return out
+        for _ in range(self.k - self._nw):
+            rs, c = divmod(rs, len(self._zeros))
+            svals.append(self._zeros[c])
+        # both lists were filled last factor first
+        posset = set(_colex_unrank(sub, self._nw))
+        return tuple(
+            tvals.pop() if t in posset else svals.pop() for t in range(self.k)
+        )
 
 
 @dataclass
@@ -368,17 +334,6 @@ class CEBoundary:
                 out[new] = out.get(new, Fraction(0)) + coeff * v
         return Chain(target, {w: c for w, c in out.items() if c})
 
-    def matrix(self, k: int, cap: int = 200_000) -> SparseMatrix:
-        space = self.space(k)
-        rowspace = self.space(k - 1)
-        if space.dim > cap:
-            raise CapExceededError(f"CE matrix at degree {k} has {space.dim} columns, cap {cap}")
-        entries: dict[tuple[int, int], Coeff] = {}
-        for j in range(space.dim):
-            for w, v in self.word_boundary(space.unrank_word(j)).items():
-                entries[(rowspace.rank_word(w), j)] = v
-        return SparseMatrix(rowspace.dim, space.dim, entries)
-
 
 def ce_boundary(
     algebra: LieAlgebra,
@@ -452,7 +407,6 @@ def is_boundary(chain: Chain, *, cap_exact: int = 20_000) -> Optional[Chain]:
     if chain.is_zero():
         return tensor_space(alg, k + 1).zero()
     blocks = {b.weight: b for b in op.blocks(k + 1)}
-    rowblocks = {b.weight: b.rowspace for b in op.blocks(k + 1)}
 
     def weight_of(word: Word) -> Optional[int]:
         if alg.weights is None:
@@ -514,23 +468,6 @@ def embed_mixed_in_tensor(chain: Chain) -> Chain:
             new = (lead,) + tuple(tail[t] for t in perm)
             out[new] = out.get(new, Fraction(0)) + coeff * pref * sgn
     return Chain(target, {w: c for w, c in out.items() if c})
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def check_dd_zero(apply_fn, make_chain, degrees: Iterable[int], rng, count: int = 100) -> None:

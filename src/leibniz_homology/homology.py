@@ -24,6 +24,7 @@ from .linalg import (
     ExactEliminator,
     PrimeDisagreementError,
     RankCertificate,
+    SparseModularEliminator,
     draw_primes,
 )
 from .repspace import random_chain, tensor_space
@@ -49,7 +50,6 @@ class HomologyOptions:
     primes: int = 2
     seed: int = 0
     dd_checks: int = 100
-    batch: int = 768
 
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "modular"):
@@ -165,15 +165,12 @@ def _rank_exact_blocks(blocks) -> int:
     return total
 
 
-def _rank_modular_blocks(blocks, primes: Sequence[int], rng) -> int:
+def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
     """Sum of per-weight-block ranks; every block must agree across all primes.
 
-    A prime dividing a denominator (impossible for integer boundaries, kept
-    for safety) is replaced by a freshly drawn one, deterministically.
+    Each block's columns are generated once, as CSC arrays, and fed to one
+    eliminator per prime.
     """
-    from ._fastrank import HAVE_NUMBA, csc_rank_mod_p
-    from .linalg import DenominatorClashError, SparseModularEliminator, draw_primes
-
     total = 0
     for block in blocks:
         if block.cols == 0 or block.rows == 0:
@@ -181,21 +178,12 @@ def _rank_modular_blocks(blocks, primes: Sequence[int], rng) -> int:
         indptr, rowidx, values = block.csc()
         ranks = []
         for p in primes:
-            while True:
-                try:
-                    if HAVE_NUMBA:
-                        ranks.append(csc_rank_mod_p(indptr, rowidx, values, block.rows, p))
-                        break
-                    elim = SparseModularEliminator(block.rows, p)
-                    j = 0
-                    while j < block.cols and not elim.saturated:
-                        lo, up = indptr[j], indptr[j + 1]
-                        elim.add_column(list(zip(rowidx[lo:up].tolist(), values[lo:up].tolist())))
-                        j += 1
-                    ranks.append(elim.rank)
-                    break
-                except DenominatorClashError:
-                    (p,) = draw_primes(rng, 1, exclude=list(primes))
+            elim = SparseModularEliminator(block.rows, p)
+            elim.process_sparse_columns(
+                list(zip(rowidx[lo:up].tolist(), values[lo:up].tolist()))
+                for lo, up in zip(indptr[:-1], indptr[1:])
+            )
+            ranks.append(elim.rank)
         if len(set(ranks)) != 1:
             raise PrimeDisagreementError(
                 f"block weight={block.weight}: ranks {ranks} for primes {list(primes)}"
@@ -205,14 +193,13 @@ def _rank_modular_blocks(blocks, primes: Sequence[int], rng) -> int:
 
 
 def _boundary_rank(
-    op: LodayBoundary, k: int, opts: HomologyOptions, primes: Sequence[int], rng
+    op: LodayBoundary, k: int, opts: HomologyOptions, primes: Sequence[int]
 ) -> RankCertificate:
     """Rank of d_k with mode/cap policy applied."""
-    if k < 1:
+    if k <= 1:
+        # d_1 is the zero map to the ground field; d_0 does not exist
         return RankCertificate(0, "Q", "exact")
     cols = op.algebra.dim**k
-    if k == 1:
-        return RankCertificate(0, "Q", "exact")  # zero map to the ground field
     exact = opts.mode == "exact" or (opts.mode == "auto" and cols <= opts.cap_exact)
     if exact:
         if cols > opts.cap_exact:
@@ -224,7 +211,7 @@ def _boundary_rank(
         raise CapExceededError(
             f"degree {k}: {cols} columns exceed the modular cap {opts.cap_modular}"
         )
-    r = _rank_modular_blocks(op.blocks(k), primes, rng)
+    r = _rank_modular_blocks(op.blocks(k), primes)
     return RankCertificate(r, "Fp", "modular", list(primes))
 
 
@@ -265,7 +252,7 @@ def homology_dims(
     capped_at = cap_message = None
     for k in range(1, max_degree + 2):
         try:
-            ranks[k] = _boundary_rank(op, k, opts, primes, rng)
+            ranks[k] = _boundary_rank(op, k, opts, primes)
         except CapExceededError as exc:
             capped_at, cap_message = k, str(exc)
             break
@@ -277,7 +264,10 @@ def homology_dims(
             rk = 0 if k == 0 else ranks[k].rank
             rk1 = ranks[k + 1].rank
             betti = dim - rk - rk1
-            assert betti >= 0
+            if betti < 0:
+                raise RuntimeError(
+                    f"degree {k}: rank d_k + rank d_k+1 = {rk + rk1} exceeds the dimension {dim}"
+                )
             cert = "exact"
             if (k in ranks and ranks[k].method == "modular") or ranks[k + 1].method == "modular":
                 cert = "two-prime"
@@ -307,7 +297,7 @@ def homology_dims(
             "cap_exact": opts.cap_exact,
             "cap_modular": opts.cap_modular,
         },
-        capped_at=capped_at if capped_at is not None and capped_at <= max_degree + 1 else capped_at,
+        capped_at=capped_at,
         cap_message=cap_message,
     )
 

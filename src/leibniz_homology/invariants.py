@@ -36,7 +36,16 @@ from typing import Optional, Sequence, Union
 
 from .liealg import BoostY, LieAlgebra, RotationX, Signature, Translation, build_affine
 from .linalg import CapExceededError, ExactEliminator
-from .repspace import Chain, Space, act, mixed_space, sort_wedge, tensor_space, wedge_space
+from .repspace import (
+    Chain,
+    Space,
+    _perm_sign,
+    act,
+    mixed_space,
+    sort_wedge,
+    tensor_space,
+    wedge_space,
+)
 
 __all__ = [
     "InvariantBasis",
@@ -66,7 +75,8 @@ class InvariantBasis:
     dim: int
 
     def __post_init__(self) -> None:
-        assert self.dim == len(self.basis)
+        if self.dim != len(self.basis):
+            raise ValueError(f"dim {self.dim} does not match {len(self.basis)} basis chains")
 
 
 def _resolve_acting(acting, space: Space) -> list[int]:
@@ -120,7 +130,10 @@ def invariant_subspace(
         for x in gens:
             if not act(x, chain).is_zero():
                 raise AssertionError("kernel chain failed exact annihilation re-check")
-    assert len(chains) == space.dim - elim.rank
+    if len(chains) != space.dim - elim.rank:
+        raise RuntimeError(
+            f"{len(chains)} kernel chains for a space of dim {space.dim} and rank {elim.rank}"
+        )
     return InvariantBasis(space, chains, len(chains))
 
 
@@ -169,23 +182,6 @@ def make_alpha_tilde(sig: Signature) -> Chain:
         word = tuple(base[t] for t in perm)
         coeffs[word] = Fraction(_perm_sign(perm))
     return Chain(space, coeffs)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def make_delta(sig: Signature) -> Chain:

@@ -329,7 +329,8 @@ def build_so(sig: Signature) -> LieAlgebra:
     labels = so_labels(sig)
     structure = _structure_from_fields(labels, sig)
     alg = LieAlgebra(labels, structure, weights=[0] * len(labels), sig=sig, name=f"so{sig}")
-    assert alg.dim == sig.n * (sig.n - 1) // 2
+    if alg.dim != sig.n * (sig.n - 1) // 2:
+        raise RuntimeError(f"so{sig} came out with dimension {alg.dim}")
     return alg
 
 
@@ -343,7 +344,8 @@ def build_affine(sig: Signature) -> LieAlgebra:
     structure = _structure_from_fields(labels, sig)
     weights = [1] * sig.n + [0] * (len(labels) - sig.n)
     alg = LieAlgebra(labels, structure, weights=weights, sig=sig, name=f"h{sig}")
-    assert alg.dim == sig.n * (sig.n + 1) // 2
+    if alg.dim != sig.n * (sig.n + 1) // 2:
+        raise RuntimeError(f"h{sig} came out with dimension {alg.dim}")
     return alg
 
 

@@ -9,11 +9,10 @@ Two engines back every rank/kernel/solve in the package:
   exact for any input.  Optional combination tracking yields kernel vectors
   and solve witnesses.
 
-* ``ModularEliminator`` — dense batched reduced-echelon elimination mod p.
-  Primes are drawn from [260000, 500000) so that every product fits a float64
-  exactly even after summing 2^15 terms; the batch reduction is then a BLAS
-  matmul.  Ranks mod p never exceed the rank over Q; agreement across two
-  independently drawn primes is required before a modular rank is reported.
+* ``SparseModularEliminator`` — streaming sparse reduced-echelon elimination
+  mod p with dictionary rows.  Primes are drawn from [2^29, 2^30).  Ranks
+  mod p never exceed the rank over Q; agreement across two independently
+  drawn primes is required before a modular rank is reported.
 
 Column indices below refer to vectors living in F^rows; the eliminators
 maintain a reduced basis of the span of the columns seen so far, so the
@@ -22,16 +21,12 @@ basis size is the rank.
 
 from __future__ import annotations
 
-import logging
 import math
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "SparseMatrix",
@@ -40,30 +35,20 @@ __all__ = [
     "PrimeDisagreementError",
     "DenominatorClashError",
     "ExactEliminator",
-    "ModularEliminator",
     "SparseModularEliminator",
     "rank",
     "kernel_basis",
     "solve",
     "rank_mod_p",
-    "rank_mod_p_streamed",
     "is_probable_prime",
     "draw_primes",
     "PRIME_LO",
     "PRIME_HI",
-    "MAX_MODULAR_ROWS",
-    "write_column_file",
-    "read_column_file",
 ]
 
-# Random 30-bit primes; the sparse engines work with any p < 2^31 (products
-# stay below 2^62 in int64).  The dense fallback engine does exact float64
-# matmuls and therefore only accepts primes below DENSE_PRIME_MAX, where
-# rows·(p-1)^2 < 2^53 for rows <= 32768.
+# Random 30-bit primes for the modular ranks.
 PRIME_LO = 1 << 29
 PRIME_HI = 1 << 30
-DENSE_PRIME_MAX = 500_000
-MAX_MODULAR_ROWS = 32_768
 
 _INT64_GUARD = 1 << 62
 _GCD_TRIGGER = 1 << 40
@@ -178,11 +163,6 @@ class SparseMatrix:
                 out[i] = out.get(i, Fraction(0)) + Fraction(v) * c
         return {i: v for i, v in out.items() if v}
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}, self.field
-        )
-
     @classmethod
     def identity(cls, n: int, field: Optional[int] = None) -> "SparseMatrix":
         return cls(n, n, {(i, i): 1 for i in range(n)}, field)
@@ -217,17 +197,6 @@ def _gcd_reduce_int64(v: np.ndarray) -> np.ndarray:
     if g > 1:
         v //= g
     return v
-
-
-def _gcd_reduce_object(v: np.ndarray) -> tuple[np.ndarray, int]:
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(int(x)))
-        if g == 1:
-            break
-    if g > 1:
-        v = np.array([int(x) // g for x in v], dtype=object)
-    return v, g
 
 
 class ExactEliminator:
@@ -383,135 +352,18 @@ class ExactEliminator:
 # Modular engine.
 
 
-class ModularEliminator:
-    """Dense batched reduced-echelon elimination over F_p (float64 arithmetic).
-
-    Basis rows live in [0, p); reduction of a batch against the basis is a
-    single matmul thanks to the reduced-echelon invariant.  rank() never
-    exceeds the exact rank of the same columns.
-    """
-
-    def __init__(self, rowdim: int, p: int):
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p >= DENSE_PRIME_MAX:
-            raise ValueError(
-                f"the dense engine needs p < {DENSE_PRIME_MAX} for exact float64 matmuls"
-            )
-        if rowdim > MAX_MODULAR_ROWS:
-            raise CapExceededError(
-                f"modular eliminator limited to {MAX_MODULAR_ROWS} rows, got {rowdim}"
-            )
-        self.p = p
-        self.rowdim = rowdim
-        self._cap = min(rowdim, 1024) or 1
-        self.R = np.zeros((self._cap, rowdim), dtype=np.float64)
-        self.pivots = np.zeros(self._cap, dtype=np.int64)
-        self.rank = 0
-
-    @property
-    def saturated(self) -> bool:
-        return self.rank >= self.rowdim
-
-    def _grow(self, need: int) -> None:
-        if need <= self._cap:
-            return
-        newcap = min(self.rowdim, max(need, self._cap * 2))
-        R = np.zeros((newcap, self.rowdim), dtype=np.float64)
-        R[: self.rank] = self.R[: self.rank]
-        piv = np.zeros(newcap, dtype=np.int64)
-        piv[: self.rank] = self.pivots[: self.rank]
-        self.R, self.pivots, self._cap = R, piv, newcap
-
-    def process_dense_batch(self, V: np.ndarray) -> None:
-        """V: float64 array (rowdim x b) with entries already reduced mod p."""
-        p = self.p
-        r = self.rank
-        if r:
-            C = V[self.pivots[:r], :]
-            if C.any():
-                V -= self.R[:r].T @ C
-                np.mod(V, p, out=V)
-        new_rows: list[np.ndarray] = []
-        new_pivs: list[int] = []
-        b = V.shape[1]
-        for j in range(b):
-            col = V[:, j]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            piv = int(nz[0])
-            inv = pow(int(col[piv]), -1, p)
-            row = np.mod(col * float(inv), p)
-            if j + 1 < b:
-                coeffs = V[piv, j + 1 :]
-                if coeffs.any():
-                    V[:, j + 1 :] -= np.outer(row, coeffs)
-                    np.mod(V[:, j + 1 :], p, out=V[:, j + 1 :])
-            new_rows.append(row)
-            new_pivs.append(piv)
-            if self.rank + len(new_rows) >= self.rowdim:
-                break
-        if not new_rows:
-            return
-        m = len(new_rows)
-        N = np.stack(new_rows)
-        # reduce new rows against the later new pivots (reduced-echelon form)
-        for k in range(m - 1, 0, -1):
-            c = N[:k, new_pivs[k]]
-            if c.any():
-                N[:k] -= np.outer(c, N[k])
-                np.mod(N[:k], p, out=N[:k])
-        if self.rank:
-            C = self.R[: self.rank][:, new_pivs]
-            if C.any():
-                self.R[: self.rank] -= C @ N
-                np.mod(self.R[: self.rank], p, out=self.R[: self.rank])
-        self._grow(self.rank + m)
-        self.R[self.rank : self.rank + m] = N
-        self.pivots[self.rank : self.rank + m] = new_pivs
-        self.rank += m
-
-    def process_sparse_columns(self, cols: Iterable[SparseColumn], batch: int = 512) -> None:
-        buf: list[SparseColumn] = []
-        for col in cols:
-            buf.append(col)
-            if len(buf) == batch:
-                self._flush(buf)
-                buf = []
-                if self.saturated:
-                    return
-        if buf:
-            self._flush(buf)
-
-    def _flush(self, buf: list[SparseColumn]) -> None:
-        V = np.zeros((self.rowdim, len(buf)), dtype=np.float64)
-        p = self.p
-        for j, col in enumerate(buf):
-            for i, v in col:
-                if isinstance(v, Fraction):
-                    if v.denominator % p == 0:
-                        raise DenominatorClashError(f"prime {p} divides a denominator")
-                    x = v.numerator * pow(v.denominator, -1, p) % p
-                else:
-                    x = int(v) % p
-                V[i, j] = x
-        self.process_dense_batch(V)
-
-
 class SparseModularEliminator:
     """Sparse reduced-echelon elimination over F_p with dict rows.
 
     The boundary matrices of this package stay extremely sparse under
-    elimination (single-digit average fill), so dictionary rows beat the
-    dense engine by an order of magnitude.  The reduced-echelon invariant
+    elimination, so dictionary rows suffice.  The reduced-echelon invariant
     (rows are zero at every pivot but their own) means one pass over a
-    column's support fully reduces it.  If fill ever explodes past
-    ``dense_switch`` of the row dimension, the state is migrated into a
-    dense ``ModularEliminator`` and elimination continues there.
+    column's support fully reduces it; ``users`` maps each coordinate to the
+    rows containing it, so back-reduction touches only those rows.  ``fill``
+    counts the stored basis entries.
     """
 
-    def __init__(self, rowdim: int, p: int, *, dense_switch: float = 0.125):
+    def __init__(self, rowdim: int, p: int):
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -519,41 +371,17 @@ class SparseModularEliminator:
         self.basis: dict[int, dict[int, int]] = {}  # pivot -> row, lead 1
         self.users: dict[int, set[int]] = {}  # coord -> pivots of rows containing it
         self.fill = 0
-        self._dense: Optional[ModularEliminator] = None
-        self._switch_fill = max(65_536, int(dense_switch * rowdim * rowdim)) if rowdim else 0
 
     @property
     def rank(self) -> int:
-        if self._dense is not None:
-            return self._dense.rank
         return len(self.basis)
 
     @property
     def saturated(self) -> bool:
         return self.rank >= self.rowdim
 
-    def _to_dense(self) -> None:
-        log.info("sparse eliminator fill %d: switching to the dense engine", self.fill)
-        dense = ModularEliminator(self.rowdim, self.p)
-        pivots = sorted(self.basis)
-        dense._grow(len(pivots))
-        for k, piv in enumerate(pivots):
-            row = np.zeros(self.rowdim, dtype=np.float64)
-            for r, v in self.basis[piv].items():
-                row[r] = v
-            dense.R[k] = row
-            dense.pivots[k] = piv
-        dense.rank = len(pivots)
-        self._dense = dense
-        self.basis.clear()
-        self.users.clear()
-
     def add_column(self, col: SparseColumn) -> bool:
         p = self.p
-        if self._dense is not None:
-            before = self._dense.rank
-            self._dense.process_sparse_columns([col], batch=1)
-            return self._dense.rank > before
         work: dict[int, int] = {}
         for r, v in col:
             if isinstance(v, Fraction):
@@ -604,15 +432,10 @@ class SparseModularEliminator:
         for r in row:
             self.users.setdefault(r, set()).add(piv)
         self.fill += len(row)
-        if (
-            self.fill > self._switch_fill
-            and self.rowdim <= MAX_MODULAR_ROWS
-            and self.p < DENSE_PRIME_MAX
-        ):
-            self._to_dense()
         return True
 
-    def process_sparse_columns(self, cols: Iterable[SparseColumn], batch: int = 0) -> None:
+    def process_sparse_columns(self, cols: Iterable[SparseColumn]) -> None:
+        """Feed columns in order, stopping early once the rank saturates."""
         for col in cols:
             self.add_column(col)
             if self.saturated:
@@ -626,20 +449,6 @@ class SparseModularEliminator:
 def rank_mod_p(m: SparseMatrix, p: int) -> int:
     elim = SparseModularEliminator(m.rows if m.rows else 1, p)
     elim.process_sparse_columns(m.columns())
-    return elim.rank
-
-
-def rank_mod_p_streamed(
-    columns: Iterable[SparseColumn],
-    p: int,
-    *,
-    rowdim: int,
-    batch: int = 512,
-) -> int:
-    """Rank over F_p with columns generated on demand and discarded after use;
-    memory is bounded by the reduced basis, never by the column count."""
-    elim = SparseModularEliminator(rowdim if rowdim else 1, p)
-    elim.process_sparse_columns(columns, batch=batch)
     return elim.rank
 
 
@@ -704,48 +513,3 @@ def solve(m: SparseMatrix, b: dict[int, Union[int, Fraction]]) -> Optional[dict[
     if image != want:
         raise AssertionError("solve witness failed exact re-check")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Optional on-disk spill format for streamed columns (internal, versioned).
-# Layout (little-endian): magic b"LBZC", u16 version, u64 rowdim, u64 ncols,
-# then per column u32 nnz followed by nnz * (u32 delta_index, i64 value);
-# row indices are delta-encoded within each column.
-
-_SPILL_MAGIC = b"LBZC"
-_SPILL_VERSION = 1
-
-
-def write_column_file(path, rowdim: int, columns: Iterable[SparseColumn]) -> int:
-    cols = list(columns)
-    with open(path, "wb") as fh:
-        fh.write(_SPILL_MAGIC)
-        fh.write(struct.pack("<HQQ", _SPILL_VERSION, rowdim, len(cols)))
-        for col in cols:
-            entries = sorted((int(i), int(v)) for i, v in col)
-            fh.write(struct.pack("<I", len(entries)))
-            prev = 0
-            for i, v in entries:
-                fh.write(struct.pack("<Iq", i - prev, v))
-                prev = i
-    return len(cols)
-
-
-def read_column_file(path) -> tuple[int, list[list[tuple[int, int]]]]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _SPILL_MAGIC:
-            raise ValueError("not a column spill file")
-        version, rowdim, ncols = struct.unpack("<HQQ", fh.read(18))
-        if version != _SPILL_VERSION:
-            raise ValueError(f"unsupported spill version {version}")
-        cols = []
-        for _ in range(ncols):
-            (nnz,) = struct.unpack("<I", fh.read(4))
-            col = []
-            prev = 0
-            for _ in range(nnz):
-                d, v = struct.unpack("<Iq", fh.read(12))
-                prev += d
-                col.append((prev, v))
-            cols.append(col)
-    return rowdim, cols

@@ -129,21 +129,6 @@ class Space:
         for r in range(self.dim):
             yield self.unrank_word(r)
 
-    def contains_word(self, word: Word) -> bool:
-        if self.kind == "mixed":
-            if len(word) != self.degree + 1 or word[0] not in self._lead_pos:
-                return False
-            tail = word[1:]
-        else:
-            if len(word) != self.degree:
-                return False
-            tail = word
-        if any(idx not in self._pos for idx in tail):
-            return False
-        if self.kind in ("wedge", "mixed"):
-            return all(a < b for a, b in zip(tail, tail[1:]))
-        return True
-
     def zero(self) -> "Chain":
         return Chain(self, {})
 
@@ -173,6 +158,24 @@ def _colex_unrank(r: int, k: int) -> list[int]:
         r -= math.comb(hi, k)
         k -= 1
     return out
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        t = start
+        while not seen[t]:
+            seen[t] = True
+            t = perm[t]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def tensor_space(alg: LieAlgebra, k: int, factors: Optional[Sequence[int]] = None) -> Space:

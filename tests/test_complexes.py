@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from leibniz_homology import (
+    LieAlgebra,
     ModuleLawError,
     RotationX,
     Signature,
@@ -76,25 +77,38 @@ def test_dd_zero_random_chains(h22, h31, rng):
 
 
 def test_loday_blocks_cover_full_matrix(h22):
-    op = LodayBoundary(h22)
-    for k in (2, 3):
-        blocks = op.blocks(k)
-        assert sum(b.cols for b in blocks) == h22.dim**k
-        m = op.matrix(k)
-        # block columns reproduce the full matrix columns
-        full_cols = m.columns()
-        for b in blocks:
-            for j in range(b.cols):
-                word = b.colspace.unrank(j)
-                jfull = tensor_space(h22, k).rank_word(word)
-                got = [
-                    (b.rowspace.unrank(r), v) for r, v in b.column(j)
-                ]
-                want_col = full_cols[jfull]
-                want = [
-                    (tensor_space(h22, k - 1).unrank_word(r), v) for r, v in want_col
-                ]
-                assert sorted(got) == sorted(want)
+    # the graded blocks, and the single block of the same algebra without weights
+    ungraded = LieAlgebra(h22.labels, h22.structure, name="h22-ungraded")
+    for alg in (h22, ungraded):
+        op = LodayBoundary(alg)
+        for k in (1, 2, 3):
+            blocks = op.blocks(k)
+            assert sum(b.cols for b in blocks) == alg.dim**k
+            assert sum(b.rows for b in blocks) == alg.dim ** (k - 1)
+            if alg is ungraded:
+                assert [b.weight for b in blocks] == [None]
+            # every word of every block round-trips through rank/unrank
+            for b in blocks:
+                for space, count in ((b.colspace, b.cols), (b.rowspace, b.rows)):
+                    assert space.count == count
+                    words = [space.unrank(r) for r in range(count)]
+                    assert [space.rank(w) for w in words] == list(range(count))
+                    assert len(set(words)) == count
+                    if b.weight is not None:
+                        assert all(sum(alg.weights[i] for i in w) == b.weight for w in words)
+            m = op.matrix(k)
+            # block columns reproduce the full matrix columns
+            full_cols = m.columns()
+            for b in blocks:
+                for j in range(b.cols):
+                    word = b.colspace.unrank(j)
+                    jfull = tensor_space(alg, k).rank_word(word)
+                    got = [(b.rowspace.unrank(r), v) for r, v in b.column(j)]
+                    want_col = full_cols[jfull]
+                    want = [
+                        (tensor_space(alg, k - 1).unrank_word(r), v) for r, v in want_col
+                    ]
+                    assert sorted(got) == sorted(want)
 
 
 def test_ce_boundary_example(h31):

@@ -46,6 +46,19 @@ def test_rank_nullity_identity(sig4):
         assert e.betti >= 0
 
 
+def test_overreported_rank_raises(monkeypatch):
+    # a rank larger than the chain space must stop the report, also under -O
+    from leibniz_homology import RankCertificate, homology
+
+    monkeypatch.setattr(
+        homology,
+        "_boundary_rank",
+        lambda op, k, *args: RankCertificate(op.algebra.dim**k, "Q", "exact"),
+    )
+    with pytest.raises(RuntimeError, match="exceeds the dimension"):
+        homology_dims(build_abelian(2), 2)
+
+
 def test_duality_flags():
     rep = homology_dims(build_abelian(2), 3)
     dual = cohomology_dims(rep)

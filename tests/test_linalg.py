@@ -12,7 +12,6 @@ from leibniz_homology import (
     kernel_basis,
     rank,
     rank_mod_p,
-    rank_mod_p_streamed,
     solve,
 )
 from leibniz_homology.complexes import LodayBoundary
@@ -21,8 +20,6 @@ from leibniz_homology.linalg import (
     PRIME_LO,
     draw_primes,
     is_probable_prime,
-    read_column_file,
-    write_column_file,
 )
 
 
@@ -144,17 +141,17 @@ def test_boundary_rank_cross_field(h22):
 
 
 def test_streamed_rank_two_primes(h22):
-    op = LodayBoundary(h22)
-    blocks = op.blocks(4)
+    from leibniz_homology.homology import _rank_modular_blocks
+
+    blocks = LodayBoundary(h22).blocks(4)
     p1, p2 = draw_primes(random.Random(5), 2)
-    total1 = sum(rank_mod_p_streamed(b.columns(), p1, rowdim=b.rows) for b in blocks if b.rows)
-    total2 = sum(rank_mod_p_streamed(b.columns(), p2, rowdim=b.rows) for b in blocks if b.rows)
-    assert total1 == total2 == 909
+    assert _rank_modular_blocks(blocks, [p1]) == _rank_modular_blocks(blocks, [p2]) == 909
+    assert _rank_modular_blocks(blocks, [p1, p2]) == 909
 
 
 def test_streamed_rank_rejects_composite():
     with pytest.raises(ValueError):
-        rank_mod_p_streamed([[(0, 1)]], 262149, rowdim=2)
+        SparseModularEliminator(2, 262149)
 
 
 def test_rank_certificate_fields(h22):
@@ -164,31 +161,8 @@ def test_rank_certificate_fields(h22):
     assert cert2.method == "modular" and len(cert2.primes_used) == 2 and cert2.rank == 10
 
 
-def test_sparse_dense_engines_agree(rng):
-    from leibniz_homology import ModularEliminator
-    from leibniz_homology.linalg import DENSE_PRIME_MAX
-
-    p = draw_primes(random.Random(9), 1, lo=DENSE_PRIME_MAX // 2, hi=DENSE_PRIME_MAX)[0]
-    for _ in range(20):
-        m = random_matrix(rng, 15, 20, density=0.3)
-        sparse = SparseModularEliminator(15, p)
-        sparse.process_sparse_columns(m.columns())
-        dense = ModularEliminator(15, p)
-        dense.process_sparse_columns(m.columns())
-        assert sparse.rank == dense.rank == rank_mod_p(m, p)
-
-
 def test_scaling_invariance_of_rank(rng):
     # rank of a stacked map is unchanged by scaling any block
     m = random_matrix(rng, 6, 8)
     scaled = SparseMatrix(6, 8, {k: 7 * v for k, v in m.entries.items()})
     assert exact_rank(m) == exact_rank(scaled)
-
-
-def test_column_spill_roundtrip(tmp_path):
-    cols = [[(0, 3), (5, -2)], [], [(2, 1), (3, 4), (9, -7)]]
-    path = tmp_path / "cols.bin"
-    assert write_column_file(path, 10, cols) == 3
-    rowdim, back = read_column_file(path)
-    assert rowdim == 10
-    assert back == [[(0, 3), (5, -2)], [], [(2, 1), (3, 4), (9, -7)]]
