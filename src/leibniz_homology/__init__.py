@@ -12,6 +12,7 @@ computations.
 from .complexes import (
     CEBoundary,
     LodayBoundary,
+    WedgeBoundary,
     ce_boundary,
     embed_mixed_in_tensor,
     is_boundary,
@@ -68,7 +69,6 @@ from .linalg import (
     SparseMatrix,
     SparseModularEliminator,
     kernel_basis,
-    rank,
     rank_mod_p,
     solve,
 )
@@ -89,6 +89,6 @@ from .repspace import (
     tensor_to_wedge,
     wedge_space,
 )
-from .verify import Environment, VerifyReport, run_suite
+from .verify import VerifyReport, run_suite
 
 __version__ = "0.1.0"

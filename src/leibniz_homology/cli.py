@@ -32,7 +32,7 @@ from .invariants import invariant_subspace
 from .liealg import Signature, build_abelian, build_affine, build_so, validate
 from .linalg import CapExceededError
 from .repspace import Space, mixed_space, tensor_space, wedge_space
-from .verify import SCHEMA_VERSION, Environment, run_suite
+from .verify import SCHEMA_VERSION, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,10 +43,10 @@ ENV_PREFIX = "LEIBNIZ_HOMOLOGY_"
 
 
 def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
+    value = os.environ.get(ENV_PREFIX + name)
+    if value is None:
         return fallback
-    return cast(raw)
+    return cast(value)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -73,6 +73,19 @@ def _signature(args) -> Signature:
 
 class UsageError(Exception):
     pass
+
+
+def _options(args, mode: str = "auto") -> HomologyOptions:
+    try:
+        return HomologyOptions(
+            mode=mode,
+            cap_exact=args.cap_exact,
+            cap_modular=args.cap_modular,
+            primes=args.primes,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _emit(args, payload: dict) -> None:
@@ -202,14 +215,7 @@ def cmd_homology(args) -> int:
         algebra = build_affine(sig)
         default_deg = 5 if sig.n == 4 else 4
     max_degree = args.max_degree if args.max_degree is not None else default_deg
-    opts = HomologyOptions(
-        mode=args.mode,
-        cap_exact=args.cap_exact,
-        cap_modular=args.cap_modular,
-        primes=args.primes,
-        seed=args.seed,
-    )
-    report = homology_dims(algebra, max_degree, options=opts)
+    report = homology_dims(algebra, max_degree, options=_options(args, mode=args.mode))
     print(report.table())
     dual = cohomology_dims(report)
     payload = {
@@ -230,14 +236,9 @@ def cmd_homology(args) -> int:
 
 def cmd_verify(args) -> int:
     sig = _signature(args)
-    env = Environment(
-        seed=args.seed,
-        primes=args.primes,
-        cap_exact=args.cap_exact,
-        cap_modular=args.cap_modular,
-    )
+    opts = _options(args)
     try:
-        report = run_suite(args.suite, sig, env)
+        report = run_suite(args.suite, sig, opts)
     except ValueError as exc:
         raise UsageError(str(exc))
     print(report.table())

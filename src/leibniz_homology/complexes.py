@@ -11,11 +11,18 @@ with coefficients in a right module M is
     d(m ⊗ x_1 ∧ ... ∧ x_k) = sum_i (-1)^i [m, x_i] ⊗ ... ^x_i ...
         + sum_{i<j} (-1)^(i+j) m ⊗ [x_i,x_j] ∧ ... ^x_i ... ^x_j ...
 
-Both are implemented matrix-free on words; matrices are materialized only on
-demand.  For algebras graded by translation count (weight 1 on the abelian
-part, 0 on so(p,q); brackets are weight-additive) every tensor power splits
-into weight blocks preserved by the Loday boundary, and ranks/solves are
-performed block by block.
+and with trivial coefficients it is the wedge boundary on Λ^k g alone.
+
+All three are implemented matrix-free on words and share one interface:
+``space(k)`` (the degree-k chain space), ``word_boundary(word)``,
+``apply(chain)`` and ``blocks(k)``, the ``BoundaryBlock``s whose ranks add up
+to the rank of d_k.  Every algebra is graded (weight 0 on every basis element
+unless stated otherwise; the affine algebras carry weight 1 on translations),
+brackets are weight-additive, and so each tensor power splits into weight
+blocks preserved by the Loday boundary; its ranks and solves run block by
+block.  A CE boundary has one block per degree, its whole chain space.
+Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
+blocks.  Matrices are materialized only on demand.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +53,7 @@ __all__ = [
     "BoundaryBlock",
     "LodayBoundary",
     "CEBoundary",
+    "WedgeBoundary",
     "loday_boundary",
     "ce_boundary",
     "wedge_boundary",
@@ -66,26 +74,24 @@ class TensorWeightBlock:
     """Words of the k-th tensor power with exactly w weight-1 factors.
 
     Rank order: colex rank of the set of weight-1 positions, then the
-    mixed-radix codes of the weight-1 and weight-0 factor tuples.  With
-    ``w=None`` the grading is ignored: every factor counts as weight 0, so
-    the block is the whole tensor power in plain mixed-radix order.
+    mixed-radix codes of the weight-1 and weight-0 factor tuples.  Words are
+    indexed through ``rank_word``/``unrank_word``/``dim``, as in ``Space``.
     """
 
-    def __init__(self, algebra: LieAlgebra, k: int, w: Optional[int]):
+    def __init__(self, algebra: LieAlgebra, k: int, w: int):
         self.algebra = algebra
         self.k = k
         self.w = w
-        self._wts = algebra.weights if w is not None else (0,) * algebra.dim
-        self._nw = w if w is not None else 0
+        self._wts = algebra.weights
         self._ones = [i for i, wt in enumerate(self._wts) if wt == 1]
         self._zeros = [i for i, wt in enumerate(self._wts) if wt == 0]
         self._one_pos = {idx: t for t, idx in enumerate(self._ones)}
         self._zero_pos = {idx: t for t, idx in enumerate(self._zeros)}
-        self._nt = len(self._ones) ** self._nw
-        self._ns = len(self._zeros) ** max(k - self._nw, 0)
-        self.count = math.comb(k, self._nw) * self._nt * self._ns
+        self._nt = len(self._ones) ** w
+        self._ns = len(self._zeros) ** max(k - w, 0)
+        self.dim = math.comb(k, w) * self._nt * self._ns
 
-    def rank(self, word: Word) -> int:
+    def rank_word(self, word: Word) -> int:
         wts = self._wts
         positions = [t for t, idx in enumerate(word) if wts[idx] == 1]
         rt = 0
@@ -97,46 +103,61 @@ class TensorWeightBlock:
                 rs = rs * len(self._zeros) + self._zero_pos[idx]
         return (_colex_rank(positions) * self._nt + rt) * self._ns + rs
 
-    def unrank(self, r: int) -> Word:
+    def unrank_word(self, r: int) -> Word:
         r, rs = divmod(r, self._ns)
         sub, rt = divmod(r, self._nt)
         tvals = []
-        for _ in range(self._nw):
+        for _ in range(self.w):
             rt, c = divmod(rt, len(self._ones))
             tvals.append(self._ones[c])
         svals = []
-        for _ in range(self.k - self._nw):
+        for _ in range(self.k - self.w):
             rs, c = divmod(rs, len(self._zeros))
             svals.append(self._zeros[c])
         # both lists were filled last factor first
-        posset = set(_colex_unrank(sub, self._nw))
+        posset = set(_colex_unrank(sub, self.w))
         return tuple(
             tvals.pop() if t in posset else svals.pop() for t in range(self.k)
         )
 
 
+WordIndex = Union[TensorWeightBlock, Space]
+
+
 @dataclass
 class BoundaryBlock:
-    """One weight block of a degree-k boundary: columns indexed by the degree-k
-    block, rows by the degree-(k-1) block of the same weight."""
+    """One block of a degree-k boundary: columns indexed by ``colspace``
+    (degree k), rows by ``rowspace`` (degree k-1).  ``weight`` is the weight
+    of a Loday block; a CE block spans its whole chain space and has None."""
 
     weight: Optional[int]
-    rows: int
-    cols: int
-    colspace: TensorWeightBlock
-    rowspace: TensorWeightBlock
-    word_boundary: Callable[[Word], dict[Word, int]]
+    colspace: WordIndex
+    rowspace: WordIndex
+    word_boundary: Callable[[Word], dict[Word, Coeff]]
 
-    def column(self, j: int) -> list[tuple[int, int]]:
-        out = self.word_boundary(self.colspace.unrank(j))
-        return sorted((self.rowspace.rank(w), v) for w, v in out.items())
+    @property
+    def rows(self) -> int:
+        return self.rowspace.dim
 
-    def columns(self) -> Iterator[list[tuple[int, int]]]:
+    @property
+    def cols(self) -> int:
+        return self.colspace.dim
+
+    def column(self, j: int) -> list[tuple[int, Coeff]]:
+        out = self.word_boundary(self.colspace.unrank_word(j))
+        return sorted((self.rowspace.rank_word(w), v) for w, v in out.items())
+
+    def columns(self) -> Iterator[list[tuple[int, Coeff]]]:
         for j in range(self.cols):
             yield self.column(j)
 
     def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, rowidx, values) arrays for the whole block."""
+        """(indptr, rowidx, values) int64 arrays for the whole block.
+
+        A column with fractions is scaled by the lcm of its denominators:
+        that keeps the rank over Q and makes the column integral, so a rank
+        mod p of these arrays stays at most the rank over Q.
+        """
         indptr = np.zeros(self.cols + 1, dtype=np.int64)
         rows_acc: list[np.ndarray] = []
         vals_acc: list[np.ndarray] = []
@@ -146,19 +167,57 @@ class BoundaryBlock:
             nnz += len(col)
             indptr[j + 1] = nnz
             if col:
+                vals = [v for _, v in col]
+                scale = math.lcm(*(v.denominator for v in vals if isinstance(v, Fraction)))
+                if scale > 1:
+                    vals = [int(v * scale) for v in vals]
                 rows_acc.append(np.fromiter((r for r, _ in col), dtype=np.int64, count=len(col)))
-                vals_acc.append(np.fromiter((v for _, v in col), dtype=np.int64, count=len(col)))
+                vals_acc.append(np.array(vals, dtype=np.int64))
         rowidx = np.concatenate(rows_acc) if rows_acc else np.zeros(0, dtype=np.int64)
         values = np.concatenate(vals_acc) if vals_acc else np.zeros(0, dtype=np.int64)
         return indptr, rowidx, values
+
+
+class _Boundary:
+    """What the boundary operators share, given ``space(k)`` and
+    ``word_boundary``: ``apply`` on chains of ``kind``, and by default one
+    block per degree k >= 1, its whole chain space."""
+
+    kind: str
+    algebra: LieAlgebra
+
+    def apply(self, chain: Chain) -> Chain:
+        space = chain.space
+        if space.kind != self.kind or space.algebra is not self.algebra:
+            raise SpaceMismatchError(
+                f"{type(self).__name__} expects {self.kind} chains of its algebra"
+            )
+        out: dict[Word, Fraction] = {}
+        for word, coeff in chain.coeffs.items():
+            for new, v in self.word_boundary(word).items():
+                out[new] = out.get(new, Fraction(0)) + coeff * v
+        target = self.space(max(space.degree - 1, 0))
+        return Chain(target, {w: c for w, c in out.items() if c})
+
+    def blocks(self, k: int) -> list[BoundaryBlock]:
+        if k < 1:
+            return []
+        return [BoundaryBlock(None, self.space(k), self.space(k - 1), self.word_boundary)]
 
 
 # ---------------------------------------------------------------------------
 # Loday boundary.
 
 
-class LodayBoundary:
-    """The Loday boundary of an algebra, matrix-free with optional blocks."""
+class LodayBoundary(_Boundary):
+    """The Loday boundary of an algebra, matrix-free, with weight blocks.
+
+    ``apply`` also takes chains of a tensor power restricted to some factors;
+    their boundary words may leave that set, so the image lies in the full
+    power.
+    """
+
+    kind = "tensor"
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
@@ -187,52 +246,17 @@ class LodayBoundary:
                         del out[new]
         return out
 
-    def apply(self, chain: Chain) -> Chain:
-        space = chain.space
-        if space.kind != "tensor" or space.algebra is not self.algebra:
-            raise SpaceMismatchError("Loday boundary expects tensor chains of its algebra")
-        k = space.degree
-        target = tensor_space(self.algebra, k - 1 if k else 0, space.factors)
-        if k <= 1:
-            return target.zero()
-        out: dict[Word, Fraction] = {}
-        for word, coeff in chain.coeffs.items():
-            for new, v in self.word_boundary(word).items():
-                out[new] = out.get(new, Fraction(0)) + coeff * v
-        # boundary words may leave a restricted factor set; land in the full power
-        if space.factors != tuple(range(self.algebra.dim)):
-            target = tensor_space(self.algebra, k - 1)
-        return Chain(target, {w: c for w, c in out.items() if c})
-
-    def weights_available(self) -> bool:
-        return self.algebra.weights is not None
-
     def blocks(self, k: int) -> list[BoundaryBlock]:
-        """Weight blocks of d_k (a single full block when the algebra is ungraded)."""
-        if k < 1:
+        """Weight blocks of d_k; none below degree 2 (d_1 is the zero map)."""
+        if k < 2:
             return []
-        if k == 1:
-            # d_1 is the zero map to the ground field
-            col = TensorWeightBlock(self.algebra, 1, None)
-            row = TensorWeightBlock(self.algebra, 0, None)
-            return [
-                BoundaryBlock(None, 1, self.algebra.dim, col, row, lambda w: {})
-            ]
-        if not self.weights_available():
-            col = TensorWeightBlock(self.algebra, k, None)
-            row = TensorWeightBlock(self.algebra, k - 1, None)
-            return [
-                BoundaryBlock(None, row.count, col.count, col, row, self.word_boundary)
-            ]
         out = []
         for w in range(k + 1):
             col = TensorWeightBlock(self.algebra, k, w)
-            if col.count == 0:
+            if col.dim == 0:
                 continue
             row = TensorWeightBlock(self.algebra, k - 1, w)
-            out.append(
-                BoundaryBlock(w, row.count, col.count, col, row, self.word_boundary)
-            )
+            out.append(BoundaryBlock(w, col, row, self.word_boundary))
         return out
 
     def matrix(self, k: int, cap: int = 200_000) -> SparseMatrix:
@@ -261,13 +285,37 @@ def loday_boundary(algebra: LieAlgebra, k: int) -> LodayBoundary:
 # Chevalley-Eilenberg boundary with coefficients.
 
 
-class CEBoundary:
+def _add(out: dict[Word, Coeff], word: Word, v: Coeff) -> None:
+    nv = out.get(word, 0) + v
+    if nv:
+        out[word] = nv
+    elif word in out:
+        del out[word]
+
+
+def _wedge_word_boundary(bracket, word: Word) -> dict[Word, Coeff]:
+    """sum_{i<j} (-1)^(i+j) [x_i,x_j] ∧ ... ^x_i ... ^x_j ... for one wedge word."""
+    out: dict[Word, Coeff] = {}
+    for i in range(len(word)):
+        for j in range(i + 1, len(word)):
+            sign = 1 if (i + j) % 2 == 0 else -1
+            rest = tuple(t for t2, t in enumerate(word) if t2 not in (i, j))
+            for c, s in bracket(word[i], word[j]).items():
+                neww, sgn = sort_wedge((c,) + rest)
+                if sgn:
+                    _add(out, neww, sign * s * sgn)
+    return out
+
+
+class CEBoundary(_Boundary):
     """CE boundary on M ⊗ Λ^k g inside one ambient algebra.
 
     ``lead`` spans the coefficient module M, ``wedge`` the acting subalgebra
     g; both are ambient basis index sets.  Module validity ([g,g] within g,
     [M,g] within M) is checked at construction and violations name the pair.
     """
+
+    kind = "mixed"
 
     def __init__(self, algebra: LieAlgebra, lead: Sequence[int], wedge: Sequence[int]):
         self.algebra = algebra
@@ -297,42 +345,30 @@ class CEBoundary:
 
     def word_boundary(self, word: Word) -> dict[Word, Coeff]:
         m, tail = word[0], word[1:]
-        out: dict[Word, Coeff] = {}
-
-        def add(w: Word, v: Coeff) -> None:
-            nv = out.get(w, 0) + v
-            if nv:
-                out[w] = nv
-            elif w in out:
-                del out[w]
-
+        bracket = self.algebra.bracket
+        out = {(m,) + w: v for w, v in _wedge_word_boundary(bracket, tail).items()}
         for i in range(len(tail)):
             sign = -1 if (i + 1) % 2 else 1  # (-1)^(i+1) with 1-based i
             rest = tail[:i] + tail[i + 1 :]
-            for c, s in self.algebra.bracket(m, tail[i]).items():
-                add((c,) + rest, sign * s)
-        for i in range(len(tail)):
-            for j in range(i + 1, len(tail)):
-                sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^(i+1 + j+1)
-                rest = tuple(t for t2, t in enumerate(tail) if t2 not in (i, j))
-                for c, s in self.algebra.bracket(tail[i], tail[j]).items():
-                    neww, sgn = sort_wedge((c,) + rest)
-                    if sgn:
-                        add((m,) + neww, sign * s * sgn)
+            for c, s in bracket(m, tail[i]).items():
+                _add(out, (c,) + rest, sign * s)
         return out
 
-    def apply(self, chain: Chain) -> Chain:
-        space = chain.space
-        if space.kind != "mixed" or space.algebra is not self.algebra:
-            raise SpaceMismatchError("CE boundary expects mixed chains of its algebra")
-        target = self.space(space.degree - 1 if space.degree else 0)
-        if space.degree == 0:
-            return target.zero()
-        out: dict[Word, Fraction] = {}
-        for word, coeff in chain.coeffs.items():
-            for new, v in self.word_boundary(word).items():
-                out[new] = out.get(new, Fraction(0)) + coeff * v
-        return Chain(target, {w: c for w, c in out.items() if c})
+
+class WedgeBoundary(_Boundary):
+    """Trivial-coefficient CE boundary on Λ^k g, g spanned by ``factors``."""
+
+    kind = "wedge"
+
+    def __init__(self, algebra: LieAlgebra, factors: Sequence[int]):
+        self.algebra = algebra
+        self.factors = tuple(factors)
+
+    def space(self, k: int) -> Space:
+        return Space(self.algebra, "wedge", k, self.factors)
+
+    def word_boundary(self, word: Word) -> dict[Word, Coeff]:
+        return _wedge_word_boundary(self.algebra.bracket, word)
 
 
 def ce_boundary(
@@ -357,47 +393,33 @@ def ce_boundary(
 
 def wedge_boundary(chain: Chain) -> Chain:
     """Trivial-coefficient CE boundary on Λ^k g (g = the chain's factor set)."""
-    space = chain.space
-    if space.kind != "wedge":
-        raise SpaceMismatchError("wedge_boundary expects a wedge chain")
-    alg = space.algebra
-    target = Space(alg, "wedge", space.degree - 1 if space.degree else 0, space.factors)
-    out: dict[Word, Fraction] = {}
-    for word, coeff in chain.coeffs.items():
-        for i in range(len(word)):
-            for j in range(i + 1, len(word)):
-                sign = 1 if (i + j) % 2 == 0 else -1
-                rest = tuple(t for t2, t in enumerate(word) if t2 not in (i, j))
-                for c, s in alg.bracket(word[i], word[j]).items():
-                    neww, sgn = sort_wedge((c,) + rest)
-                    if sgn:
-                        out[neww] = out.get(neww, Fraction(0)) + coeff * sign * s * sgn
-    return Chain(target, {w: c for w, c in out.items() if c})
+    return WedgeBoundary(chain.space.algebra, chain.space.factors).apply(chain)
 
 
 # ---------------------------------------------------------------------------
 # Cycle / boundary queries (Loday complex).
 
 
-def _boundary_for(chain: Chain):
-    if chain.space.kind == "tensor":
-        return LodayBoundary(chain.space.algebra).apply
-    if chain.space.kind == "mixed":
-        return CEBoundary(chain.space.algebra, chain.space.lead, chain.space.factors).apply
-    return wedge_boundary
+def _boundary_for(chain: Chain) -> _Boundary:
+    space = chain.space
+    if space.kind == "tensor":
+        return LodayBoundary(space.algebra)
+    if space.kind == "mixed":
+        return CEBoundary(space.algebra, space.lead, space.factors)
+    return WedgeBoundary(space.algebra, space.factors)
 
 
 def is_cycle(chain: Chain) -> bool:
     """d(chain) == 0 exactly, in the complex the chain's space belongs to."""
-    return _boundary_for(chain)(chain).is_zero()
+    return _boundary_for(chain).apply(chain).is_zero()
 
 
 def is_boundary(chain: Chain, *, cap_exact: int = 20_000) -> Optional[Chain]:
     """Exact witness x with d(x) = chain, or None (certified infeasible).
 
     Restricted to tensor chains (the Loday complex).  The solve runs per
-    weight block of degree k+1 when the algebra is graded, which keeps the
-    column counts small; a block exceeding ``cap_exact`` raises.
+    weight block of degree k+1, which keeps the column counts small; a block
+    exceeding ``cap_exact`` raises.
     """
     if chain.space.kind != "tensor":
         raise SpaceMismatchError("is_boundary expects a tensor chain")
@@ -408,17 +430,12 @@ def is_boundary(chain: Chain, *, cap_exact: int = 20_000) -> Optional[Chain]:
         return tensor_space(alg, k + 1).zero()
     blocks = {b.weight: b for b in op.blocks(k + 1)}
 
-    def weight_of(word: Word) -> Optional[int]:
-        if alg.weights is None:
-            return None
-        return sum(alg.weights[i] for i in word)
-
-    by_weight: dict[Optional[int], dict[Word, Fraction]] = {}
+    by_weight: dict[int, dict[Word, Fraction]] = {}
     for w, c in chain.coeffs.items():
-        by_weight.setdefault(weight_of(w), {})[w] = c
+        by_weight.setdefault(sum(alg.weights[i] for i in w), {})[w] = c
 
     witness: dict[Word, Fraction] = {}
-    for wt, coeffs in sorted(by_weight.items(), key=lambda t: (t[0] is None, t[0])):
+    for wt, coeffs in sorted(by_weight.items()):
         block = blocks.get(wt)
         if block is None or block.cols == 0:
             return None  # no columns can hit this component
@@ -437,12 +454,12 @@ def is_boundary(chain: Chain, *, cap_exact: int = 20_000) -> Optional[Chain]:
                 for r, v in block.column(j)
             },
         )
-        b = {block.rowspace.rank(w): c for w, c in coeffs.items()}
+        b = {block.rowspace.rank_word(w): c for w, c in coeffs.items()}
         x = linalg_solve(m, b)
         if x is None:
             return None
         for j, val in x.items():
-            witness[block.colspace.unrank(j)] = val
+            witness[block.colspace.unrank_word(j)] = val
     out = Chain(tensor_space(alg, k + 1), witness)
     if op.apply(out) != Chain(tensor_space(alg, k), dict(chain.coeffs)):
         raise AssertionError("boundary witness failed exact re-check")

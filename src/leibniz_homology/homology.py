@@ -4,11 +4,14 @@ Betti numbers come from rank-nullity on the boundary matrices:
 
     betti_k = dim(degree k) - rank d_k - rank d_{k+1}.
 
-Ranks are exact (streaming elimination over Q) for degrees whose column count
-is within the exact cap, and two-prime modular above it; the two primes must
-agree or the disagreement is reported as an error rather than guessed away.
-Every run spot-checks d∘d = 0 on random chains at every degree and aborts on
-failure.
+Both complexes run through one pipeline: the boundary operator's chain space
+dimensions and its blocks (the Loday weight blocks, or one block per degree
+for CE).  The rank of d_k is the sum of its block ranks: exact (streaming
+elimination over Q) when d_k has at most ``cap_exact`` columns, otherwise
+modular, where every prime must agree on every block or the disagreement is
+reported as an error rather than guessed away.  A degree past a cap ends the
+table there, as a partial report.  Every run spot-checks d∘d = 0 on random
+chains at every degree and aborts on failure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .complexes import CEBoundary, LodayBoundary, check_dd_zero
+from .complexes import CEBoundary, LodayBoundary, WedgeBoundary, check_dd_zero
 from .liealg import LieAlgebra, Signature
 from .linalg import (
     CapExceededError,
@@ -27,7 +30,7 @@ from .linalg import (
     SparseModularEliminator,
     draw_primes,
 )
-from .repspace import random_chain, tensor_space
+from .repspace import random_chain
 
 __all__ = [
     "HomologyOptions",
@@ -54,6 +57,17 @@ class HomologyOptions:
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "modular"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.primes < 2:
+            raise ValueError(f"modular ranks need at least 2 agreeing primes, got {self.primes}")
+
+    def environment(self, primes_used: Sequence[int]) -> dict:
+        """The environment record of a report: seed, primes drawn, caps."""
+        return {
+            "seed": self.seed,
+            "primes": list(primes_used),
+            "cap_exact": self.cap_exact,
+            "cap_modular": self.cap_modular,
+        }
 
 
 @dataclass
@@ -192,27 +206,39 @@ def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
     return total
 
 
-def _boundary_rank(
-    op: LodayBoundary, k: int, opts: HomologyOptions, primes: Sequence[int]
-) -> RankCertificate:
-    """Rank of d_k with mode/cap policy applied."""
-    if k <= 1:
-        # d_1 is the zero map to the ground field; d_0 does not exist
+def _boundary_rank(op, k: int, opts: HomologyOptions, primes: Sequence[int]) -> RankCertificate:
+    """Rank of d_k with mode/cap policy applied; no blocks means rank 0."""
+    blocks = op.blocks(k)
+    if not blocks:
         return RankCertificate(0, "Q", "exact")
-    cols = op.algebra.dim**k
+    cols = op.space(k).dim
     exact = opts.mode == "exact" or (opts.mode == "auto" and cols <= opts.cap_exact)
     if exact:
         if cols > opts.cap_exact:
             raise CapExceededError(
                 f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact}"
             )
-        return RankCertificate(_rank_exact_blocks(op.blocks(k)), "Q", "exact")
+        return RankCertificate(_rank_exact_blocks(blocks), "Q", "exact")
     if cols > opts.cap_modular:
         raise CapExceededError(
             f"degree {k}: {cols} columns exceed the modular cap {opts.cap_modular}"
         )
-    r = _rank_modular_blocks(op.blocks(k), primes)
+    r = _rank_modular_blocks(blocks, primes)
     return RankCertificate(r, "Fp", "modular", list(primes))
+
+
+def _boundary(algebra: LieAlgebra, kind: str):
+    """The boundary operator of the complex: Loday on the tensor powers, or
+    CE on h ⊗ Λ^k (translations) for algebras with translations, and with
+    trivial coefficients on Λ^k h otherwise."""
+    if kind == "loday":
+        return LodayBoundary(algebra)
+    if kind != "ce":
+        raise ValueError(f"unknown complex kind {kind!r}")
+    everything = tuple(range(algebra.dim))
+    if algebra.translation_indices:
+        return CEBoundary(algebra, everything, algebra.translation_indices)
+    return WedgeBoundary(algebra, everything)
 
 
 def homology_dims(
@@ -225,24 +251,18 @@ def homology_dims(
 ) -> BettiReport:
     """Betti numbers of the Loday (or CE) complex through ``max_degree``.
 
-    For canonical affine algebras with n >= 4 the report carries the predicted
-    dimension series and per-degree match flags unless ``predicted`` overrides
-    it.  A cap hit produces a partial report (``capped_at`` set) rather than
-    an exception.
+    For the Loday complex of an affine algebra with n >= 4 (weight-1 part of
+    dimension n) the report carries the predicted dimension series and
+    per-degree match flags unless ``predicted`` overrides it.  A cap hit
+    produces a partial report (``capped_at`` set) rather than an exception.
     """
     opts = options or HomologyOptions()
     rng = random.Random(opts.seed)
     primes = draw_primes(rng, opts.primes, exclude_below=algebra.dim)
-
-    if kind == "ce":
-        return _ce_homology(algebra, max_degree, opts, primes)
-    if kind != "loday":
-        raise ValueError(f"unknown complex kind {kind!r}")
-
-    op = LodayBoundary(algebra)
+    op = _boundary(algebra, kind)
     check_dd_zero(
         op.apply,
-        lambda k, r: random_chain(tensor_space(algebra, k), r),
+        lambda k, r: random_chain(op.space(k), r),
         range(2, max_degree + 2),
         rng,
         count=opts.dd_checks,
@@ -259,24 +279,25 @@ def homology_dims(
 
     entries = []
     for k in range(0, max_degree + 1):
-        if (k in ranks or k == 0) and (k + 1) in ranks:
-            dim = 1 if k == 0 else algebra.dim**k
-            rk = 0 if k == 0 else ranks[k].rank
-            rk1 = ranks[k + 1].rank
-            betti = dim - rk - rk1
-            if betti < 0:
-                raise RuntimeError(
-                    f"degree {k}: rank d_k + rank d_k+1 = {rk + rk1} exceeds the dimension {dim}"
-                )
-            cert = "exact"
-            if (k in ranks and ranks[k].method == "modular") or ranks[k + 1].method == "modular":
-                cert = "two-prime"
-            entries.append(BettiEntry(k, dim, rk, rk1, betti, cert))
-        else:
+        if k + 1 not in ranks:
             break
+        dim = op.space(k).dim
+        rk = ranks[k].rank if k else 0  # d_0 does not exist
+        rk1 = ranks[k + 1].rank
+        betti = dim - rk - rk1
+        if betti < 0:
+            raise RuntimeError(
+                f"degree {k}: rank d_k + rank d_k+1 = {rk + rk1} exceeds the dimension {dim}"
+            )
+        cert = "exact"
+        if (k and ranks[k].method == "modular") or ranks[k + 1].method == "modular":
+            cert = "two-prime"
+        entries.append(BettiEntry(k, dim, rk, rk1, betti, cert))
 
-    if predicted is None and algebra.sig is not None and algebra.sig.n >= 4 and algebra.weights:
-        predicted = predicted_hl_dims(algebra.sig, max_degree)
+    sig = algebra.sig
+    affine = sig is not None and sig.n >= 4 and sum(algebra.weights) == sig.n
+    if predicted is None and kind == "loday" and affine:
+        predicted = predicted_hl_dims(sig, max_degree)
     matches = None
     if predicted is not None:
         matches = [e.betti == predicted[e.degree] for e in entries]
@@ -291,74 +312,9 @@ def homology_dims(
         predicted=predicted,
         matches=matches,
         certificates=ranks,
-        environment={
-            "seed": opts.seed,
-            "primes": list(primes),
-            "cap_exact": opts.cap_exact,
-            "cap_modular": opts.cap_modular,
-        },
+        environment=opts.environment(primes),
         capped_at=capped_at,
         cap_message=cap_message,
-    )
-
-
-def _ce_homology(
-    algebra: LieAlgebra, max_degree: int, opts: HomologyOptions, primes
-) -> BettiReport:
-    """CE homology: H(M ⊗ Λ^k I) with M the whole algebra for graded algebras,
-    trivial coefficients over the whole algebra otherwise."""
-    if algebra.weights is not None and algebra.translation_indices:
-        op = CEBoundary(algebra, tuple(range(algebra.dim)), algebra.translation_indices)
-        spaces = [op.space(k) for k in range(max_degree + 2)]
-        apply_fn = op.apply
-    else:
-        from .complexes import wedge_boundary
-        from .repspace import Space
-
-        full = tuple(range(algebra.dim))
-        spaces = [Space(algebra, "wedge", k, full) for k in range(max_degree + 2)]
-        apply_fn = wedge_boundary
-        op = None
-
-    rng = random.Random(opts.seed)
-    check_dd_zero(
-        apply_fn,
-        lambda k, r: random_chain(spaces[k], r),
-        range(2, max_degree + 2),
-        rng,
-        count=opts.dd_checks,
-    )
-    ranks: dict[int, RankCertificate] = {0: RankCertificate(0, "Q", "exact")}
-    for k in range(1, max_degree + 2):
-        rowspace, colspace = spaces[k - 1], spaces[k]
-        if colspace.dim > opts.cap_exact:
-            raise CapExceededError(f"CE degree {k}: {colspace.dim} columns exceed {opts.cap_exact}")
-        elim = ExactEliminator(max(rowspace.dim, 1))
-        for j in range(colspace.dim):
-            image = apply_fn(colspace.basis_chain(colspace.unrank_word(j)))
-            col = sorted((rowspace.rank_word(w), c) for w, c in image.coeffs.items())
-            elim.add_column(col)
-        ranks[k] = RankCertificate(elim.rank, "Q", "exact")
-    entries = []
-    for k in range(0, max_degree + 1):
-        dim = spaces[k].dim
-        rk = ranks[k].rank
-        rk1 = ranks[k + 1].rank
-        entries.append(BettiEntry(k, dim, rk, rk1, dim - rk - rk1, "exact"))
-    return BettiReport(
-        algebra=algebra.name,
-        kind="ce",
-        variant="homology",
-        mode="exact",
-        max_degree=max_degree,
-        entries=entries,
-        certificates=ranks,
-        environment={
-            "seed": opts.seed,
-            "primes": [],
-            "cap_exact": opts.cap_exact,
-            "cap_modular": opts.cap_modular,
-        },
     )
 
 

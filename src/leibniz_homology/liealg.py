@@ -223,9 +223,11 @@ class LieAlgebra:
 
     ``structure[(a, b)]`` is the sparse vector of [e_a, e_b]; both orders are
     stored, so antisymmetry is a checkable invariant rather than a storage
-    convention.  ``weights`` (0/1 per basis element, when present) grade the
-    algebra so that brackets are weight-additive with the weight-2 part zero;
-    the affine algebras carry weight 1 on translations and 0 on so(p,q).
+    convention.  ``weights`` (0/1 per basis element, all 0 when omitted) grade
+    the algebra: every bracket term has weight w_a + w_b, so the brackets of
+    two weight-1 elements vanish.  A table that breaks the grading raises
+    ``ValueError``.  The affine algebras carry weight 1 on translations and 0
+    on so(p,q).
     """
 
     def __init__(
@@ -243,12 +245,27 @@ class LieAlgebra:
             pair: {c: v for c, v in vec.items() if v} for pair, vec in structure.items()
         }
         self.structure = {pair: vec for pair, vec in self.structure.items() if vec}
-        self.weights: Optional[tuple[int, ...]] = tuple(weights) if weights is not None else None
+        self.weights: tuple[int, ...] = tuple(weights) if weights is not None else (0,) * self.dim
         self.sig = sig
         self.name = name
         self._index: dict[BasisLabel, int] = {lab: k for k, lab in enumerate(self.labels)}
         if len(self._index) != self.dim:
             raise ValueError("duplicate basis labels")
+        self._check_grading()
+
+    def _check_grading(self) -> None:
+        wts = self.weights
+        if len(wts) != self.dim:
+            raise ValueError(f"{len(wts)} weights for a {self.dim}-dimensional algebra")
+        if any(w not in (0, 1) for w in wts):
+            raise ValueError(f"weights must be 0 or 1, got {list(wts)}")
+        for (a, b), vec in self.structure.items():
+            for c in vec:
+                if wts[c] != wts[a] + wts[b]:
+                    raise ValueError(
+                        f"[{self.labels[a]}, {self.labels[b]}] has the term {self.labels[c]} "
+                        f"of weight {wts[c]}, not {wts[a] + wts[b]}"
+                    )
 
     # -- basic queries ------------------------------------------------------
 

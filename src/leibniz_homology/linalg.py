@@ -36,7 +36,6 @@ __all__ = [
     "DenominatorClashError",
     "ExactEliminator",
     "SparseModularEliminator",
-    "rank",
     "kernel_basis",
     "solve",
     "rank_mod_p",
@@ -450,31 +449,6 @@ def rank_mod_p(m: SparseMatrix, p: int) -> int:
     elim = SparseModularEliminator(m.rows if m.rows else 1, p)
     elim.process_sparse_columns(m.columns())
     return elim.rank
-
-
-def rank(
-    m: SparseMatrix,
-    *,
-    cap_exact: int = 10_000,
-    primes: Optional[Sequence[int]] = None,
-    rng=None,
-) -> RankCertificate:
-    """Exact rank when within the cap, two-prime modular otherwise."""
-    if m.cols <= cap_exact:
-        elim = ExactEliminator(m.rows if m.rows else 1)
-        for col in m.columns():
-            elim.add_column(col)
-        return RankCertificate(elim.rank, "Q", "exact")
-    if primes is None:
-        import random
-
-        rng = rng or random.Random(0)
-        primes = draw_primes(rng, 2)
-    ranks = {p: rank_mod_p(m, p) for p in primes}
-    vals = set(ranks.values())
-    if len(vals) != 1:
-        raise PrimeDisagreementError(f"modular ranks disagree: {ranks}")
-    return RankCertificate(vals.pop(), "Fp", "modular", list(primes))
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict[int, int]]:

@@ -18,35 +18,21 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import complexes, invariants, liealg, repspace
-from .homology import HomologyOptions, cohomology_dims, homology_dims, predicted_hl_dims
+from .homology import (
+    HomologyOptions,
+    _rank_exact_blocks,
+    _rank_modular_blocks,
+    cohomology_dims,
+    homology_dims,
+    predicted_hl_dims,
+)
 from .liealg import Signature, build_abelian, build_affine, build_so, standard_translation_action, validate
-from .linalg import draw_primes, rank_mod_p
+from .linalg import draw_primes
 from .repspace import act, mixed_space, random_chain, tensor_space, wedge_space
 
-__all__ = ["CheckResult", "VerifyReport", "Environment", "run_suite", "SCHEMA_VERSION"]
+__all__ = ["CheckResult", "VerifyReport", "run_suite", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
-
-
-@dataclass(frozen=True)
-class Environment:
-    seed: int = 0
-    primes: int = 2
-    cap_exact: int = 10_000
-    cap_modular: int = 3_000_000
-
-    def options(self) -> HomologyOptions:
-        return HomologyOptions(
-            cap_exact=self.cap_exact, cap_modular=self.cap_modular, primes=self.primes, seed=self.seed
-        )
-
-    def to_json_dict(self, primes_used: list[int]) -> dict:
-        return {
-            "seed": self.seed,
-            "primes": primes_used,
-            "cap_exact": self.cap_exact,
-            "cap_modular": self.cap_modular,
-        }
 
 
 @dataclass
@@ -113,8 +99,8 @@ class _Suite:
 # Structure suite (plumbing, any n >= 2).
 
 
-def _structure_checks(sig: Signature, env: Environment, suite: _Suite) -> None:
-    rng = random.Random(env.seed)
+def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> None:
+    rng = random.Random(opts.seed)
     so = build_so(sig)
     h = build_affine(sig)
     for alg in (so, h, build_abelian(sig.n)):
@@ -133,7 +119,7 @@ def _structure_checks(sig: Signature, env: Environment, suite: _Suite) -> None:
         ext.structure == h.structure and ext.dim == h.dim,
     )
     # abelian homology oracle
-    rep = homology_dims(build_abelian(2), 3, options=env.options())
+    rep = homology_dims(build_abelian(2), 3, options=opts)
     suite.record(
         "structure.abelian_homology",
         "the Loday homology of a 2-dim abelian algebra has dimensions 2^k",
@@ -184,20 +170,15 @@ def _structure_checks(sig: Signature, env: Environment, suite: _Suite) -> None:
         suite.record("structure.dd_zero", "plumbing", True, "100 random chains per degree")
     except AssertionError as exc:
         suite.record("structure.dd_zero", "plumbing", False, str(exc))
-    # cross-field rank agreement on a small boundary matrix
-    m = op.matrix(2)
-    from .linalg import ExactEliminator
-
-    elim = ExactEliminator(m.rows)
-    for col in m.columns():
-        elim.add_column(col)
-    primes = draw_primes(random.Random(env.seed), env.primes, exclude_below=h.dim)
-    mod_ranks = [rank_mod_p(m, p) for p in primes]
+    # cross-field rank agreement of the engines behind the Betti numbers
+    exact = _rank_exact_blocks(op.blocks(2))
+    primes = draw_primes(random.Random(opts.seed), opts.primes, exclude_below=h.dim)
+    mod_ranks = [_rank_modular_blocks(op.blocks(2), [p]) for p in primes]
     suite.record(
         "structure.rank_cross_field",
         "plumbing",
-        all(r == elim.rank for r in mod_ranks),
-        f"exact={elim.rank} modular={mod_ranks} primes={primes}",
+        all(r == exact for r in mod_ranks),
+        f"exact={exact} modular={mod_ranks} primes={primes}",
     )
     # duality on the abelian report
     dual = cohomology_dims(rep)
@@ -231,14 +212,14 @@ def _dim_table(
         if exp is None:
             reported.append((k, dim))
     asserted_ok = all(e is None or g == e for g, e in zip(got, want))
-    detail = f"k={list(ks)} computed={got} expected={['*' if w is None else w for w in want]}"
+    detail = f"k={list(ks)} computed={got} expected={['*' if e is None else e for e in want]}"
     if reported:
         suite.report(check_id + ".coincident", claim + " (coincident case, recorded)",
                      "; ".join(f"k={k}: dim={d} (expected 2, statement ambiguous)" for k, d in reported))
     suite.record(check_id, claim, asserted_ok, detail)
 
 
-def _claim_checks(sig: Signature, env: Environment, suite: _Suite) -> Optional[int]:
+def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optional[int]:
     n, p = sig.n, sig.p
     h = build_affine(sig)
     so = build_so(sig)
@@ -345,14 +326,14 @@ def _claim_checks(sig: Signature, env: Environment, suite: _Suite) -> Optional[i
             complexes.is_cycle(gamma_tilde),
         )
         if n == 4:
-            witness = complexes.is_boundary(gamma_tilde - gamma_bar, cap_exact=env.cap_exact)
+            witness = complexes.is_boundary(gamma_tilde - gamma_bar, cap_exact=opts.cap_exact)
             suite.record(
                 "complexes.gamma_homologous",
                 "gamma_tilde - gamma_bar is a boundary (the two classes agree in homology)",
                 witness is not None,
                 "exact witness found" if witness is not None else "no witness",
             )
-            not_bd = complexes.is_boundary(alpha_tilde, cap_exact=env.cap_exact)
+            not_bd = complexes.is_boundary(alpha_tilde, cap_exact=opts.cap_exact)
             suite.record(
                 "complexes.alpha_tilde_not_boundary",
                 "the antisymmetrized volume tensor is not a boundary (degree-n class is nonzero)",
@@ -367,7 +348,7 @@ def _claim_checks(sig: Signature, env: Environment, suite: _Suite) -> Optional[i
 
     # homology versus the predicted dimension series
     maxdeg = 4 if n == 4 else 3
-    rep = homology_dims(h, maxdeg, options=env.options())
+    rep = homology_dims(h, maxdeg, options=opts)
     pred = predicted_hl_dims(sig, maxdeg)
     suite.record(
         "homology.matches_prediction",
@@ -385,9 +366,11 @@ def _claim_checks(sig: Signature, env: Environment, suite: _Suite) -> Optional[i
     return resolved
 
 
-def run_suite(suite_name: str, sig: Signature, env: Optional[Environment] = None) -> VerifyReport:
+def run_suite(
+    suite_name: str, sig: Signature, options: Optional[HomologyOptions] = None
+) -> VerifyReport:
     """Run the named suite ("structure", "paper" alias "claims", or "all")."""
-    env = env or Environment()
+    opts = options or HomologyOptions()
     suite = _Suite()
     resolved: Optional[int] = None
     if suite_name not in ("structure", "paper", "claims", "all"):
@@ -398,16 +381,16 @@ def run_suite(suite_name: str, sig: Signature, env: Optional[Environment] = None
             f"the claim suite requires n >= 4 and q >= 1, got n={sig.n}, q={sig.q}"
         )
     if suite_name in ("structure", "all"):
-        _structure_checks(sig, env, suite)
+        _structure_checks(sig, opts, suite)
     if claims:
-        resolved = _claim_checks(sig, env, suite)
+        resolved = _claim_checks(sig, opts, suite)
     primes_used = draw_primes(
-        random.Random(env.seed), env.primes, exclude_below=build_affine(sig).dim
+        random.Random(opts.seed), opts.primes, exclude_below=build_affine(sig).dim
     )
     return VerifyReport(
         suite=suite_name,
         signature=sig,
         checks=suite.checks,
-        environment=env.to_json_dict(primes_used),
+        environment=opts.environment(primes_used),
         resolved_gamma_sign=resolved,
     )

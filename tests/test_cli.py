@@ -83,6 +83,12 @@ def test_homology_usage_errors(capsys):
     assert run(["homology", "--p", "2"]) == EXIT_USAGE
 
 
+def test_fewer_than_two_primes_is_usage_error(capsys):
+    assert run(["homology", "--abelian", "2", "--primes", "1"]) == EXIT_USAGE
+    assert run(["verify", "--suite", "structure", "--p", "2", "--q", "2", "--primes", "1"]) == EXIT_USAGE
+    assert "at least 2" in capsys.readouterr().err
+
+
 def test_verify_structure(capsys, tmp_path):
     out = tmp_path / "ver.json"
     assert run(

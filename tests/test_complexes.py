@@ -7,6 +7,7 @@ import pytest
 from leibniz_homology import (
     LieAlgebra,
     ModuleLawError,
+    WedgeBoundary,
     RotationX,
     Signature,
     Translation,
@@ -77,38 +78,55 @@ def test_dd_zero_random_chains(h22, h31, rng):
 
 
 def test_loday_blocks_cover_full_matrix(h22):
-    # the graded blocks, and the single block of the same algebra without weights
+    # the graded blocks, and the single weight-0 block of the same algebra
+    # with the default all-zero grading
     ungraded = LieAlgebra(h22.labels, h22.structure, name="h22-ungraded")
+    assert ungraded.weights == (0,) * h22.dim
     for alg in (h22, ungraded):
         op = LodayBoundary(alg)
-        for k in (1, 2, 3):
+        assert op.blocks(0) == [] and op.blocks(1) == []  # d_1 is the zero map
+        for k in (2, 3):
             blocks = op.blocks(k)
             assert sum(b.cols for b in blocks) == alg.dim**k
             assert sum(b.rows for b in blocks) == alg.dim ** (k - 1)
             if alg is ungraded:
-                assert [b.weight for b in blocks] == [None]
+                assert [b.weight for b in blocks] == [0]
             # every word of every block round-trips through rank/unrank
             for b in blocks:
                 for space, count in ((b.colspace, b.cols), (b.rowspace, b.rows)):
-                    assert space.count == count
-                    words = [space.unrank(r) for r in range(count)]
-                    assert [space.rank(w) for w in words] == list(range(count))
+                    assert space.dim == count
+                    words = [space.unrank_word(r) for r in range(count)]
+                    assert [space.rank_word(w) for w in words] == list(range(count))
                     assert len(set(words)) == count
-                    if b.weight is not None:
-                        assert all(sum(alg.weights[i] for i in w) == b.weight for w in words)
+                    assert all(sum(alg.weights[i] for i in w) == b.weight for w in words)
             m = op.matrix(k)
             # block columns reproduce the full matrix columns
             full_cols = m.columns()
             for b in blocks:
                 for j in range(b.cols):
-                    word = b.colspace.unrank(j)
+                    word = b.colspace.unrank_word(j)
                     jfull = tensor_space(alg, k).rank_word(word)
-                    got = [(b.rowspace.unrank(r), v) for r, v in b.column(j)]
+                    got = [(b.rowspace.unrank_word(r), v) for r, v in b.column(j)]
                     want_col = full_cols[jfull]
                     want = [
                         (tensor_space(alg, k - 1).unrank_word(r), v) for r, v in want_col
                     ]
                     assert sorted(got) == sorted(want)
+
+
+def test_ce_blocks_are_whole_chain_spaces(h22):
+    # one block per CE degree, columns the boundaries of the basis words
+    for op in (ce_boundary(h22, None, 1), WedgeBoundary(h22, range(h22.dim))):
+        assert op.blocks(0) == []
+        for k in (1, 2):
+            (block,) = op.blocks(k)
+            assert block.weight is None
+            assert (block.rows, block.cols) == (op.space(k - 1).dim, op.space(k).dim)
+            for j in range(block.cols):
+                sp = op.space(k)
+                image = op.apply(sp.basis_chain(sp.unrank_word(j)))
+                want = sorted((op.space(k - 1).rank_word(w), c) for w, c in image.coeffs.items())
+                assert block.column(j) == want
 
 
 def test_ce_boundary_example(h31):

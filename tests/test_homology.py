@@ -1,15 +1,20 @@
 """Betti tables, predictions, duality, caps."""
 
+from fractions import Fraction
+
 import pytest
 
 from leibniz_homology import (
     HomologyOptions,
     Signature,
     build_abelian,
+    build_abelian_extension,
     build_affine,
+    build_so,
     cohomology_dims,
     homology_dims,
     predicted_hl_dims,
+    standard_translation_action,
 )
 
 
@@ -91,6 +96,7 @@ def test_ce_homology_of_translations():
     h = build_affine(Signature(2, 2))
     rep = homology_dims(h, 3, kind="ce")
     assert [e.dim for e in rep.entries] == [10, 40, 60, 40]
+    assert rep.predicted is None  # the predicted series is for Loday homology
     for e in rep.entries:
         assert e.dim == e.rank_d_k + e.rank_d_k1 + e.betti
 
@@ -104,12 +110,47 @@ def test_ce_homology_abelian():
 
 
 def test_ce_homology_semisimple_trivial_coefficients():
-    # ungraded algebras fall back to trivial coefficients: the classical
-    # Lie homology of so(2,1) (three-dimensional simple) is 1, 0, 0, 1
-    from leibniz_homology import build_so
-
+    # algebras without translations fall back to trivial coefficients: the
+    # classical Lie homology of so(2,1) (three-dimensional simple) is 1, 0, 0, 1
     rep = homology_dims(build_so(Signature(2, 1)), 3, kind="ce")
     assert rep.betti == [1, 0, 0, 1]
+
+
+def test_ce_cap_gives_modular_entry_or_partial_report():
+    # 10 * C(4,2) = 60 columns of the CE d_2 exceed the exact cap: auto mode
+    # takes d_2 modular, exact mode stops there with a partial report
+    h = build_affine(Signature(2, 2))
+    rep = homology_dims(h, 3, kind="ce", options=HomologyOptions(cap_exact=50))
+    assert rep.betti == [6, 20, 20, 10]
+    assert [e.certification for e in rep.entries] == ["exact", "two-prime", "two-prime", "exact"]
+    assert rep.certificates[2].method == "modular" and len(rep.certificates[2].primes_used) == 2
+    rep = homology_dims(h, 3, kind="ce", options=HomologyOptions(mode="exact", cap_exact=50))
+    assert rep.capped_at == 2 and [e.betti for e in rep.entries] == [6]
+
+
+def test_fraction_constants_keep_modular_rank():
+    # [g, m] = m/2: the modular route must not truncate 1/2 to 0
+    ext = build_abelian_extension(build_abelian(1), [[[Fraction(1, 2)]]], m_dim=1)
+    exact = homology_dims(ext, 3, options=HomologyOptions(mode="exact"))
+    modular = homology_dims(ext, 3, options=HomologyOptions(mode="modular"))
+    assert exact.betti == modular.betti == [1, 1, 1, 1]
+    assert [modular.certificates[k].rank for k in (2, 3, 4)] == [1, 2, 5]
+
+
+def test_prediction_only_for_affine_gradings():
+    # so(p,q) is not h_n: its report must not carry h_n's series
+    rep = homology_dims(build_so(Signature(2, 2)), 2)
+    assert rep.predicted is None and rep.matches is None
+    # the abelian-extension twin of h(2,2) keeps it
+    sig = Signature(2, 2)
+    twin = build_abelian_extension(build_so(sig), standard_translation_action(sig), m_dim=4)
+    assert homology_dims(twin, 2).predicted == predicted_hl_dims(sig, 2)
+
+
+def test_fewer_than_two_primes_rejected():
+    for primes in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            HomologyOptions(primes=primes)
 
 
 def test_environment_recorded():

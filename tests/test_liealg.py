@@ -6,6 +6,7 @@ import pytest
 
 from leibniz_homology import (
     BoostY,
+    LieAlgebra,
     ModuleLawError,
     RotationX,
     Signature,
@@ -155,3 +156,22 @@ def test_weight_grading_is_bracket_additive():
     for (a, b), vec in h.structure.items():
         for c in vec:
             assert w[c] == w[a] + w[b]
+
+
+def test_bad_grading_rejected():
+    h = build_affine(Signature(2, 2))
+    assert LieAlgebra(h.labels, h.structure).weights == (0,) * h.dim
+    for weights in (
+        [1] * 9,  # one weight short
+        [2] * 4 + [0] * 6,  # weights outside {0, 1}
+        [0] * 4 + [1] * 6,  # [so, so] has weight 0 terms where 2 is due
+    ):
+        with pytest.raises(ValueError):
+            LieAlgebra(h.labels, h.structure, weights=weights)
+    # two weight-1 elements with a nonzero bracket
+    with pytest.raises(ValueError):
+        LieAlgebra(
+            [Translation(1), Translation(2)],
+            {(0, 1): {0: 1}, (1, 0): {0: -1}},
+            weights=[1, 1],
+        )

@@ -10,7 +10,6 @@ from leibniz_homology import (
     SparseMatrix,
     SparseModularEliminator,
     kernel_basis,
-    rank,
     rank_mod_p,
     solve,
 )
@@ -42,12 +41,12 @@ def exact_rank(m):
 
 
 def test_identity_rank():
-    assert rank(SparseMatrix.identity(5)).rank == 5
+    assert exact_rank(SparseMatrix.identity(5)) == 5
 
 
 def test_zero_matrix():
     m = SparseMatrix(7, 4)
-    assert rank(m).rank == 0
+    assert exact_rank(m) == 0
     assert rank_mod_p(m, 262147) == 0
     assert len(kernel_basis(m)) == 4
 
@@ -152,13 +151,6 @@ def test_streamed_rank_two_primes(h22):
 def test_streamed_rank_rejects_composite():
     with pytest.raises(ValueError):
         SparseModularEliminator(2, 262149)
-
-
-def test_rank_certificate_fields(h22):
-    cert = rank(LodayBoundary(h22).matrix(2))
-    assert cert.method == "exact" and cert.field == "Q" and cert.rank == 10
-    cert2 = rank(LodayBoundary(h22).matrix(2), cap_exact=5, rng=random.Random(0))
-    assert cert2.method == "modular" and len(cert2.primes_used) == 2 and cert2.rank == 10
 
 
 def test_scaling_invariance_of_rank(rng):
