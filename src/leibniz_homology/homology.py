@@ -43,6 +43,7 @@ __all__ = [
 
 DEFAULT_CAP_EXACT = 10_000
 DEFAULT_CAP_MODULAR = 3_000_000
+DD_CHECKS = 100  # random chains per degree in the d∘d = 0 spot check
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class HomologyOptions:
     cap_modular: int = DEFAULT_CAP_MODULAR
     primes: int = 2
     seed: int = 0
-    dd_checks: int = 100
 
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "modular"):
@@ -258,14 +258,14 @@ def homology_dims(
     """
     opts = options or HomologyOptions()
     rng = random.Random(opts.seed)
-    primes = draw_primes(rng, opts.primes, exclude_below=algebra.dim)
+    primes = draw_primes(rng, opts.primes)
     op = _boundary(algebra, kind)
     check_dd_zero(
         op.apply,
         lambda k, r: random_chain(op.space(k), r),
         range(2, max_degree + 2),
         rng,
-        count=opts.dd_checks,
+        count=DD_CHECKS,
     )
 
     ranks: dict[int, RankCertificate] = {}

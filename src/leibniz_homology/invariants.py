@@ -108,7 +108,7 @@ def invariant_subspace(
             f"stacked action matrix has {rows} rows "
             f"({len(gens)} generators x dim {space.dim}), cap {row_cap}"
         )
-    elim = ExactEliminator(rows if rows else 1, track=True)
+    elim = ExactEliminator(rows, track=True)
     for j in range(space.dim):
         w = space.basis_chain(space.unrank_word(j))
         col: list[tuple[int, Union[int, Fraction]]] = []

@@ -1,18 +1,17 @@
 """Sparse exact linear algebra over Q and over prime fields.
 
-Two engines back every rank/kernel/solve in the package:
+Two engines back every rank/kernel/solve in the package, both streaming
+reduced-echelon column elimination with dictionary rows keyed by pivot:
 
-* ``ExactEliminator`` — streaming column elimination over Q.  Vectors are
-  kept as integer numpy arrays with their content divided out (division-free
-  elimination with gcd normalization); arithmetic silently falls back to
-  Python big integers when an int64 overflow is possible, so results are
-  exact for any input.  Optional combination tracking yields kernel vectors
-  and solve witnesses.
+* ``ExactEliminator`` — over Q.  Rows are Python-integer dicts with their
+  content divided out and a positive pivot entry (fraction-free elimination).
+  Python integers cannot overflow, so no machine-integer path is needed.
+  Optional combination tracking yields kernel vectors and solve witnesses.
 
-* ``SparseModularEliminator`` — streaming sparse reduced-echelon elimination
-  mod p with dictionary rows.  Primes are drawn from [2^29, 2^30).  Ranks
-  mod p never exceed the rank over Q; agreement across two independently
-  drawn primes is required before a modular rank is reported.
+* ``SparseModularEliminator`` — mod p, every pivot entry 1.  Primes are drawn
+  from [2^29, 2^30).  Ranks mod p never exceed the rank over Q; agreement
+  across two independently drawn primes is required before a modular rank is
+  reported.
 
 Column indices below refer to vectors living in F^rows; the eliminators
 maintain a reduced basis of the span of the columns seen so far, so the
@@ -25,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "SparseMatrix",
@@ -48,9 +45,6 @@ __all__ = [
 # Random 30-bit primes for the modular ranks.
 PRIME_LO = 1 << 29
 PRIME_HI = 1 << 30
-
-_INT64_GUARD = 1 << 62
-_GCD_TRIGGER = 1 << 40
 
 SparseColumn = Sequence[tuple[int, Union[int, Fraction]]]
 
@@ -97,24 +91,13 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def draw_primes(
-    rng,
-    count: int,
-    *,
-    lo: int = PRIME_LO,
-    hi: int = PRIME_HI,
-    exclude_below: int = 0,
-    exclude: Sequence[int] = (),
-) -> list[int]:
-    """Distinct random primes from [lo, hi), reproducible from the rng state."""
+def draw_primes(rng, count: int) -> list[int]:
+    """Distinct random primes from [PRIME_LO, PRIME_HI), reproducible from the rng state."""
     out: list[int] = []
-    banned = set(exclude)
     while len(out) < count:
-        c = rng.randrange(lo | 1, hi, 2)
-        if c <= exclude_below or c in banned or not is_probable_prime(c):
-            continue
-        banned.add(c)
-        out.append(c)
+        c = rng.randrange(PRIME_LO | 1, PRIME_HI, 2)
+        if c not in out and is_probable_prime(c):
+            out.append(c)
     return out
 
 
@@ -123,19 +106,16 @@ def draw_primes(
 
 
 class SparseMatrix:
-    """Sparse matrix over Q (field=None) or F_p (field=p); no stored zeros."""
+    """Sparse matrix over Q; no stored zeros."""
 
-    def __init__(self, rows: int, cols: int, entries=None, field: Optional[int] = None):
+    def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
-        self.field = field
         self.entries: dict[tuple[int, int], Union[int, Fraction]] = {}
         if entries:
             for (i, j), v in (entries.items() if isinstance(entries, dict) else entries):
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i},{j}) out of range {rows}x{cols}")
-                if field is not None:
-                    v = int(v) % field
                 if v:
                     self.entries[(i, j)] = v
 
@@ -163,12 +143,11 @@ class SparseMatrix:
         return {i: v for i, v in out.items() if v}
 
     @classmethod
-    def identity(cls, n: int, field: Optional[int] = None) -> "SparseMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)}, field)
+    def identity(cls, n: int) -> "SparseMatrix":
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     def __repr__(self) -> str:
-        f = "Q" if self.field is None else f"F_{self.field}"
-        return f"SparseMatrix({self.rows}x{self.cols} over {f}, nnz={self.nnz})"
+        return f"SparseMatrix({self.rows}x{self.cols} over Q, nnz={self.nnz})"
 
 
 @dataclass
@@ -191,160 +170,108 @@ class RankCertificate:
 # Exact engine.
 
 
-def _gcd_reduce_int64(v: np.ndarray) -> np.ndarray:
-    g = int(np.gcd.reduce(np.abs(v)))
-    if g > 1:
-        v //= g
-    return v
-
-
 class ExactEliminator:
-    """Streaming reduced column elimination over Q with exact integer rows.
+    """Streaming reduced-echelon elimination over Q with integer dict rows.
 
-    Columns are fed one at a time; the reduced basis of their span is
-    maintained in reduced-echelon form (each basis vector positive-primitive,
-    zero at all other pivots).  With ``track=True`` every stored vector v
-    carries the exact rational combination of original columns with
-    sum(combo[t] * column_t) == v, which yields kernel vectors and solve
+    The design is that of ``SparseModularEliminator``: ``basis`` maps each
+    pivot to its row, every row is zero at every pivot but its own, so one
+    pass over the pivots a column hits fully reduces it, and ``users`` maps
+    each coordinate to the rows containing it for back-reduction.  The
+    arithmetic is fraction-free on Python integers, which cannot overflow;
+    every row is primitive with a positive pivot entry.  With ``track=True``
+    every row v carries the exact rational combination of the fed columns
+    with sum(combo[t] * column_t) == v, which yields kernel vectors and solve
     witnesses.
     """
 
     def __init__(self, rowdim: int, *, track: bool = False):
         self.rowdim = rowdim
         self.track = track
-        self.basis: list[np.ndarray] = []
-        self.pivots: list[int] = []
-        self.combos: list[dict] = []
+        self.basis: dict[int, dict[int, int]] = {}  # pivot -> primitive row, lead > 0
+        self.users: dict[int, set[int]] = {}  # coord -> pivots of rows containing it
+        self.combos: dict[int, dict] = {}  # pivot -> combination of fed columns
         self.kernel_combos: list[dict] = []
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def _to_vec(self, col: SparseColumn) -> tuple[np.ndarray, int]:
-        """Dense integer vector (column scaled by its denominator lcm)."""
-        lcm = 1
-        for _, v in col:
-            if isinstance(v, Fraction):
-                lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        values = [
-            (i, int(v * lcm) if isinstance(v, Fraction) else int(v) * lcm) for i, v in col
-        ]
-        if any(abs(x) >= _INT64_GUARD for _, x in values):
-            vo = np.zeros(self.rowdim, dtype=object)
-            for i, x in values:
-                vo[i] = vo[i] + x if vo[i] else x
-            return vo, lcm
-        v = np.zeros(self.rowdim, dtype=np.int64)
-        for i, x in values:
-            v[i] += x
-        return v, lcm
-
-    def _axpy(self, a: int, v: np.ndarray, b: int, w: np.ndarray) -> np.ndarray:
-        """a*v - b*w with overflow-safe dtype promotion (no hidden scaling)."""
-        if v.dtype == np.int64 and w.dtype == np.int64:
-            mv = int(np.abs(v).max()) if v.size else 0
-            mw = int(np.abs(w).max()) if w.size else 0
-            if abs(a) * mv + abs(b) * mw < _INT64_GUARD:
-                return a * v - b * w
-        vo = v.astype(object) if v.dtype == np.int64 else v
-        wo = w.astype(object) if w.dtype == np.int64 else w
-        return a * vo - b * wo
-
-    def _normalize(self, v: np.ndarray, combo: Optional[dict]) -> tuple[np.ndarray, Optional[dict]]:
-        """Divide out content and make the first nonzero positive; mirror combo."""
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return v, combo
-        if v.dtype == np.int64:
-            g = int(np.gcd.reduce(np.abs(v[nz])))
-        else:
-            g = 0
-            for i in nz:
-                g = math.gcd(g, abs(int(v[i])))
-                if g == 1:
-                    break
-        sign = -1 if int(v[nz[0]]) < 0 else 1
-        factor = sign * g
-        if factor != 1:
-            if v.dtype == np.int64:
-                v = v // factor
-            else:
-                v = np.array([int(x) // factor for x in v], dtype=object)
-            if combo is not None:
-                combo = {t: x / factor for t, x in combo.items()}
-        return v, combo
-
     def add_column(self, col: SparseColumn, tag=None) -> bool:
         """Feed a column; returns True if it enlarged the span (new pivot)."""
-        v, lcm = self._to_vec(col)
-        combo: Optional[dict] = {tag: Fraction(lcm)} if self.track else None
-        for k in range(len(self.basis)):
-            piv = self.pivots[k]
-            c = int(v[piv])
-            if c == 0:
-                continue
-            lead = int(self.basis[k][piv])
-            g = math.gcd(abs(c), lead)
-            a, b = lead // g, c // g
-            v = self._axpy(a, v, b, self.basis[k])
+        lcm = math.lcm(*(v.denominator for _, v in col if isinstance(v, Fraction)))
+        work = {r: int(v * lcm) for r, v in col if v}
+        combo = {tag: Fraction(lcm)} if self.track else None
+        for piv in sorted(r for r in work if r in self.basis):
+            a, b = _cofactors(self.basis[piv][piv], work[piv])
+            work = _combine(a, work, b, self.basis[piv])
             if self.track:
-                combo = {t: a * x for t, x in combo.items()}
-                for t, x in self.combos[k].items():
-                    combo[t] = combo.get(t, Fraction(0)) - b * x
-            else:
-                # untracked: content reduction is free to happen any time
-                if v.dtype == np.int64:
-                    m = int(np.abs(v).max()) if v.size else 0
-                    if m > _GCD_TRIGGER:
-                        v = _gcd_reduce_int64(v)
-
-        if not np.any(v):
+                combo = _combine(a, combo, b, self.combos[piv])
+        if not work:
             if self.track:
-                self.kernel_combos.append({t: x for t, x in combo.items() if x})
+                self.kernel_combos.append(combo)
             return False
-
-        v, combo = self._normalize(v, combo)
-        piv = int(np.nonzero(v)[0][0])
-        lead = int(v[piv])
-        # Back-reduce existing basis vectors at the new pivot.
-        for j in range(len(self.basis)):
-            cj = int(self.basis[j][piv])
-            if cj == 0:
-                continue
-            g = math.gcd(abs(cj), lead)
-            a, b = lead // g, cj // g
-            newrow = self._axpy(a, self.basis[j], b, v)
-            newcombo = None
+        piv = min(work)
+        work, combo = _normalize(work, piv, combo)
+        # back-reduce the rows that contain the new pivot
+        for piv2 in list(self.users.get(piv, ())):
+            row2 = self.basis[piv2]
+            a, b = _cofactors(work[piv], row2[piv])
+            combo2 = _combine(a, self.combos[piv2], b, combo) if self.track else None
+            new2, combo2 = _normalize(_combine(a, row2, b, work), piv2, combo2)
+            for r in row2.keys() - new2.keys():
+                self.users[r].discard(piv2)
+            for r in new2.keys() - row2.keys():
+                self.users.setdefault(r, set()).add(piv2)
+            self.basis[piv2] = new2
             if self.track:
-                newcombo = {t: a * x for t, x in self.combos[j].items()}
-                for t, x in combo.items():
-                    newcombo[t] = newcombo.get(t, Fraction(0)) - b * x
-            newrow, newcombo = self._normalize(newrow, newcombo)
-            self.basis[j] = newrow
-            if self.track:
-                self.combos[j] = newcombo
-        self.basis.append(v)
-        self.pivots.append(piv)
+                self.combos[piv2] = combo2
+        self.basis[piv] = work
+        for r in work:
+            self.users.setdefault(r, set()).add(piv)
         if self.track:
-            self.combos.append(combo)
+            self.combos[piv] = combo
         return True
 
     def kernel_vectors(self) -> list[dict]:
         """Primitive integer kernel combinations (column tag -> int)."""
         out = []
         for combo in self.kernel_combos:
-            lcm = 1
-            for x in combo.values():
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-            ints = {t: int(x * lcm) for t, x in combo.items() if x}
-            g = 0
-            for x in ints.values():
-                g = math.gcd(g, abs(x))
-            if g > 1:
-                ints = {t: x // g for t, x in ints.items()}
-            out.append(ints)
+            lcm = math.lcm(*(x.denominator for x in combo.values()))
+            ints = {t: int(x * lcm) for t, x in combo.items()}
+            g = math.gcd(*ints.values())
+            out.append({t: x // g for t, x in ints.items()})
         return out
+
+
+def _cofactors(lead: int, c: int) -> tuple[int, int]:
+    """The smallest (a, b) with a > 0 and a*c == b*lead, for a positive lead."""
+    g = math.gcd(c, lead)
+    return lead // g, c // g
+
+
+def _combine(a: int, u: dict, b: int, v: dict) -> dict:
+    """a*u - b*v, without zero entries."""
+    out = {t: a * x for t, x in u.items()} if a != 1 else dict(u)
+    for t, x in v.items():
+        nx = out.get(t, 0) - b * x
+        if nx:
+            out[t] = nx
+        else:
+            del out[t]
+    return out
+
+
+def _normalize(row: dict[int, int], piv: int, combo: Optional[dict]) -> tuple[dict[int, int], Optional[dict]]:
+    """Divide out the content of ``row`` with the sign of its pivot entry; mirror combo."""
+    g = math.gcd(*row.values())
+    if row[piv] < 0:
+        g = -g
+    if g == 1:
+        return row, combo
+    row = {r: x // g for r, x in row.items()}
+    if combo is not None:
+        combo = {t: x / g for t, x in combo.items()}
+    return row, combo
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +373,7 @@ class SparseModularEliminator:
 
 
 def rank_mod_p(m: SparseMatrix, p: int) -> int:
-    elim = SparseModularEliminator(m.rows if m.rows else 1, p)
+    elim = SparseModularEliminator(m.rows, p)
     elim.process_sparse_columns(m.columns())
     return elim.rank
 
@@ -456,7 +383,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, int]]:
 
     Every returned v satisfies m·v = 0 exactly (re-checked here).
     """
-    elim = ExactEliminator(m.rows if m.rows else 1, track=True)
+    elim = ExactEliminator(m.rows, track=True)
     for j, col in enumerate(m.columns()):
         elim.add_column(col, tag=j)
     vecs = elim.kernel_vectors()
@@ -469,18 +396,14 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, int]]:
 
 def solve(m: SparseMatrix, b: dict[int, Union[int, Fraction]]) -> Optional[dict[int, Fraction]]:
     """Exact witness x with m·x = b, or None (certified by rank comparison)."""
-    elim = ExactEliminator(m.rows if m.rows else 1, track=True)
+    elim = ExactEliminator(m.rows, track=True)
     for j, col in enumerate(m.columns()):
         elim.add_column(col, tag=j)
-    rank_plain = elim.rank
-    was_new = elim.add_column(sorted(b.items()), tag="rhs")
-    if was_new:
+    if elim.add_column(sorted(b.items()), tag="rhs"):
         return None  # rank of [m | b] is rank(m) + 1
-    combo = elim.kernel_combos[-1]
-    cb = combo.get("rhs")
-    if not cb:
-        return None
-    out = {j: -x / cb for j, x in combo.items() if j != "rhs" and x}
+    combo = elim.kernel_combos[-1]  # positive on "rhs"
+    cb = combo.pop("rhs")
+    out = {j: -x / cb for j, x in combo.items()}
     # exact re-check
     image = m.matvec(out)
     want = {i: Fraction(v) for i, v in b.items() if v}

@@ -172,7 +172,7 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
         suite.record("structure.dd_zero", "plumbing", False, str(exc))
     # cross-field rank agreement of the engines behind the Betti numbers
     exact = _rank_exact_blocks(op.blocks(2))
-    primes = draw_primes(random.Random(opts.seed), opts.primes, exclude_below=h.dim)
+    primes = draw_primes(random.Random(opts.seed), opts.primes)
     mod_ranks = [_rank_modular_blocks(op.blocks(2), [p]) for p in primes]
     suite.record(
         "structure.rank_cross_field",
@@ -384,9 +384,7 @@ def run_suite(
         _structure_checks(sig, opts, suite)
     if claims:
         resolved = _claim_checks(sig, opts, suite)
-    primes_used = draw_primes(
-        random.Random(opts.seed), opts.primes, exclude_below=build_affine(sig).dim
-    )
+    primes_used = draw_primes(random.Random(opts.seed), opts.primes)
     return VerifyReport(
         suite=suite_name,
         signature=sig,

@@ -184,6 +184,7 @@ def test_criterion_07_cycle_and_homologous_claims():
             assert not is_cycle(embed_mixed_in_tensor(make_rho(sig))), sig
 
 
+@pytest.mark.slow
 def test_criterion_08_predicted_homology_dimensions():
     with Budget("criterion 8: Loday Betti numbers at n = 4 match the predicted series", 600):
         for p, q in [(2, 2), (3, 1)]:
@@ -259,6 +260,7 @@ def test_criterion_11_duality():
             assert dual.variant == "cohomology"
 
 
+@pytest.mark.slow
 def test_criterion_12_reproducibility(tmp_path):
     with Budget("criterion 12: byte-identical verify reports", 600):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]

@@ -135,6 +135,7 @@ def test_homology_json_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.slow
 def test_verify_report_shape(tmp_path):
     out = tmp_path / "shape.json"
     assert run(["verify", "--suite", "all", "--p", "2", "--q", "2",

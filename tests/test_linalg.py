@@ -1,5 +1,6 @@
 """Exact and modular elimination engines."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ def random_matrix(rng, rows, cols, density=0.2, lo=-4, hi=4):
 
 
 def exact_rank(m):
-    elim = ExactEliminator(m.rows if m.rows else 1)
+    elim = ExactEliminator(m.rows)
     for col in m.columns():
         elim.add_column(col)
     return elim.rank
@@ -122,8 +123,55 @@ def test_big_integer_fallback():
     big = 2**80
     m = SparseMatrix(2, 2, {(0, 0): big, (0, 1): big + 1, (1, 0): 1, (1, 1): 1})
     assert exact_rank(m) == 2
+    assert kernel_basis(m) == []
+    # [[big, big+1], [1, 1]] x = (1, 0) has x = (-1, 1)
+    assert solve(m, {0: 1}) == {0: Fraction(-1), 1: Fraction(1)}
     m2 = SparseMatrix(2, 2, {(0, 0): big, (0, 1): big, (1, 0): 1, (1, 1): 1})
     assert exact_rank(m2) == 1
+    assert kernel_basis(m2) == [{0: -1, 1: 1}]
+    assert solve(m2, {0: big, 1: 1}) == {0: Fraction(1)}
+    assert solve(m2, {0: 1}) is None
+    # fractions with big denominators: column 1 is -big/3 times column 0
+    m3 = SparseMatrix(2, 3, {(0, 0): Fraction(1, big), (1, 0): 3, (0, 1): Fraction(-1, 3),
+                             (1, 1): -big, (1, 2): Fraction(big, 7)})
+    assert exact_rank(m3) == 2
+    assert kernel_basis(m3) == [{1: 3, 0: big}]
+    assert solve(m3, {0: 1, 1: 0}) == {0: Fraction(big), 2: Fraction(-21)}
+
+
+def _check_reduced_echelon(elim, exact):
+    """Rows zero at every other pivot, normalized leads, exact ``users`` index."""
+    users: dict[int, set[int]] = {}
+    for piv, row in elim.basis.items():
+        assert all(row.values())
+        assert [c for c in row if c in elim.basis] == [piv]
+        if exact:
+            assert row[piv] > 0 and math.gcd(*row.values()) == 1
+        else:
+            assert row[piv] == 1 and all(0 < x < elim.p for x in row.values())
+        for c in row:
+            users.setdefault(c, set()).add(piv)
+    assert {c: s for c, s in elim.users.items() if s} == users
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "modular"])
+def test_eliminator_invariants(rng, exact):
+    p = draw_primes(random.Random(9), 1)[0]
+    for _ in range(60):
+        rows = rng.randint(1, 12)
+        elim = ExactEliminator(rows, track=True) if exact else SparseModularEliminator(rows, p)
+        cols = []
+        for t in range(rng.randint(1, 16)):
+            cols.append([(i, rng.randint(-9, 9)) for i in range(rows) if rng.random() < 0.4])
+            if exact:
+                elim.add_column(cols[-1], tag=t)
+            else:
+                elim.add_column(cols[-1])
+            _check_reduced_echelon(elim, exact)
+        if exact:  # each tracked row is its combination of the fed columns
+            m = SparseMatrix(rows, len(cols), {(i, t): v for t, col in enumerate(cols) for i, v in col})
+            for piv, row in elim.basis.items():
+                assert m.matvec(elim.combos[piv]) == row
 
 
 def test_boundary_rank_cross_field(h22):
