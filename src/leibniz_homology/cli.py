@@ -226,7 +226,7 @@ def cmd_homology(args) -> int:
         "results": [report.to_json_dict(), dual.to_json_dict()],
     }
     _emit(args, payload)
-    if report.capped_at is not None and report.capped_at <= max_degree + 1:
+    if report.capped_at is not None:
         print(f"partial report: {report.cap_message}", file=sys.stderr)
         return EXIT_CAP
     if report.matches is not None and not all(report.matches):

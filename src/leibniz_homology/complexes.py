@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .liealg import Coeff, LieAlgebra
-from .linalg import CapExceededError, SparseMatrix
+from .linalg import CapExceededError, SparseMatrix, solve
 from .repspace import (
     Chain,
     Space,
@@ -443,19 +443,8 @@ def is_boundary(chain: Chain, *, cap_exact: int = 20_000) -> Optional[Chain]:
             raise CapExceededError(
                 f"exact solve block (weight {wt}) has {block.cols} columns, cap {cap_exact}"
             )
-        from .linalg import solve as linalg_solve
-
-        m = SparseMatrix(
-            block.rows,
-            block.cols,
-            {
-                (r, j): v
-                for j in range(block.cols)
-                for r, v in block.column(j)
-            },
-        )
         b = {block.rowspace.rank_word(w): c for w, c in coeffs.items()}
-        x = linalg_solve(m, b)
+        x = solve(block, b)
         if x is None:
             return None
         for j, val in x.items():

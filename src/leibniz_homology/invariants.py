@@ -116,9 +116,9 @@ def invariant_subspace(
             image = act(x, w)
             for ww, c in image.coeffs.items():
                 col.append((t * space.dim + space.rank_word(ww), c))
-        elim.add_column(sorted(col), tag=j)
+        elim.add_column(sorted(col))
     chains: list[Chain] = []
-    for vec in elim.kernel_vectors():
+    for vec in elim.kernel:
         coeffs = {space.unrank_word(j): Fraction(c) for j, c in vec.items()}
         chain = Chain(space, coeffs)
         first = min(chain.coeffs, key=space.rank_word)

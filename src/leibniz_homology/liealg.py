@@ -276,15 +276,6 @@ class LieAlgebra:
         """Sparse coefficient vector of [e_a, e_b]."""
         return self.structure.get((a, b), {})
 
-    def bracket_chain(self, va: Mapping[int, Coeff], vb: Mapping[int, Coeff]) -> dict[int, Coeff]:
-        """Bilinear extension of the bracket to sparse vectors."""
-        out: dict[int, Coeff] = {}
-        for a, ca in va.items():
-            for b, cb in vb.items():
-                for c, s in self.bracket(a, b).items():
-                    out[c] = out.get(c, 0) + ca * cb * s
-        return {c: v for c, v in out.items() if v}
-
     @property
     def translation_indices(self) -> tuple[int, ...]:
         return tuple(k for k, lab in enumerate(self.labels) if isinstance(lab, Translation))
@@ -294,14 +285,6 @@ class LieAlgebra:
         return tuple(
             k for k, lab in enumerate(self.labels) if isinstance(lab, (RotationX, BoostY))
         )
-
-    @property
-    def rotation_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, lab in enumerate(self.labels) if isinstance(lab, RotationX))
-
-    @property
-    def boost_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, lab in enumerate(self.labels) if isinstance(lab, BoostY))
 
     def copy(self) -> "LieAlgebra":
         return copy.deepcopy(self)

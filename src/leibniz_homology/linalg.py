@@ -5,8 +5,12 @@ reduced-echelon column elimination with dictionary rows keyed by pivot:
 
 * ``ExactEliminator`` — over Q.  Rows are Python-integer dicts with their
   content divided out and a positive pivot entry (fraction-free elimination).
-  Python integers cannot overflow, so no machine-integer path is needed.
-  Optional combination tracking yields kernel vectors and solve witnesses.
+  Python integers cannot overflow, so no machine-integer path is needed, and
+  no ``Fraction`` enters elimination: a column with fractions is scaled by
+  the lcm of its denominators.  Kernel vectors and solve witnesses come from
+  tracking, which gives each fed column one more integer coordinate (the
+  ``[A; I]`` augmentation), so a row carries its combination of the fed
+  columns as coordinates of the same dict.
 
 * ``SparseModularEliminator`` — mod p, every pivot entry 1.  Primes are drawn
   from [2^29, 2^30).  Ranks mod p never exceed the rank over Q; agreement
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Protocol, Sequence, Union
 
 __all__ = [
     "SparseMatrix",
@@ -47,6 +51,15 @@ PRIME_LO = 1 << 29
 PRIME_HI = 1 << 30
 
 SparseColumn = Sequence[tuple[int, Union[int, Fraction]]]
+
+
+class ColumnSource(Protocol):
+    """A matrix read column by column: ``SparseMatrix`` or ``complexes.BoundaryBlock``."""
+
+    @property
+    def rows(self) -> int: ...
+
+    def columns(self) -> Iterable[SparseColumn]: ...
 
 
 class CapExceededError(RuntimeError):
@@ -123,9 +136,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def get(self, i: int, j: int):
-        return self.entries.get((i, j), 0)
-
     def columns(self) -> list[list[tuple[int, Union[int, Fraction]]]]:
         cols: list[list[tuple[int, Union[int, Fraction]]]] = [[] for _ in range(self.cols)]
         for (i, j), v in self.entries.items():
@@ -178,69 +188,62 @@ class ExactEliminator:
     pass over the pivots a column hits fully reduces it, and ``users`` maps
     each coordinate to the rows containing it for back-reduction.  The
     arithmetic is fraction-free on Python integers, which cannot overflow;
-    every row is primitive with a positive pivot entry.  With ``track=True``
-    every row v carries the exact rational combination of the fed columns
-    with sum(combo[t] * column_t) == v, which yields kernel vectors and solve
-    witnesses.
+    a column with fractions is scaled by the lcm of its denominators, and
+    every row is primitive with a positive pivot entry.
+
+    With ``track=True`` the columns are those of ``[A; I]``: the t-th fed
+    column gets the extra coordinate ``rowdim + t``, whose value is its
+    scale.  Coordinates ``>= rowdim`` never become pivots, so every row is
+    its vector followed by its integer combination of the fed columns, and
+    one row operation updates both.  A column is dependent when nothing below
+    ``rowdim`` is left of it; what is left, divided by its gcd, is appended
+    to ``kernel``: a primitive integer relation among the fed columns, keyed
+    by feed index and positive on that column.
     """
 
     def __init__(self, rowdim: int, *, track: bool = False):
         self.rowdim = rowdim
         self.track = track
+        self.fed = 0
         self.basis: dict[int, dict[int, int]] = {}  # pivot -> primitive row, lead > 0
         self.users: dict[int, set[int]] = {}  # coord -> pivots of rows containing it
-        self.combos: dict[int, dict] = {}  # pivot -> combination of fed columns
-        self.kernel_combos: list[dict] = []
+        self.kernel: list[dict[int, int]] = []
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def add_column(self, col: SparseColumn, tag=None) -> bool:
+    def add_column(self, col: SparseColumn) -> bool:
         """Feed a column; returns True if it enlarged the span (new pivot)."""
-        lcm = math.lcm(*(v.denominator for _, v in col if isinstance(v, Fraction)))
-        work = {r: int(v * lcm) for r, v in col if v}
-        combo = {tag: Fraction(lcm)} if self.track else None
+        scale = math.lcm(*(v.denominator for _, v in col if isinstance(v, Fraction)))
+        work = {r: int(v * scale) for r, v in col if v}
+        if self.track:
+            work[self.rowdim + self.fed] = scale
+        self.fed += 1
         for piv in sorted(r for r in work if r in self.basis):
             a, b = _cofactors(self.basis[piv][piv], work[piv])
             work = _combine(a, work, b, self.basis[piv])
+        piv = min(work, default=self.rowdim)
+        if piv >= self.rowdim:
             if self.track:
-                combo = _combine(a, combo, b, self.combos[piv])
-        if not work:
-            if self.track:
-                self.kernel_combos.append(combo)
+                g = math.gcd(*work.values())
+                self.kernel.append({r - self.rowdim: x // g for r, x in work.items()})
             return False
-        piv = min(work)
-        work, combo = _normalize(work, piv, combo)
+        work = _normalize(work, piv)
         # back-reduce the rows that contain the new pivot
         for piv2 in list(self.users.get(piv, ())):
             row2 = self.basis[piv2]
             a, b = _cofactors(work[piv], row2[piv])
-            combo2 = _combine(a, self.combos[piv2], b, combo) if self.track else None
-            new2, combo2 = _normalize(_combine(a, row2, b, work), piv2, combo2)
+            new2 = _normalize(_combine(a, row2, b, work), piv2)
             for r in row2.keys() - new2.keys():
                 self.users[r].discard(piv2)
             for r in new2.keys() - row2.keys():
                 self.users.setdefault(r, set()).add(piv2)
             self.basis[piv2] = new2
-            if self.track:
-                self.combos[piv2] = combo2
         self.basis[piv] = work
         for r in work:
             self.users.setdefault(r, set()).add(piv)
-        if self.track:
-            self.combos[piv] = combo
         return True
-
-    def kernel_vectors(self) -> list[dict]:
-        """Primitive integer kernel combinations (column tag -> int)."""
-        out = []
-        for combo in self.kernel_combos:
-            lcm = math.lcm(*(x.denominator for x in combo.values()))
-            ints = {t: int(x * lcm) for t, x in combo.items()}
-            g = math.gcd(*ints.values())
-            out.append({t: x // g for t, x in ints.items()})
-        return out
 
 
 def _cofactors(lead: int, c: int) -> tuple[int, int]:
@@ -261,17 +264,14 @@ def _combine(a: int, u: dict, b: int, v: dict) -> dict:
     return out
 
 
-def _normalize(row: dict[int, int], piv: int, combo: Optional[dict]) -> tuple[dict[int, int], Optional[dict]]:
-    """Divide out the content of ``row`` with the sign of its pivot entry; mirror combo."""
+def _normalize(row: dict[int, int], piv: int) -> dict[int, int]:
+    """Divide out the content of ``row`` with the sign of its pivot entry."""
     g = math.gcd(*row.values())
     if row[piv] < 0:
         g = -g
     if g == 1:
-        return row, combo
-    row = {r: x // g for r, x in row.items()}
-    if combo is not None:
-        combo = {t: x / g for t, x in combo.items()}
-    return row, combo
+        return row
+    return {r: x // g for r, x in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +321,7 @@ class SparseModularEliminator:
         basis = self.basis
         hits = [piv for piv in work if piv in basis]
         for piv in sorted(hits):
-            c = work.pop(piv, 0)
-            if not c:
-                continue
+            c = work.pop(piv)
             for r2, v2 in basis[piv].items():
                 if r2 == piv:
                     continue
@@ -340,9 +338,7 @@ class SparseModularEliminator:
         # back-reduce the rows that contain the new pivot
         for piv2 in list(self.users.get(piv, ())):
             row2 = basis[piv2]
-            c2 = row2.get(piv)
-            if not c2:
-                continue
+            c2 = row2[piv]
             for r2, v2 in row.items():
                 nv = (row2.get(r2, 0) - c2 * v2) % p
                 if nv:
@@ -378,35 +374,46 @@ def rank_mod_p(m: SparseMatrix, p: int) -> int:
     return elim.rank
 
 
-def kernel_basis(m: SparseMatrix) -> list[dict[int, int]]:
+def kernel_basis(m: ColumnSource) -> list[dict[int, int]]:
     """Exact kernel basis; each vector a primitive integer dict col -> coeff.
 
     Every returned v satisfies m·v = 0 exactly (re-checked here).
     """
-    elim = ExactEliminator(m.rows, track=True)
-    for j, col in enumerate(m.columns()):
-        elim.add_column(col, tag=j)
-    vecs = elim.kernel_vectors()
-    for v in vecs:
-        image = m.matvec({j: Fraction(c) for j, c in v.items()})
-        if image:
+    cols, elim = _eliminate(m)
+    for v in elim.kernel:
+        if _image(cols, v):
             raise AssertionError("kernel vector failed exact re-check")
-    return vecs
+    return elim.kernel
 
 
-def solve(m: SparseMatrix, b: dict[int, Union[int, Fraction]]) -> Optional[dict[int, Fraction]]:
+def solve(m: ColumnSource, b: dict[int, Union[int, Fraction]]) -> Optional[dict[int, Fraction]]:
     """Exact witness x with m·x = b, or None (certified by rank comparison)."""
-    elim = ExactEliminator(m.rows, track=True)
-    for j, col in enumerate(m.columns()):
-        elim.add_column(col, tag=j)
-    if elim.add_column(sorted(b.items()), tag="rhs"):
+    if any(not 0 <= i < m.rows for i in b):
+        raise ValueError(f"right-hand side index out of range for {m.rows} rows")
+    cols, elim = _eliminate(m)
+    if elim.add_column(sorted(b.items())):
         return None  # rank of [m | b] is rank(m) + 1
-    combo = elim.kernel_combos[-1]  # positive on "rhs"
-    cb = combo.pop("rhs")
-    out = {j: -x / cb for j, x in combo.items()}
-    # exact re-check
-    image = m.matvec(out)
-    want = {i: Fraction(v) for i, v in b.items() if v}
-    if image != want:
+    relation = elim.kernel[-1]  # positive on b, which is fed as column len(cols)
+    cb = relation.pop(len(cols))
+    out = {j: Fraction(-x, cb) for j, x in relation.items()}
+    if _image(cols, out) != {i: v for i, v in b.items() if v}:
         raise AssertionError("solve witness failed exact re-check")
     return out
+
+
+def _eliminate(m: ColumnSource) -> tuple[list[SparseColumn], ExactEliminator]:
+    """The columns of ``m``, fed in order to a tracked exact eliminator."""
+    cols = list(m.columns())
+    elim = ExactEliminator(m.rows, track=True)
+    for col in cols:
+        elim.add_column(col)
+    return cols, elim
+
+
+def _image(cols: Sequence[SparseColumn], x: dict[int, Union[int, Fraction]]) -> dict[int, Union[int, Fraction]]:
+    """sum_j x[j] * cols[j], without zero entries."""
+    out: dict[int, Union[int, Fraction]] = {}
+    for j, c in x.items():
+        for i, v in cols[j]:
+            out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if v}

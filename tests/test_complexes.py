@@ -27,6 +27,7 @@ from leibniz_homology import (
     wedge_boundary,
 )
 from leibniz_homology.complexes import LodayBoundary, check_dd_zero
+from leibniz_homology.linalg import SparseMatrix, solve
 
 
 def t(h, i):
@@ -199,6 +200,27 @@ def test_rho_embedding_not_cycle(sig4):
     some_word = next(iter(emb.coeffs))
     assert abs(emb.coeffs[some_word]) == Fraction(1, 2)
     assert not is_cycle(emb)
+
+
+def test_block_solve_matches_materialized_matrix(sig22):
+    # is_boundary solves on the weight blocks directly; the same block
+    # materialized as a SparseMatrix must give the same witness (or None)
+    sign, _ = resolve_gamma_tilde_sign(sig22)
+    diff = make_gamma_tilde(sig22, sign) - make_gamma_bar(sig22)
+    alg = diff.space.algebra
+    blocks = {b.weight: b for b in LodayBoundary(alg).blocks(diff.space.degree + 1)}
+    by_weight: dict[int, dict] = {}
+    for w, c in diff.coeffs.items():
+        by_weight.setdefault(sum(alg.weights[i] for i in w), {})[w] = c
+    for wt, coeffs in by_weight.items():
+        block = blocks[wt]
+        m = SparseMatrix(
+            block.rows, block.cols, {(r, j): v for j, col in enumerate(block.columns()) for r, v in col}
+        )
+        b = {block.rowspace.rank_word(w): c for w, c in coeffs.items()}
+        x = solve(block, b)
+        assert x is not None and x == solve(m, b)
+        assert solve(block, {0: 1}) == solve(m, {0: 1})
 
 
 def test_is_boundary_zero_chain(h22):

@@ -102,6 +102,9 @@ def test_solve_witness_and_infeasible(rng):
     # infeasible: zero map cannot hit a nonzero vector
     m0 = SparseMatrix(3, 4)
     assert solve(m0, {0: 1}) is None
+    # a row index past the matrix would land on a combination coordinate
+    with pytest.raises(ValueError):
+        solve(m0, {3: 1})
 
 
 def test_solve_over_abelian_boundary_infeasible():
@@ -163,15 +166,27 @@ def test_eliminator_invariants(rng, exact):
         cols = []
         for t in range(rng.randint(1, 16)):
             cols.append([(i, rng.randint(-9, 9)) for i in range(rows) if rng.random() < 0.4])
-            if exact:
-                elim.add_column(cols[-1], tag=t)
-            else:
-                elim.add_column(cols[-1])
+            new = elim.add_column(cols[-1])
             _check_reduced_echelon(elim, exact)
-        if exact:  # each tracked row is its combination of the fed columns
-            m = SparseMatrix(rows, len(cols), {(i, t): v for t, col in enumerate(cols) for i, v in col})
-            for piv, row in elim.basis.items():
-                assert m.matvec(elim.combos[piv]) == row
+            if exact and not new:  # a primitive relation, positive on column t
+                rel = elim.kernel[-1]
+                assert max(rel) == t and rel[t] > 0 and math.gcd(*rel.values()) == 1
+                assert _int_image(cols, rel) == {}
+        if exact:  # each tracked row is its vector followed by its combination of the fed columns
+            assert all(piv < rows for piv in elim.basis)  # combination coordinates never pivot
+            assert len(elim.kernel) == len(cols) - elim.rank
+            for row in elim.basis.values():
+                combo = {c - rows: x for c, x in row.items() if c >= rows}
+                assert _int_image(cols, combo) == {c: x for c, x in row.items() if c < rows}
+
+
+def _int_image(cols, combo):
+    """sum_t combo[t] * cols[t] in integers, without zero entries."""
+    out = {}
+    for t, x in combo.items():
+        for i, v in cols[t]:
+            out[i] = out.get(i, 0) + x * v
+    return {i: v for i, v in out.items() if v}
 
 
 def test_boundary_rank_cross_field(h22):
