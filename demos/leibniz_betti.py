@@ -7,8 +7,8 @@ degree k(n-1) and k(n-1)+n, zero elsewhere.
 
 Ranks are exact through 10^4 columns and two-prime modular above; the
 degree-5 boundary of h_4 is a 10^4 x 10^5 matrix whose rank is computed in
-seconds thanks to the translation-weight splitting and the sparsity of the
-reduced bases.
+seconds thanks to the grade splitting (translation count and sign-flip
+parity of each word) and the sparsity of the reduced bases.
 
 The homologous-witness solve at the end exhibits an explicit preimage
 showing that gamma~ and gamma_bar represent the same class.

@@ -16,13 +16,15 @@ and with trivial coefficients it is the wedge boundary on Λ^k g alone.
 All three are implemented matrix-free on words and share one interface:
 ``space(k)`` (the degree-k chain space), ``word_boundary(word)``,
 ``apply(chain)`` and ``blocks(k)``, the ``BoundaryBlock``s whose ranks add up
-to the rank of d_k.  Every algebra is graded (weight 0 on every basis element
-unless stated otherwise; the affine algebras carry weight 1 on translations),
-brackets are weight-additive, and so each tensor power splits into weight
-blocks preserved by the Loday boundary; its ranks and solves run block by
-block.  A CE boundary has one block per degree, its whole chain space.
-Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
-blocks.  Matrices are materialized only on demand.
+to the rank of d_k.  Every algebra is graded by (translation count, parity
+bitmask), (0, 0) on every basis element unless stated otherwise; the affine
+algebras grade T_i, X(i,j), Y(i,j) by their characters under the diagonal
+sign flips (``LieAlgebra``).  Brackets add counts and XOR parities, so the
+Loday boundary preserves the grade of a word and d_k splits into one block
+per grade of the degree-k words, each indexed by a ``GradeBlock``; its ranks
+and solves run block by block.  A CE boundary has one block per degree, its
+whole chain space.  Degrees below 2 of the Loday complex and degree 0 of a
+CE complex have no blocks.  Matrices are materialized only on demand.
 """
 
 from __future__ import annotations
@@ -34,22 +36,21 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .liealg import Coeff, LieAlgebra
+from .liealg import Coeff, Grade, LieAlgebra
 from .linalg import CapExceededError, SparseMatrix, solve
 from .repspace import (
     Chain,
+    GradeBlock,
     Space,
     SpaceMismatchError,
-    _colex_rank,
-    _colex_unrank,
     _perm_sign,
+    graded_words,
     mixed_space,
     sort_wedge,
     tensor_space,
 )
 
 __all__ = [
-    "TensorWeightBlock",
     "BoundaryBlock",
     "LodayBoundary",
     "CEBoundary",
@@ -66,71 +67,16 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-# ---------------------------------------------------------------------------
-# Weight-block word indexing for tensor powers of a graded algebra.
-
-
-class TensorWeightBlock:
-    """Words of the k-th tensor power with exactly w weight-1 factors.
-
-    Rank order: colex rank of the set of weight-1 positions, then the
-    mixed-radix codes of the weight-1 and weight-0 factor tuples.  Words are
-    indexed through ``rank_word``/``unrank_word``/``dim``, as in ``Space``.
-    """
-
-    def __init__(self, algebra: LieAlgebra, k: int, w: int):
-        self.algebra = algebra
-        self.k = k
-        self.w = w
-        self._wts = algebra.weights
-        self._ones = [i for i, wt in enumerate(self._wts) if wt == 1]
-        self._zeros = [i for i, wt in enumerate(self._wts) if wt == 0]
-        self._one_pos = {idx: t for t, idx in enumerate(self._ones)}
-        self._zero_pos = {idx: t for t, idx in enumerate(self._zeros)}
-        self._nt = len(self._ones) ** w
-        self._ns = len(self._zeros) ** max(k - w, 0)
-        self.dim = math.comb(k, w) * self._nt * self._ns
-
-    def rank_word(self, word: Word) -> int:
-        wts = self._wts
-        positions = [t for t, idx in enumerate(word) if wts[idx] == 1]
-        rt = 0
-        for t in positions:
-            rt = rt * len(self._ones) + self._one_pos[word[t]]
-        rs = 0
-        for idx in word:
-            if wts[idx] == 0:
-                rs = rs * len(self._zeros) + self._zero_pos[idx]
-        return (_colex_rank(positions) * self._nt + rt) * self._ns + rs
-
-    def unrank_word(self, r: int) -> Word:
-        r, rs = divmod(r, self._ns)
-        sub, rt = divmod(r, self._nt)
-        tvals = []
-        for _ in range(self.w):
-            rt, c = divmod(rt, len(self._ones))
-            tvals.append(self._ones[c])
-        svals = []
-        for _ in range(self.k - self.w):
-            rs, c = divmod(rs, len(self._zeros))
-            svals.append(self._zeros[c])
-        # both lists were filled last factor first
-        posset = set(_colex_unrank(sub, self.w))
-        return tuple(
-            tvals.pop() if t in posset else svals.pop() for t in range(self.k)
-        )
-
-
-WordIndex = Union[TensorWeightBlock, Space]
+WordIndex = Union[GradeBlock, Space]
 
 
 @dataclass
 class BoundaryBlock:
     """One block of a degree-k boundary: columns indexed by ``colspace``
-    (degree k), rows by ``rowspace`` (degree k-1).  ``weight`` is the weight
+    (degree k), rows by ``rowspace`` (degree k-1).  ``grade`` is the grade
     of a Loday block; a CE block spans its whole chain space and has None."""
 
-    weight: Optional[int]
+    grade: Optional[Grade]
     colspace: WordIndex
     rowspace: WordIndex
     word_boundary: Callable[[Word], dict[Word, Coeff]]
@@ -210,7 +156,7 @@ class _Boundary:
 
 
 class LodayBoundary(_Boundary):
-    """The Loday boundary of an algebra, matrix-free, with weight blocks.
+    """The Loday boundary of an algebra, matrix-free, with grade blocks.
 
     ``apply`` also takes chains of a tensor power restricted to some factors;
     their boundary words may leave that set, so the image lies in the full
@@ -247,17 +193,17 @@ class LodayBoundary(_Boundary):
         return out
 
     def blocks(self, k: int) -> list[BoundaryBlock]:
-        """Weight blocks of d_k; none below degree 2 (d_1 is the zero map)."""
+        """Grade blocks of d_k, one per grade of the degree-k words, sorted;
+        none below degree 2 (d_1 is the zero map)."""
         if k < 2:
             return []
-        out = []
-        for w in range(k + 1):
-            col = TensorWeightBlock(self.algebra, k, w)
-            if col.dim == 0:
-                continue
-            row = TensorWeightBlock(self.algebra, k - 1, w)
-            out.append(BoundaryBlock(w, col, row, self.word_boundary))
-        return out
+        words = graded_words(self.algebra.grades)
+        return [
+            BoundaryBlock(
+                g, GradeBlock(words, k, g), GradeBlock(words, k - 1, g), self.word_boundary
+            )
+            for g in words.grades_of_length(k)
+        ]
 
     def matrix(self, k: int, cap: int = 200_000) -> SparseMatrix:
         """The degree-k boundary as a sparse matrix (rows: degree k-1 words)."""
@@ -418,7 +364,7 @@ def is_boundary(chain: Chain, *, cap_exact: int = 20_000) -> Optional[Chain]:
     """Exact witness x with d(x) = chain, or None (certified infeasible).
 
     Restricted to tensor chains (the Loday complex).  The solve runs per
-    weight block of degree k+1, which keeps the column counts small; a block
+    grade block of degree k+1, which keeps the column counts small; a block
     exceeding ``cap_exact`` raises.
     """
     if chain.space.kind != "tensor":
@@ -428,20 +374,21 @@ def is_boundary(chain: Chain, *, cap_exact: int = 20_000) -> Optional[Chain]:
     op = LodayBoundary(alg)
     if chain.is_zero():
         return tensor_space(alg, k + 1).zero()
-    blocks = {b.weight: b for b in op.blocks(k + 1)}
+    blocks = {b.grade: b for b in op.blocks(k + 1)}
 
-    by_weight: dict[int, dict[Word, Fraction]] = {}
+    words = graded_words(alg.grades)
+    by_grade: dict[Grade, dict[Word, Fraction]] = {}
     for w, c in chain.coeffs.items():
-        by_weight.setdefault(sum(alg.weights[i] for i in w), {})[w] = c
+        by_grade.setdefault(words.grade_of(w), {})[w] = c
 
     witness: dict[Word, Fraction] = {}
-    for wt, coeffs in sorted(by_weight.items()):
-        block = blocks.get(wt)
-        if block is None or block.cols == 0:
+    for g, coeffs in sorted(by_grade.items()):
+        block = blocks.get(g)
+        if block is None:
             return None  # no columns can hit this component
         if block.cols > cap_exact:
             raise CapExceededError(
-                f"exact solve block (weight {wt}) has {block.cols} columns, cap {cap_exact}"
+                f"exact solve block (grade {g}) has {block.cols} columns, cap {cap_exact}"
             )
         b = {block.rowspace.rank_word(w): c for w, c in coeffs.items()}
         x = solve(block, b)

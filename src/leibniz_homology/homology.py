@@ -5,11 +5,13 @@ Betti numbers come from rank-nullity on the boundary matrices:
     betti_k = dim(degree k) - rank d_k - rank d_{k+1}.
 
 Both complexes run through one pipeline: the boundary operator's chain space
-dimensions and its blocks (the Loday weight blocks, or one block per degree
-for CE).  The rank of d_k is the sum of its block ranks: exact (streaming
-elimination over Q) when d_k has at most ``cap_exact`` columns, otherwise
-modular, where every prime must agree on every block or the disagreement is
-reported as an error rather than guessed away.  A degree past a cap ends the
+dimensions and its blocks (the Loday grade blocks, one per translation count
+and parity vector of the degree-k words, or one block per degree for CE).
+The rank of d_k is the sum of its block ranks: exact (streaming elimination
+over Q) when d_k has at most ``cap_exact`` columns, otherwise modular, where
+every prime must agree on every block or the disagreement is reported as an
+error rather than guessed away.  The caps and certificates are those of the
+whole d_k, however many blocks it splits into.  A degree past a cap ends the
 table there, as a partial report.  Every run spot-checks d∘d = 0 on random
 chains at every degree and aborts on failure.
 """
@@ -180,7 +182,7 @@ def _rank_exact_blocks(blocks) -> int:
 
 
 def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
-    """Sum of per-weight-block ranks; every block must agree across all primes.
+    """Sum of per-block ranks; every block must agree across all primes.
 
     Each block's columns are generated once, as CSC arrays, and fed to one
     eliminator per prime.
@@ -200,7 +202,7 @@ def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
             ranks.append(elim.rank)
         if len(set(ranks)) != 1:
             raise PrimeDisagreementError(
-                f"block weight={block.weight}: ranks {ranks} for primes {list(primes)}"
+                f"block grade={block.grade}: ranks {ranks} for primes {list(primes)}"
             )
         total += ranks[0]
     return total
@@ -251,9 +253,9 @@ def homology_dims(
 ) -> BettiReport:
     """Betti numbers of the Loday (or CE) complex through ``max_degree``.
 
-    For the Loday complex of an affine algebra with n >= 4 (weight-1 part of
-    dimension n) the report carries the predicted dimension series and
-    per-degree match flags unless ``predicted`` overrides it.  A cap hit
+    For the Loday complex of an affine algebra with n >= 4 (n basis elements
+    of translation count 1) the report carries the predicted dimension series
+    and per-degree match flags unless ``predicted`` overrides it.  A cap hit
     produces a partial report (``capped_at`` set) rather than an exception.
     """
     opts = options or HomologyOptions()
@@ -295,7 +297,7 @@ def homology_dims(
         entries.append(BettiEntry(k, dim, rk, rk1, betti, cert))
 
     sig = algebra.sig
-    affine = sig is not None and sig.n >= 4 and sum(algebra.weights) == sig.n
+    affine = sig is not None and sig.n >= 4 and sum(c for c, _ in algebra.grades) == sig.n
     if predicted is None and kind == "loday" and affine:
         predicted = predicted_hl_dims(sig, max_degree)
     matches = None

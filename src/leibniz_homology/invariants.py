@@ -109,6 +109,7 @@ def invariant_subspace(
             f"({len(gens)} generators x dim {space.dim}), cap {row_cap}"
         )
     elim = ExactEliminator(rows, track=True)
+    kernel: list[dict[int, int]] = []
     for j in range(space.dim):
         w = space.basis_chain(space.unrank_word(j))
         col: list[tuple[int, Union[int, Fraction]]] = []
@@ -116,9 +117,10 @@ def invariant_subspace(
             image = act(x, w)
             for ww, c in image.coeffs.items():
                 col.append((t * space.dim + space.rank_word(ww), c))
-        elim.add_column(sorted(col))
+        if not elim.add_column(sorted(col)):
+            kernel.append(elim.relation)
     chains: list[Chain] = []
-    for vec in elim.kernel:
+    for vec in kernel:
         coeffs = {space.unrank_word(j): Fraction(c) for j, c in vec.items()}
         chain = Chain(space, coeffs)
         first = min(chain.coeffs, key=space.rank_word)

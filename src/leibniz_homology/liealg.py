@@ -216,6 +216,7 @@ def _decompose_field(fld: Field, sig: Signature, index: Mapping[BasisLabel, int]
 # ---------------------------------------------------------------------------
 
 Coeff = Union[int, Fraction]
+Grade = tuple[int, int]  # (translation count, parity bitmask)
 
 
 class LieAlgebra:
@@ -223,11 +224,14 @@ class LieAlgebra:
 
     ``structure[(a, b)]`` is the sparse vector of [e_a, e_b]; both orders are
     stored, so antisymmetry is a checkable invariant rather than a storage
-    convention.  ``weights`` (0/1 per basis element, all 0 when omitted) grade
-    the algebra: every bracket term has weight w_a + w_b, so the brackets of
-    two weight-1 elements vanish.  A table that breaks the grading raises
-    ``ValueError``.  The affine algebras carry weight 1 on translations and 0
-    on so(p,q).
+    convention.  ``grades`` give each basis element a grade (c, s): a
+    translation count c in {0, 1} and a parity bitmask s (all (0, 0) when
+    omitted).  Every bracket term of [e_a, e_b] has grade
+    (c_a + c_b, s_a ^ s_b), so the brackets of two count-1 elements vanish;
+    a table that breaks the grading raises ``ValueError``.  The affine
+    algebras give T_i the grade (1, bit i-1) and X(i,j), Y(i,j) the grade
+    (0, bits i-1 and j-1): each is an eigenvector of the diagonal sign
+    flips, with the parity vector as its character.
     """
 
     def __init__(
@@ -235,7 +239,7 @@ class LieAlgebra:
         labels: Sequence[BasisLabel],
         structure: Mapping[tuple[int, int], Mapping[int, Coeff]],
         *,
-        weights: Optional[Sequence[int]] = None,
+        grades: Optional[Sequence[Grade]] = None,
         sig: Optional[Signature] = None,
         name: str = "lie-algebra",
     ) -> None:
@@ -245,7 +249,9 @@ class LieAlgebra:
             pair: {c: v for c, v in vec.items() if v} for pair, vec in structure.items()
         }
         self.structure = {pair: vec for pair, vec in self.structure.items() if vec}
-        self.weights: tuple[int, ...] = tuple(weights) if weights is not None else (0,) * self.dim
+        self.grades: tuple[Grade, ...] = (
+            tuple((c, s) for c, s in grades) if grades is not None else ((0, 0),) * self.dim
+        )
         self.sig = sig
         self.name = name
         self._index: dict[BasisLabel, int] = {lab: k for k, lab in enumerate(self.labels)}
@@ -254,17 +260,21 @@ class LieAlgebra:
         self._check_grading()
 
     def _check_grading(self) -> None:
-        wts = self.weights
-        if len(wts) != self.dim:
-            raise ValueError(f"{len(wts)} weights for a {self.dim}-dimensional algebra")
-        if any(w not in (0, 1) for w in wts):
-            raise ValueError(f"weights must be 0 or 1, got {list(wts)}")
+        grades = self.grades
+        if len(grades) != self.dim:
+            raise ValueError(f"{len(grades)} grades for a {self.dim}-dimensional algebra")
+        for c, s in grades:
+            if c not in (0, 1) or not isinstance(s, int) or s < 0:
+                raise ValueError(
+                    f"a grade is (count in {{0, 1}}, parity bitmask >= 0), got {(c, s)}"
+                )
         for (a, b), vec in self.structure.items():
+            (ca, sa), (cb, sb) = grades[a], grades[b]
             for c in vec:
-                if wts[c] != wts[a] + wts[b]:
+                if grades[c] != (ca + cb, sa ^ sb):
                     raise ValueError(
                         f"[{self.labels[a]}, {self.labels[b]}] has the term {self.labels[c]} "
-                        f"of weight {wts[c]}, not {wts[a] + wts[b]}"
+                        f"of grade {grades[c]}, not {(ca + cb, sa ^ sb)}"
                     )
 
     # -- basic queries ------------------------------------------------------
@@ -312,13 +322,20 @@ def _structure_from_fields(
     return structure
 
 
+def _label_grade(label: BasisLabel) -> Grade:
+    """(1, bit i-1) for T_i; (0, bits i-1 and j-1) for X(i,j) and Y(i,j)."""
+    if isinstance(label, Translation):
+        return 1, 1 << (label.i - 1)
+    return 0, (1 << (label.i - 1)) | (1 << (label.j - 1))
+
+
 @lru_cache(maxsize=None)
 def build_abelian(n: int) -> LieAlgebra:
     """The abelian algebra I_n of translations; every bracket is zero."""
     if n < 1:
         raise ValueError("build_abelian requires n >= 1")
     labels = [Translation(i) for i in range(1, n + 1)]
-    return LieAlgebra(labels, {}, weights=[1] * n, name=f"I_{n}")
+    return LieAlgebra(labels, {}, grades=[_label_grade(lab) for lab in labels], name=f"I_{n}")
 
 
 @lru_cache(maxsize=None)
@@ -328,7 +345,8 @@ def build_so(sig: Signature) -> LieAlgebra:
         raise ValueError("build_so requires n >= 2")
     labels = so_labels(sig)
     structure = _structure_from_fields(labels, sig)
-    alg = LieAlgebra(labels, structure, weights=[0] * len(labels), sig=sig, name=f"so{sig}")
+    grades = [_label_grade(lab) for lab in labels]
+    alg = LieAlgebra(labels, structure, grades=grades, sig=sig, name=f"so{sig}")
     if alg.dim != sig.n * (sig.n - 1) // 2:
         raise RuntimeError(f"so{sig} came out with dimension {alg.dim}")
     return alg
@@ -342,8 +360,8 @@ def build_affine(sig: Signature) -> LieAlgebra:
     labels: list[BasisLabel] = [Translation(i) for i in range(1, sig.n + 1)]
     labels += so_labels(sig)
     structure = _structure_from_fields(labels, sig)
-    weights = [1] * sig.n + [0] * (len(labels) - sig.n)
-    alg = LieAlgebra(labels, structure, weights=weights, sig=sig, name=f"h{sig}")
+    grades = [_label_grade(lab) for lab in labels]
+    alg = LieAlgebra(labels, structure, grades=grades, sig=sig, name=f"h{sig}")
     if alg.dim != sig.n * (sig.n + 1) // 2:
         raise RuntimeError(f"h{sig} came out with dimension {alg.dim}")
     return alg
@@ -415,7 +433,8 @@ def build_abelian_extension(
 
     ``action[a]`` is the matrix of m -> [e_a, m] on M.  The matrices must
     satisfy action([a,b]) = action(a)action(b) - action(b)action(a); the
-    failing pair is named otherwise.  Basis order: M first, then g.
+    failing pair is named otherwise.  Basis order: M first, then g; M has
+    grade (1, 0) and g grade (0, 0).
     """
     if len(action) != g.dim:
         raise ValueError("need one action matrix per basis element of g")
@@ -462,8 +481,8 @@ def build_abelian_extension(
         structure[(j, a)] = {c: -v for c, v in structure[(a, j)].items()}
     structure = {k: {c: v for c, v in vec.items() if v} for k, vec in structure.items()}
     structure = {k: vec for k, vec in structure.items() if vec}
-    weights = [1] * m_dim + [0] * g.dim
-    return LieAlgebra(labels, structure, weights=weights, sig=g.sig, name=f"{g.name}+M{m_dim}")
+    grades = [(1, 0)] * m_dim + [(0, 0)] * g.dim
+    return LieAlgebra(labels, structure, grades=grades, sig=g.sig, name=f"{g.name}+M{m_dim}")
 
 
 # ---------------------------------------------------------------------------

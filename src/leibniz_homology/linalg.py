@@ -193,12 +193,14 @@ class ExactEliminator:
 
     With ``track=True`` the columns are those of ``[A; I]``: the t-th fed
     column gets the extra coordinate ``rowdim + t``, whose value is its
-    scale.  Coordinates ``>= rowdim`` never become pivots, so every row is
+    scale.  Coordinates ``>= rowdim`` never become pivots (nor enter
+    ``users``, which back-reduction reads only at pivots), so every row is
     its vector followed by its integer combination of the fed columns, and
     one row operation updates both.  A column is dependent when nothing below
-    ``rowdim`` is left of it; what is left, divided by its gcd, is appended
-    to ``kernel``: a primitive integer relation among the fed columns, keyed
-    by feed index and positive on that column.
+    ``rowdim`` is left of it; what is left, divided by its gcd, is
+    ``relation``: a primitive integer relation among the fed columns, keyed
+    by feed index and positive on that column.  It is built when read, and
+    only the last fed column's is kept.
     """
 
     def __init__(self, rowdim: int, *, track: bool = False):
@@ -206,43 +208,57 @@ class ExactEliminator:
         self.track = track
         self.fed = 0
         self.basis: dict[int, dict[int, int]] = {}  # pivot -> primitive row, lead > 0
-        self.users: dict[int, set[int]] = {}  # coord -> pivots of rows containing it
-        self.kernel: list[dict[int, int]] = []
+        self.users: dict[int, set[int]] = {}  # coord < rowdim -> pivots of rows containing it
+        self._left: Optional[dict[int, int]] = None  # what a dependent tracked column left
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
+    @property
+    def relation(self) -> Optional[dict[int, int]]:
+        """The relation of the last fed column if it was dependent (tracked
+        eliminators only), else None."""
+        if self._left is None:
+            return None
+        g = math.gcd(*self._left.values())
+        return {r - self.rowdim: x // g for r, x in self._left.items()}
+
     def add_column(self, col: SparseColumn) -> bool:
         """Feed a column; returns True if it enlarged the span (new pivot)."""
+        rowdim = self.rowdim
         scale = math.lcm(*(v.denominator for _, v in col if isinstance(v, Fraction)))
         work = {r: int(v * scale) for r, v in col if v}
         if self.track:
-            work[self.rowdim + self.fed] = scale
+            work[rowdim + self.fed] = scale
         self.fed += 1
+        self._left = None
         for piv in sorted(r for r in work if r in self.basis):
             a, b = _cofactors(self.basis[piv][piv], work[piv])
             work = _combine(a, work, b, self.basis[piv])
-        piv = min(work, default=self.rowdim)
-        if piv >= self.rowdim:
+        piv = min(work, default=rowdim)
+        if piv >= rowdim:
             if self.track:
-                g = math.gcd(*work.values())
-                self.kernel.append({r - self.rowdim: x // g for r, x in work.items()})
+                self._left = work
             return False
         work = _normalize(work, piv)
+        users = self.users
         # back-reduce the rows that contain the new pivot
-        for piv2 in list(self.users.get(piv, ())):
+        for piv2 in list(users.get(piv, ())):
             row2 = self.basis[piv2]
             a, b = _cofactors(work[piv], row2[piv])
             new2 = _normalize(_combine(a, row2, b, work), piv2)
             for r in row2.keys() - new2.keys():
-                self.users[r].discard(piv2)
+                if r < rowdim:
+                    users[r].discard(piv2)
             for r in new2.keys() - row2.keys():
-                self.users.setdefault(r, set()).add(piv2)
+                if r < rowdim:
+                    users.setdefault(r, set()).add(piv2)
             self.basis[piv2] = new2
         self.basis[piv] = work
         for r in work:
-            self.users.setdefault(r, set()).add(piv)
+            if r < rowdim:
+                users.setdefault(r, set()).add(piv)
         return True
 
 
@@ -379,35 +395,31 @@ def kernel_basis(m: ColumnSource) -> list[dict[int, int]]:
 
     Every returned v satisfies m·v = 0 exactly (re-checked here).
     """
-    cols, elim = _eliminate(m)
-    for v in elim.kernel:
+    cols = list(m.columns())
+    elim = ExactEliminator(m.rows, track=True)
+    kernel = [elim.relation for col in cols if not elim.add_column(col)]
+    for v in kernel:
         if _image(cols, v):
             raise AssertionError("kernel vector failed exact re-check")
-    return elim.kernel
+    return kernel
 
 
 def solve(m: ColumnSource, b: dict[int, Union[int, Fraction]]) -> Optional[dict[int, Fraction]]:
     """Exact witness x with m·x = b, or None (certified by rank comparison)."""
     if any(not 0 <= i < m.rows for i in b):
         raise ValueError(f"right-hand side index out of range for {m.rows} rows")
-    cols, elim = _eliminate(m)
+    cols = list(m.columns())
+    elim = ExactEliminator(m.rows, track=True)
+    for col in cols:
+        elim.add_column(col)
     if elim.add_column(sorted(b.items())):
         return None  # rank of [m | b] is rank(m) + 1
-    relation = elim.kernel[-1]  # positive on b, which is fed as column len(cols)
+    relation = elim.relation  # positive on b, which is fed as column len(cols)
     cb = relation.pop(len(cols))
     out = {j: Fraction(-x, cb) for j, x in relation.items()}
     if _image(cols, out) != {i: v for i, v in b.items() if v}:
         raise AssertionError("solve witness failed exact re-check")
     return out
-
-
-def _eliminate(m: ColumnSource) -> tuple[list[SparseColumn], ExactEliminator]:
-    """The columns of ``m``, fed in order to a tracked exact eliminator."""
-    cols = list(m.columns())
-    elim = ExactEliminator(m.rows, track=True)
-    for col in cols:
-        elim.add_column(col)
-    return cols, elim
 
 
 def _image(cols: Sequence[SparseColumn], x: dict[int, Union[int, Fraction]]) -> dict[int, Union[int, Fraction]]:

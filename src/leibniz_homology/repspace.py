@@ -5,22 +5,31 @@ kept strictly increasing (a repeated factor is zero and never stored); the
 Koszul sign of the sorting permutation is absorbed into the coefficient.
 Mixed words carry one leading factor followed by a wedge tail.
 
-Ranking uses a mixed-radix code for tensor words, the combinatorial number
-system (colex) for wedge words and the product of the two for mixed words,
-so rank/unrank are O(degree) without lookup tables.
+A ``Space`` ranks tensor words by a mixed-radix code, wedge words by the
+combinatorial number system (colex) and mixed words by the product of the
+two, so its rank/unrank are O(degree) without lookup tables.  A
+``GradeBlock`` indexes the tensor words of one length and one grade of a
+graded algebra, by rank/unrank over the suffix-count tables of
+``GradedWords``: one lookup per letter to rank, one bisect per letter to
+unrank.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .liealg import Coeff, LieAlgebra
+from .liealg import Coeff, Grade, LieAlgebra
 
 __all__ = [
     "Space",
+    "GradedWords",
+    "GradeBlock",
+    "graded_words",
     "Chain",
     "SpaceMismatchError",
     "tensor_space",
@@ -158,6 +167,113 @@ def _colex_unrank(r: int, k: int) -> list[int]:
         r -= math.comb(hi, k)
         k -= 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# Grade blocks of tensor powers.
+
+
+class GradedWords:
+    """Rank/unrank of the tensor words of a graded algebra, block by grade.
+
+    A word's grade is (sum of its letters' translation counts, XOR of their
+    parities).  Grades are coded as ``count << _cshift | parity`` and a
+    (length, grade) pair as the state ``length << _lshift | code``; the
+    state of a word's suffix after its first letter a is
+    ``(state - _delta[a]) ^ _parity[a]``.  For each length L the tables hold
+    the number of words of every grade (``_counts[L]``) and, per state, the
+    cumulative offsets of the letters (``_offsets[state][a]`` counts the
+    words of that length and grade whose first letter is below a; the last
+    entry is the total).  In lexicographic order within a block, ranking a
+    word is one lookup per letter and unranking one bisect per letter.  The
+    tables grow one length at a time, when a block of that length is asked
+    for.
+    """
+
+    def __init__(self, grades: Sequence[Grade]):
+        self.grades = tuple(grades)
+        self._cshift = max((s for _, s in self.grades), default=0).bit_length()
+        self._lshift = self._cshift + 16  # translation counts stay below 2^16
+        self._delta = [(1 << self._lshift) + (c << self._cshift) for c, _ in self.grades]
+        self._parity = [s for _, s in self.grades]
+        self._counts: list[dict[int, int]] = [{0: 1}]  # length -> grade code -> words
+        self._offsets: dict[int, list[int]] = {}  # state -> cumulative letter offsets
+
+    def _grow(self, length: int) -> None:
+        codes = [(c << self._cshift, s) for c, s in self.grades]
+        while len(self._counts) <= length:
+            prev = self._counts[-1]
+            cur: dict[int, int] = {}
+            for g, n in prev.items():
+                for cc, s in codes:
+                    h = (g + cc) ^ s
+                    cur[h] = cur.get(h, 0) + n
+            base = len(self._counts) << self._lshift
+            for g in cur:
+                off = [0]
+                for cc, s in codes:
+                    off.append(off[-1] + prev.get((g - cc) ^ s, 0))
+                self._offsets[base | g] = off
+            self._counts.append(cur)
+
+    def grades_of_length(self, length: int) -> list[Grade]:
+        """The grades of the words of this length, sorted."""
+        self._grow(length)
+        mask = (1 << self._cshift) - 1
+        return sorted((g >> self._cshift, g & mask) for g in self._counts[length])
+
+    def grade_of(self, word: Word) -> Grade:
+        c = s = 0
+        for a in word:
+            ca, sa = self.grades[a]
+            c += ca
+            s ^= sa
+        return c, s
+
+
+@lru_cache(maxsize=32)
+def graded_words(grades: tuple[Grade, ...]) -> GradedWords:
+    """The word index of a grading, shared by every caller with that grading."""
+    return GradedWords(grades)
+
+
+class GradeBlock:
+    """The tensor words of one length and one grade, in lexicographic order;
+    indexed through ``rank_word``/``unrank_word``/``dim``, as in ``Space``."""
+
+    def __init__(self, words: GradedWords, length: int, grade: Grade):
+        words._grow(length)
+        c, s = grade
+        code = (c << words._cshift) | s
+        self.length = length
+        self.grade = grade
+        self.dim = words._counts[length].get(code, 0)
+        self._state = (length << words._lshift) | code
+        self._offsets = words._offsets
+        self._delta = words._delta
+        self._parity = words._parity
+
+    def rank_word(self, word: Word) -> int:
+        offsets, delta, parity = self._offsets, self._delta, self._parity
+        state, r = self._state, 0
+        for a in word:
+            r += offsets[state][a]
+            state = (state - delta[a]) ^ parity[a]
+        return r
+
+    def unrank_word(self, r: int) -> Word:
+        offsets, delta, parity = self._offsets, self._delta, self._parity
+        state, out = self._state, []
+        for _ in range(self.length):
+            off = offsets[state]
+            a = bisect_right(off, r) - 1
+            r -= off[a]
+            out.append(a)
+            state = (state - delta[a]) ^ parity[a]
+        return tuple(out)
+
+    def __repr__(self) -> str:
+        return f"GradeBlock(length={self.length}, grade={self.grade}, dim={self.dim})"
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

@@ -12,6 +12,7 @@ from leibniz_homology import (
     Signature,
     Translation,
     build_abelian,
+    build_affine,
     ce_boundary,
     embed_mixed_in_tensor,
     is_boundary,
@@ -27,11 +28,20 @@ from leibniz_homology import (
     wedge_boundary,
 )
 from leibniz_homology.complexes import LodayBoundary, check_dd_zero
-from leibniz_homology.linalg import SparseMatrix, solve
+from leibniz_homology.homology import _rank_exact_blocks
+from leibniz_homology.linalg import ExactEliminator, SparseMatrix, solve
+from leibniz_homology.repspace import graded_words
 
 
 def t(h, i):
     return h.index(Translation(i))
+
+
+def exact_rank(m):
+    elim = ExactEliminator(m.rows)
+    for col in m.columns():
+        elim.add_column(col)
+    return elim.rank
 
 
 def test_loday_boundary_degree2_example(h31):
@@ -79,27 +89,18 @@ def test_dd_zero_random_chains(h22, h31, rng):
 
 
 def test_loday_blocks_cover_full_matrix(h22):
-    # the graded blocks, and the single weight-0 block of the same algebra
-    # with the default all-zero grading
+    # the graded blocks, and the single (0, 0) block of the same algebra
+    # with the default grading
     ungraded = LieAlgebra(h22.labels, h22.structure, name="h22-ungraded")
-    assert ungraded.weights == (0,) * h22.dim
+    assert ungraded.grades == ((0, 0),) * h22.dim
     for alg in (h22, ungraded):
         op = LodayBoundary(alg)
         assert op.blocks(0) == [] and op.blocks(1) == []  # d_1 is the zero map
         for k in (2, 3):
             blocks = op.blocks(k)
             assert sum(b.cols for b in blocks) == alg.dim**k
-            assert sum(b.rows for b in blocks) == alg.dim ** (k - 1)
             if alg is ungraded:
-                assert [b.weight for b in blocks] == [0]
-            # every word of every block round-trips through rank/unrank
-            for b in blocks:
-                for space, count in ((b.colspace, b.cols), (b.rowspace, b.rows)):
-                    assert space.dim == count
-                    words = [space.unrank_word(r) for r in range(count)]
-                    assert [space.rank_word(w) for w in words] == list(range(count))
-                    assert len(set(words)) == count
-                    assert all(sum(alg.weights[i] for i in w) == b.weight for w in words)
+                assert [b.grade for b in blocks] == [(0, 0)]
             m = op.matrix(k)
             # block columns reproduce the full matrix columns
             full_cols = m.columns()
@@ -115,13 +116,44 @@ def test_loday_blocks_cover_full_matrix(h22):
                     assert sorted(got) == sorted(want)
 
 
+@pytest.mark.parametrize("pq", [(2, 2), (3, 1), (4, 0), (3, 3)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_grade_blocks_index_every_word_once(pq):
+    alg = build_affine(Signature(*pq))
+    words = graded_words(alg.grades)
+    op = LodayBoundary(alg)
+    for k in (2,) if pq == (3, 3) else (2, 3):
+        blocks = op.blocks(k)
+        assert [b.grade for b in blocks] == sorted(b.grade for b in blocks)
+        assert sum(b.cols for b in blocks) == alg.dim**k
+        for b in blocks:
+            assert b.colspace.dim == b.cols > 0
+            assert b.rowspace.dim == b.rows
+            for space, count in ((b.colspace, b.cols), (b.rowspace, b.rows)):
+                # every word round-trips through rank/unrank and carries the grade
+                words_ = [space.unrank_word(r) for r in range(count)]
+                assert [space.rank_word(w) for w in words_] == list(range(count))
+                assert words_ == sorted(words_)  # lexicographic within the block
+                assert all(words.grade_of(w) == b.grade for w in words_)
+        # the row blocks of d_k are the column blocks of d_(k-1)
+        assert sum(b.rows for b in blocks) == alg.dim ** (k - 1)
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (3, 1), (4, 0)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_grade_block_ranks_match_full_matrix(pq):
+    # the sum of the block ranks is the exact rank of the materialized d_k
+    alg = build_affine(Signature(*pq))
+    op = LodayBoundary(alg)
+    for k in (2, 3):
+        assert _rank_exact_blocks(op.blocks(k)) == exact_rank(op.matrix(k))
+
+
 def test_ce_blocks_are_whole_chain_spaces(h22):
     # one block per CE degree, columns the boundaries of the basis words
     for op in (ce_boundary(h22, None, 1), WedgeBoundary(h22, range(h22.dim))):
         assert op.blocks(0) == []
         for k in (1, 2):
             (block,) = op.blocks(k)
-            assert block.weight is None
+            assert block.grade is None
             assert (block.rows, block.cols) == (op.space(k - 1).dim, op.space(k).dim)
             for j in range(block.cols):
                 sp = op.space(k)
@@ -203,17 +235,18 @@ def test_rho_embedding_not_cycle(sig4):
 
 
 def test_block_solve_matches_materialized_matrix(sig22):
-    # is_boundary solves on the weight blocks directly; the same block
+    # is_boundary solves on the grade blocks directly; the same block
     # materialized as a SparseMatrix must give the same witness (or None)
     sign, _ = resolve_gamma_tilde_sign(sig22)
     diff = make_gamma_tilde(sig22, sign) - make_gamma_bar(sig22)
     alg = diff.space.algebra
-    blocks = {b.weight: b for b in LodayBoundary(alg).blocks(diff.space.degree + 1)}
-    by_weight: dict[int, dict] = {}
+    words = graded_words(alg.grades)
+    blocks = {b.grade: b for b in LodayBoundary(alg).blocks(diff.space.degree + 1)}
+    by_grade: dict[tuple[int, int], dict] = {}
     for w, c in diff.coeffs.items():
-        by_weight.setdefault(sum(alg.weights[i] for i in w), {})[w] = c
-    for wt, coeffs in by_weight.items():
-        block = blocks[wt]
+        by_grade.setdefault(words.grade_of(w), {})[w] = c
+    for g, coeffs in by_grade.items():
+        block = blocks[g]
         m = SparseMatrix(
             block.rows, block.cols, {(r, j): v for j, col in enumerate(block.columns()) for r, v in col}
         )

@@ -150,28 +150,37 @@ def test_extension_module_law_violation_names_pair():
     assert exc.value.pair[0] in so.labels and exc.value.pair[1] in so.labels
 
 
-def test_weight_grading_is_bracket_additive():
+def test_grading_is_bracket_additive():
+    for h in (build_affine(Signature(2, 2)), build_affine(Signature(3, 1)), build_so(Signature(2, 3))):
+        g = h.grades
+        for (a, b), vec in h.structure.items():
+            for c in vec:
+                assert g[c] == (g[a][0] + g[b][0], g[a][1] ^ g[b][1])
     h = build_affine(Signature(2, 2))
-    w = h.weights
-    for (a, b), vec in h.structure.items():
-        for c in vec:
-            assert w[c] == w[a] + w[b]
+    assert h.grades[h.index(Translation(3))] == (1, 0b0100)
+    assert h.grades[h.index(RotationX(3, 4))] == (0, 0b1100)
+    assert h.grades[h.index(BoostY(1, 4))] == (0, 0b1001)
 
 
 def test_bad_grading_rejected():
     h = build_affine(Signature(2, 2))
-    assert LieAlgebra(h.labels, h.structure).weights == (0,) * h.dim
-    for weights in (
-        [1] * 9,  # one weight short
-        [2] * 4 + [0] * 6,  # weights outside {0, 1}
-        [0] * 4 + [1] * 6,  # [so, so] has weight 0 terms where 2 is due
+    assert LieAlgebra(h.labels, h.structure).grades == ((0, 0),) * h.dim
+    counts_only = [(c, 0) for c, _ in h.grades]
+    assert LieAlgebra(h.labels, h.structure, grades=counts_only).grades == tuple(counts_only)
+    for grades in (
+        h.grades[:-1],  # one grade short
+        [(2, 0)] * 4 + [(0, 0)] * 6,  # counts outside {0, 1}
+        [(0, 0)] * 4 + [(1, 0)] * 6,  # [so, so] has count-0 terms where 2 is due
+        [(c, -1) for c, _ in h.grades],  # negative parity
+        # counts right, parity of T_1 moved to bit 2: [X(1,2), T_2] = ±T_1 breaks
+        [(1, 0b100)] + list(h.grades[1:]),
     ):
         with pytest.raises(ValueError):
-            LieAlgebra(h.labels, h.structure, weights=weights)
-    # two weight-1 elements with a nonzero bracket
+            LieAlgebra(h.labels, h.structure, grades=grades)
+    # two count-1 elements with a nonzero bracket
     with pytest.raises(ValueError):
         LieAlgebra(
             [Translation(1), Translation(2)],
             {(0, 1): {0: 1}, (1, 0): {0: -1}},
-            weights=[1, 1],
+            grades=[(1, 0), (1, 0)],
         )

@@ -16,6 +16,7 @@ from leibniz_homology import (
 )
 from leibniz_homology.complexes import LodayBoundary
 from leibniz_homology.linalg import (
+    DenominatorClashError,
     PRIME_HI,
     PRIME_LO,
     draw_primes,
@@ -143,7 +144,8 @@ def test_big_integer_fallback():
 
 
 def _check_reduced_echelon(elim, exact):
-    """Rows zero at every other pivot, normalized leads, exact ``users`` index."""
+    """Rows zero at every other pivot, normalized leads, exact ``users`` index
+    (the support map of the rows below ``rowdim``)."""
     users: dict[int, set[int]] = {}
     for piv, row in elim.basis.items():
         assert all(row.values())
@@ -153,7 +155,8 @@ def _check_reduced_echelon(elim, exact):
         else:
             assert row[piv] == 1 and all(0 < x < elim.p for x in row.values())
         for c in row:
-            users.setdefault(c, set()).add(piv)
+            if c < elim.rowdim:
+                users.setdefault(c, set()).add(piv)
     assert {c: s for c, s in elim.users.items() if s} == users
 
 
@@ -164,17 +167,21 @@ def test_eliminator_invariants(rng, exact):
         rows = rng.randint(1, 12)
         elim = ExactEliminator(rows, track=True) if exact else SparseModularEliminator(rows, p)
         cols = []
+        dependent = 0
         for t in range(rng.randint(1, 16)):
             cols.append([(i, rng.randint(-9, 9)) for i in range(rows) if rng.random() < 0.4])
             new = elim.add_column(cols[-1])
             _check_reduced_echelon(elim, exact)
+            if exact and new:
+                assert elim.relation is None
             if exact and not new:  # a primitive relation, positive on column t
-                rel = elim.kernel[-1]
+                rel = elim.relation
                 assert max(rel) == t and rel[t] > 0 and math.gcd(*rel.values()) == 1
                 assert _int_image(cols, rel) == {}
+                dependent += 1
         if exact:  # each tracked row is its vector followed by its combination of the fed columns
             assert all(piv < rows for piv in elim.basis)  # combination coordinates never pivot
-            assert len(elim.kernel) == len(cols) - elim.rank
+            assert dependent == len(cols) - elim.rank
             for row in elim.basis.values():
                 combo = {c - rows: x for c, x in row.items() if c >= rows}
                 assert _int_image(cols, combo) == {c: x for c, x in row.items() if c < rows}
@@ -205,10 +212,21 @@ def test_boundary_rank_cross_field(h22):
 def test_streamed_rank_two_primes(h22):
     from leibniz_homology.homology import _rank_modular_blocks
 
-    blocks = LodayBoundary(h22).blocks(4)
+    op = LodayBoundary(h22)
+    blocks = op.blocks(4)
     p1, p2 = draw_primes(random.Random(5), 2)
     assert _rank_modular_blocks(blocks, [p1]) == _rank_modular_blocks(blocks, [p2]) == 909
     assert _rank_modular_blocks(blocks, [p1, p2]) == 909
+    # the grade blocks against the materialized d_4
+    assert rank_mod_p(op.matrix(4), p1) == 909
+
+
+def test_denominator_clash_raises():
+    p = draw_primes(random.Random(11), 1)[0]
+    m = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, p)})
+    with pytest.raises(DenominatorClashError):
+        rank_mod_p(m, p)
+    assert rank_mod_p(SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, p + 2)}), p) == 2
 
 
 def test_streamed_rank_rejects_composite():
