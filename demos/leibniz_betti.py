@@ -5,10 +5,12 @@ d(h_1 ⊗ ... ⊗ h_k) = sum_{i<j} (-1)^j ... [h_i,h_j] ... ^h_j ...; the
 homology is predicted to be (R ⊕ <alpha~>) ⊗ T(gamma~): dimension 1 in every
 degree k(n-1) and k(n-1)+n, zero elsewhere.
 
-Ranks are exact through 10^4 columns and two-prime modular above; the
-degree-5 boundary of h_4 is a 10^4 x 10^5 matrix whose rank is computed in
-seconds thanks to the grade splitting (translation count and sign-flip
-parity of each word) and the sparsity of the reduced bases.
+The boundary splits into grade blocks by translation count and sign-flip
+parity of each word.  The flips e_i e_j within one block of the form are
+rotations by pi, so they act trivially on homology and every block they
+negate is acyclic; only the kept blocks are ranked.  For h_4 that leaves
+24,992 of the 10^5 columns of d_5, ranked exactly over Q in seconds (ranks
+are exact through 10^5 ranked columns, two-prime modular above).
 
 The homologous-witness solve at the end exhibits an explicit preimage
 showing that gamma~ and gamma_bar represent the same class.
@@ -46,8 +48,8 @@ print()
 t0 = time.time()
 rep = homology_dims(build_affine(sig), 4)
 print(rep.table())
-print(f"(computed in {time.time()-t0:.1f}s; degree-4 needs the rank of the "
-      f"10^4 x 10^5 boundary, certified by two independent primes)")
+print(f"(computed in {time.time()-t0:.1f}s; degree 4 needs the rank of d_5 on its "
+      f"kept blocks, {rep.certificates[5].rank}, exact over Q)")
 print()
 
 dual = cohomology_dims(rep)

@@ -48,6 +48,7 @@ from .invariants import (
 from .liealg import (
     BasisLabel,
     BoostY,
+    FlipReduction,
     LieAlgebra,
     ModuleLawError,
     RotationX,
@@ -58,6 +59,7 @@ from .liealg import (
     build_abelian_extension,
     build_affine,
     build_so,
+    sign_flip_reduction,
     standard_translation_action,
     validate,
 )

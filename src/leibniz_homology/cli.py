@@ -27,7 +27,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .homology import HomologyOptions, cohomology_dims, homology_dims
+from .homology import (
+    DEFAULT_CAP_EXACT,
+    DEFAULT_CAP_MODULAR,
+    HomologyOptions,
+    cohomology_dims,
+    homology_dims,
+)
 from .invariants import invariant_subspace
 from .liealg import Signature, build_abelian, build_affine, build_so, validate
 from .linalg import CapExceededError
@@ -54,10 +60,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="seed for prime selection and random spot checks")
     parser.add_argument("--primes", type=int, default=_env_default("PRIMES", 2, int),
                         help="number of agreeing primes required for modular ranks")
-    parser.add_argument("--cap-exact", type=int, default=_env_default("CAP_EXACT", 10_000, int),
+    parser.add_argument("--cap-exact", type=int,
+                        default=_env_default("CAP_EXACT", DEFAULT_CAP_EXACT, int),
                         help="max columns for exact elimination")
     parser.add_argument("--cap-modular", type=int,
-                        default=_env_default("CAP_MODULAR", 3_000_000, int),
+                        default=_env_default("CAP_MODULAR", DEFAULT_CAP_MODULAR, int),
                         help="max columns for modular elimination")
     parser.add_argument("--json", metavar="PATH",
                         default=_env_default("JSON", None, str),

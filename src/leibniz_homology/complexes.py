@@ -114,7 +114,9 @@ class BoundaryBlock:
             indptr[j + 1] = nnz
             if col:
                 vals = [v for _, v in col]
-                scale = math.lcm(*(v.denominator for v in vals if isinstance(v, Fraction)))
+                scale = math.lcm(
+                    *(v.denominator for v in vals if type(v) is not int and isinstance(v, Fraction))
+                )
                 if scale > 1:
                     vals = [int(v * scale) for v in vals]
                 rows_acc.append(np.fromiter((r for r, _ in col), dtype=np.int64, count=len(col)))

@@ -7,13 +7,21 @@ Betti numbers come from rank-nullity on the boundary matrices:
 Both complexes run through one pipeline: the boundary operator's chain space
 dimensions and its blocks (the Loday grade blocks, one per translation count
 and parity vector of the degree-k words, or one block per degree for CE).
+
+The Loday complex of ``build_affine(sig)`` or ``build_so(sig)`` is reduced:
+the sign flips ε_iε_j within one block of the form act trivially on
+homology, so the grade blocks whose parity some flip negates are acyclic
+(``liealg.sign_flip_reduction``).  Only the kept blocks are ranked, and
+``dim`` counts the kept words; the report records the flips and the kept
+parities.  Every other algebra, and every CE complex, keeps all blocks.
+
 The rank of d_k is the sum of its block ranks: exact (streaming elimination
-over Q) when d_k has at most ``cap_exact`` columns, otherwise modular, where
-every prime must agree on every block or the disagreement is reported as an
-error rather than guessed away.  The caps and certificates are those of the
-whole d_k, however many blocks it splits into.  A degree past a cap ends the
-table there, as a partial report.  Every run spot-checks d∘d = 0 on random
-chains at every degree and aborts on failure.
+over Q) when the ranked blocks have at most ``cap_exact`` columns together,
+otherwise modular, where every prime must agree on every block or the
+disagreement is reported as an error rather than guessed away.  A degree
+past a cap ends the table there, as a partial report.  Every run
+spot-checks d∘d = 0 on random chains of the whole complex at every degree
+and aborts on failure.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .complexes import CEBoundary, LodayBoundary, WedgeBoundary, check_dd_zero
-from .liealg import LieAlgebra, Signature
+from .liealg import FlipReduction, LieAlgebra, Signature, sign_flip_reduction
 from .linalg import (
     CapExceededError,
     ExactEliminator,
@@ -32,7 +40,7 @@ from .linalg import (
     SparseModularEliminator,
     draw_primes,
 )
-from .repspace import random_chain
+from .repspace import graded_words, random_chain
 
 __all__ = [
     "HomologyOptions",
@@ -43,7 +51,7 @@ __all__ = [
     "cohomology_dims",
 ]
 
-DEFAULT_CAP_EXACT = 10_000
+DEFAULT_CAP_EXACT = 100_000
 DEFAULT_CAP_MODULAR = 3_000_000
 DD_CHECKS = 100  # random chains per degree in the d∘d = 0 spot check
 
@@ -106,6 +114,7 @@ class BettiReport:
     environment: dict = field(default_factory=dict)
     capped_at: Optional[int] = None
     cap_message: Optional[str] = None
+    reduction: Optional[FlipReduction] = None  # None: every block ranked
 
     @property
     def betti(self) -> list[int]:
@@ -116,7 +125,7 @@ class BettiReport:
         return bool(self.matches) and all(self.matches)
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "algebra": self.algebra,
             "kind": self.kind,
             "variant": self.variant,
@@ -132,6 +141,10 @@ class BettiReport:
             "capped_at": self.capped_at,
             "cap_message": self.cap_message,
         }
+        # only reduced reports carry the key, so unreduced ones keep their bytes
+        if self.reduction is not None:
+            out["reduction"] = self.reduction.to_json_dict()
+        return out
 
     def table(self) -> str:
         lines = [f"{self.variant} of {self.algebra} ({self.kind}, mode {self.mode})"]
@@ -144,6 +157,11 @@ class BettiReport:
             if self.predicted is not None:
                 row += f" {self.predicted[i]:>10} {str(self.matches[i]):>6}"
             lines.append(row)
+        if self.reduction is not None:
+            lines.append(
+                f"  reduced to the parities {list(self.reduction.kept)} fixed by the "
+                f"sign flips {list(self.reduction.flips)}"
+            )
         if self.capped_at is not None:
             lines.append(f"  capped at degree {self.capped_at}: {self.cap_message}")
         return "\n".join(lines)
@@ -208,12 +226,21 @@ def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
     return total
 
 
-def _boundary_rank(op, k: int, opts: HomologyOptions, primes: Sequence[int]) -> RankCertificate:
-    """Rank of d_k with mode/cap policy applied; no blocks means rank 0."""
+def _boundary_rank(
+    op,
+    k: int,
+    opts: HomologyOptions,
+    primes: Sequence[int],
+    reduction: Optional[FlipReduction],
+) -> RankCertificate:
+    """Rank of d_k on the kept blocks with mode/cap policy applied; no
+    blocks means rank 0."""
     blocks = op.blocks(k)
+    if reduction is not None:
+        blocks = [b for b in blocks if reduction.keeps(b.grade)]
     if not blocks:
         return RankCertificate(0, "Q", "exact")
-    cols = op.space(k).dim
+    cols = sum(b.cols for b in blocks)
     exact = opts.mode == "exact" or (opts.mode == "auto" and cols <= opts.cap_exact)
     if exact:
         if cols > opts.cap_exact:
@@ -227,6 +254,14 @@ def _boundary_rank(op, k: int, opts: HomologyOptions, primes: Sequence[int]) -> 
         )
     r = _rank_modular_blocks(blocks, primes)
     return RankCertificate(r, "Fp", "modular", list(primes))
+
+
+def _chain_dim(op, k: int, reduction: Optional[FlipReduction]) -> int:
+    """The number of degree-k chain words: the kept ones, if reduced."""
+    if reduction is None:
+        return op.space(k).dim
+    words = graded_words(op.algebra.grades)
+    return sum(words.count(k, g) for g in words.grades_of_length(k) if reduction.keeps(g))
 
 
 def _boundary(algebra: LieAlgebra, kind: str):
@@ -255,13 +290,16 @@ def homology_dims(
 
     For the Loday complex of an affine algebra with n >= 4 (n basis elements
     of translation count 1) the report carries the predicted dimension series
-    and per-degree match flags unless ``predicted`` overrides it.  A cap hit
-    produces a partial report (``capped_at`` set) rather than an exception.
+    and per-degree match flags unless ``predicted`` overrides it.  The Loday
+    complex of ``build_affine``/``build_so`` runs on the sign-flip-invariant
+    blocks only (``reduction`` in the report).  A cap hit produces a partial
+    report (``capped_at`` set) rather than an exception.
     """
     opts = options or HomologyOptions()
     rng = random.Random(opts.seed)
     primes = draw_primes(rng, opts.primes)
     op = _boundary(algebra, kind)
+    reduction = sign_flip_reduction(algebra) if kind == "loday" else None
     check_dd_zero(
         op.apply,
         lambda k, r: random_chain(op.space(k), r),
@@ -274,7 +312,7 @@ def homology_dims(
     capped_at = cap_message = None
     for k in range(1, max_degree + 2):
         try:
-            ranks[k] = _boundary_rank(op, k, opts, primes)
+            ranks[k] = _boundary_rank(op, k, opts, primes, reduction)
         except CapExceededError as exc:
             capped_at, cap_message = k, str(exc)
             break
@@ -283,7 +321,7 @@ def homology_dims(
     for k in range(0, max_degree + 1):
         if k + 1 not in ranks:
             break
-        dim = op.space(k).dim
+        dim = _chain_dim(op, k, reduction)
         rk = ranks[k].rank if k else 0  # d_0 does not exist
         rk1 = ranks[k + 1].rank
         betti = dim - rk - rk1
@@ -317,6 +355,7 @@ def homology_dims(
         environment=opts.environment(primes),
         capped_at=capped_at,
         cap_message=cap_message,
+        reduction=reduction,
     )
 
 

@@ -40,6 +40,8 @@ __all__ = [
     "build_so",
     "build_affine",
     "build_abelian_extension",
+    "FlipReduction",
+    "sign_flip_reduction",
     "standard_translation_action",
     "validate",
 ]
@@ -365,6 +367,54 @@ def build_affine(sig: Signature) -> LieAlgebra:
     if alg.dim != sig.n * (sig.n + 1) // 2:
         raise RuntimeError(f"h{sig} came out with dimension {alg.dim}")
     return alg
+
+
+@dataclass(frozen=True)
+class FlipReduction:
+    """The sign flips that act trivially on ``HL_*`` and the parities they keep.
+
+    ``flips`` are the parity masks e_i + e_{i+1} of the flips ε_iε_{i+1}
+    with i, i+1 in one block of the form ({1..p} or {p+1..n}); together
+    they generate every ε_iε_j within a block.  ``kept`` lists the parities
+    s on which each flip is +1: those constant on each block, {0, P, Q, P|Q}.
+    """
+
+    flips: tuple[int, ...]
+    kept: tuple[int, ...]
+
+    def keeps(self, grade: Grade) -> bool:
+        return grade[1] in self.kept
+
+    def to_json_dict(self) -> dict:
+        return {"flips": list(self.flips), "kept_parities": list(self.kept)}
+
+
+def sign_flip_reduction(alg: LieAlgebra) -> Optional[FlipReduction]:
+    """The parities of the Loday complex that can carry homology, or None
+    when every parity must be kept.
+
+    Every x in g acts on ``HL_*(g)`` by a null-homotopic map
+    (Loday–Pirashvili), so the identity component of the automorphism group
+    acts trivially.  For so(p,q) and h_n that component contains the flips
+    ε_iε_j with i, j in one block of the form: exp(π X(i,j)), rotation by π.
+    A basis word is an eigenvector of every flip, with the character given
+    by its parity, so the words of a parity on which some flip is −1 span an
+    acyclic summand.  The argument needs the canonical structure, so the
+    reduction is given only for an algebra equal to ``build_affine(sig)`` or
+    ``build_so(sig)``: same labels, grades and structure constants.  Every
+    other algebra (I_n, abelian extensions, hand-built tables, and copies
+    built with ``sig=None``) keeps all parities.
+    """
+    sig = alg.sig
+    if sig is None or sig.n < 2:
+        return None
+    ref = build_affine(sig) if alg.translation_indices else build_so(sig)
+    if (alg.labels, alg.grades, alg.structure) != (ref.labels, ref.grades, ref.structure):
+        return None
+    p, n = sig.p, sig.n
+    flips = tuple((1 << (i - 1)) | (1 << i) for i in range(1, n) if i != p)
+    P, Q = (1 << p) - 1, ((1 << n) - 1) ^ ((1 << p) - 1)
+    return FlipReduction(flips, tuple(sorted({0, P, Q, P | Q})))
 
 
 class ModuleLawError(ValueError):

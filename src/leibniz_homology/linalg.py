@@ -227,7 +227,9 @@ class ExactEliminator:
     def add_column(self, col: SparseColumn) -> bool:
         """Feed a column; returns True if it enlarged the span (new pivot)."""
         rowdim = self.rowdim
-        scale = math.lcm(*(v.denominator for _, v in col if isinstance(v, Fraction)))
+        scale = math.lcm(
+            *(v.denominator for _, v in col if type(v) is not int and isinstance(v, Fraction))
+        )
         work = {r: int(v * scale) for r, v in col if v}
         if self.track:
             work[rowdim + self.fed] = scale
@@ -326,7 +328,9 @@ class SparseModularEliminator:
         p = self.p
         work: dict[int, int] = {}
         for r, v in col:
-            if isinstance(v, Fraction):
+            if type(v) is int:  # skips the slow ABC check of Fraction on plain ints
+                x = v % p
+            elif isinstance(v, Fraction):
                 if v.denominator % p == 0:
                     raise DenominatorClashError(f"prime {p} divides a denominator")
                 x = v.numerator * pow(v.denominator, -1, p) % p

@@ -222,6 +222,12 @@ class GradedWords:
         mask = (1 << self._cshift) - 1
         return sorted((g >> self._cshift, g & mask) for g in self._counts[length])
 
+    def count(self, length: int, grade: Grade) -> int:
+        """The number of words of this length and grade."""
+        self._grow(length)
+        c, s = grade
+        return self._counts[length].get((c << self._cshift) | s, 0)
+
     def grade_of(self, word: Word) -> Grade:
         c = s = 0
         for a in word:
@@ -242,13 +248,11 @@ class GradeBlock:
     indexed through ``rank_word``/``unrank_word``/``dim``, as in ``Space``."""
 
     def __init__(self, words: GradedWords, length: int, grade: Grade):
-        words._grow(length)
         c, s = grade
-        code = (c << words._cshift) | s
         self.length = length
         self.grade = grade
-        self.dim = words._counts[length].get(code, 0)
-        self._state = (length << words._lshift) | code
+        self.dim = words.count(length, grade)
+        self._state = (length << words._lshift) | (c << words._cshift) | s
         self._offsets = words._offsets
         self._delta = words._delta
         self._parity = words._parity

@@ -190,7 +190,7 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
 
 
 # ---------------------------------------------------------------------------
-# Claim suite (n >= 4, q >= 1).
+# Claim suite (n >= 4).
 
 
 def _dim_table(
@@ -376,10 +376,8 @@ def run_suite(
     if suite_name not in ("structure", "paper", "claims", "all"):
         raise ValueError(f"unknown suite {suite_name!r}")
     claims = suite_name in ("paper", "claims", "all")
-    if claims and (sig.n < 4 or sig.q < 1):
-        raise ValueError(
-            f"the claim suite requires n >= 4 and q >= 1, got n={sig.n}, q={sig.q}"
-        )
+    if claims and sig.n < 4:
+        raise ValueError(f"the claim suite is stated for n >= 4, got n={sig.n}")
     if suite_name in ("structure", "all"):
         _structure_checks(sig, opts, suite)
     if claims:

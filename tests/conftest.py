@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from leibniz_homology import Signature, build_affine
+from leibniz_homology import LieAlgebra, Signature, build_affine
 
 
 @pytest.fixture
@@ -33,3 +33,14 @@ def h22(sig22):
 @pytest.fixture
 def h31(sig31):
     return build_affine(sig31)
+
+
+def _full_route(alg):
+    """A copy of ``alg`` built without its signature: the same complex with
+    every grade block ranked (no sign-flip reduction, no prediction)."""
+    return LieAlgebra(alg.labels, alg.structure, grades=alg.grades, name=alg.name)
+
+
+@pytest.fixture
+def full_route():
+    return _full_route

@@ -192,11 +192,10 @@ def test_criterion_08_predicted_homology_dimensions():
             rep = homology_dims(build_affine(sig), 4)
             assert rep.betti == [1, 0, 0, 1, 1], (sig, rep.betti)
             assert rep.matches and all(rep.matches), sig
-            for k in range(0, 4):
+            # the kept blocks of d_5 (about 25k columns) are ranked over Q
+            for k in range(0, 5):
                 assert rep.entries[k].certification == "exact", (sig, k)
-            assert rep.entries[4].certification == "two-prime", sig
-            cert = rep.certificates[5]
-            assert cert.method == "modular" and len(set(cert.primes_used)) == 2, sig
+            assert rep.certificates[5].method == "exact", sig
 
 
 @pytest.mark.stretch
@@ -205,11 +204,14 @@ def test_criterion_08_predicted_homology_dimensions():
     reason="stretch (non-gating): degree 5-6 Betti numbers; enable with RUN_STRETCH=1",
 )
 def test_criterion_08_stretch_degrees_5_and_6():
-    # Degree 5 needs the rank of the 10^5 x 10^6 degree-6 boundary (two
-    # primes).  Degree 6 would additionally need the 10^6 x 10^7 boundary,
-    # which exceeds the desk-scale modular cap and is reported as capped.
+    # Degree 5 needs the rank of the kept blocks of d_6 (250,048 columns,
+    # two primes).  Degree 6 would additionally need the kept d_7
+    # (2,499,968 columns), which exceeds the 10^6 modular cap set here and
+    # is reported as capped.
     with Budget("criterion 8 stretch: degrees 5 and 6 at (2,2)", 3600):
-        rep = homology_dims(build_affine(Signature(2, 2)), 6)
+        rep = homology_dims(
+            build_affine(Signature(2, 2)), 6, options=HomologyOptions(cap_modular=1_000_000)
+        )
         assert [e.degree for e in rep.entries] == [0, 1, 2, 3, 4, 5]
         assert rep.betti == [1, 0, 0, 1, 1, 0]
         assert rep.entries[5].certification == "two-prime"

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from leibniz_homology.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, main
+from leibniz_homology.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, build_parser, main
+from leibniz_homology.homology import DEFAULT_CAP_EXACT, DEFAULT_CAP_MODULAR
 
 
 def run(args):
@@ -72,10 +73,20 @@ def test_homology_h4_low_degrees(capsys):
 
 
 def test_homology_cap_gives_partial_and_exit3(capsys):
+    # the kept d_4 (2512 columns) is past both caps
     code = run(
-        ["homology", "--p", "2", "--q", "2", "--max-degree", "4", "--cap-modular", "1000"]
+        ["homology", "--p", "2", "--q", "2", "--max-degree", "4",
+         "--cap-exact", "1000", "--cap-modular", "1000"]
     )
     assert code == EXIT_CAP
+
+
+def test_cap_defaults_follow_library(monkeypatch):
+    for name in ("CAP_EXACT", "CAP_MODULAR"):
+        monkeypatch.delenv("LEIBNIZ_HOMOLOGY_" + name, raising=False)
+    args = build_parser().parse_args(["homology", "--abelian", "2"])
+    assert args.cap_exact == DEFAULT_CAP_EXACT
+    assert args.cap_modular == DEFAULT_CAP_MODULAR
 
 
 def test_homology_usage_errors(capsys):
@@ -102,7 +113,17 @@ def test_verify_structure(capsys, tmp_path):
 def test_verify_refuses_small_n(capsys):
     assert run(["verify", "--suite", "paper", "--p", "1", "--q", "2"]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "n >= 4" in err
+    assert "the claim suite is stated for n >= 4, got n=3" in err
+
+
+def test_verify_paper_definite(tmp_path, capsys):
+    # q = 0: the definite affine orthogonal algebra is a checked row too
+    out = tmp_path / "definite.json"
+    assert run(["verify", "--suite", "paper", "--p", "4", "--q", "0",
+                "--json", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    assert data["passed"] is True
+    assert data["resolved_gamma_sign"] == -1
 
 
 def test_env_var_overrides(monkeypatch, tmp_path):

@@ -8,16 +8,9 @@ from pathlib import Path
 import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-SLOW = {"leibniz_betti"}  # about 20 s: the two-prime d_5 rank of h(2,2)
 
 
-@pytest.mark.parametrize(
-    "path",
-    [
-        pytest.param(p, id=p.stem, marks=[pytest.mark.slow] if p.stem in SLOW else [])
-        for p in sorted(DEMOS.glob("*.py"))
-    ],
-)
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))

@@ -6,6 +6,8 @@ import pytest
 
 from leibniz_homology import (
     HomologyOptions,
+    LieAlgebra,
+    LodayBoundary,
     Signature,
     build_abelian,
     build_abelian_extension,
@@ -14,8 +16,11 @@ from leibniz_homology import (
     cohomology_dims,
     homology_dims,
     predicted_hl_dims,
+    sign_flip_reduction,
     standard_translation_action,
 )
+from leibniz_homology.homology import _rank_exact_blocks
+from leibniz_homology.repspace import graded_words
 
 
 def test_abelian_oracle():
@@ -36,12 +41,18 @@ def test_predicted_series():
         predicted_hl_dims(Signature(2, 1), 4)
 
 
-def test_h4_exact_through_degree_3(sig4):
-    rep = homology_dims(build_affine(sig4), 3)
+def test_h4_exact_through_degree_3(sig4, full_route):
+    h = build_affine(sig4)
+    rep = homology_dims(h, 3)
     assert rep.betti == [1, 0, 0, 1]
     assert rep.matches == [True, True, True, True]
     assert all(e.certification == "exact" for e in rep.entries)
-    assert rep.certificates[4].rank == 909
+    assert rep.reduction is not None
+    # the full route (every grade block) as a cross-check
+    full = homology_dims(full_route(h), 3)
+    assert full.reduction is None and full.betti == rep.betti
+    assert [e.dim for e in full.entries] == [10**k for k in range(4)]
+    assert full.certificates[4].rank == 909
 
 
 def test_rank_nullity_identity(sig4):
@@ -74,10 +85,14 @@ def test_duality_flags():
     assert rep.variant == "homology"
 
 
-def test_mode_exact_cap():
+def test_mode_exact_cap(full_route):
     h = build_affine(Signature(2, 2))
     opts = HomologyOptions(mode="exact", cap_exact=500)
+    # the cap counts the ranked columns: 248 kept at degree 3, 2512 at degree 4
     rep = homology_dims(h, 3, options=opts)
+    assert rep.capped_at == 4
+    assert [e.degree for e in rep.entries] == [0, 1, 2]
+    rep = homology_dims(full_route(h), 3, options=opts)
     assert rep.capped_at == 3  # 1000 columns at degree 3 exceed the cap
     assert [e.degree for e in rep.entries] == [0, 1]
 
@@ -160,20 +175,130 @@ def test_environment_recorded():
 
 
 @pytest.mark.slow
-def test_h5_degree4_two_prime():
+def test_h5_degree4_two_prime(full_route):
     # the first tensor-algebra generator sits in degree n-1 = 4 at n = 5;
-    # its detection needs the rank of the 50625 x 759375 boundary
-    rep = homology_dims(build_affine(Signature(2, 3)), 4)
+    # on the full route its detection needs the rank of the 50625 x 759375
+    # boundary, two primes at the former exact cap; the table is the one
+    # the reduced route gives exactly (test_h5_degree4_exact)
+    sig = Signature(2, 3)
+    rep = homology_dims(
+        full_route(build_affine(sig)),
+        4,
+        options=HomologyOptions(cap_exact=10_000),
+        predicted=predicted_hl_dims(sig, 4),
+    )
     assert rep.betti == [1, 0, 0, 0, 1]
     assert rep.matches and all(rep.matches)
     assert rep.entries[4].certification == "two-prime"
 
 
 @pytest.mark.slow
-def test_h4_degree4_two_prime(sig4):
-    rep = homology_dims(build_affine(sig4), 4)
+def test_h5_degree4_exact():
+    # the kept blocks of d_5: 94,921 columns, under the exact cap
+    rep = homology_dims(build_affine(Signature(2, 3)), 4)
+    assert rep.betti == [1, 0, 0, 0, 1]
+    assert rep.matches and all(rep.matches)
+    assert all(e.certification == "exact" for e in rep.entries)
+    assert rep.certificates[5].rank == 5935
+
+
+@pytest.mark.slow
+def test_h4_degree4_two_prime(sig4, full_route):
+    # the full route at the former exact cap: d_5 (10^5 columns) by two primes;
+    # the table is the one the reduced route gives exactly (test_h4_degree4_exact)
+    rep = homology_dims(
+        full_route(build_affine(sig4)),
+        4,
+        options=HomologyOptions(cap_exact=10_000),
+        predicted=predicted_hl_dims(sig4, 4),
+    )
     assert rep.betti == [1, 0, 0, 1, 1]
     assert rep.matches and all(rep.matches)
     assert rep.entries[4].certification == "two-prime"
     cert = rep.certificates[5]
     assert cert.method == "modular" and cert.rank == 9090 and len(cert.primes_used) == 2
+
+
+KEPT_D5_RANK = {(2, 2): 2290, (3, 1): 2295, (1, 3): 2295}
+
+
+def test_h4_degree4_exact(sig4):
+    rep = homology_dims(build_affine(sig4), 4)
+    assert rep.betti == [1, 0, 0, 1, 1]
+    assert rep.matches and all(rep.matches)
+    assert all(e.certification == "exact" for e in rep.entries)
+    cert = rep.certificates[5]
+    assert cert.method == "exact" and cert.rank == KEPT_D5_RANK[(sig4.p, sig4.q)]
+
+
+def test_reduction_only_for_canonical_algebras(full_route):
+    sig = Signature(2, 2)
+    h, so = build_affine(sig), build_so(sig)
+    red = sign_flip_reduction(h)
+    # flips e1e2 and e3e4; kept parities 0, P, Q, P|Q
+    assert (red.flips, red.kept) == ((0b0011, 0b1100), (0, 0b0011, 0b1100, 0b1111))
+    assert sign_flip_reduction(so) == red
+    assert sign_flip_reduction(h.copy()) == red
+    assert sign_flip_reduction(build_affine(Signature(4, 0))).kept == (0, 0b1111)
+    assert sign_flip_reduction(build_affine(Signature(3, 1))).kept == (0, 0b0111, 0b1000, 0b1111)
+    twin = build_abelian_extension(so, standard_translation_action(sig), m_dim=4)
+    flat = LieAlgebra(h.labels, {}, grades=h.grades, sig=sig)  # canonical grades, no brackets
+    for alg in (build_abelian(4), twin, flat, full_route(h)):
+        assert sign_flip_reduction(alg) is None, alg
+    # I_n and the abelian extension keep every word
+    assert [e.dim for e in homology_dims(build_abelian(2), 2).entries] == [1, 2, 4]
+    assert [e.dim for e in homology_dims(twin, 2).entries] == [1, 10, 100]
+
+
+def test_reduction_in_report():
+    rep = homology_dims(build_affine(Signature(2, 2)), 2)
+    data = rep.to_json_dict()
+    assert data["reduction"] == {"flips": [3, 12], "kept_parities": [0, 3, 12, 15]}
+    assert [e.dim for e in rep.entries] == [1, 2, 28]  # X(1,2), X(3,4) in degree 1
+    assert "reduced to the parities" in rep.table()
+    assert cohomology_dims(rep).to_json_dict()["reduction"] == data["reduction"]
+    # unreduced reports carry no reduction key, as before
+    assert "reduction" not in homology_dims(build_abelian(2), 2).to_json_dict()
+    ce = homology_dims(build_affine(Signature(2, 2)), 2, kind="ce")
+    assert ce.reduction is None and "reduction" not in ce.to_json_dict()
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (3, 1), (4, 0)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_flipped_blocks_are_acyclic(pq):
+    # every (count, parity) block the reduction drops has Betti number 0
+    h = build_affine(Signature(*pq))
+    red = sign_flip_reduction(h)
+    op = LodayBoundary(h)
+    words = graded_words(h.grades)
+    rank = {
+        k: {b.grade: _rank_exact_blocks([b]) for b in op.blocks(k) if not red.keeps(b.grade)}
+        for k in (1, 2, 3, 4)
+    }
+    dropped = 0
+    for k in (1, 2, 3):
+        for g in words.grades_of_length(k):
+            if red.keeps(g):
+                continue
+            dropped += 1
+            dim = words.count(k, g)
+            assert dim - rank[k].get(g, 0) - rank[k + 1].get(g, 0) == 0, (k, g)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize(
+    "alg, degree",
+    [
+        (build_affine(Signature(4, 0)), 3),
+        (build_affine(Signature(3, 3)), 2),
+        (build_so(Signature(2, 2)), 3),
+        (build_so(Signature(3, 1)), 3),
+        (build_so(Signature(2, 1)), 3),
+    ],
+    ids=["h40", "h33", "so22", "so31", "so21"],
+)
+def test_reduced_tables_match_full_route(alg, degree, full_route):
+    reduced = homology_dims(alg, degree)
+    full = homology_dims(full_route(alg), degree)
+    assert reduced.reduction is not None and full.reduction is None
+    assert reduced.betti == full.betti
+    assert sum(e.dim for e in reduced.entries) < sum(e.dim for e in full.entries)
