@@ -62,10 +62,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="number of agreeing primes required for modular ranks")
     parser.add_argument("--cap-exact", type=int,
                         default=_env_default("CAP_EXACT", DEFAULT_CAP_EXACT, int),
-                        help="max columns for exact elimination")
+                        help="max columns for exact elimination (0: modular ranks only)")
     parser.add_argument("--cap-modular", type=int,
                         default=_env_default("CAP_MODULAR", DEFAULT_CAP_MODULAR, int),
-                        help="max columns for modular elimination")
+                        help="max columns for modular elimination (0: exact ranks only)")
     parser.add_argument("--json", metavar="PATH",
                         default=_env_default("JSON", None, str),
                         help="write the machine-readable report to PATH")
@@ -82,10 +82,9 @@ class UsageError(Exception):
     pass
 
 
-def _options(args, mode: str = "auto") -> HomologyOptions:
+def _options(args) -> HomologyOptions:
     try:
         return HomologyOptions(
-            mode=mode,
             cap_exact=args.cap_exact,
             cap_modular=args.cap_modular,
             primes=args.primes,
@@ -222,7 +221,7 @@ def cmd_homology(args) -> int:
         algebra = build_affine(sig)
         default_deg = 5 if sig.n == 4 else 4
     max_degree = args.max_degree if args.max_degree is not None else default_deg
-    report = homology_dims(algebra, max_degree, options=_options(args, mode=args.mode))
+    report = homology_dims(algebra, max_degree, options=_options(args))
     print(report.table())
     dual = cohomology_dims(report)
     payload = {
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--abelian", type=int, metavar="N",
                        help="use the N-dimensional abelian algebra instead of --p/--q")
     p_hom.add_argument("--max-degree", type=int, default=None)
-    p_hom.add_argument("--mode", choices=("auto", "exact", "modular"), default="auto")
     _add_common(p_hom)
     p_hom.set_defaults(func=cmd_homology)
 

@@ -24,7 +24,10 @@ Loday boundary preserves the grade of a word and d_k splits into one block
 per grade of the degree-k words, each indexed by a ``GradeBlock``; its ranks
 and solves run block by block.  A CE boundary has one block per degree, its
 whole chain space.  Degrees below 2 of the Loday complex and degree 0 of a
-CE complex have no blocks.  Matrices are materialized only on demand.
+CE complex have no blocks.  A block's columns are sorted ``(row, value)``
+lists, the one column format both rank engines of ``linalg`` read:
+``columns()`` streams them to an exact rank, ``csc()`` lists them once for
+the primes of a modular rank.  Matrices are materialized only on demand.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-import numpy as np
-
 from .liealg import Coeff, Grade, LieAlgebra
-from .linalg import CapExceededError, SparseMatrix, solve
+from .linalg import DEFAULT_CAP_EXACT, CapExceededError, SparseMatrix, solve
 from .repspace import (
     Chain,
     GradeBlock,
@@ -97,33 +98,10 @@ class BoundaryBlock:
         for j in range(self.cols):
             yield self.column(j)
 
-    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, rowidx, values) int64 arrays for the whole block.
-
-        A column with fractions is scaled by the lcm of its denominators:
-        that keeps the rank over Q and makes the column integral, so a rank
-        mod p of these arrays stays at most the rank over Q.
-        """
-        indptr = np.zeros(self.cols + 1, dtype=np.int64)
-        rows_acc: list[np.ndarray] = []
-        vals_acc: list[np.ndarray] = []
-        nnz = 0
-        for j in range(self.cols):
-            col = self.column(j)
-            nnz += len(col)
-            indptr[j + 1] = nnz
-            if col:
-                vals = [v for _, v in col]
-                scale = math.lcm(
-                    *(v.denominator for v in vals if type(v) is not int and isinstance(v, Fraction))
-                )
-                if scale > 1:
-                    vals = [int(v * scale) for v in vals]
-                rows_acc.append(np.fromiter((r for r, _ in col), dtype=np.int64, count=len(col)))
-                vals_acc.append(np.array(vals, dtype=np.int64))
-        rowidx = np.concatenate(rows_acc) if rows_acc else np.zeros(0, dtype=np.int64)
-        values = np.concatenate(vals_acc) if vals_acc else np.zeros(0, dtype=np.int64)
-        return indptr, rowidx, values
+    def csc(self) -> list[list[tuple[int, Coeff]]]:
+        """Every column of the block, generated once, for rank passes that
+        read them more than once (one per prime)."""
+        return list(self.columns())
 
 
 class _Boundary:
@@ -362,7 +340,7 @@ def is_cycle(chain: Chain) -> bool:
     return _boundary_for(chain).apply(chain).is_zero()
 
 
-def is_boundary(chain: Chain, *, cap_exact: int = 20_000) -> Optional[Chain]:
+def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional[Chain]:
     """Exact witness x with d(x) = chain, or None (certified infeasible).
 
     Restricted to tensor chains (the Loday complex).  The solve runs per

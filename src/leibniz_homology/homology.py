@@ -17,11 +17,14 @@ parities.  Every other algebra, and every CE complex, keeps all blocks.
 
 The rank of d_k is the sum of its block ranks: exact (streaming elimination
 over Q) when the ranked blocks have at most ``cap_exact`` columns together,
-otherwise modular, where every prime must agree on every block or the
-disagreement is reported as an error rather than guessed away.  A degree
-past a cap ends the table there, as a partial report.  Every run
-spot-checks d∘d = 0 on random chains of the whole complex at every degree
-and aborts on failure.
+otherwise modular when they have at most ``cap_modular``, where every prime
+must agree on every block or the disagreement is reported as an error rather
+than guessed away.  Both engines read the same sparse integer columns
+(``linalg.integer_column``); a modular rank generates each block's columns
+once for all its primes.  ``cap_exact=0`` ranks every nonzero boundary
+modularly, ``cap_modular=0`` only exactly.  A degree past both caps ends the
+table there, as a partial report.  Every run spot-checks d∘d = 0 on random
+chains of the whole complex at every degree and aborts on failure.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Optional, Sequence
 from .complexes import CEBoundary, LodayBoundary, WedgeBoundary, check_dd_zero
 from .liealg import FlipReduction, LieAlgebra, Signature, sign_flip_reduction
 from .linalg import (
+    DEFAULT_CAP_EXACT,
     CapExceededError,
     ExactEliminator,
     PrimeDisagreementError,
@@ -43,6 +47,8 @@ from .linalg import (
 from .repspace import graded_words, random_chain
 
 __all__ = [
+    "DEFAULT_CAP_EXACT",
+    "DEFAULT_CAP_MODULAR",
     "HomologyOptions",
     "BettiEntry",
     "BettiReport",
@@ -51,22 +57,21 @@ __all__ = [
     "cohomology_dims",
 ]
 
-DEFAULT_CAP_EXACT = 100_000
 DEFAULT_CAP_MODULAR = 3_000_000
 DD_CHECKS = 100  # random chains per degree in the d∘d = 0 spot check
 
 
 @dataclass(frozen=True)
 class HomologyOptions:
-    mode: str = "auto"  # "auto" | "exact" | "modular"
     cap_exact: int = DEFAULT_CAP_EXACT
     cap_modular: int = DEFAULT_CAP_MODULAR
     primes: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("auto", "exact", "modular"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("cap_exact", "cap_modular"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         if self.primes < 2:
             raise ValueError(f"modular ranks need at least 2 agreeing primes, got {self.primes}")
 
@@ -105,7 +110,6 @@ class BettiReport:
     algebra: str
     kind: str  # "loday" | "ce"
     variant: str  # "homology" | "cohomology"
-    mode: str
     max_degree: int
     entries: list[BettiEntry]
     predicted: Optional[list[int]] = None
@@ -129,7 +133,6 @@ class BettiReport:
             "algebra": self.algebra,
             "kind": self.kind,
             "variant": self.variant,
-            "mode": self.mode,
             "max_degree": self.max_degree,
             "entries": [e.to_json_dict() for e in self.entries],
             "predicted": self.predicted,
@@ -147,7 +150,7 @@ class BettiReport:
         return out
 
     def table(self) -> str:
-        lines = [f"{self.variant} of {self.algebra} ({self.kind}, mode {self.mode})"]
+        lines = [f"{self.variant} of {self.algebra} ({self.kind})"]
         header = f"{'k':>3} {'dim':>9} {'rank d_k':>9} {'rank d_k+1':>10} {'betti':>6} {'cert':>10}"
         if self.predicted is not None:
             header += f" {'predicted':>10} {'match':>6}"
@@ -202,21 +205,18 @@ def _rank_exact_blocks(blocks) -> int:
 def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
     """Sum of per-block ranks; every block must agree across all primes.
 
-    Each block's columns are generated once, as CSC arrays, and fed to one
-    eliminator per prime.
+    Each block's columns are generated once and fed to one eliminator per
+    prime.
     """
     total = 0
     for block in blocks:
         if block.cols == 0 or block.rows == 0:
             continue
-        indptr, rowidx, values = block.csc()
+        cols = block.csc()
         ranks = []
         for p in primes:
             elim = SparseModularEliminator(block.rows, p)
-            elim.process_sparse_columns(
-                list(zip(rowidx[lo:up].tolist(), values[lo:up].tolist()))
-                for lo, up in zip(indptr[:-1], indptr[1:])
-            )
+            elim.process_sparse_columns(cols)
             ranks.append(elim.rank)
         if len(set(ranks)) != 1:
             raise PrimeDisagreementError(
@@ -233,24 +233,20 @@ def _boundary_rank(
     primes: Sequence[int],
     reduction: Optional[FlipReduction],
 ) -> RankCertificate:
-    """Rank of d_k on the kept blocks with mode/cap policy applied; no
-    blocks means rank 0."""
+    """Rank of d_k on the kept blocks: exact within ``cap_exact`` columns,
+    else modular within ``cap_modular``; no blocks means rank 0."""
     blocks = op.blocks(k)
     if reduction is not None:
         blocks = [b for b in blocks if reduction.keeps(b.grade)]
     if not blocks:
         return RankCertificate(0, "Q", "exact")
     cols = sum(b.cols for b in blocks)
-    exact = opts.mode == "exact" or (opts.mode == "auto" and cols <= opts.cap_exact)
-    if exact:
-        if cols > opts.cap_exact:
-            raise CapExceededError(
-                f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact}"
-            )
+    if cols <= opts.cap_exact:
         return RankCertificate(_rank_exact_blocks(blocks), "Q", "exact")
     if cols > opts.cap_modular:
         raise CapExceededError(
-            f"degree {k}: {cols} columns exceed the modular cap {opts.cap_modular}"
+            f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact} "
+            f"and the modular cap {opts.cap_modular}"
         )
     r = _rank_modular_blocks(blocks, primes)
     return RankCertificate(r, "Fp", "modular", list(primes))
@@ -346,7 +342,6 @@ def homology_dims(
         algebra=algebra.name,
         kind=kind,
         variant="homology",
-        mode=opts.mode,
         max_degree=max_degree,
         entries=entries,
         predicted=predicted,

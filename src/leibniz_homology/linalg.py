@@ -6,16 +6,21 @@ reduced-echelon column elimination with dictionary rows keyed by pivot:
 * ``ExactEliminator`` — over Q.  Rows are Python-integer dicts with their
   content divided out and a positive pivot entry (fraction-free elimination).
   Python integers cannot overflow, so no machine-integer path is needed, and
-  no ``Fraction`` enters elimination: a column with fractions is scaled by
-  the lcm of its denominators.  Kernel vectors and solve witnesses come from
-  tracking, which gives each fed column one more integer coordinate (the
-  ``[A; I]`` augmentation), so a row carries its combination of the fed
-  columns as coordinates of the same dict.
+  no ``Fraction`` enters elimination.  Kernel vectors and solve witnesses
+  come from tracking, which gives each fed column one more integer
+  coordinate (the ``[A; I]`` augmentation), so a row carries its combination
+  of the fed columns as coordinates of the same dict.
 
 * ``SparseModularEliminator`` — mod p, every pivot entry 1.  Primes are drawn
   from [2^29, 2^30).  Ranks mod p never exceed the rank over Q; agreement
   across two independently drawn primes is required before a modular rank is
   reported.
+
+Both read the same columns: sorted ``(row, value)`` pairs of Python integers
+or ``Fraction``s.  ``integer_column`` scales a column with fractions by the
+lcm of its denominators before either engine reduces it; the scaled column
+spans the same line over Q, so the rank over Q is unchanged, a rank mod p
+stays at most the rank over Q, and no prime can divide a denominator.
 
 Column indices below refer to vectors living in F^rows; the eliminators
 maintain a reduced basis of the span of the columns seen so far, so the
@@ -34,21 +39,26 @@ __all__ = [
     "RankCertificate",
     "CapExceededError",
     "PrimeDisagreementError",
-    "DenominatorClashError",
     "ExactEliminator",
     "SparseModularEliminator",
     "kernel_basis",
     "solve",
     "rank_mod_p",
+    "integer_column",
     "is_probable_prime",
     "draw_primes",
     "PRIME_LO",
     "PRIME_HI",
+    "DEFAULT_CAP_EXACT",
 ]
 
 # Random 30-bit primes for the modular ranks.
 PRIME_LO = 1 << 29
 PRIME_HI = 1 << 30
+
+# Default cap on the columns of an exact rank (``homology``) or of one exact
+# solve block (``complexes.is_boundary``); kept here, below both modules.
+DEFAULT_CAP_EXACT = 100_000
 
 SparseColumn = Sequence[tuple[int, Union[int, Fraction]]]
 
@@ -70,8 +80,13 @@ class PrimeDisagreementError(RuntimeError):
     """Modular ranks disagreed across primes; reported instead of guessed."""
 
 
-class DenominatorClashError(ArithmeticError):
-    """A prime divides a denominator of the input; re-run with a new prime."""
+def integer_column(col: SparseColumn) -> tuple[int, SparseColumn]:
+    """``(scale, scale * col)``: the lcm of the column's denominators and the
+    integer column it scales to, the column itself when it is all ``int``s."""
+    if all(type(v) is int for _, v in col):  # skips the slow ABC check of Fraction
+        return 1, col
+    scale = math.lcm(*(v.denominator for _, v in col if isinstance(v, Fraction)))
+    return scale, [(r, int(v * scale)) for r, v in col]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +203,8 @@ class ExactEliminator:
     pass over the pivots a column hits fully reduces it, and ``users`` maps
     each coordinate to the rows containing it for back-reduction.  The
     arithmetic is fraction-free on Python integers, which cannot overflow;
-    a column with fractions is scaled by the lcm of its denominators, and
-    every row is primitive with a positive pivot entry.
+    every column is read through ``integer_column``, and every row is
+    primitive with a positive pivot entry.
 
     With ``track=True`` the columns are those of ``[A; I]``: the t-th fed
     column gets the extra coordinate ``rowdim + t``, whose value is its
@@ -227,10 +242,8 @@ class ExactEliminator:
     def add_column(self, col: SparseColumn) -> bool:
         """Feed a column; returns True if it enlarged the span (new pivot)."""
         rowdim = self.rowdim
-        scale = math.lcm(
-            *(v.denominator for _, v in col if type(v) is not int and isinstance(v, Fraction))
-        )
-        work = {r: int(v * scale) for r, v in col if v}
+        scale, col = integer_column(col)
+        work = {r: v for r, v in col if v}
         if self.track:
             work[rowdim + self.fed] = scale
         self.fed += 1
@@ -327,15 +340,8 @@ class SparseModularEliminator:
     def add_column(self, col: SparseColumn) -> bool:
         p = self.p
         work: dict[int, int] = {}
-        for r, v in col:
-            if type(v) is int:  # skips the slow ABC check of Fraction on plain ints
-                x = v % p
-            elif isinstance(v, Fraction):
-                if v.denominator % p == 0:
-                    raise DenominatorClashError(f"prime {p} divides a denominator")
-                x = v.numerator * pow(v.denominator, -1, p) % p
-            else:
-                x = int(v) % p
+        for r, v in integer_column(col)[1]:
+            x = v % p
             if x:
                 work[r] = x
         basis = self.basis

@@ -64,6 +64,8 @@ def test_homology_abelian(capsys, tmp_path):
     # duality table is included and identical
     dual = [e["betti"] for e in data["results"][1]["entries"]]
     assert dual == betti and data["results"][1]["variant"] == "cohomology"
+    assert "mode" not in data["results"][0]
+    assert "mode" not in capsys.readouterr().out
 
 
 def test_homology_h4_low_degrees(capsys):
@@ -92,12 +94,22 @@ def test_cap_defaults_follow_library(monkeypatch):
 def test_homology_usage_errors(capsys):
     assert run(["homology", "--abelian", "2", "--p", "2", "--q", "2"]) == EXIT_USAGE
     assert run(["homology", "--p", "2"]) == EXIT_USAGE
+    assert run(["homology", "--abelian", "2", "--mode", "exact"]) == EXIT_USAGE
 
 
 def test_fewer_than_two_primes_is_usage_error(capsys):
     assert run(["homology", "--abelian", "2", "--primes", "1"]) == EXIT_USAGE
     assert run(["verify", "--suite", "structure", "--p", "2", "--q", "2", "--primes", "1"]) == EXIT_USAGE
     assert "at least 2" in capsys.readouterr().err
+
+
+def test_negative_cap_is_usage_error(capsys):
+    assert run(["homology", "--abelian", "2", "--cap-exact", "-1"]) == EXIT_USAGE
+    assert run(["verify", "--suite", "structure", "--p", "2", "--q", "2", "--cap-modular", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cap_exact must be at least 0" in err and "cap_modular must be at least 0" in err
+    # cap 0 turns one engine off and is not an error
+    assert run(["homology", "--abelian", "2", "--max-degree", "2", "--cap-exact", "0"]) == EXIT_OK
 
 
 def test_verify_structure(capsys, tmp_path):

@@ -262,6 +262,15 @@ def test_is_boundary_zero_chain(h22):
     assert w is not None and w.is_zero()
 
 
+def test_is_boundary_cap_default_follows_library():
+    import inspect
+
+    from leibniz_homology import homology, linalg
+
+    assert homology.DEFAULT_CAP_EXACT is linalg.DEFAULT_CAP_EXACT
+    assert inspect.signature(is_boundary).parameters["cap_exact"].default == linalg.DEFAULT_CAP_EXACT
+
+
 def test_wedge_is_cycle_dispatch(h22):
     # the volume wedge is a cycle of the trivial-coefficient CE complex
     from leibniz_homology import make_alpha

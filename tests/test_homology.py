@@ -1,6 +1,12 @@
 """Betti tables, predictions, duality, caps."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +25,8 @@ from leibniz_homology import (
     sign_flip_reduction,
     standard_translation_action,
 )
-from leibniz_homology.homology import _rank_exact_blocks
+from leibniz_homology.homology import _rank_exact_blocks, _rank_modular_blocks
+from leibniz_homology.linalg import PrimeDisagreementError, draw_primes
 from leibniz_homology.repspace import graded_words
 
 
@@ -86,8 +93,9 @@ def test_duality_flags():
 
 
 def test_mode_exact_cap(full_route):
+    # cap_modular=0: exact ranks only, a d_k past the exact cap ends the table
     h = build_affine(Signature(2, 2))
-    opts = HomologyOptions(mode="exact", cap_exact=500)
+    opts = HomologyOptions(cap_exact=500, cap_modular=0)
     # the cap counts the ranked columns: 248 kept at degree 3, 2512 at degree 4
     rep = homology_dims(h, 3, options=opts)
     assert rep.capped_at == 4
@@ -98,8 +106,9 @@ def test_mode_exact_cap(full_route):
 
 
 def test_mode_modular_small():
+    # cap_exact=0: every d_k with columns is ranked modularly
     h = build_affine(Signature(2, 2))
-    opts = HomologyOptions(mode="modular")
+    opts = HomologyOptions(cap_exact=0)
     rep = homology_dims(h, 2, options=opts)
     assert rep.betti == [1, 0, 0]
     assert rep.entries[1].certification == "two-prime"
@@ -132,22 +141,22 @@ def test_ce_homology_semisimple_trivial_coefficients():
 
 
 def test_ce_cap_gives_modular_entry_or_partial_report():
-    # 10 * C(4,2) = 60 columns of the CE d_2 exceed the exact cap: auto mode
-    # takes d_2 modular, exact mode stops there with a partial report
+    # 10 * C(4,2) = 60 columns of the CE d_2 exceed the exact cap: d_2 is
+    # ranked modularly, and without a modular cap the table stops there
     h = build_affine(Signature(2, 2))
     rep = homology_dims(h, 3, kind="ce", options=HomologyOptions(cap_exact=50))
     assert rep.betti == [6, 20, 20, 10]
     assert [e.certification for e in rep.entries] == ["exact", "two-prime", "two-prime", "exact"]
     assert rep.certificates[2].method == "modular" and len(rep.certificates[2].primes_used) == 2
-    rep = homology_dims(h, 3, kind="ce", options=HomologyOptions(mode="exact", cap_exact=50))
+    rep = homology_dims(h, 3, kind="ce", options=HomologyOptions(cap_exact=50, cap_modular=0))
     assert rep.capped_at == 2 and [e.betti for e in rep.entries] == [6]
 
 
 def test_fraction_constants_keep_modular_rank():
     # [g, m] = m/2: the modular route must not truncate 1/2 to 0
     ext = build_abelian_extension(build_abelian(1), [[[Fraction(1, 2)]]], m_dim=1)
-    exact = homology_dims(ext, 3, options=HomologyOptions(mode="exact"))
-    modular = homology_dims(ext, 3, options=HomologyOptions(mode="modular"))
+    exact = homology_dims(ext, 3, options=HomologyOptions(cap_modular=0))
+    modular = homology_dims(ext, 3, options=HomologyOptions(cap_exact=0))
     assert exact.betti == modular.betti == [1, 1, 1, 1]
     assert [modular.certificates[k].rank for k in (2, 3, 4)] == [1, 2, 5]
 
@@ -166,6 +175,43 @@ def test_fewer_than_two_primes_rejected():
     for primes in (0, 1):
         with pytest.raises(ValueError, match="at least 2"):
             HomologyOptions(primes=primes)
+
+
+def test_negative_caps_rejected():
+    for name in ("cap_exact", "cap_modular"):
+        with pytest.raises(ValueError, match=f"{name} must be at least 0, got -1"):
+            HomologyOptions(**{name: -1})
+    # cap 0 is valid: it turns one engine off
+    assert HomologyOptions(cap_exact=0, cap_modular=0).cap_exact == 0
+
+
+def test_prime_disagreement_raises():
+    # an entry equal to p1 vanishes mod p1 only: rank 0 mod p1, 1 mod p2
+    p1, p2 = draw_primes(random.Random(9), 2)
+    block = SimpleNamespace(grade=(1, 3), rows=1, cols=1, csc=lambda: [[(0, p1)]])
+    assert _rank_modular_blocks([block], [p2]) == 1
+    with pytest.raises(PrimeDisagreementError, match=r"grade=\(1, 3\): ranks \[0, 1\]"):
+        _rank_modular_blocks([block], [p1, p2])
+
+
+def test_pure_python_import_and_ranks():
+    # the package and its modular route run without numpy: cap_exact=0 sends
+    # d_2 and d_3 through csc() and the eliminators of both primes
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import leibniz_homology\n"
+        "from leibniz_homology import HomologyOptions, Signature, build_affine, homology_dims\n"
+        "rep = homology_dims(build_affine(Signature(2, 2)), 2, options=HomologyOptions(cap_exact=0))\n"
+        "if rep.certificates[3].method != 'modular':\n"
+        "    sys.exit(f'd_3 was not ranked modularly: {rep.certificates}')\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit('numpy was imported')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_environment_recorded():

@@ -16,10 +16,10 @@ from leibniz_homology import (
 )
 from leibniz_homology.complexes import LodayBoundary
 from leibniz_homology.linalg import (
-    DenominatorClashError,
     PRIME_HI,
     PRIME_LO,
     draw_primes,
+    integer_column,
     is_probable_prime,
 )
 
@@ -221,12 +221,20 @@ def test_streamed_rank_two_primes(h22):
     assert rank_mod_p(op.matrix(4), p1) == 909
 
 
-def test_denominator_clash_raises():
+def test_denominator_divisible_by_prime_keeps_rank():
+    # the column is scaled to integers first, so 1/p is read as 1: rank 2, the rank over Q
     p = draw_primes(random.Random(11), 1)[0]
     m = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, p)})
-    with pytest.raises(DenominatorClashError):
-        rank_mod_p(m, p)
+    assert rank_mod_p(m, p) == 2 == exact_rank(m)
     assert rank_mod_p(SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, p + 2)}), p) == 2
+
+
+def test_integer_column():
+    col = [(0, 3), (4, -1)]
+    assert integer_column(col) == (1, col) and integer_column(col)[1] is col
+    assert integer_column([(0, Fraction(1, 2)), (2, 1), (5, Fraction(-2, 3))]) == (6, [(0, 3), (2, 6), (5, -4)])
+    assert integer_column([(1, Fraction(4, 1))]) == (1, [(1, 4)])
+    assert integer_column([]) == (1, [])
 
 
 def test_streamed_rank_rejects_composite():
