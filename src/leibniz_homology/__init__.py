@@ -17,7 +17,6 @@ from .complexes import (
     embed_mixed_in_tensor,
     is_boundary,
     is_cycle,
-    loday_boundary,
     wedge_boundary,
 )
 from .homology import (
@@ -48,7 +47,6 @@ from .invariants import (
 from .liealg import (
     BasisLabel,
     BoostY,
-    FlipReduction,
     LieAlgebra,
     ModuleLawError,
     RotationX,
@@ -59,7 +57,6 @@ from .liealg import (
     build_abelian_extension,
     build_affine,
     build_so,
-    sign_flip_reduction,
     standard_translation_action,
     validate,
 )

@@ -16,18 +16,20 @@ and with trivial coefficients it is the wedge boundary on Λ^k g alone.
 All three are implemented matrix-free on words and share one interface:
 ``space(k)`` (the degree-k chain space), ``word_boundary(word)``,
 ``apply(chain)`` and ``blocks(k)``, the ``BoundaryBlock``s whose ranks add up
-to the rank of d_k.  Every algebra is graded by (translation count, parity
-bitmask), (0, 0) on every basis element unless stated otherwise; the affine
-algebras grade T_i, X(i,j), Y(i,j) by their characters under the diagonal
-sign flips (``LieAlgebra``).  Brackets add counts and XOR parities, so the
-Loday boundary preserves the grade of a word and d_k splits into one block
-per grade of the degree-k words, each indexed by a ``GradeBlock``; its ranks
-and solves run block by block.  A CE boundary has one block per degree, its
-whole chain space.  Degrees below 2 of the Loday complex and degree 0 of a
-CE complex have no blocks.  A block's columns are sorted ``(row, value)``
-lists, the one column format both rank engines of ``linalg`` read:
-``columns()`` streams them to an exact rank, ``csc()`` lists them once for
-the primes of a modular rank.  Matrices are materialized only on demand.
+to the rank of d_k.  Every algebra is graded by (translation count, torus
+weights if any, parity bitmask), (0, 0) on every basis element unless
+stated otherwise; the affine algebras grade T_i, X(i,j), Y(i,j) by their
+characters under the diagonal sign flips, and their split forms add the
+torus weights (``LieAlgebra``).  Brackets add counts and weights and XOR
+parities, so the Loday boundary preserves the grade of a word and d_k
+splits into one block per grade of the degree-k words, each indexed by a
+``GradeBlock``; its ranks and solves run block by block.  A CE boundary has
+one block per degree, its whole chain space.  Degrees below 2 of the Loday
+complex and degree 0 of a CE complex have no blocks.  A block's columns are
+sorted ``(row, value)`` lists, the one column format both rank engines of
+``linalg`` read: ``columns()`` streams them to an exact rank, ``csc()``
+lists them once for the primes of a modular rank.  Matrices are
+materialized only on demand.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "LodayBoundary",
     "CEBoundary",
     "WedgeBoundary",
-    "loday_boundary",
     "ce_boundary",
     "wedge_boundary",
     "is_cycle",
@@ -71,7 +72,7 @@ Word = tuple[int, ...]
 WordIndex = Union[GradeBlock, Space]
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundaryBlock:
     """One block of a degree-k boundary: columns indexed by ``colspace``
     (degree k), rows by ``rowspace`` (degree k-1).  ``grade`` is the grade
@@ -172,9 +173,12 @@ class LodayBoundary(_Boundary):
                         del out[new]
         return out
 
-    def blocks(self, k: int) -> list[BoundaryBlock]:
+    def blocks(
+        self, k: int, keep: Optional[Callable[[Grade], bool]] = None
+    ) -> list[BoundaryBlock]:
         """Grade blocks of d_k, one per grade of the degree-k words, sorted;
-        none below degree 2 (d_1 is the zero map)."""
+        none below degree 2 (d_1 is the zero map).  With ``keep``, only the
+        grades it accepts."""
         if k < 2:
             return []
         words = graded_words(self.algebra.grades)
@@ -183,6 +187,7 @@ class LodayBoundary(_Boundary):
                 g, GradeBlock(words, k, g), GradeBlock(words, k - 1, g), self.word_boundary
             )
             for g in words.grades_of_length(k)
+            if keep is None or keep(g)
         ]
 
     def matrix(self, k: int, cap: int = 200_000) -> SparseMatrix:
@@ -198,13 +203,6 @@ class LodayBoundary(_Boundary):
                 for w, v in self.word_boundary(space.unrank_word(j)).items():
                     entries[(rowspace.rank_word(w), j)] = v
         return SparseMatrix(rows, space.dim, entries)
-
-
-def loday_boundary(algebra: LieAlgebra, k: int) -> LodayBoundary:
-    """The Loday boundary operator; ``k`` documents the intended degree."""
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    return LodayBoundary(algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ __all__ = [
     "build_so",
     "build_affine",
     "build_abelian_extension",
-    "FlipReduction",
-    "sign_flip_reduction",
     "standard_translation_action",
     "validate",
 ]
@@ -218,7 +216,12 @@ def _decompose_field(fld: Field, sig: Signature, index: Mapping[BasisLabel, int]
 # ---------------------------------------------------------------------------
 
 Coeff = Union[int, Fraction]
-Grade = tuple[int, int]  # (translation count, parity bitmask)
+Grade = tuple[int, ...]  # (translation count, torus weights..., parity bitmask)
+
+
+def add_grades(g: Grade, h: Grade) -> Grade:
+    """The grade of a bracket term: counts and weights add, parities XOR."""
+    return tuple(a + b for a, b in zip(g[:-1], h[:-1])) + (g[-1] ^ h[-1],)
 
 
 class LieAlgebra:
@@ -226,14 +229,17 @@ class LieAlgebra:
 
     ``structure[(a, b)]`` is the sparse vector of [e_a, e_b]; both orders are
     stored, so antisymmetry is a checkable invariant rather than a storage
-    convention.  ``grades`` give each basis element a grade (c, s): a
-    translation count c in {0, 1} and a parity bitmask s (all (0, 0) when
-    omitted).  Every bracket term of [e_a, e_b] has grade
-    (c_a + c_b, s_a ^ s_b), so the brackets of two count-1 elements vanish;
-    a table that breaks the grading raises ``ValueError``.  The affine
-    algebras give T_i the grade (1, bit i-1) and X(i,j), Y(i,j) the grade
-    (0, bits i-1 and j-1): each is an eigenvector of the diagonal sign
-    flips, with the parity vector as its character.
+    convention.  ``grades`` give each basis element a grade
+    (c, w_1, ..., w_r, s), all of one length: a translation count c in
+    {0, 1}, r >= 0 integer torus weights and a parity bitmask s (all (0, 0)
+    when omitted).  Every bracket term of [e_a, e_b] has grade
+    ``add_grades(grade_a, grade_b)``: counts and weights add, parities XOR,
+    so the brackets of two count-1 elements vanish; a table that breaks the
+    grading raises ``ValueError``.  The affine algebras give T_i the grade
+    (1, bit i-1) and X(i,j), Y(i,j) the grade (0, bits i-1 and j-1): each is
+    an eigenvector of the diagonal sign flips, with the parity vector as its
+    character.  Their split forms (``split.split_form``) add the torus
+    weights.
     """
 
     def __init__(
@@ -252,7 +258,7 @@ class LieAlgebra:
         }
         self.structure = {pair: vec for pair, vec in self.structure.items() if vec}
         self.grades: tuple[Grade, ...] = (
-            tuple((c, s) for c, s in grades) if grades is not None else ((0, 0),) * self.dim
+            tuple(tuple(g) for g in grades) if grades is not None else ((0, 0),) * self.dim
         )
         self.sig = sig
         self.name = name
@@ -265,18 +271,26 @@ class LieAlgebra:
         grades = self.grades
         if len(grades) != self.dim:
             raise ValueError(f"{len(grades)} grades for a {self.dim}-dimensional algebra")
-        for c, s in grades:
-            if c not in (0, 1) or not isinstance(s, int) or s < 0:
+        width = len(grades[0]) if grades else 2
+        for g in grades:
+            if (
+                len(g) != width
+                or width < 2
+                or not all(isinstance(x, int) for x in g)
+                or g[0] not in (0, 1)
+                or g[-1] < 0
+            ):
                 raise ValueError(
-                    f"a grade is (count in {{0, 1}}, parity bitmask >= 0), got {(c, s)}"
+                    "a grade is (count in {0, 1}, torus weights..., parity bitmask >= 0), "
+                    f"all of length {width}, got {g}"
                 )
         for (a, b), vec in self.structure.items():
-            (ca, sa), (cb, sb) = grades[a], grades[b]
+            want = add_grades(grades[a], grades[b])
             for c in vec:
-                if grades[c] != (ca + cb, sa ^ sb):
+                if grades[c] != want:
                     raise ValueError(
                         f"[{self.labels[a]}, {self.labels[b]}] has the term {self.labels[c]} "
-                        f"of grade {grades[c]}, not {(ca + cb, sa ^ sb)}"
+                        f"of grade {grades[c]}, not {want}"
                     )
 
     # -- basic queries ------------------------------------------------------
@@ -367,54 +381,6 @@ def build_affine(sig: Signature) -> LieAlgebra:
     if alg.dim != sig.n * (sig.n + 1) // 2:
         raise RuntimeError(f"h{sig} came out with dimension {alg.dim}")
     return alg
-
-
-@dataclass(frozen=True)
-class FlipReduction:
-    """The sign flips that act trivially on ``HL_*`` and the parities they keep.
-
-    ``flips`` are the parity masks e_i + e_{i+1} of the flips ε_iε_{i+1}
-    with i, i+1 in one block of the form ({1..p} or {p+1..n}); together
-    they generate every ε_iε_j within a block.  ``kept`` lists the parities
-    s on which each flip is +1: those constant on each block, {0, P, Q, P|Q}.
-    """
-
-    flips: tuple[int, ...]
-    kept: tuple[int, ...]
-
-    def keeps(self, grade: Grade) -> bool:
-        return grade[1] in self.kept
-
-    def to_json_dict(self) -> dict:
-        return {"flips": list(self.flips), "kept_parities": list(self.kept)}
-
-
-def sign_flip_reduction(alg: LieAlgebra) -> Optional[FlipReduction]:
-    """The parities of the Loday complex that can carry homology, or None
-    when every parity must be kept.
-
-    Every x in g acts on ``HL_*(g)`` by a null-homotopic map
-    (Loday–Pirashvili), so the identity component of the automorphism group
-    acts trivially.  For so(p,q) and h_n that component contains the flips
-    ε_iε_j with i, j in one block of the form: exp(π X(i,j)), rotation by π.
-    A basis word is an eigenvector of every flip, with the character given
-    by its parity, so the words of a parity on which some flip is −1 span an
-    acyclic summand.  The argument needs the canonical structure, so the
-    reduction is given only for an algebra equal to ``build_affine(sig)`` or
-    ``build_so(sig)``: same labels, grades and structure constants.  Every
-    other algebra (I_n, abelian extensions, hand-built tables, and copies
-    built with ``sig=None``) keeps all parities.
-    """
-    sig = alg.sig
-    if sig is None or sig.n < 2:
-        return None
-    ref = build_affine(sig) if alg.translation_indices else build_so(sig)
-    if (alg.labels, alg.grades, alg.structure) != (ref.labels, ref.grades, ref.structure):
-        return None
-    p, n = sig.p, sig.n
-    flips = tuple((1 << (i - 1)) | (1 << i) for i in range(1, n) if i != p)
-    P, Q = (1 << p) - 1, ((1 << n) - 1) ^ ((1 << p) - 1)
-    return FlipReduction(flips, tuple(sorted({0, P, Q, P | Q})))
 
 
 class ModuleLawError(ValueError):

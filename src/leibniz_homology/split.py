@@ -1,0 +1,288 @@
+"""The split form of the affine algebras and the reduced Loday complex.
+
+``split_form`` rewrites ``build_affine(sig)`` or ``build_so(sig)`` on a basis
+of joint eigenvectors of the split torus, the boosts Y(i,p+i) for
+i <= r = min(p,q), again with integer structure constants, graded by
+translation count, torus weights and parity.  ``split_reduction`` names the
+grade blocks of its Loday complex that can carry homology: torus weight 0
+and trivial character under the sign flips that commute with the torus.
+``homology.homology_dims`` imports this module on its first reduced run, so
+importing the package does not load it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Mapping, Optional, Sequence
+
+from .liealg import (
+    BasisLabel,
+    BoostY,
+    Coeff,
+    GenericLabel,
+    Grade,
+    LieAlgebra,
+    RotationX,
+    Signature,
+    Translation,
+    build_affine,
+    build_so,
+    so_labels,
+)
+from .linalg import ExactEliminator
+
+__all__ = ["SplitReduction", "split_form", "split_reduction"]
+
+
+def _pair_sign(k: int, l: int, p: int) -> int:
+    """The sign s with e_k ∧ e_l = s·(the X or Y label of the pair), 0-based
+    k < l: the field of x -> e_k B(e_l, x) - e_l B(e_k, x) is X(k+1,l+1) in
+    the p-block, and -X(k+1,l+1) in the q-block or -Y(k+1,l+1) across."""
+    return 1 if l < p else -1
+
+
+def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> GenericLabel:
+    """A label spelling out a combination of standard basis elements."""
+    text = "".join(
+        f"{'-' if c < 0 else '+'}{abs(c) if abs(c) != 1 else ''}{labels[k]}"
+        for k, c in sorted(vec.items())
+    )
+    return GenericLabel(text.lstrip("+"))
+
+
+def _accumulate(out: dict[int, int], key: int, v: int) -> None:
+    nv = out.get(key, 0) + v
+    if nv:
+        out[key] = nv
+    else:
+        out.pop(key, None)
+
+
+def split_form(alg: LieAlgebra) -> LieAlgebra:
+    """``build_affine(sig)`` or ``build_so(sig)`` on a basis of joint
+    eigenvectors of the split torus, the boosts Y(i,p+i) for i <= r = min(p,q).
+
+    In closed form: R^n gets the basis b_i = e_i + e_{p+i},
+    b_{p+i} = e_i - e_{p+i} (i <= r) and b_k = e_k (k unpaired), with
+    torus weight +1, -1 and 0 in coordinate i.  The translations are the
+    d(b_k), and so(p,q) ≅ Λ²R^n is spanned by the b_a ∧ b_b, signed so that
+    unpaired pairs give exactly X(a,b) or Y(a,b).  With the quadratic form B,
+
+        [u∧v, d(w)] = B(u,w) d(v) - B(v,w) d(u)
+        [u∧v, w∧z] = -B(v,w) u∧z + B(v,z) u∧w + B(u,w) v∧z - B(u,z) v∧w,
+
+    all integers.  An element is graded (count, torus weights, parity): its
+    weights are the sums of its vectors' weights, and its parity the XOR of
+    their bits, b_i and b_{p+i} both on bit i, so it is the character under
+    the diagonal flips with ε_i = ε_{p+i}, the ones that commute with the
+    torus.  Labels spell out each element in the standard basis; the torus
+    element for i is -2Y(i,p+i), and it acts by twice the weight.  At
+    q = 0 nothing is paired and this is the standard basis.
+
+    The construction is checked against ``alg`` and raises ``ValueError``
+    unless the map to the standard basis is injective and carries every
+    split bracket to the bracket of ``alg``, the torus elements act by
+    their weights, and every element's parity and count are those of its
+    standard terms.
+    """
+    sig = alg.sig
+    so = so_labels(sig) if sig is not None and sig.n >= 2 else []
+    nt = sig.n if so and alg.translation_indices else 0
+    expected = [Translation(k + 1) for k in range(nt)] + so
+    if not so or set(alg.labels) != set(expected) or alg.dim != len(expected):
+        raise ValueError(f"{alg.name} is not so(p,q) or h_n on the canonical basis")
+    p, n = sig.p, sig.n
+    r = min(p, sig.q)
+    pairs = [(lab.i - 1, lab.j - 1) for lab in so]
+
+    vecs: list[dict[int, int]] = []
+    weights: list[tuple[int, ...]] = []
+    bits: list[int] = []
+    for k in range(n):
+        w = [0] * r
+        if k < r:
+            vec, bit, w[k] = {k: 1, p + k: 1}, k, 1
+        elif p <= k < p + r:
+            vec, bit, w[k - p] = {k - p: 1, k: -1}, k - p, -1
+        else:
+            vec, bit = {k: 1}, k
+        vecs.append(vec)
+        weights.append(tuple(w))
+        bits.append(1 << bit)
+    metric = [1] * p + [-1] * (n - p)
+    gram = [[sum(metric[k] * c * v.get(k, 0) for k, c in u.items()) for v in vecs] for u in vecs]
+    pos = {pair: nt + t for t, pair in enumerate(pairs)}
+
+    def wedge(a: int, b: int) -> tuple[int, int]:
+        """b_a ∧ b_b as (element, sign); a != b."""
+        if a < b:
+            return pos[(a, b)], _pair_sign(a, b, p)
+        return pos[(b, a)], -_pair_sign(b, a, p)
+
+    structure: dict[tuple[int, int], dict[int, int]] = {}
+
+    def put(x: int, y: int, vec: dict[int, int]) -> None:
+        if vec:
+            structure[(x, y)] = vec
+            structure[(y, x)] = {c: -v for c, v in vec.items()}
+
+    for (a, b), x in pos.items():
+        sx = _pair_sign(a, b, p)
+        for w in range(nt):
+            vec: dict[int, int] = {}
+            _accumulate(vec, b, sx * gram[a][w])
+            _accumulate(vec, a, -sx * gram[b][w])
+            put(x, w, vec)
+        for (c, d), y in pos.items():
+            if y <= x:
+                continue
+            vec = {}
+            for coef, u, v in (
+                (-gram[b][c], a, d), (gram[b][d], a, c), (gram[a][c], b, d), (-gram[a][d], b, c)
+            ):
+                if coef and u != v:
+                    e, t = wedge(u, v)
+                    _accumulate(vec, e, sx * _pair_sign(c, d, p) * coef * t)
+            put(x, y, vec)
+
+    # the images in the standard basis, and the grades
+    images: list[dict[int, int]] = [
+        {alg.index(Translation(k + 1)): c for k, c in vecs[w].items()} for w in range(nt)
+    ]
+    grades: list[Grade] = [(1,) + weights[w] + (bits[w],) for w in range(nt)]
+    for a, b in pairs:
+        img: dict[int, int] = {}
+        for k, u in vecs[a].items():
+            for l, v in vecs[b].items():
+                if k != l:
+                    lo, hi = min(k, l), max(k, l)
+                    lab = BoostY(lo + 1, hi + 1) if lo < p <= hi else RotationX(lo + 1, hi + 1)
+                    sign = _pair_sign(a, b, p) * _pair_sign(lo, hi, p) * (1 if k < l else -1)
+                    _accumulate(img, alg.index(lab), sign * u * v)
+        images.append(img)
+        weight = tuple(x + y for x, y in zip(weights[a], weights[b]))
+        grades.append((0,) + weight + (bits[a] ^ bits[b],))
+    labels = [_expansion_label(img, alg.labels) for img in images]
+    split = LieAlgebra(labels, structure, grades=grades, sig=sig, name=f"{alg.name}-split")
+
+    def fail(message: str) -> ValueError:
+        return ValueError(f"the split form of {alg.name} is wrong: {message}")
+
+    elim = ExactEliminator(alg.dim)
+    for img in images:
+        elim.add_column(sorted(img.items()))
+    if elim.rank != alg.dim:
+        raise fail(f"its {alg.dim} elements span only {elim.rank} dimensions")
+    for x in range(alg.dim):
+        for y in range(x + 1, alg.dim):
+            mapped: dict[int, int] = {}
+            for c, v in split.bracket(x, y).items():
+                for k, t in images[c].items():
+                    _accumulate(mapped, k, v * t)
+            direct: dict[int, Coeff] = {}
+            for i, u in images[x].items():
+                for j, v in images[y].items():
+                    for k, t in alg.bracket(i, j).items():
+                        _accumulate(direct, k, u * v * t)
+            if mapped != direct:
+                raise fail(
+                    f"[{labels[x]}, {labels[y]}] maps to {_expansion_label(mapped, alg.labels)}, "
+                    f"but the bracket of the images is {_expansion_label(direct, alg.labels)}"
+                )
+    fold = ((1 << r) - 1) << p
+    for x, img in enumerate(images):
+        for k in img:
+            c, s = alg.grades[k][0], alg.grades[k][-1]
+            if (c, (s & ~fold) ^ ((s & fold) >> p)) != (split.grades[x][0], split.grades[x][-1]):
+                raise fail(f"{labels[x]} has the term {alg.labels[k]} of another count or parity")
+    for i in range(r):
+        t = pos[(i, p + i)]
+        if images[t] != {alg.index(BoostY(i + 1, p + i + 1)): -2}:
+            raise fail(f"{labels[t]} is not -2Y({i + 1},{p + i + 1})")
+        for x in range(alg.dim):
+            w = split.grades[x][1 + i]
+            if split.bracket(t, x) != ({x: 2 * w} if w else {}):
+                raise fail(f"{labels[t]} does not act on {labels[x]} by twice its weight {w}")
+    return split
+
+
+@dataclass(frozen=True)
+class SplitReduction:
+    """The grade blocks of the Loday complex of ``build_affine(sig)`` or
+    ``build_so(sig)`` that can carry homology, as blocks of its split form.
+
+    Every x in g acts on ``HL_*(g)`` by a null-homotopic map
+    (Loday–Pirashvili).  The torus elements -2Y(i,p+i) act on a word of the
+    split form by twice its torus weight, so every block of nonzero weight
+    is acyclic.  The identity component of the automorphism group acts
+    trivially too; it contains the diagonal flips with ε_i = ε_{p+i}
+    (i <= r) and product +1 on each block of the form, which commute with
+    the torus, and every block on whose parity one of them is -1 is acyclic.
+
+    ``algebra`` is the split form, ``torus`` the boosts whose weights must
+    vanish, ``flips`` generating masks of those flips on the split parities
+    (bit i for ε_i, i <= r standing for ε_{p+i} too) and ``kept`` the
+    parities on which every flip is +1.  A block is kept when its weights
+    are all 0 and its parity is kept.
+    """
+
+    algebra: LieAlgebra = field(compare=False, repr=False)
+    torus: tuple[BasisLabel, ...]
+    flips: tuple[int, ...]
+    kept: tuple[int, ...]
+
+    def keeps(self, grade: Grade) -> bool:
+        return grade[-1] in self.kept and not any(grade[1:-1])
+
+    def to_json_dict(self) -> dict:
+        return {
+            "torus": [str(t) for t in self.torus],
+            "flips": list(self.flips),
+            "kept_parities": list(self.kept),
+        }
+
+
+def split_reduction(alg: LieAlgebra) -> Optional[SplitReduction]:
+    """The reduction of the Loday complex of ``alg``, or None when every
+    block must be ranked.
+
+    The argument needs the canonical structure, so the reduction is given
+    only for an algebra equal to ``build_affine(sig)`` or ``build_so(sig)``:
+    same labels, grades and structure constants.  Every other algebra (I_n,
+    abelian extensions, hand-built tables, copies built with ``sig=None``)
+    keeps all blocks.  The split form is built on the first call per
+    signature and cached.
+    """
+    sig = alg.sig
+    if sig is None or sig.n < 2:
+        return None
+    affine = bool(alg.translation_indices)
+    ref = build_affine(sig) if affine else build_so(sig)
+    if (alg.labels, alg.grades, alg.structure) != (ref.labels, ref.grades, ref.structure):
+        return None
+    return _split_reduction(sig, affine)
+
+
+def _even(mask: int) -> bool:
+    return bin(mask).count("1") % 2 == 0
+
+
+@lru_cache(maxsize=None)
+def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
+    split = split_form(build_affine(sig) if affine else build_so(sig))
+    p, n = sig.p, sig.n
+    r = min(p, sig.q)
+    free = ((1 << n) - 1) ^ (((1 << r) - 1) << p)  # the bits a split parity can have
+    p_block = (1 << p) - 1
+    q_block = (free & ~p_block) | ((1 << r) - 1)
+    masks = [m for m in range(1 << n) if not m & ~free]
+    flips: list[int] = []
+    span = {0}
+    for m in masks:
+        if _even(m & p_block) and _even(m & q_block) and m not in span:
+            flips.append(m)
+            span |= {x ^ m for x in span}
+    kept = tuple(m for m in masks if all(_even(m & f) for f in flips))
+    torus = tuple(BoostY(i, p + i) for i in range(1, r + 1))
+    return SplitReduction(split, torus, tuple(flips), kept)

@@ -192,7 +192,7 @@ def test_criterion_08_predicted_homology_dimensions():
             rep = homology_dims(build_affine(sig), 4)
             assert rep.betti == [1, 0, 0, 1, 1], (sig, rep.betti)
             assert rep.matches and all(rep.matches), sig
-            # the kept blocks of d_5 (about 25k columns) are ranked over Q
+            # the kept blocks of d_5 (4,992 and 11,132 columns) are ranked over Q
             for k in range(0, 5):
                 assert rep.entries[k].certification == "exact", (sig, k)
             assert rep.certificates[5].method == "exact", sig
@@ -204,18 +204,18 @@ def test_criterion_08_predicted_homology_dimensions():
     reason="stretch (non-gating): degree 5-6 Betti numbers; enable with RUN_STRETCH=1",
 )
 def test_criterion_08_stretch_degrees_5_and_6():
-    # Degree 5 needs the rank of the kept blocks of d_6 (250,048 columns,
-    # two primes).  Degree 6 would additionally need the kept d_7
-    # (2,499,968 columns), which exceeds the 10^6 modular cap set here and
-    # is reported as capped.
+    # Degree 5 needs the rank of the kept blocks of d_6 (42,024 columns,
+    # exact over Q).  Degree 6 would additionally need the kept d_7
+    # (362,784 columns), which exceeds the modular cap set here and is
+    # reported as capped.
     with Budget("criterion 8 stretch: degrees 5 and 6 at (2,2)", 3600):
         rep = homology_dims(
-            build_affine(Signature(2, 2)), 6, options=HomologyOptions(cap_modular=1_000_000)
+            build_affine(Signature(2, 2)), 6, options=HomologyOptions(cap_modular=300_000)
         )
         assert [e.degree for e in rep.entries] == [0, 1, 2, 3, 4, 5]
         assert rep.betti == [1, 0, 0, 1, 1, 0]
-        assert rep.entries[5].certification == "two-prime"
-        print(f"  degree 5 betti = 0 verified (two-prime); degree 6: {rep.cap_message}")
+        assert rep.entries[5].certification == "exact"
+        print(f"  degree 5 betti = 0 verified (exact); degree 6: {rep.cap_message}")
 
 
 def test_criterion_09_abelian_oracle():

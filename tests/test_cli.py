@@ -75,7 +75,7 @@ def test_homology_h4_low_degrees(capsys):
 
 
 def test_homology_cap_gives_partial_and_exit3(capsys):
-    # the kept d_4 (2512 columns) is past both caps
+    # the kept d_5 (4,992 columns) is past both caps
     code = run(
         ["homology", "--p", "2", "--q", "2", "--max-degree", "4",
          "--cap-exact", "1000", "--cap-modular", "1000"]

@@ -29,6 +29,7 @@ from leibniz_homology import (
 )
 from leibniz_homology.complexes import LodayBoundary, check_dd_zero
 from leibniz_homology.homology import _rank_exact_blocks
+from leibniz_homology.split import split_form
 from leibniz_homology.linalg import ExactEliminator, SparseMatrix, solve
 from leibniz_homology.repspace import graded_words
 
@@ -116,9 +117,18 @@ def test_loday_blocks_cover_full_matrix(h22):
                     assert sorted(got) == sorted(want)
 
 
-@pytest.mark.parametrize("pq", [(2, 2), (3, 1), (4, 0), (3, 3)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
-def test_grade_blocks_index_every_word_once(pq):
+def _cases(standard, split):
+    """(pq, split) parameters: the standard algebras, then split forms, whose
+    grades carry torus weights too."""
+    return [pytest.param(pq, False, id=f"{pq[0]}_{pq[1]}") for pq in standard] + [
+        pytest.param(pq, True, id=f"split_{pq[0]}_{pq[1]}") for pq in split
+    ]
+
+
+@pytest.mark.parametrize("pq, split", _cases([(2, 2), (3, 1), (4, 0), (3, 3)], [(2, 2), (3, 1), (3, 3)]))
+def test_grade_blocks_index_every_word_once(pq, split):
     alg = build_affine(Signature(*pq))
+    alg = split_form(alg) if split else alg
     words = graded_words(alg.grades)
     op = LodayBoundary(alg)
     for k in (2,) if pq == (3, 3) else (2, 3):
@@ -138,13 +148,17 @@ def test_grade_blocks_index_every_word_once(pq):
         assert sum(b.rows for b in blocks) == alg.dim ** (k - 1)
 
 
-@pytest.mark.parametrize("pq", [(2, 2), (3, 1), (4, 0)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
-def test_grade_block_ranks_match_full_matrix(pq):
-    # the sum of the block ranks is the exact rank of the materialized d_k
-    alg = build_affine(Signature(*pq))
+@pytest.mark.parametrize("pq, split", _cases([(2, 2), (3, 1), (4, 0)], [(2, 2), (3, 1)]))
+def test_grade_block_ranks_match_full_matrix(pq, split):
+    # the sum of the block ranks is the exact rank of the materialized d_k;
+    # a split form's complex is isomorphic to the standard one
+    h = build_affine(Signature(*pq))
+    alg = split_form(h) if split else h
     op = LodayBoundary(alg)
     for k in (2, 3):
-        assert _rank_exact_blocks(op.blocks(k)) == exact_rank(op.matrix(k))
+        rank = exact_rank(op.matrix(k))
+        assert _rank_exact_blocks(op.blocks(k)) == rank
+        assert rank == exact_rank(LodayBoundary(h).matrix(k))
 
 
 def test_ce_blocks_are_whole_chain_spaces(h22):

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from leibniz_homology import (
+    BoostY,
     HomologyOptions,
     LieAlgebra,
     LodayBoundary,
@@ -22,12 +23,12 @@ from leibniz_homology import (
     cohomology_dims,
     homology_dims,
     predicted_hl_dims,
-    sign_flip_reduction,
     standard_translation_action,
 )
 from leibniz_homology.homology import _rank_exact_blocks, _rank_modular_blocks
 from leibniz_homology.linalg import PrimeDisagreementError, draw_primes
 from leibniz_homology.repspace import graded_words
+from leibniz_homology.split import split_reduction
 
 
 def test_abelian_oracle():
@@ -96,7 +97,7 @@ def test_mode_exact_cap(full_route):
     # cap_modular=0: exact ranks only, a d_k past the exact cap ends the table
     h = build_affine(Signature(2, 2))
     opts = HomologyOptions(cap_exact=500, cap_modular=0)
-    # the cap counts the ranked columns: 248 kept at degree 3, 2512 at degree 4
+    # the cap counts the ranked columns: 80 kept at degree 3, 616 at degree 4
     rep = homology_dims(h, 3, options=opts)
     assert rep.capped_at == 4
     assert [e.degree for e in rep.entries] == [0, 1, 2]
@@ -240,12 +241,12 @@ def test_h5_degree4_two_prime(full_route):
 
 @pytest.mark.slow
 def test_h5_degree4_exact():
-    # the kept blocks of d_5: 94,921 columns, under the exact cap
+    # the kept blocks of d_5: 42,663 columns, under the exact cap
     rep = homology_dims(build_affine(Signature(2, 3)), 4)
     assert rep.betti == [1, 0, 0, 0, 1]
     assert rep.matches and all(rep.matches)
     assert all(e.certification == "exact" for e in rep.entries)
-    assert rep.certificates[5].rank == 5935
+    assert rep.certificates[5].rank == 3223
 
 
 @pytest.mark.slow
@@ -265,7 +266,7 @@ def test_h4_degree4_two_prime(sig4, full_route):
     assert cert.method == "modular" and cert.rank == 9090 and len(cert.primes_used) == 2
 
 
-KEPT_D5_RANK = {(2, 2): 2290, (3, 1): 2295, (1, 3): 2295}
+KEPT_D5_RANK = {(2, 2): 546, (3, 1): 1114, (1, 3): 1114}
 
 
 def test_h4_degree4_exact(sig4):
@@ -280,28 +281,58 @@ def test_h4_degree4_exact(sig4):
 def test_reduction_only_for_canonical_algebras(full_route):
     sig = Signature(2, 2)
     h, so = build_affine(sig), build_so(sig)
-    red = sign_flip_reduction(h)
-    # flips e1e2 and e3e4; kept parities 0, P, Q, P|Q
-    assert (red.flips, red.kept) == ((0b0011, 0b1100), (0, 0b0011, 0b1100, 0b1111))
-    assert sign_flip_reduction(so) == red
-    assert sign_flip_reduction(h.copy()) == red
-    assert sign_flip_reduction(build_affine(Signature(4, 0))).kept == (0, 0b1111)
-    assert sign_flip_reduction(build_affine(Signature(3, 1))).kept == (0, 0b0111, 0b1000, 0b1111)
+    red = split_reduction(h)
+    # torus Y(1,3), Y(2,4); the commuting flips are {1, -I}: mask 0b11 on
+    # the split parities, which keeps 0 and 0b11
+    assert (red.torus, red.flips, red.kept) == ((BoostY(1, 3), BoostY(2, 4)), (0b11,), (0, 0b11))
+    assert red.algebra.labels != h.labels and red.algebra.dim == h.dim
+    assert split_reduction(so) == red and split_reduction(so).algebra.dim == so.dim
+    assert split_reduction(h.copy()) is red  # built once per signature
+    # q = 0: no torus, the flips within the block keep the constant parities
+    h40 = split_reduction(build_affine(Signature(4, 0)))
+    assert (h40.torus, h40.kept) == ((), (0, 0b1111))
+    # (3,1): torus Y(1,4) and the flip e2e3; bit 0 stands for e1 and e4
+    h31 = split_reduction(build_affine(Signature(3, 1)))
+    assert (h31.torus, h31.flips, h31.kept) == ((BoostY(1, 4),), (0b110,), (0, 0b001, 0b110, 0b111))
     twin = build_abelian_extension(so, standard_translation_action(sig), m_dim=4)
     flat = LieAlgebra(h.labels, {}, grades=h.grades, sig=sig)  # canonical grades, no brackets
-    for alg in (build_abelian(4), twin, flat, full_route(h)):
-        assert sign_flip_reduction(alg) is None, alg
+    for alg in (build_abelian(4), twin, flat, full_route(h), red.algebra):
+        assert split_reduction(alg) is None, alg
     # I_n and the abelian extension keep every word
     assert [e.dim for e in homology_dims(build_abelian(2), 2).entries] == [1, 2, 4]
     assert [e.dim for e in homology_dims(twin, 2).entries] == [1, 10, 100]
 
 
+def test_split_form_built_lazily():
+    # importing the package and building the algebra load no split form; the
+    # first reduced homology run builds it, once
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from leibniz_homology import Signature, build_affine, homology_dims\n"
+        "h = build_affine(Signature(2, 2))\n"
+        "homology_dims(h, 1, kind='ce')\n"
+        "if 'leibniz_homology.split' in sys.modules:\n"
+        "    sys.exit('the split module was loaded before a Loday run')\n"
+        "homology_dims(h, 1)\n"
+        "homology_dims(h, 2)\n"
+        "from leibniz_homology.split import _split_reduction\n"
+        "info = _split_reduction.cache_info()\n"
+        "if (info.currsize, info.misses) != (1, 1):\n"
+        "    sys.exit(f'split forms built: {info}')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_reduction_in_report():
     rep = homology_dims(build_affine(Signature(2, 2)), 2)
     data = rep.to_json_dict()
-    assert data["reduction"] == {"flips": [3, 12], "kept_parities": [0, 3, 12, 15]}
-    assert [e.dim for e in rep.entries] == [1, 2, 28]  # X(1,2), X(3,4) in degree 1
-    assert "reduced to the parities" in rep.table()
+    assert data["reduction"] == {"torus": ["Y(1,3)", "Y(2,4)"], "flips": [3], "kept_parities": [0, 3]}
+    assert [e.dim for e in rep.entries] == [1, 2, 12]  # -2Y(1,3), -2Y(2,4) in degree 1
+    assert "reduced to torus weight 0 under Y(1,3), Y(2,4)" in rep.table()
     assert cohomology_dims(rep).to_json_dict()["reduction"] == data["reduction"]
     # unreduced reports carry no reduction key, as before
     assert "reduction" not in homology_dims(build_abelian(2), 2).to_json_dict()
@@ -309,28 +340,32 @@ def test_reduction_in_report():
     assert ce.reduction is None and "reduction" not in ce.to_json_dict()
 
 
-@pytest.mark.parametrize("pq", [(2, 2), (3, 1), (4, 0)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
-def test_flipped_blocks_are_acyclic(pq):
-    # every (count, parity) block the reduction drops has Betti number 0
-    h = build_affine(Signature(*pq))
-    red = sign_flip_reduction(h)
-    op = LodayBoundary(h)
-    words = graded_words(h.grades)
+@pytest.mark.parametrize(
+    "pq, top",
+    [pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}") for pq, top in [((2, 2), 3), ((3, 1), 3), ((4, 0), 3), ((3, 3), 2)]],
+)
+def test_flipped_blocks_are_acyclic(pq, top):
+    # every block the reduction drops, for a nonzero torus weight or a
+    # nontrivial flip character, has Betti number 0 through degree ``top``
+    red = split_reduction(build_affine(Signature(*pq)))
+    op = LodayBoundary(red.algebra)
+    words = graded_words(red.algebra.grades)
     rank = {
         k: {b.grade: _rank_exact_blocks([b]) for b in op.blocks(k) if not red.keeps(b.grade)}
-        for k in (1, 2, 3, 4)
+        for k in range(1, top + 2)
     }
-    dropped = 0
-    for k in (1, 2, 3):
+    dropped = {"weight": 0, "character": 0}
+    for k in range(1, top + 1):
         for g in words.grades_of_length(k):
             if red.keeps(g):
                 continue
-            dropped += 1
+            dropped["weight" if any(g[1:-1]) else "character"] += 1
             dim = words.count(k, g)
             assert dim - rank[k].get(g, 0) - rank[k + 1].get(g, 0) == 0, (k, g)
-    assert dropped > 0
-
-
+    # at (2,2) and (3,3) every coordinate is paired, so weight 0 forces
+    # the trivial character and only weights drop blocks
+    assert (dropped["weight"] > 0) == bool(red.torus)
+    assert (dropped["character"] > 0) == (pq in ((3, 1), (4, 0)))
 @pytest.mark.parametrize(
     "alg, degree",
     [

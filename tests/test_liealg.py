@@ -167,6 +167,8 @@ def test_bad_grading_rejected():
     assert LieAlgebra(h.labels, h.structure).grades == ((0, 0),) * h.dim
     counts_only = [(c, 0) for c, _ in h.grades]
     assert LieAlgebra(h.labels, h.structure, grades=counts_only).grades == tuple(counts_only)
+    with_weight = [(c, 0, s) for c, s in h.grades]  # a zero torus weight field
+    assert LieAlgebra(h.labels, h.structure, grades=with_weight).grades == tuple(with_weight)
     for grades in (
         h.grades[:-1],  # one grade short
         [(2, 0)] * 4 + [(0, 0)] * 6,  # counts outside {0, 1}
@@ -174,6 +176,8 @@ def test_bad_grading_rejected():
         [(c, -1) for c, _ in h.grades],  # negative parity
         # counts right, parity of T_1 moved to bit 2: [X(1,2), T_2] = ±T_1 breaks
         [(1, 0b100)] + list(h.grades[1:]),
+        [(c, 0, s) for c, s in h.grades[:-1]] + [h.grades[-1]],  # lengths differ
+        [(c, 1, s) for c, s in h.grades],  # weights must add: [X(1,2), T_2] has weight 2
     ):
         with pytest.raises(ValueError):
             LieAlgebra(h.labels, h.structure, grades=grades)
