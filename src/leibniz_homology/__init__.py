@@ -13,7 +13,6 @@ from .complexes import (
     CEBoundary,
     LodayBoundary,
     WedgeBoundary,
-    ce_boundary,
     embed_mixed_in_tensor,
     is_boundary,
     is_cycle,

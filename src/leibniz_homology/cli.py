@@ -73,9 +73,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _signature(args) -> Signature:
     try:
-        return Signature(args.p, args.q)
+        sig = Signature(args.p, args.q)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if sig.n < 2:
+        raise UsageError(f"signature {sig} needs p + q >= 2")
+    return sig
 
 
 class UsageError(Exception):
@@ -212,6 +215,8 @@ def cmd_homology(args) -> int:
     if args.abelian is not None:
         if args.p is not None or args.q is not None:
             raise UsageError("--abelian excludes --p/--q")
+        if args.abelian < 1:
+            raise UsageError(f"--abelian needs N >= 1, got {args.abelian}")
         algebra = build_abelian(args.abelian)
         default_deg = 3
     else:
@@ -221,6 +226,8 @@ def cmd_homology(args) -> int:
         algebra = build_affine(sig)
         default_deg = 5 if sig.n == 4 else 4
     max_degree = args.max_degree if args.max_degree is not None else default_deg
+    if max_degree < 0:
+        raise UsageError(f"--max-degree must be at least 0, got {max_degree}")
     report = homology_dims(algebra, max_degree, options=_options(args))
     print(report.table())
     dual = cohomology_dims(report)

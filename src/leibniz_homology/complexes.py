@@ -14,22 +14,24 @@ with coefficients in a right module M is
 and with trivial coefficients it is the wedge boundary on Λ^k g alone.
 
 All three are implemented matrix-free on words and share one interface:
-``space(k)`` (the degree-k chain space), ``word_boundary(word)``,
-``apply(chain)`` and ``blocks(k)``, the ``BoundaryBlock``s whose ranks add up
-to the rank of d_k.  Every algebra is graded by (translation count, torus
-weights if any, parity bitmask), (0, 0) on every basis element unless
-stated otherwise; the affine algebras grade T_i, X(i,j), Y(i,j) by their
-characters under the diagonal sign flips, and their split forms add the
-torus weights (``LieAlgebra``).  Brackets add counts and weights and XOR
-parities, so the Loday boundary preserves the grade of a word and d_k
-splits into one block per grade of the degree-k words, each indexed by a
-``GradeBlock``; its ranks and solves run block by block.  A CE boundary has
-one block per degree, its whole chain space.  Degrees below 2 of the Loday
-complex and degree 0 of a CE complex have no blocks.  A block's columns are
-sorted ``(row, value)`` lists, the one column format both rank engines of
-``linalg`` read: ``columns()`` streams them to an exact rank, ``csc()``
-lists them once for the primes of a modular rank.  Matrices are
-materialized only on demand.
+``space(k)`` (the degree-k chain space), ``dim(k)`` (the number of its
+words that are ranked), ``word_boundary(word)``, ``apply(chain)`` and
+``blocks(k)``, the ``BoundaryBlock``s whose ranks add up to the rank of
+d_k.  Every algebra is graded by (translation count, torus weights if any,
+parity bitmask), (0, 0) on every basis element unless stated otherwise; the
+affine algebras grade T_i, X(i,j), Y(i,j) by their characters under the
+diagonal sign flips, and their split forms add the torus weights
+(``LieAlgebra``).  Brackets add counts and weights and XOR parities, so the
+Loday boundary preserves the grade of a word and d_k splits into one block
+per grade of the degree-k words, each indexed by a ``GradeBlock``; its ranks
+and solves run block by block.  A Loday boundary built with ``keep`` has
+only the blocks whose grades it accepts, and its ``dim`` counts their
+words.  A CE boundary has one block per degree, its whole chain space.
+Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
+blocks.  A block's columns are sorted ``(row, value)`` lists, the one column
+format both rank engines of ``linalg`` read: ``columns()`` streams them to
+an exact rank, ``csc()`` lists them once for the primes of a modular rank.
+Matrices are materialized only on demand.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "LodayBoundary",
     "CEBoundary",
     "WedgeBoundary",
-    "ce_boundary",
     "wedge_boundary",
     "is_cycle",
     "is_boundary",
@@ -108,7 +109,7 @@ class BoundaryBlock:
 class _Boundary:
     """What the boundary operators share, given ``space(k)`` and
     ``word_boundary``: ``apply`` on chains of ``kind``, and by default one
-    block per degree k >= 1, its whole chain space."""
+    block per degree k >= 1, its whole chain space, and ``dim`` its size."""
 
     kind: str
     algebra: LieAlgebra
@@ -126,6 +127,9 @@ class _Boundary:
         target = self.space(max(space.degree - 1, 0))
         return Chain(target, {w: c for w, c in out.items() if c})
 
+    def dim(self, k: int) -> int:
+        return self.space(k).dim
+
     def blocks(self, k: int) -> list[BoundaryBlock]:
         if k < 1:
             return []
@@ -141,13 +145,15 @@ class LodayBoundary(_Boundary):
 
     ``apply`` also takes chains of a tensor power restricted to some factors;
     their boundary words may leave that set, so the image lies in the full
-    power.
+    power.  With ``keep``, ``blocks`` and ``dim`` see only the grades it
+    accepts; ``apply`` and ``space`` still cover the whole complex.
     """
 
     kind = "tensor"
 
-    def __init__(self, algebra: LieAlgebra):
+    def __init__(self, algebra: LieAlgebra, keep: Optional[Callable[[Grade], bool]] = None):
         self.algebra = algebra
+        self.keep = keep
 
     def space(self, k: int) -> Space:
         return tensor_space(self.algebra, k)
@@ -173,12 +179,17 @@ class LodayBoundary(_Boundary):
                         del out[new]
         return out
 
-    def blocks(
-        self, k: int, keep: Optional[Callable[[Grade], bool]] = None
-    ) -> list[BoundaryBlock]:
-        """Grade blocks of d_k, one per grade of the degree-k words, sorted;
-        none below degree 2 (d_1 is the zero map).  With ``keep``, only the
-        grades it accepts."""
+    def _grades(self, k: int) -> list[Grade]:
+        words = graded_words(self.algebra.grades)
+        return [g for g in words.grades_of_length(k) if self.keep is None or self.keep(g)]
+
+    def dim(self, k: int) -> int:
+        words = graded_words(self.algebra.grades)
+        return sum(words.count(k, g) for g in self._grades(k))
+
+    def blocks(self, k: int) -> list[BoundaryBlock]:
+        """Grade blocks of d_k, one per kept grade of the degree-k words,
+        sorted; none below degree 2 (d_1 is the zero map)."""
         if k < 2:
             return []
         words = graded_words(self.algebra.grades)
@@ -186,8 +197,7 @@ class LodayBoundary(_Boundary):
             BoundaryBlock(
                 g, GradeBlock(words, k, g), GradeBlock(words, k - 1, g), self.word_boundary
             )
-            for g in words.grades_of_length(k)
-            if keep is None or keep(g)
+            for g in self._grades(k)
         ]
 
     def matrix(self, k: int, cap: int = 200_000) -> SparseMatrix:
@@ -295,26 +305,6 @@ class WedgeBoundary(_Boundary):
         return _wedge_word_boundary(self.algebra.bracket, word)
 
 
-def ce_boundary(
-    algebra: LieAlgebra,
-    coefficients: Optional[Sequence[int]],
-    k: int,
-    wedge: Optional[Sequence[int]] = None,
-) -> CEBoundary:
-    """CE boundary operator for M ⊗ Λ^k g.
-
-    ``coefficients``: ambient indices spanning M (defaults to the whole
-    algebra); ``wedge``: indices spanning g (defaults to the translations).
-    """
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    if wedge is None:
-        wedge = algebra.translation_indices or tuple(range(algebra.dim))
-    if coefficients is None:
-        coefficients = tuple(range(algebra.dim))
-    return CEBoundary(algebra, coefficients, wedge)
-
-
 def wedge_boundary(chain: Chain) -> Chain:
     """Trivial-coefficient CE boundary on Λ^k g (g = the chain's factor set)."""
     return WedgeBoundary(chain.space.algebra, chain.space.factors).apply(chain)
@@ -349,15 +339,15 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
         raise SpaceMismatchError("is_boundary expects a tensor chain")
     alg = chain.space.algebra
     k = chain.space.degree
-    op = LodayBoundary(alg)
     if chain.is_zero():
         return tensor_space(alg, k + 1).zero()
-    blocks = {b.grade: b for b in op.blocks(k + 1)}
-
     words = graded_words(alg.grades)
     by_grade: dict[Grade, dict[Word, Fraction]] = {}
     for w, c in chain.coeffs.items():
         by_grade.setdefault(words.grade_of(w), {})[w] = c
+    # only the blocks of the chain's grades are built
+    op = LodayBoundary(alg, keep=by_grade.__contains__)
+    blocks = {b.grade: b for b in op.blocks(k + 1)}
 
     witness: dict[Word, Fraction] = {}
     for g, coeffs in sorted(by_grade.items()):

@@ -51,7 +51,7 @@ from .linalg import (
     SparseModularEliminator,
     draw_primes,
 )
-from .repspace import graded_words, random_chain
+from .repspace import random_chain
 
 if TYPE_CHECKING:
     from .split import SplitReduction
@@ -238,16 +238,10 @@ def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
     return total
 
 
-def _boundary_rank(
-    op,
-    k: int,
-    opts: HomologyOptions,
-    primes: Sequence[int],
-    reduction: Optional[SplitReduction],
-) -> RankCertificate:
-    """Rank of d_k on the kept blocks: exact within ``cap_exact`` columns,
-    else modular within ``cap_modular``; no blocks means rank 0."""
-    blocks = op.blocks(k) if reduction is None else op.blocks(k, keep=reduction.keeps)
+def _boundary_rank(op, k: int, opts: HomologyOptions, primes: Sequence[int]) -> RankCertificate:
+    """Rank of d_k on the boundary's blocks: exact within ``cap_exact``
+    columns, else modular within ``cap_modular``; no blocks means rank 0."""
+    blocks = op.blocks(k)
     if not blocks:
         return RankCertificate(0, "Q", "exact")
     cols = sum(b.cols for b in blocks)
@@ -262,19 +256,14 @@ def _boundary_rank(
     return RankCertificate(r, "Fp", "modular", list(primes))
 
 
-def _chain_dim(op, k: int, reduction: Optional[SplitReduction]) -> int:
-    """The number of degree-k chain words: the kept ones, if reduced."""
-    if reduction is None:
-        return op.space(k).dim
-    words = graded_words(op.algebra.grades)
-    return sum(words.count(k, g) for g in words.grades_of_length(k) if reduction.keeps(g))
-
-
-def _boundary(algebra: LieAlgebra, kind: str):
-    """The boundary operator of the complex: Loday on the tensor powers, or
-    CE on h ⊗ Λ^k (translations) for algebras with translations, and with
-    trivial coefficients on Λ^k h otherwise."""
+def _boundary(algebra: LieAlgebra, kind: str, reduction: Optional[SplitReduction]):
+    """The boundary operator of the complex: Loday on the tensor powers (the
+    kept blocks of the split form, if reduced), or CE on h ⊗ Λ^k
+    (translations) for algebras with translations, and with trivial
+    coefficients on Λ^k h otherwise."""
     if kind == "loday":
+        if reduction is not None:
+            return LodayBoundary(reduction.algebra, keep=reduction.keeps)
         return LodayBoundary(algebra)
     if kind != "ce":
         raise ValueError(f"unknown complex kind {kind!r}")
@@ -299,8 +288,11 @@ def homology_dims(
     and per-degree match flags unless ``predicted`` overrides it.  The Loday
     complex of ``build_affine``/``build_so`` runs on the kept blocks of its
     split form only (``reduction`` in the report).  A cap hit produces a
-    partial report (``capped_at`` set) rather than an exception.
+    partial report (``capped_at`` set) rather than an exception.  A negative
+    ``max_degree`` raises ``ValueError``.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     opts = options or HomologyOptions()
     rng = random.Random(opts.seed)
     primes = draw_primes(rng, opts.primes)
@@ -310,7 +302,7 @@ def homology_dims(
         from .split import split_reduction
 
         reduction = split_reduction(algebra)
-    op = _boundary(reduction.algebra if reduction is not None else algebra, kind)
+    op = _boundary(algebra, kind, reduction)
     check_dd_zero(
         op.apply,
         lambda k, r: random_chain(op.space(k), r),
@@ -323,7 +315,7 @@ def homology_dims(
     capped_at = cap_message = None
     for k in range(1, max_degree + 2):
         try:
-            ranks[k] = _boundary_rank(op, k, opts, primes, reduction)
+            ranks[k] = _boundary_rank(op, k, opts, primes)
         except CapExceededError as exc:
             capped_at, cap_message = k, str(exc)
             break
@@ -332,7 +324,7 @@ def homology_dims(
     for k in range(0, max_degree + 1):
         if k + 1 not in ranks:
             break
-        dim = _chain_dim(op, k, reduction)
+        dim = op.dim(k)
         rk = ranks[k].rank if k else 0  # d_0 does not exist
         rk1 = ranks[k + 1].rank
         betti = dim - rk - rk1

@@ -24,6 +24,7 @@ import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -221,7 +222,7 @@ Grade = tuple[int, ...]  # (translation count, torus weights..., parity bitmask)
 
 def add_grades(g: Grade, h: Grade) -> Grade:
     """The grade of a bracket term: counts and weights add, parities XOR."""
-    return tuple(a + b for a, b in zip(g[:-1], h[:-1])) + (g[-1] ^ h[-1],)
+    return (*map(add, g[:-1], h[:-1]), g[-1] ^ h[-1])
 
 
 class LieAlgebra:
@@ -395,16 +396,18 @@ Matrix = dict[tuple[int, int], Coeff]
 
 
 def _as_sparse_matrix(mat, m: int) -> Matrix:
-    """Accept dict / nested sequence / numpy array and return a sparse dict."""
+    """Accept a dict (i, j) -> value or a nested sequence of rows and return
+    a sparse dict.  Every value must be exact, an ``int`` or a ``Fraction``."""
     if isinstance(mat, dict):
-        out = {k: v for k, v in mat.items() if v}
+        entries = mat.items()
     else:
-        out = {}
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                v = v if isinstance(v, (int, Fraction)) else Fraction(v).limit_denominator()
-                if v:
-                    out[(i, j)] = v
+        entries = (((i, j), v) for i, row in enumerate(mat) for j, v in enumerate(row))
+    out = {}
+    for (i, j), v in entries:
+        if not isinstance(v, (int, Fraction)):
+            raise ValueError(f"action matrix entry ({i},{j}) is {v!r}, not an int or a Fraction")
+        if v:
+            out[(i, j)] = v
     for (i, j) in out:
         if not (0 <= i < m and 0 <= j < m):
             raise ValueError(f"action matrix entry ({i},{j}) outside dimension {m}")
@@ -447,7 +450,9 @@ def build_abelian_extension(
 ) -> LieAlgebra:
     """Abelian extension M ⊕ g with bracket [g1+m1, g2+m2] = [g1,g2] + [g1,m2] - [g2,m1].
 
-    ``action[a]`` is the matrix of m -> [e_a, m] on M.  The matrices must
+    ``action[a]`` is the matrix of m -> [e_a, m] on M, a dict (i, j) -> value
+    or a list of rows, with ``int`` or ``Fraction`` entries only (any other
+    value raises ``ValueError``: no float is rounded).  The matrices must
     satisfy action([a,b]) = action(a)action(b) - action(b)action(a); the
     failing pair is named otherwise.  Basis order: M first, then g; M has
     grade (1, 0) and g grade (0, 0).

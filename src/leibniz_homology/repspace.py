@@ -9,9 +9,10 @@ A ``Space`` ranks tensor words by a mixed-radix code, wedge words by the
 combinatorial number system (colex) and mixed words by the product of the
 two, so its rank/unrank are O(degree) without lookup tables.  A
 ``GradeBlock`` indexes the tensor words of one length and one grade of a
-graded algebra, by rank/unrank over the suffix-count tables of
-``GradedWords``: one lookup per letter to rank, one bisect per letter to
-unrank.
+graded algebra, by rank/unrank over the suffix counts of ``GradedWords``,
+keyed by the grade tuples themselves: from the block's root state, one
+lookup per letter to rank and one bisect per letter to unrank, each
+stepping to the state of the suffix.
 """
 
 from __future__ import annotations
@@ -173,127 +174,69 @@ def _colex_unrank(r: int, k: int) -> list[int]:
 # Grade blocks of tensor powers.
 
 
-class _LetterOffsets(dict):
-    """state -> cumulative letter offsets, computed when a state is first read."""
-
-    def __init__(self, words: "GradedWords"):
-        super().__init__()
-        self._words = words
-
-    def __missing__(self, state: int) -> list[int]:
-        off = self[state] = self._words._letter_offsets(state)
-        return off
-
-
 class GradedWords:
     """Rank/unrank of the tensor words of a graded algebra, block by grade.
 
     A word's grade adds its letters' additive fields (translation count and
-    torus weights) and XORs their parities.  A (length, grade) pair is coded
-    as one state integer: the parity in the low bits, above it each additive
-    field in ``FIELD_BITS`` bits, biased by the length times the field's
-    largest negative letter value so that it is never negative, and the
-    length on top.  The state of a word's suffix after its first letter a is
-    ``(state - _delta[a]) ^ _parity[a]``.  For each length L the tables hold
-    the number of words of every grade (``_counts[L]``) and, per state, the
-    cumulative offsets of the letters (``_offsets[state][a]`` counts the
-    words of that length and grade whose first letter is below a; the last
-    entry is the total).  In lexicographic order within a block, ranking a
-    word is one lookup per letter and unranking one bisect per letter.  The
-    counts grow one length at a time, when a block of that length is asked
-    for, and a state's offsets are computed when it is first read, so a
-    reduced complex pays only for the states its kept blocks reach.  A
-    length at which a biased field could reach ``2**FIELD_BITS`` and spill
-    into the next one raises ``ValueError``.
+    torus weights) and XORs their parities (``add_grades``).  ``_counts[L]``
+    maps each grade of the words of length L to their number; it grows one
+    length at a time, when a block of that length is asked for.  The state
+    of a (length, grade) pair with words is ``(offsets, successors)``:
+    ``offsets[a]`` counts its words whose first letter is below a (the last
+    entry is the total), and ``successors[a]`` is the state of the suffix
+    after a first letter a, or None when no word starts with a.  In
+    lexicographic order within a block, ranking a word is one lookup per
+    letter and unranking one bisect per letter.  A state is built when a
+    block first reaches it, so a reduced complex pays only for the states
+    its kept blocks reach.
     """
-
-    FIELD_BITS = 16
 
     def __init__(self, grades: Sequence[Grade]):
         self.grades = tuple(tuple(g) for g in grades)
-        nfields = len(self.grades[0]) - 1 if self.grades else 1
-        if any(len(g) != nfields + 1 for g in self.grades):
+        widths = {len(g) for g in self.grades}
+        if len(widths) > 1:
             raise ValueError("every grade needs the same number of fields")
-        columns = [[g[f] for g in self.grades] or [0] for f in range(nfields)]
-        self._bias = [max(0, -min(col)) for col in columns]  # per letter
-        self._top = [max(col) + b for col, b in zip(columns, self._bias)]  # biased, per letter
-        pbits = max((g[-1] for g in self.grades), default=0).bit_length()
-        self._shifts = [pbits + f * self.FIELD_BITS for f in range(nfields)]
-        self._lshift = pbits + nfields * self.FIELD_BITS
-        self._cmask = (1 << self._lshift) - 1
-        self._pmask = (1 << pbits) - 1
-        self._letters = [
-            sum((g[f] + b) << sh for f, (b, sh) in enumerate(zip(self._bias, self._shifts)))
-            for g in self.grades
-        ]
-        self._delta = [(1 << self._lshift) + code for code in self._letters]
-        self._parity = [g[-1] for g in self.grades]
-        self._counts: list[dict[int, int]] = [{0: 1}]  # length -> grade code -> words
-        self._offsets = _LetterOffsets(self)  # state -> cumulative letter offsets
+        self._zero = (0,) * (widths.pop() if widths else 2)
+        # adding a letter's inverse takes its grade off the front of a word
+        self._inverses = [tuple(-x for x in g[:-1]) + (g[-1],) for g in self.grades]
+        self._counts: list[dict[Grade, int]] = [{self._zero: 1}]  # length -> grade -> words
+        self._states: dict[tuple[int, Grade], tuple] = {(0, self._zero): ((), ())}
 
     def _grow(self, length: int) -> None:
-        if len(self._counts) > length:
-            return
-        for f, top in enumerate(self._top):
-            if top * length >= 1 << self.FIELD_BITS:
-                raise ValueError(
-                    f"words of length {length} overflow grade field {f} "
-                    f"({self.FIELD_BITS} bits, up to {top} per letter)"
-                )
-        codes = list(zip(self._letters, self._parity))
         while len(self._counts) <= length:
-            prev = self._counts[-1]
-            cur: dict[int, int] = {}
-            for g, n in prev.items():
-                for cc, s in codes:
-                    h = (g + cc) ^ s
+            cur: dict[Grade, int] = {}
+            for g, n in self._counts[-1].items():
+                for h in self.grades:
+                    h = add_grades(g, h)
                     cur[h] = cur.get(h, 0) + n
             self._counts.append(cur)
-
-    def _letter_offsets(self, state: int) -> list[int]:
-        length, g = state >> self._lshift, state & self._cmask
-        prev = self._counts[length - 1]
-        off = [0]
-        for cc, s in zip(self._letters, self._parity):
-            # no borrow can alias a code of prev: every field stays below
-            # 2**FIELD_BITS minus a letter's value (checked in _grow)
-            off.append(off[-1] + prev.get((g - cc) ^ s, 0))
-        return off
-
-    def _code(self, length: int, grade: Grade) -> Optional[int]:
-        """The code of a grade at this length; None if no word can have it."""
-        if len(grade) != len(self._shifts) + 1 or not 0 <= grade[-1] <= self._pmask:
-            return None
-        code = grade[-1]
-        for x, b, top, sh in zip(grade, self._bias, self._top, self._shifts):
-            x += b * length
-            if not 0 <= x <= top * length:
-                return None
-            code |= x << sh
-        return code
 
     def grades_of_length(self, length: int) -> list[Grade]:
         """The grades of the words of this length, sorted."""
         self._grow(length)
-        fmask = (1 << self.FIELD_BITS) - 1
-        return sorted(
-            tuple(((g >> sh) & fmask) - b * length for b, sh in zip(self._bias, self._shifts))
-            + (g & self._pmask,)
-            for g in self._counts[length]
-        )
+        return sorted(self._counts[length])
 
     def count(self, length: int, grade: Grade) -> int:
         """The number of words of this length and grade."""
         self._grow(length)
-        code = self._code(length, grade)
-        return 0 if code is None else self._counts[length].get(code, 0)
+        return self._counts[length].get(tuple(grade), 0)
 
-    def state(self, length: int, grade: Grade) -> int:
+    def state(self, length: int, grade: Grade) -> tuple:
         """The state of a (length, grade) pair with words (``count`` > 0)."""
-        return (length << self._lshift) | self._code(length, grade)
+        st = self._states.get((length, grade))
+        if st is None:
+            prev = self._counts[length - 1]
+            off, successors = [0], []
+            for inv in self._inverses:
+                h = add_grades(grade, inv)
+                n = prev.get(h, 0)
+                off.append(off[-1] + n)
+                successors.append(self.state(length - 1, h) if n else None)
+            st = self._states[(length, grade)] = (off, successors)
+        return st
 
     def grade_of(self, word: Word) -> Grade:
-        grade = (0,) * (len(self._shifts) + 1)
+        grade = self._zero
         for a in word:
             grade = add_grades(grade, self.grades[a])
         return grade
@@ -309,34 +252,30 @@ class GradeBlock:
     """The tensor words of one length and one grade, in lexicographic order;
     indexed through ``rank_word``/``unrank_word``/``dim``, as in ``Space``."""
 
-    __slots__ = ("length", "grade", "dim", "_state", "_offsets", "_delta", "_parity")
+    __slots__ = ("length", "grade", "dim", "_root")
 
     def __init__(self, words: GradedWords, length: int, grade: Grade):
         self.length = length
         self.grade = grade
         self.dim = words.count(length, grade)
-        self._state = words.state(length, grade) if self.dim else 0
-        self._offsets = words._offsets
-        self._delta = words._delta
-        self._parity = words._parity
+        self._root = words.state(length, grade) if self.dim else ((), ())
 
     def rank_word(self, word: Word) -> int:
-        offsets, delta, parity = self._offsets, self._delta, self._parity
-        state, r = self._state, 0
+        off, nxt = self._root
+        r = 0
         for a in word:
-            r += offsets[state][a]
-            state = (state - delta[a]) ^ parity[a]
+            r += off[a]
+            off, nxt = nxt[a]
         return r
 
     def unrank_word(self, r: int) -> Word:
-        offsets, delta, parity = self._offsets, self._delta, self._parity
-        state, out = self._state, []
+        off, nxt = self._root
+        out = []
         for _ in range(self.length):
-            off = offsets[state]
             a = bisect_right(off, r) - 1
             r -= off[a]
             out.append(a)
-            state = (state - delta[a]) ^ parity[a]
+            off, nxt = nxt[a]
         return tuple(out)
 
     def __repr__(self) -> str:

@@ -159,7 +159,7 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
         complexes.check_dd_zero(
             op.apply, lambda k, r: random_chain(tensor_space(h, k), r), range(2, 6), rng, 100
         )
-        ce = complexes.ce_boundary(h, None, 1)
+        ce = complexes.CEBoundary(h, range(h.dim), h.translation_indices)
         complexes.check_dd_zero(
             ce.apply,
             lambda k, r: random_chain(ce.space(k), r),

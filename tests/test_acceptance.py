@@ -239,10 +239,10 @@ def test_criterion_10_differential_soundness():
                 rng,
                 count=100,
             )
-        from leibniz_homology import ce_boundary
+        from leibniz_homology import CEBoundary
 
         h = build_affine(Signature(2, 2))
-        ce = ce_boundary(h, None, 1)
+        ce = CEBoundary(h, range(h.dim), h.translation_indices)
         check_dd_zero(
             ce.apply, lambda k, r: random_chain(ce.space(k), r), range(2, 5), rng, count=100
         )

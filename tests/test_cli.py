@@ -32,6 +32,10 @@ def test_algebra_definite(capsys):
 
 def test_algebra_invalid_signature(capsys):
     assert run(["algebra", "--p", "0", "--q", "2"]) == EXIT_USAGE
+    # n = 1 has no so(p,q): a usage error, not a traceback with exit 1
+    assert run(["algebra", "--p", "1", "--q", "0"]) == EXIT_USAGE
+    assert run(["invariants", "--p", "1", "--q", "0", "--module", "so"]) == EXIT_USAGE
+    assert "error: signature (1,0) needs p + q >= 2" in capsys.readouterr().err
 
 
 def test_invariants_descriptors(capsys, tmp_path):
@@ -95,6 +99,13 @@ def test_homology_usage_errors(capsys):
     assert run(["homology", "--abelian", "2", "--p", "2", "--q", "2"]) == EXIT_USAGE
     assert run(["homology", "--p", "2"]) == EXIT_USAGE
     assert run(["homology", "--abelian", "2", "--mode", "exact"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert run(["homology", "--abelian", "0"]) == EXIT_USAGE
+    assert run(["homology", "--p", "1", "--q", "0"]) == EXIT_USAGE
+    assert run(["homology", "--p", "2", "--q", "2", "--max-degree", "-3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error"] * 3
 
 
 def test_fewer_than_two_primes_is_usage_error(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from leibniz_homology import (
+    CEBoundary,
     LieAlgebra,
     ModuleLawError,
     WedgeBoundary,
@@ -13,7 +14,6 @@ from leibniz_homology import (
     Translation,
     build_abelian,
     build_affine,
-    ce_boundary,
     embed_mixed_in_tensor,
     is_boundary,
     is_cycle,
@@ -163,7 +163,8 @@ def test_grade_block_ranks_match_full_matrix(pq, split):
 
 def test_ce_blocks_are_whole_chain_spaces(h22):
     # one block per CE degree, columns the boundaries of the basis words
-    for op in (ce_boundary(h22, None, 1), WedgeBoundary(h22, range(h22.dim))):
+    ce = CEBoundary(h22, range(h22.dim), h22.translation_indices)
+    for op in (ce, WedgeBoundary(h22, range(h22.dim))):
         assert op.blocks(0) == []
         for k in (1, 2):
             (block,) = op.blocks(k)
@@ -177,7 +178,7 @@ def test_ce_blocks_are_whole_chain_spaces(h22):
 
 
 def test_ce_boundary_example(h31):
-    ce = ce_boundary(h31, None, 1)
+    ce = CEBoundary(h31, range(h31.dim), h31.translation_indices)
     sp = ce.space(1)
     c = sp.basis_chain((h31.index(RotationX(1, 2)), t(h31, 1)))
     out = ce.apply(c)
@@ -187,7 +188,7 @@ def test_ce_boundary_example(h31):
 def test_ce_abelian_second_sum_vanishes(h22, rng):
     # over the abelian translations the bracket sum contributes nothing:
     # the boundary of I-lead words with I-wedge tails is the action sum only
-    ce = ce_boundary(h22, None, 1)
+    ce = CEBoundary(h22, range(h22.dim), h22.translation_indices)
     check_dd_zero(
         ce.apply,
         lambda k, r: random_chain(ce.space(k), r),
@@ -199,7 +200,7 @@ def test_ce_abelian_second_sum_vanishes(h22, rng):
 
 def test_ce_invalid_module_names_pair(h22):
     with pytest.raises(ModuleLawError) as exc:
-        ce_boundary(h22, h22.so_indices, 1)  # so is not closed under translations
+        CEBoundary(h22, h22.so_indices, h22.translation_indices)  # so is not closed under translations
     assert len(exc.value.pair) == 2
 
 

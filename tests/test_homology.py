@@ -83,6 +83,11 @@ def test_overreported_rank_raises(monkeypatch):
         homology_dims(build_abelian(2), 2)
 
 
+def test_negative_max_degree_raises():
+    with pytest.raises(ValueError, match="max_degree must be at least 0, got -1"):
+        homology_dims(build_abelian(2), -1)
+
+
 def test_duality_flags():
     rep = homology_dims(build_abelian(2), 3)
     dual = cohomology_dims(rep)
@@ -338,6 +343,27 @@ def test_reduction_in_report():
     assert "reduction" not in homology_dims(build_abelian(2), 2).to_json_dict()
     ce = homology_dims(build_affine(Signature(2, 2)), 2, kind="ce")
     assert ce.reduction is None and "reduction" not in ce.to_json_dict()
+
+
+def test_dropped_blocks_build_no_states():
+    # a state of the word index is built only when a ranked block reaches
+    # it, so every state is reachable from the root of a kept block
+    graded_words.cache_clear()
+    red = homology_dims(build_affine(Signature(2, 2)), 4).reduction
+    words = graded_words(red.algebra.grades)
+    states = words._states
+    roots = [(k, g) for k in range(1, 6) for g in words.grades_of_length(k) if red.keeps(g)]
+    todo = [states[key] for key in roots if key in states]
+    reached = set()
+    while todo:
+        _, nxt = todo.pop()
+        if id(nxt) not in reached:
+            reached.add(id(nxt))
+            todo.extend(st for st in nxt if st is not None)
+    assert reached == {id(nxt) for _, nxt in states.values()}
+    # d_5 has dropped blocks, and a length-5 state can only be a root
+    dropped = [g for g in words.grades_of_length(5) if not red.keeps(g)]
+    assert dropped and not any((5, g) in states for g in dropped)
 
 
 @pytest.mark.parametrize(

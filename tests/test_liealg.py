@@ -1,5 +1,6 @@
 """Construction, validation and oracle agreement of the algebras."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,22 @@ def test_extension_module_law_violation_names_pair():
     with pytest.raises(ModuleLawError) as exc:
         build_abelian_extension(so, bad, m_dim=2)
     assert exc.value.pair[0] in so.labels and exc.value.pair[1] in so.labels
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        pytest.param([[[1 / 3 + 1e-9]]], id="rows"),
+        pytest.param([{(0, 0): 0.5}], id="dict"),
+        pytest.param([[[Decimal("0.5")]]], id="decimal"),
+    ],
+)
+def test_extension_rejects_inexact_entries(action):
+    # no rounding: 1/3 + 1e-9 used to become exactly 1/3
+    with pytest.raises(ValueError, match=r"entry \(0,0\) is .*not an int or a Fraction"):
+        build_abelian_extension(build_abelian(1), action, m_dim=1)
+    exact = build_abelian_extension(build_abelian(1), [[[Fraction(1, 3)]]], m_dim=1)
+    assert exact.bracket(1, 0) == {0: Fraction(1, 3)}
 
 
 def test_grading_is_bracket_additive():

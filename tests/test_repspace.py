@@ -179,21 +179,15 @@ def test_chain_arithmetic(h22):
     assert Fraction(1, 3) * a != a
 
 
-def test_graded_words_fields_and_overflow_guard():
-    # weights of +-5000 need a bias; 3 letters of each give weight 0 and
-    # parity 1 at length 6, C(6, 3) words
+def test_graded_words_keyed_by_grade_tuples():
+    # weights of +-5000; 3 letters of each give weight 0 and parity 1 at
+    # length 6, C(6, 3) words, and 4 of each parity 0 at length 8
     words = GradedWords([(0, 5000, 0), (0, -5000, 1)])
     assert words.count(6, (0, 0, 1)) == 20
     assert words.count(6, (0, 0, 0)) == 0
+    assert words.count(8, (0, 0, 0)) == 70
     assert words.grades_of_length(2) == [(0, -10000, 0), (0, 0, 1), (0, 10000, 0)]
-    # at length 7 the biased weight field could reach 70,000 >= 2^16
-    with pytest.raises(ValueError, match="length 7 overflow grade field 1"):
-        words.count(7, (0, 0, 1))
-    # the translation count too: at most 2^16 - 1 letters of count 1
-    with pytest.raises(ValueError, match="overflow grade field 0"):
-        GradedWords([(1, 0), (0, 1)]).count(1 << 16, (0, 0))
-    # a grade no word can have is not packed: a count of 2^17 would spill
-    # into the weight field and read as the grade (0, 2, 0) of the word "aa"
+    # a grade no word can have counts 0, however large its fields
     words = GradedWords([(0, 1, 0), (1, 0, 1)])
     assert words.count(2, (0, 2, 0)) == 1
     assert words.count(2, (2 << 16, 0, 0)) == 0
