@@ -16,7 +16,6 @@ from .complexes import (
     embed_mixed_in_tensor,
     is_boundary,
     is_cycle,
-    wedge_boundary,
 )
 from .homology import (
     BettiEntry,
@@ -29,6 +28,7 @@ from .homology import (
 from .invariants import (
     InvariantBasis,
     annihilated_by,
+    expected_invariant_dim,
     invariant_subspace,
     lead_projection,
     make_alpha,
@@ -75,9 +75,7 @@ from .repspace import (
     Space,
     SpaceMismatchError,
     act,
-    act_mixed,
-    act_tensor,
-    act_wedge,
+    act_word,
     assemble_action,
     enumerate_basis,
     mixed_space,

@@ -34,7 +34,7 @@ from .homology import (
     cohomology_dims,
     homology_dims,
 )
-from .invariants import invariant_subspace
+from .invariants import expected_invariant_dim, invariant_subspace
 from .liealg import Signature, build_abelian, build_affine, build_so, validate
 from .linalg import CapExceededError
 from .repspace import Space, mixed_space, tensor_space, wedge_space
@@ -52,7 +52,10 @@ def _env_default(name: str, fallback, cast):
     value = os.environ.get(ENV_PREFIX + name)
     if value is None:
         return fallback
-    return cast(value)
+    try:
+        return cast(value)
+    except ValueError:
+        raise UsageError(f"{ENV_PREFIX}{name}: cannot read {value!r} as {cast.__name__}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -147,19 +150,17 @@ def _parse_module(desc: str, sig: Signature) -> tuple[Space, Optional[int]]:
     try:
         if parts[0] == "wedge" and parts[1] == "I":
             k = int(parts[2])
-            return wedge_space(h, k), (1 if k in (0, n) else 0)
+            return wedge_space(h, k), expected_invariant_dim("wedge", n, k)
         if parts[0] == "tensor" and parts[1] == "h":
             return tensor_space(h, int(parts[2])), None
         if parts[0] == "I*wedge":
             k = int(parts[1])
-            return mixed_space(h, k, lead=h.translation_indices), (1 if k in (1, n - 1) else 0)
+            return mixed_space(h, k, lead=h.translation_indices), expected_invariant_dim("I*wedge", n, k)
         if parts[0] == "so*wedge":
             k = int(parts[1])
-            if n == 4 and k == 2:
-                return mixed_space(h, k, lead=h.so_indices), None
-            return mixed_space(h, k, lead=h.so_indices), (1 if k in (2, n - 2) else 0)
+            return mixed_space(h, k, lead=h.so_indices), expected_invariant_dim("so*wedge", n, k)
         if parts[0] == "so" and len(parts) == 1:
-            return tensor_space(h, 1, factors=h.so_indices), 0
+            return tensor_space(h, 1, factors=h.so_indices), expected_invariant_dim("so", n)
     except (IndexError, ValueError):
         pass
     raise UsageError(
@@ -303,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        parser = build_parser()  # reads the environment overrides
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

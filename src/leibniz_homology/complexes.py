@@ -15,9 +15,9 @@ and with trivial coefficients it is the wedge boundary on Λ^k g alone.
 
 All three are implemented matrix-free on words and share one interface:
 ``space(k)`` (the degree-k chain space), ``dim(k)`` (the number of its
-words that are ranked), ``word_boundary(word)``, ``apply(chain)`` and
-``blocks(k)``, the ``BoundaryBlock``s whose ranks add up to the rank of
-d_k.  Every algebra is graded by (translation count, torus weights if any,
+words that are ranked), ``word_boundary(word)``, ``apply(chain)`` (its
+linear extension, ``Chain.map``) and ``blocks(k)``, the
+``BoundaryBlock``s whose ranks add up to the rank of d_k.  Every algebra is graded by (translation count, torus weights if any,
 parity bitmask), (0, 0) on every basis element unless stated otherwise; the
 affine algebras grade T_i, X(i,j), Y(i,j) by their characters under the
 diagonal sign flips, and their split forms add the torus weights
@@ -36,12 +36,13 @@ Matrices are materialized only on demand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .liealg import Coeff, Grade, LieAlgebra
+from .liealg import Coeff, Grade, LieAlgebra, accumulate
 from .linalg import DEFAULT_CAP_EXACT, CapExceededError, SparseMatrix, solve
 from .repspace import (
     Chain,
@@ -60,7 +61,6 @@ __all__ = [
     "LodayBoundary",
     "CEBoundary",
     "WedgeBoundary",
-    "wedge_boundary",
     "is_cycle",
     "is_boundary",
     "embed_mixed_in_tensor",
@@ -120,12 +120,7 @@ class _Boundary:
             raise SpaceMismatchError(
                 f"{type(self).__name__} expects {self.kind} chains of its algebra"
             )
-        out: dict[Word, Fraction] = {}
-        for word, coeff in chain.coeffs.items():
-            for new, v in self.word_boundary(word).items():
-                out[new] = out.get(new, Fraction(0)) + coeff * v
-        target = self.space(max(space.degree - 1, 0))
-        return Chain(target, {w: c for w, c in out.items() if c})
+        return chain.map(self.word_boundary, self.space(max(space.degree - 1, 0)))
 
     def dim(self, k: int) -> int:
         return self.space(k).dim
@@ -203,28 +198,17 @@ class LodayBoundary(_Boundary):
     def matrix(self, k: int, cap: int = 200_000) -> SparseMatrix:
         """The degree-k boundary as a sparse matrix (rows: degree k-1 words)."""
         space = self.space(k)
-        rows = self.algebra.dim ** (k - 1) if k >= 2 else 1
         if space.dim > cap:
             raise CapExceededError(f"boundary matrix at degree {k} has {space.dim} columns, cap {cap}")
-        entries: dict[tuple[int, int], int] = {}
-        if k >= 2:
-            rowspace = self.space(k - 1)
-            for j in range(space.dim):
-                for w, v in self.word_boundary(space.unrank_word(j)).items():
-                    entries[(rowspace.rank_word(w), j)] = v
-        return SparseMatrix(rows, space.dim, entries)
+        if k < 2:
+            return SparseMatrix(1, space.dim)
+        block = BoundaryBlock(None, space, self.space(k - 1), self.word_boundary)
+        entries = {(i, j): v for j, col in enumerate(block.columns()) for i, v in col}
+        return SparseMatrix(block.rows, block.cols, entries)
 
 
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg boundary with coefficients.
-
-
-def _add(out: dict[Word, Coeff], word: Word, v: Coeff) -> None:
-    nv = out.get(word, 0) + v
-    if nv:
-        out[word] = nv
-    elif word in out:
-        del out[word]
 
 
 def _wedge_word_boundary(bracket, word: Word) -> dict[Word, Coeff]:
@@ -237,7 +221,7 @@ def _wedge_word_boundary(bracket, word: Word) -> dict[Word, Coeff]:
             for c, s in bracket(word[i], word[j]).items():
                 neww, sgn = sort_wedge((c,) + rest)
                 if sgn:
-                    _add(out, neww, sign * s * sgn)
+                    accumulate(out, neww, sign * s * sgn)
     return out
 
 
@@ -285,7 +269,7 @@ class CEBoundary(_Boundary):
             sign = -1 if (i + 1) % 2 else 1  # (-1)^(i+1) with 1-based i
             rest = tail[:i] + tail[i + 1 :]
             for c, s in bracket(m, tail[i]).items():
-                _add(out, (c,) + rest, sign * s)
+                accumulate(out, (c,) + rest, sign * s)
         return out
 
 
@@ -303,11 +287,6 @@ class WedgeBoundary(_Boundary):
 
     def word_boundary(self, word: Word) -> dict[Word, Coeff]:
         return _wedge_word_boundary(self.algebra.bracket, word)
-
-
-def wedge_boundary(chain: Chain) -> Chain:
-    """Trivial-coefficient CE boundary on Λ^k g (g = the chain's factor set)."""
-    return WedgeBoundary(chain.space.algebra, chain.space.factors).apply(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +352,17 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
 def embed_mixed_in_tensor(chain: Chain) -> Chain:
     """Embed lead ⊗ (wedge tail) into the full tensor power: the tail is
     antisymmetrized with prefactor 1/k! (so X ⊗ a∧b becomes X ⊗ (a⊗b - b⊗a)/2)."""
-    import itertools
-
     if chain.space.kind != "mixed":
         raise SpaceMismatchError("embed_mixed_in_tensor expects a mixed chain")
-    alg = chain.space.algebra
     k = chain.space.degree
-    target = tensor_space(alg, k + 1)
     pref = Fraction(1, math.factorial(k))
-    out: dict[Word, Fraction] = {}
-    for word, coeff in chain.coeffs.items():
-        lead, tail = word[0], word[1:]
-        for perm in itertools.permutations(range(k)):
-            sgn = _perm_sign(perm)
-            new = (lead,) + tuple(tail[t] for t in perm)
-            out[new] = out.get(new, Fraction(0)) + coeff * pref * sgn
-    return Chain(target, {w: c for w, c in out.items() if c})
+    perms = [(perm, pref * _perm_sign(perm)) for perm in itertools.permutations(range(k))]
+
+    def embed(word: Word) -> dict[Word, Fraction]:
+        lead, tail = word[:1], word[1:]
+        return {lead + tuple(tail[t] for t in perm): v for perm, v in perms}
+
+    return chain.map(embed, tensor_space(chain.space.algebra, k + 1))
 
 
 def check_dd_zero(apply_fn, make_chain, degrees: Iterable[int], rng, count: int = 100) -> None:

@@ -279,17 +279,16 @@ def homology_dims(
     *,
     kind: str = "loday",
     options: Optional[HomologyOptions] = None,
-    predicted: Optional[list[int]] = None,
 ) -> BettiReport:
     """Betti numbers of the Loday (or CE) complex through ``max_degree``.
 
     For the Loday complex of an affine algebra with n >= 4 (n basis elements
     of translation count 1) the report carries the predicted dimension series
-    and per-degree match flags unless ``predicted`` overrides it.  The Loday
-    complex of ``build_affine``/``build_so`` runs on the kept blocks of its
-    split form only (``reduction`` in the report).  A cap hit produces a
-    partial report (``capped_at`` set) rather than an exception.  A negative
-    ``max_degree`` raises ``ValueError``.
+    and per-degree match flags.  The Loday complex of ``build_affine``/
+    ``build_so`` runs on the kept blocks of its split form only
+    (``reduction`` in the report).  A cap hit produces a partial report
+    (``capped_at`` set) rather than an exception.  A negative ``max_degree``
+    raises ``ValueError``.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
@@ -339,11 +338,8 @@ def homology_dims(
 
     sig = algebra.sig
     affine = sig is not None and sig.n >= 4 and sum(g[0] for g in algebra.grades) == sig.n
-    if predicted is None and kind == "loday" and affine:
-        predicted = predicted_hl_dims(sig, max_degree)
-    matches = None
-    if predicted is not None:
-        matches = [e.betti == predicted[e.degree] for e in entries]
+    predicted = predicted_hl_dims(sig, max_degree) if kind == "loday" and affine else None
+    matches = None if predicted is None else [e.betti == predicted[e.degree] for e in entries]
 
     return BettiReport(
         algebra=algebra.name,

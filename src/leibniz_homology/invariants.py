@@ -1,7 +1,12 @@
 """Invariant subspaces M^{so(p,q)} as exact kernels, and the named invariant elements.
 
-``invariant_subspace`` stacks the exact action matrices of all acting basis
-elements and returns a kernel basis, re-verified by direct annihilation.
+Every linear map on chains is a word map extended by ``Chain.map``, as in
+``repspace``.  ``invariant_subspace`` stacks the action of every acting basis
+element on each basis word (``act_word``) into one column, reads the kernel
+from ``linalg.kernel_basis`` and re-verifies each kernel chain by direct
+annihilation (``act``).  ``lead_projection`` extends the projection of one
+tensor word onto lead ⊗ Λ^(k-1).  ``expected_invariant_dim`` is the paper's
+table of invariant dimensions.
 
 The named elements (all exact, integer up to the stated 1/n! prefactor):
 
@@ -34,13 +39,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .liealg import BoostY, LieAlgebra, RotationX, Signature, Translation, build_affine
-from .linalg import CapExceededError, ExactEliminator
+from .liealg import BoostY, Coeff, LieAlgebra, RotationX, Signature, Translation, build_affine
+from .linalg import CapExceededError, SparseMatrix, kernel_basis
 from .repspace import (
     Chain,
     Space,
     _perm_sign,
     act,
+    act_word,
     mixed_space,
     sort_wedge,
     tensor_space,
@@ -63,6 +69,7 @@ __all__ = [
     "annihilated_by",
     "proportional",
     "lead_projection",
+    "expected_invariant_dim",
 ]
 
 DEFAULT_ROW_CAP = 2_000_000
@@ -77,6 +84,19 @@ class InvariantBasis:
     def __post_init__(self) -> None:
         if self.dim != len(self.basis):
             raise ValueError(f"dim {self.dim} does not match {len(self.basis)} basis chains")
+
+
+def expected_invariant_dim(module: str, n: int, k: int = 0) -> Optional[int]:
+    """The paper's dimension of the so(p,q)-invariants at n = p + q of Λ^k I
+    (``"wedge"``), I ⊗ Λ^k (``"I*wedge"``), so ⊗ Λ^k (``"so*wedge"``) or the
+    adjoint module (``"so"``).  None for so ⊗ Λ^2 at n = 4, where the
+    statements for k = 2 and k = n - 2 coincide and the value is only recorded."""
+    if module == "so":
+        return 0
+    if module == "so*wedge" and n == 4 and k == 2:
+        return None
+    ends = {"wedge": (0, n), "I*wedge": (1, n - 1), "so*wedge": (2, n - 2)}[module]
+    return 1 if k in ends else 0
 
 
 def _resolve_acting(acting, space: Space) -> list[int]:
@@ -108,21 +128,15 @@ def invariant_subspace(
             f"stacked action matrix has {rows} rows "
             f"({len(gens)} generators x dim {space.dim}), cap {row_cap}"
         )
-    elim = ExactEliminator(rows, track=True)
-    kernel: list[dict[int, int]] = []
+    entries: dict[tuple[int, int], Coeff] = {}
     for j in range(space.dim):
-        w = space.basis_chain(space.unrank_word(j))
-        col: list[tuple[int, Union[int, Fraction]]] = []
+        word = space.unrank_word(j)
         for t, x in enumerate(gens):
-            image = act(x, w)
-            for ww, c in image.coeffs.items():
-                col.append((t * space.dim + space.rank_word(ww), c))
-        if not elim.add_column(sorted(col)):
-            kernel.append(elim.relation)
+            for w, c in act_word(space, x, word).items():
+                entries[(t * space.dim + space.rank_word(w), j)] = c
     chains: list[Chain] = []
-    for vec in kernel:
-        coeffs = {space.unrank_word(j): Fraction(c) for j, c in vec.items()}
-        chain = Chain(space, coeffs)
+    for vec in kernel_basis(SparseMatrix(rows, space.dim, entries)):
+        chain = Chain(space, {space.unrank_word(j): c for j, c in vec.items()})
         first = min(chain.coeffs, key=space.rank_word)
         if chain.coeffs[first] < 0:
             chain = -1 * chain
@@ -132,10 +146,6 @@ def invariant_subspace(
         for x in gens:
             if not act(x, chain).is_zero():
                 raise AssertionError("kernel chain failed exact annihilation re-check")
-    if len(chains) != space.dim - elim.rank:
-        raise RuntimeError(
-            f"{len(chains)} kernel chains for a space of dim {space.dim} and rank {elim.rank}"
-        )
     return InvariantBasis(space, chains, len(chains))
 
 
@@ -318,16 +328,13 @@ def lead_projection(chain: Chain, lead: Sequence[int]) -> Chain:
     factor is outside ``lead`` are dropped."""
     if chain.space.kind != "tensor":
         raise ValueError("lead_projection expects a tensor chain")
-    h = chain.space.algebra
-    space = mixed_space(h, chain.space.degree - 1, lead=tuple(lead))
+    space = mixed_space(chain.space.algebra, chain.space.degree - 1, lead=tuple(lead))
     lead_set = set(lead)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for word, coeff in chain.coeffs.items():
+
+    def project(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         if word[0] not in lead_set:
-            continue
+            return {}
         tail, sgn = sort_wedge(word[1:])
-        if not sgn:
-            continue
-        new = (word[0],) + tail
-        out[new] = out.get(new, Fraction(0)) + coeff * sgn
-    return Chain(space, {w: c for w, c in out.items() if c})
+        return {(word[0],) + tail: sgn}
+
+    return chain.map(project, space)

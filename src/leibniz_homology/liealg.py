@@ -157,17 +157,6 @@ def commutator_fields(f: Field, g: Field) -> Field:
     """[(A,b),(B,c)] = (AB - BA, B^T b - A^T c), all dictionaries sparse."""
     A, b = f
     B, c = g
-    lin: dict[tuple[int, int], int] = {}
-    for (i, k), a in A.items():
-        for (k2, j), v in B.items():
-            if k == k2:
-                key = (i, j)
-                lin[key] = lin.get(key, 0) + a * v
-    for (i, k), a in B.items():
-        for (k2, j), v in A.items():
-            if k == k2:
-                key = (i, j)
-                lin[key] = lin.get(key, 0) - a * v
     const: dict[int, int] = {}
     for i, v in b.items():
         for (i2, j), a in B.items():
@@ -177,7 +166,7 @@ def commutator_fields(f: Field, g: Field) -> Field:
         for (i2, j), a in A.items():
             if i == i2:
                 const[j] = const.get(j, 0) - v * a
-    return ({k: v for k, v in lin.items() if v}, {k: v for k, v in const.items() if v})
+    return _mat_commutator(A, B), {k: v for k, v in const.items() if v}
 
 
 def _decompose_field(fld: Field, sig: Signature, index: Mapping[BasisLabel, int]) -> dict[int, int]:
@@ -223,6 +212,15 @@ Grade = tuple[int, ...]  # (translation count, torus weights..., parity bitmask)
 def add_grades(g: Grade, h: Grade) -> Grade:
     """The grade of a bracket term: counts and weights add, parities XOR."""
     return (*map(add, g[:-1], h[:-1]), g[-1] ^ h[-1])
+
+
+def accumulate(out: dict, key, v: Coeff) -> None:
+    """``out[key] += v``, deleting the key when the sum is zero."""
+    nv = out.get(key, 0) + v
+    if nv:
+        out[key] = nv
+    elif key in out:
+        del out[key]
 
 
 class LieAlgebra:
@@ -415,6 +413,7 @@ def _as_sparse_matrix(mat, m: int) -> Matrix:
 
 
 def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
+    """AB - BA of two sparse matrices."""
     out: dict[tuple[int, int], Coeff] = {}
     for (i, k), va in a.items():
         for (k2, j), vb in b.items():

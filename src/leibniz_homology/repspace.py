@@ -13,6 +13,11 @@ graded algebra, by rank/unrank over the suffix counts of ``GradedWords``,
 keyed by the grade tuples themselves: from the block's root state, one
 lookup per letter to rank and one bisect per letter to unrank, each
 stepping to the state of the suffix.
+
+Every linear map on chains is one word map, the image of one word as a
+sparse dict, extended linearly by ``Chain.map``: ``act`` extends
+``act_word``, ``tensor_to_wedge`` extends ``sort_wedge``, and the
+boundaries of ``complexes`` extend their ``word_boundary``.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .liealg import Coeff, Grade, LieAlgebra, add_grades
+from .liealg import Coeff, Grade, LieAlgebra, accumulate, add_grades
 
 __all__ = [
     "Space",
@@ -39,9 +44,7 @@ __all__ = [
     "enumerate_basis",
     "sort_wedge",
     "act",
-    "act_tensor",
-    "act_wedge",
-    "act_mixed",
+    "act_word",
     "assemble_action",
     "tensor_to_wedge",
     "random_chain",
@@ -365,6 +368,14 @@ class Chain:
             and self.coeffs == other.coeffs
         )
 
+    def map(self, word_map: Callable[[Word], Mapping[Word, Coeff]], target: Space) -> "Chain":
+        """The linear extension of ``word_map`` to this chain, a chain of ``target``."""
+        out: dict[Word, Fraction] = {}
+        for word, coeff in self.coeffs.items():
+            for new, v in word_map(word).items():
+                out[new] = out.get(new, 0) + coeff * v
+        return Chain(target, out)
+
     def terms(self) -> list[tuple[Word, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda t: self.space.rank_word(t[0]))
 
@@ -424,68 +435,40 @@ def _bracket_checked(space: Space, allowed: Mapping[int, int], m: int, x: int) -
     return vec
 
 
+def act_word(space: Space, x: int, word: Word) -> dict[Word, Coeff]:
+    """The derivation m -> [m, x] on one word of ``space``: the bracket
+    replaces one factor at a time, and a wedge tail is re-sorted."""
+    out: dict[Word, Coeff] = {}
+    head, tail = (), word
+    if space.kind == "mixed":
+        head, tail = word[:1], word[1:]
+        for c, s in _bracket_checked(space, space._lead_pos, word[0], x).items():
+            accumulate(out, (c,) + tail, s)
+    for t in range(len(tail)):
+        for c, s in _bracket_checked(space, space._pos, tail[t], x).items():
+            new, sgn = tail[:t] + (c,) + tail[t + 1 :], 1
+            if space.kind != "tensor":
+                new, sgn = sort_wedge(new)
+            if sgn:
+                accumulate(out, head + new, s * sgn)
+    return out
+
+
 def act(x: int, chain: Chain) -> Chain:
     """Right action of basis element x on a chain, i.e. the derivation m -> [m, x]."""
     space = chain.space
-    out: dict[Word, Fraction] = {}
-
-    def add(word: Word, coeff: Fraction) -> None:
-        if coeff:
-            out[word] = out.get(word, Fraction(0)) + coeff
-
-    if space.kind == "tensor":
-        for word, coeff in chain.coeffs.items():
-            for t in range(len(word)):
-                for c, s in _bracket_checked(space, space._pos, word[t], x).items():
-                    add(word[:t] + (c,) + word[t + 1 :], coeff * s)
-    elif space.kind == "wedge":
-        for word, coeff in chain.coeffs.items():
-            for t in range(len(word)):
-                for c, s in _bracket_checked(space, space._pos, word[t], x).items():
-                    neww, sgn = sort_wedge(word[:t] + (c,) + word[t + 1 :])
-                    if sgn:
-                        add(neww, coeff * s * sgn)
-    else:
-        for word, coeff in chain.coeffs.items():
-            lead, tail = word[0], word[1:]
-            for c, s in _bracket_checked(space, space._lead_pos, lead, x).items():
-                add((c,) + tail, coeff * s)
-            for t in range(len(tail)):
-                for c, s in _bracket_checked(space, space._pos, tail[t], x).items():
-                    neww, sgn = sort_wedge(tail[:t] + (c,) + tail[t + 1 :])
-                    if sgn:
-                        add((lead,) + neww, coeff * s * sgn)
-    return Chain(space, {w: c for w, c in out.items() if c})
-
-
-def act_tensor(x: int, chain: Chain) -> Chain:
-    if chain.space.kind != "tensor":
-        raise SpaceMismatchError("act_tensor expects a tensor chain")
-    return act(x, chain)
-
-
-def act_wedge(x: int, chain: Chain) -> Chain:
-    if chain.space.kind != "wedge":
-        raise SpaceMismatchError("act_wedge expects a wedge chain")
-    return act(x, chain)
-
-
-def act_mixed(x: int, chain: Chain) -> Chain:
-    if chain.space.kind != "mixed":
-        raise SpaceMismatchError("act_mixed expects a mixed chain")
-    return act(x, chain)
+    return chain.map(lambda word: act_word(space, x, word), space)
 
 
 def assemble_action(space: Space, x: int):
     """The action of x as an assembled sparse matrix (dict (row, col) -> coeff).
 
-    Agrees column-for-column with the matrix-free path: column j is
-    act(x, word_j) expressed in rank coordinates.
+    Column j is ``act_word(space, x, word_j)`` in rank coordinates, so it
+    agrees column for column with ``act``.
     """
     entries: dict[tuple[int, int], Coeff] = {}
     for j in range(space.dim):
-        image = act(x, space.basis_chain(space.unrank_word(j)))
-        for w, c in image.coeffs.items():
+        for w, c in act_word(space, x, space.unrank_word(j)).items():
             entries[(space.rank_word(w), j)] = c
     return entries
 
@@ -496,12 +479,8 @@ def tensor_to_wedge(chain: Chain, target: Optional[Space] = None) -> Chain:
         raise SpaceMismatchError("tensor_to_wedge expects a tensor chain")
     if target is None:
         target = Space(chain.space.algebra, "wedge", chain.space.degree, chain.space.factors)
-    out: dict[Word, Fraction] = {}
-    for word, coeff in chain.coeffs.items():
-        neww, sgn = sort_wedge(word)
-        if sgn:
-            out[neww] = out.get(neww, Fraction(0)) + coeff * sgn
-    return Chain(target, {w: c for w, c in out.items() if c})
+    # sort_wedge gives (sorted word, sign); a repeated factor has sign 0 and drops out
+    return chain.map(lambda word: dict([sort_wedge(word)]), target)
 
 
 def random_chain(space: Space, rng, terms: int = 4, coeff_range: int = 5) -> Chain:

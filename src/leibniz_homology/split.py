@@ -26,6 +26,7 @@ from .liealg import (
     RotationX,
     Signature,
     Translation,
+    accumulate,
     build_affine,
     build_so,
     so_labels,
@@ -49,14 +50,6 @@ def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> Ge
         for k, c in sorted(vec.items())
     )
     return GenericLabel(text.lstrip("+"))
-
-
-def _accumulate(out: dict[int, int], key: int, v: int) -> None:
-    nv = out.get(key, 0) + v
-    if nv:
-        out[key] = nv
-    else:
-        out.pop(key, None)
 
 
 def split_form(alg: LieAlgebra) -> LieAlgebra:
@@ -131,8 +124,8 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
         sx = _pair_sign(a, b, p)
         for w in range(nt):
             vec: dict[int, int] = {}
-            _accumulate(vec, b, sx * gram[a][w])
-            _accumulate(vec, a, -sx * gram[b][w])
+            accumulate(vec, b, sx * gram[a][w])
+            accumulate(vec, a, -sx * gram[b][w])
             put(x, w, vec)
         for (c, d), y in pos.items():
             if y <= x:
@@ -143,7 +136,7 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
             ):
                 if coef and u != v:
                     e, t = wedge(u, v)
-                    _accumulate(vec, e, sx * _pair_sign(c, d, p) * coef * t)
+                    accumulate(vec, e, sx * _pair_sign(c, d, p) * coef * t)
             put(x, y, vec)
 
     # the images in the standard basis, and the grades
@@ -159,7 +152,7 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
                     lo, hi = min(k, l), max(k, l)
                     lab = BoostY(lo + 1, hi + 1) if lo < p <= hi else RotationX(lo + 1, hi + 1)
                     sign = _pair_sign(a, b, p) * _pair_sign(lo, hi, p) * (1 if k < l else -1)
-                    _accumulate(img, alg.index(lab), sign * u * v)
+                    accumulate(img, alg.index(lab), sign * u * v)
         images.append(img)
         weight = tuple(x + y for x, y in zip(weights[a], weights[b]))
         grades.append((0,) + weight + (bits[a] ^ bits[b],))
@@ -179,12 +172,12 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
             mapped: dict[int, int] = {}
             for c, v in split.bracket(x, y).items():
                 for k, t in images[c].items():
-                    _accumulate(mapped, k, v * t)
+                    accumulate(mapped, k, v * t)
             direct: dict[int, Coeff] = {}
             for i, u in images[x].items():
                 for j, v in images[y].items():
                     for k, t in alg.bracket(i, j).items():
-                        _accumulate(direct, k, u * v * t)
+                        accumulate(direct, k, u * v * t)
             if mapped != direct:
                 raise fail(
                     f"[{labels[x]}, {labels[y]}] maps to {_expansion_label(mapped, alg.labels)}, "

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import complexes, invariants, liealg, repspace
 from .homology import (
@@ -197,16 +197,18 @@ def _dim_table(
     suite: _Suite,
     check_id: str,
     claim: str,
-    h,
     so,
+    module: str,
     space_maker: Callable[[int], repspace.Space],
-    expected: Callable[[int], Optional[int]],
-    ks: Sequence[int],
+    n: int,
 ) -> None:
+    """The invariant dimensions of ``space_maker(k)`` for k = 0..n against
+    ``invariants.expected_invariant_dim(module, n, k)``."""
+    ks = range(0, n + 1)
     got, want, reported = [], [], []
     for k in ks:
         dim = invariants.invariant_subspace(so, space_maker(k)).dim
-        exp = expected(k)
+        exp = invariants.expected_invariant_dim(module, n, k)
         got.append(dim)
         want.append(exp)
         if exp is None:
@@ -228,36 +230,34 @@ def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optio
         suite,
         "invariants.wedge_table",
         "invariants of the wedge powers of the translations are 1-dimensional at k=0 and k=n, zero otherwise",
-        h,
         so,
+        "wedge",
         lambda k: wedge_space(h, k),
-        lambda k: 1 if k in (0, n) else 0,
-        range(0, n + 1),
+        n,
     )
     _dim_table(
         suite,
         "invariants.vector_wedge_table",
         "invariants of translations ⊗ wedge^k are 1-dimensional at k=1 and k=n-1, zero otherwise",
-        h,
         so,
+        "I*wedge",
         lambda k: mixed_space(h, k, lead=h.translation_indices),
-        lambda k: 1 if k in (1, n - 1) else 0,
-        range(0, n + 1),
+        n,
     )
     _dim_table(
         suite,
         "invariants.so_wedge_table",
         "invariants of so ⊗ wedge^k are 1-dimensional at k=2 and k=n-2, zero otherwise",
-        h,
         so,
+        "so*wedge",
         lambda k: mixed_space(h, k, lead=h.so_indices),
-        lambda k: (None if (n == 4 and k == 2) else (1 if k in (2, n - 2) else 0)),
-        range(0, n + 1),
+        n,
     )
     suite.record(
         "invariants.adjoint_trivial",
         "the adjoint module of so(p,q) has no invariants",
-        invariants.invariant_subspace(so, tensor_space(h, 1, factors=h.so_indices)).dim == 0,
+        invariants.invariant_subspace(so, tensor_space(h, 1, factors=h.so_indices)).dim
+        == invariants.expected_invariant_dim("so", n),
     )
 
     named = {

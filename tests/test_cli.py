@@ -158,6 +158,15 @@ def test_env_var_overrides(monkeypatch, tmp_path):
     assert data["environment"]["seed"] == 99
 
 
+@pytest.mark.parametrize("name", ["SEED", "PRIMES", "CAP_EXACT", "CAP_MODULAR"])
+def test_malformed_env_var_is_usage_error(monkeypatch, capsys, name):
+    monkeypatch.setenv("LEIBNIZ_HOMOLOGY_" + name, "abc")
+    assert run(["homology", "--abelian", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: LEIBNIZ_HOMOLOGY_{name}: cannot read 'abc' as int"]
+
+
 @pytest.mark.slow
 def test_verify_paper_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"

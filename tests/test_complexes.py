@@ -25,7 +25,6 @@ from leibniz_homology import (
     resolve_gamma_tilde_sign,
     tensor_space,
     tensor_to_wedge,
-    wedge_boundary,
 )
 from leibniz_homology.complexes import LodayBoundary, check_dd_zero
 from leibniz_homology.homology import _rank_exact_blocks
@@ -208,12 +207,13 @@ def test_antisymmetrization_intertwines(h22, rng):
     # projection to the wedge power turns the Loday boundary into minus the
     # trivial-coefficient CE boundary
     op = LodayBoundary(h22)
+    wedge = WedgeBoundary(h22, range(h22.dim))
     for k in (2, 3, 4):
         sp = tensor_space(h22, k)
         for _ in range(25):
             c = random_chain(sp, rng)
             lhs = tensor_to_wedge(op.apply(c))
-            rhs = wedge_boundary(tensor_to_wedge(c))
+            rhs = wedge.apply(tensor_to_wedge(c))
             assert (lhs + rhs).is_zero()
 
 
