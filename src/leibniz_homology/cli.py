@@ -142,26 +142,29 @@ def cmd_algebra(args) -> int:
     return EXIT_OK if rep_so.ok and rep_h.ok else EXIT_CHECK_FAILED
 
 
-def _parse_module(desc: str, sig: Signature) -> tuple[Space, Optional[int]]:
-    """Descriptor -> (space, expected dimension or None)."""
+def _parse_module(desc: str, sig: Signature) -> tuple[Space, Optional[int], str]:
+    """Descriptor -> (space, expected dimension or None, note on the value);
+    every field must be read, so a trailing field is a usage error."""
     h = build_affine(sig)
     n = sig.n
-    parts = desc.split(":")
+    name, *fields = desc.split(":")
     try:
-        if parts[0] == "wedge" and parts[1] == "I":
-            k = int(parts[2])
-            return wedge_space(h, k), expected_invariant_dim("wedge", n, k)
-        if parts[0] == "tensor" and parts[1] == "h":
-            return tensor_space(h, int(parts[2])), None
-        if parts[0] == "I*wedge":
-            k = int(parts[1])
-            return mixed_space(h, k, lead=h.translation_indices), expected_invariant_dim("I*wedge", n, k)
-        if parts[0] == "so*wedge":
-            k = int(parts[1])
-            return mixed_space(h, k, lead=h.so_indices), expected_invariant_dim("so*wedge", n, k)
-        if parts[0] == "so" and len(parts) == 1:
-            return tensor_space(h, 1, factors=h.so_indices), expected_invariant_dim("so", n)
-    except (IndexError, ValueError):
+        if name == "wedge" and len(fields) == 2 and fields[0] == "I":
+            k = int(fields[1])
+            return wedge_space(h, k), expected_invariant_dim("wedge", n, k), ""
+        if name == "tensor" and len(fields) == 2 and fields[0] == "h":
+            return tensor_space(h, int(fields[1])), None, ""
+        if name in ("I*wedge", "so*wedge") and len(fields) == 1:
+            k = int(fields[0])
+            lead = h.translation_indices if name == "I*wedge" else h.so_indices
+            expected = expected_invariant_dim(name, n, k)
+            note = ""
+            if expected is None:  # so ⊗ Λ^2 at n = 4
+                note = " (expected 2 by direct computation; the k=2 / k=n-2 statements coincide here)"
+            return mixed_space(h, k, lead=lead), expected, note
+        if name == "so" and not fields:
+            return tensor_space(h, 1, factors=h.so_indices), expected_invariant_dim("so", n), ""
+    except ValueError:
         pass
     raise UsageError(
         f"cannot parse module descriptor {desc!r} "
@@ -171,14 +174,11 @@ def _parse_module(desc: str, sig: Signature) -> tuple[Space, Optional[int]]:
 
 def cmd_invariants(args) -> int:
     sig = _signature(args)
-    space, expected = _parse_module(args.module, sig)
+    space, expected, flag = _parse_module(args.module, sig)
     so = build_so(sig)
     basis = invariant_subspace(so, space)
-    flag = ""
     if expected is not None:
         flag = f" (expected {expected}: {'match' if basis.dim == expected else 'MISMATCH'})"
-    elif sig.n == 4 and args.module == "so*wedge:2":
-        flag = " (expected 2 by direct computation; the k=2 / k=n-2 statements coincide here)"
     print(f"invariants of {args.module} under so{sig}: dim {basis.dim}{flag}")
     for chain in basis.basis:
         print("  ", chain)

@@ -26,7 +26,16 @@ Loday boundary preserves the grade of a word and d_k splits into one block
 per grade of the degree-k words, each indexed by a ``GradeBlock``; its ranks
 and solves run block by block.  A Loday boundary built with ``keep`` has
 only the blocks whose grades it accepts, and its ``dim`` counts their
-words.  A CE boundary has one block per degree, its whole chain space.
+words.  Built with ``symmetries`` as well, a finite group G of signed letter
+permutations that are automorphisms of the algebra and fix every kept
+grade, it has the orbit sums of those blocks instead (``OrbitBlock``): G
+commutes with d, so over Q the average over G is a chain projection onto
+them, and when G acts trivially on homology they carry all of it.  An
+orbit whose stabiliser acts by -1 sums to 0 and is dropped.  The column of
+an orbit is the boundary of its lex-least word with every term replaced by
+± its representative: the matrix of d on the orbit sums up to positive
+row and column scales (stabiliser orders), so it has the same rank.  A CE
+boundary has one block per degree, its whole chain space.
 Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
 blocks.  A block's columns are sorted ``(row, value)`` lists, the one column
 format both rank engines of ``linalg`` read: ``columns()`` streams them to
@@ -40,6 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .liealg import Coeff, Grade, LieAlgebra, accumulate
@@ -47,8 +57,10 @@ from .linalg import DEFAULT_CAP_EXACT, CapExceededError, SparseMatrix, solve
 from .repspace import (
     Chain,
     GradeBlock,
+    OrbitBlock,
     Space,
     SpaceMismatchError,
+    Symmetry,
     _perm_sign,
     graded_words,
     mixed_space,
@@ -70,7 +82,7 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-WordIndex = Union[GradeBlock, Space]
+WordIndex = Union[GradeBlock, OrbitBlock, Space]
 
 
 @dataclass(slots=True)
@@ -141,14 +153,26 @@ class LodayBoundary(_Boundary):
     ``apply`` also takes chains of a tensor power restricted to some factors;
     their boundary words may leave that set, so the image lies in the full
     power.  With ``keep``, ``blocks`` and ``dim`` see only the grades it
-    accepts; ``apply`` and ``space`` still cover the whole complex.
+    accepts.  With ``symmetries``, a group of signed letter permutations
+    that commutes with the boundary and fixes every kept grade, they see the
+    subcomplex of orbit sums (``OrbitBlock``): a block's column is the
+    boundary of an orbit's representative, each term replaced by its
+    representative with its sign.  ``apply`` and ``space`` still cover the
+    whole complex.
     """
 
     kind = "tensor"
 
-    def __init__(self, algebra: LieAlgebra, keep: Optional[Callable[[Grade], bool]] = None):
+    def __init__(
+        self,
+        algebra: LieAlgebra,
+        keep: Optional[Callable[[Grade], bool]] = None,
+        symmetries: Optional[Sequence[Symmetry]] = None,
+    ):
         self.algebra = algebra
         self.keep = keep
+        self.symmetries = symmetries
+        self._indices: dict[tuple[int, Grade], WordIndex] = {}
 
     def space(self, k: int) -> Space:
         return tensor_space(self.algebra, k)
@@ -178,22 +202,38 @@ class LodayBoundary(_Boundary):
         words = graded_words(self.algebra.grades)
         return [g for g in words.grades_of_length(k) if self.keep is None or self.keep(g)]
 
+    def word_index(self, k: int, grade: Grade) -> WordIndex:
+        """The index of the degree-k words of this grade: a ``GradeBlock``,
+        or its ``OrbitBlock`` with ``symmetries``, built once."""
+        index = self._indices.get((k, grade))
+        if index is None:
+            index = GradeBlock(graded_words(self.algebra.grades), k, grade)
+            if self.symmetries is not None:
+                index = OrbitBlock(index, self.symmetries)
+            self._indices[(k, grade)] = index
+        return index
+
     def dim(self, k: int) -> int:
-        words = graded_words(self.algebra.grades)
-        return sum(words.count(k, g) for g in self._grades(k))
+        return sum(self.word_index(k, g).dim for g in self._grades(k))
 
     def blocks(self, k: int) -> list[BoundaryBlock]:
         """Grade blocks of d_k, one per kept grade of the degree-k words,
         sorted; none below degree 2 (d_1 is the zero map)."""
         if k < 2:
             return []
-        words = graded_words(self.algebra.grades)
-        return [
-            BoundaryBlock(
-                g, GradeBlock(words, k, g), GradeBlock(words, k - 1, g), self.word_boundary
-            )
-            for g in self._grades(k)
-        ]
+        out = []
+        for g in self._grades(k):
+            cols, rows = self.word_index(k, g), self.word_index(k - 1, g)
+            column = self.word_boundary
+            if self.symmetries is not None:
+                column = partial(self._orbit_boundary, rows)
+            out.append(BoundaryBlock(g, cols, rows, column))
+        return out
+
+    def _orbit_boundary(self, rows: OrbitBlock, word: Word) -> dict[Word, Coeff]:
+        """The boundary of an orbit's representative, on the representatives
+        of ``rows``."""
+        return rows.reduce(self.word_boundary(word))
 
     def matrix(self, k: int, cap: int = 200_000) -> SparseMatrix:
         """The degree-k boundary as a sparse matrix (rows: degree k-1 words)."""

@@ -15,11 +15,19 @@ basis diagonalises the split torus Y(i,p+i), i <= min(p,q), with integer
 weights; every element acts trivially on homology, so every grade block of
 nonzero torus weight is acyclic, and so is every block that one of the
 sign flips commuting with the torus (in the identity component) negates.
-Only the blocks of weight 0 and trivial flip character are ranked: at
-h(2,2) that is 4,992 of the 10^5 columns of d_5.  ``dim`` counts the kept
-words, and the report records the torus, the flips and the kept parities.
-At q = 0 there is no torus and the kept blocks are those of the flips alone.
-Every other algebra, and every CE complex, keeps all blocks.
+Only the blocks of weight 0 and trivial flip character are kept.  The
+identity component SO_0(p,q) acts trivially on homology too
+(Loday-Pirashvili), and with it the finite group of signed permutations of
+R^n with det +1 on each block of the form that map the split basis to
+itself up to sign.  Over Q the average over that group is a chain
+projection, so the subcomplex of orbit sums of the kept blocks has their
+homology, and only it is ranked (``complexes.LodayBoundary`` with
+``symmetries``); an orbit whose stabiliser acts by -1 sums to 0.  At
+h(2,2) d_5 has 1,240 orbit columns, of 4,992 kept and 10^5 in all.  ``dim``
+counts the orbits, and the report records the torus, the flips, the kept
+parities and the group order.  At q = 0 there is no torus and the kept
+blocks are those of the flips alone.  Every other algebra, and every CE
+complex, keeps all blocks and every word.
 
 The rank of d_k is the sum of its block ranks: exact (streaming elimination
 over Q) when the ranked blocks have at most ``cap_exact`` columns together,
@@ -175,7 +183,8 @@ class BettiReport:
             torus = ", ".join(map(str, red.torus)) or "no torus"
             lines.append(
                 f"  reduced to torus weight 0 under {torus} and the parities "
-                f"{list(red.kept)} fixed by the sign flips {list(red.flips)}"
+                f"{list(red.kept)} fixed by the sign flips {list(red.flips)}, "
+                f"as orbit sums under a group of order {len(red.symmetries)}"
             )
         if self.capped_at is not None:
             lines.append(f"  capped at degree {self.capped_at}: {self.cap_message}")
@@ -258,12 +267,14 @@ def _boundary_rank(op, k: int, opts: HomologyOptions, primes: Sequence[int]) -> 
 
 def _boundary(algebra: LieAlgebra, kind: str, reduction: Optional[SplitReduction]):
     """The boundary operator of the complex: Loday on the tensor powers (the
-    kept blocks of the split form, if reduced), or CE on h ⊗ Λ^k
-    (translations) for algebras with translations, and with trivial
+    orbit sums of the kept blocks of the split form, if reduced), or CE on
+    h ⊗ Λ^k (translations) for algebras with translations, and with trivial
     coefficients on Λ^k h otherwise."""
     if kind == "loday":
         if reduction is not None:
-            return LodayBoundary(reduction.algebra, keep=reduction.keeps)
+            return LodayBoundary(
+                reduction.algebra, keep=reduction.keeps, symmetries=reduction.symmetries
+            )
         return LodayBoundary(algebra)
     if kind != "ce":
         raise ValueError(f"unknown complex kind {kind!r}")
@@ -285,8 +296,8 @@ def homology_dims(
     For the Loday complex of an affine algebra with n >= 4 (n basis elements
     of translation count 1) the report carries the predicted dimension series
     and per-degree match flags.  The Loday complex of ``build_affine``/
-    ``build_so`` runs on the kept blocks of its split form only
-    (``reduction`` in the report).  A cap hit produces a partial report
+    ``build_so`` runs on the orbit sums of the kept blocks of its split
+    form only (``reduction`` in the report).  A cap hit produces a partial report
     (``capped_at`` set) rather than an exception.  A negative ``max_degree``
     raises ``ValueError``.
     """

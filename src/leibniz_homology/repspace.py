@@ -12,7 +12,9 @@ two, so its rank/unrank are O(degree) without lookup tables.  A
 graded algebra, by rank/unrank over the suffix counts of ``GradedWords``,
 keyed by the grade tuples themselves: from the block's root state, one
 lookup per letter to rank and one bisect per letter to unrank, each
-stepping to the state of the suffix.
+stepping to the state of the suffix.  An ``OrbitBlock`` indexes the orbit
+sums of one grade block under a group of signed letter permutations, by
+the lex-least word of each orbit.
 
 Every linear map on chains is one word map, the image of one word as a
 sparse dict, extended linearly by ``Chain.map``: ``act`` extends
@@ -35,6 +37,7 @@ __all__ = [
     "Space",
     "GradedWords",
     "GradeBlock",
+    "OrbitBlock",
     "graded_words",
     "Chain",
     "SpaceMismatchError",
@@ -283,6 +286,78 @@ class GradeBlock:
 
     def __repr__(self) -> str:
         return f"GradeBlock(length={self.length}, grade={self.grade}, dim={self.dim})"
+
+
+Symmetry = tuple[tuple[int, ...], tuple[int, ...]]  # letter permutation, letter signs
+
+
+class OrbitBlock:
+    """The orbit sums of one ``GradeBlock`` under a finite group acting on
+    letters by signed permutations, indexed as in ``GradeBlock``.
+
+    An element (perm, signs) sends a word a_1...a_L to
+    signs[a_1]···signs[a_L]·perm[a_1]...perm[a_L]; the group must map the
+    block to itself and contain the identity.  An orbit whose stabiliser
+    acts on a word by -1 has orbit sum 0 and is dropped; every other orbit
+    is indexed by its lex-least word, in lexicographic order.
+    ``canonical(word)`` gives (representative, ±1) with word = ±1·(an image
+    of the representative), or None on a dropped orbit, and caches only the
+    words it is asked for.
+    """
+
+    __slots__ = ("length", "grade", "dim", "_symmetries", "_reps", "_rank", "_canon")
+
+    def __init__(self, block: GradeBlock, symmetries: Sequence[Symmetry]):
+        self.length = block.length
+        self.grade = block.grade
+        self._symmetries = tuple(symmetries)
+        self._reps = [w for w in map(block.unrank_word, range(block.dim)) if self._is_rep(w)]
+        self._rank = {w: r for r, w in enumerate(self._reps)}
+        self.dim = len(self._reps)
+        self._canon: dict[Word, Optional[tuple[Word, int]]] = {}
+
+    def _is_rep(self, word: Word) -> bool:
+        """Is ``word`` lex-least in its orbit, and the orbit kept?"""
+        for perm, signs in self._symmetries:
+            image = tuple(map(perm.__getitem__, word))
+            if image < word:
+                return False
+            if image == word and math.prod(map(signs.__getitem__, word)) < 0:
+                return False
+        return True
+
+    def canonical(self, word: Word) -> Optional[tuple[Word, int]]:
+        if word in self._canon:
+            return self._canon[word]
+        best, sign = None, 0
+        for perm, signs in self._symmetries:
+            image = tuple(map(perm.__getitem__, word))
+            s = math.prod(map(signs.__getitem__, word))
+            if best is None or image < best:
+                best, sign = image, s
+            elif image == best and s != sign:
+                sign = 0  # the stabiliser of ``best`` has an element acting by -1
+        out = self._canon[word] = (best, sign) if sign else None
+        return out
+
+    def reduce(self, terms: Mapping[Word, Coeff]) -> dict[Word, Coeff]:
+        """A combination of this block's words as a combination of its
+        representatives; the terms of dropped orbits vanish."""
+        out: dict[Word, Coeff] = {}
+        for word, v in terms.items():
+            hit = self.canonical(word)
+            if hit is not None:
+                accumulate(out, hit[0], hit[1] * v)
+        return out
+
+    def rank_word(self, word: Word) -> int:
+        return self._rank[word]
+
+    def unrank_word(self, r: int) -> Word:
+        return self._reps[r]
+
+    def __repr__(self) -> str:
+        return f"OrbitBlock(length={self.length}, grade={self.grade}, dim={self.dim})"
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

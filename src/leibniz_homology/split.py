@@ -6,14 +6,25 @@ i <= r = min(p,q), again with integer structure constants, graded by
 translation count, torus weights and parity.  ``split_reduction`` names the
 grade blocks of its Loday complex that can carry homology: torus weight 0
 and trivial character under the sign flips that commute with the torus.
-``homology.homology_dims`` imports this module on its first reduced run, so
-importing the package does not load it.
+It also builds, once per signature, the finite group whose orbit sums of
+those blocks carry all of their homology: the signed permutations of R^n
+that keep the p-block and the q-block with det +1 on each and map every
+split vector b_k to ±b_k', acting on the split form's letters by signed
+permutations.  They lie in SO(p)×SO(q), inside the identity component
+SO_0(p,q), which acts trivially on HL_* (Loday–Pirashvili); over Q the
+average over the group is then a chain projection with the same homology.
+Without the det condition this fails: with O(p)×O(q) the n = 4 tables lose
+their classes in degrees 3 and 4.  ``homology.homology_dims`` imports this
+module on its first reduced run, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations, product
+from math import prod
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .liealg import (
@@ -32,6 +43,7 @@ from .liealg import (
     so_labels,
 )
 from .linalg import ExactEliminator
+from .repspace import Symmetry, _perm_sign
 
 __all__ = ["SplitReduction", "split_form", "split_reduction"]
 
@@ -43,6 +55,11 @@ def _pair_sign(k: int, l: int, p: int) -> int:
     return 1 if l < p else -1
 
 
+def _so_label(k: int, l: int, p: int) -> BasisLabel:
+    """The X or Y label of the 0-based pair k < l."""
+    return BoostY(k + 1, l + 1) if k < p <= l else RotationX(k + 1, l + 1)
+
+
 def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> GenericLabel:
     """A label spelling out a combination of standard basis elements."""
     text = "".join(
@@ -50,6 +67,30 @@ def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> Ge
         for k, c in sorted(vec.items())
     )
     return GenericLabel(text.lstrip("+"))
+
+
+def _split_vectors(sig: Signature) -> tuple[list[dict[int, int]], list[tuple[int, ...]], list[int]]:
+    """The split basis b_k of R^n in standard coordinates (0-based), with the
+    torus weights and parity bit of each: b_i = e_i + e_{p+i} (weight +1 in
+    coordinate i) and b_{p+i} = e_i - e_{p+i} (weight -1), both on bit i,
+    for i < r = min(p,q); b_k = e_k on bit k for unpaired k."""
+    p, n = sig.p, sig.n
+    r = min(p, sig.q)
+    vecs: list[dict[int, int]] = []
+    weights: list[tuple[int, ...]] = []
+    bits: list[int] = []
+    for k in range(n):
+        w = [0] * r
+        if k < r:
+            vec, bit, w[k] = {k: 1, p + k: 1}, k, 1
+        elif p <= k < p + r:
+            vec, bit, w[k - p] = {k - p: 1, k: -1}, k - p, -1
+        else:
+            vec, bit = {k: 1}, k
+        vecs.append(vec)
+        weights.append(tuple(w))
+        bits.append(1 << bit)
+    return vecs, weights, bits
 
 
 def split_form(alg: LieAlgebra) -> LieAlgebra:
@@ -79,6 +120,12 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     their weights, and every element's parity and count are those of its
     standard terms.
     """
+    return _split_basis(alg)[0]
+
+
+def _split_basis(alg: LieAlgebra) -> tuple[LieAlgebra, list[dict[int, int]]]:
+    """``split_form(alg)`` and the image of each of its elements in the
+    standard basis of ``alg``."""
     sig = alg.sig
     so = so_labels(sig) if sig is not None and sig.n >= 2 else []
     nt = sig.n if so and alg.translation_indices else 0
@@ -88,21 +135,7 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     p, n = sig.p, sig.n
     r = min(p, sig.q)
     pairs = [(lab.i - 1, lab.j - 1) for lab in so]
-
-    vecs: list[dict[int, int]] = []
-    weights: list[tuple[int, ...]] = []
-    bits: list[int] = []
-    for k in range(n):
-        w = [0] * r
-        if k < r:
-            vec, bit, w[k] = {k: 1, p + k: 1}, k, 1
-        elif p <= k < p + r:
-            vec, bit, w[k - p] = {k - p: 1, k: -1}, k - p, -1
-        else:
-            vec, bit = {k: 1}, k
-        vecs.append(vec)
-        weights.append(tuple(w))
-        bits.append(1 << bit)
+    vecs, weights, bits = _split_vectors(sig)
     metric = [1] * p + [-1] * (n - p)
     gram = [[sum(metric[k] * c * v.get(k, 0) for k, c in u.items()) for v in vecs] for u in vecs]
     pos = {pair: nt + t for t, pair in enumerate(pairs)}
@@ -150,7 +183,7 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
             for l, v in vecs[b].items():
                 if k != l:
                     lo, hi = min(k, l), max(k, l)
-                    lab = BoostY(lo + 1, hi + 1) if lo < p <= hi else RotationX(lo + 1, hi + 1)
+                    lab = _so_label(lo, hi, p)
                     sign = _pair_sign(a, b, p) * _pair_sign(lo, hi, p) * (1 if k < l else -1)
                     accumulate(img, alg.index(lab), sign * u * v)
         images.append(img)
@@ -197,7 +230,7 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
             w = split.grades[x][1 + i]
             if split.bracket(t, x) != ({x: 2 * w} if w else {}):
                 raise fail(f"{labels[t]} does not act on {labels[x]} by twice its weight {w}")
-    return split
+    return split, images
 
 
 @dataclass(frozen=True)
@@ -217,13 +250,17 @@ class SplitReduction:
     vanish, ``flips`` generating masks of those flips on the split parities
     (bit i for ε_i, i <= r standing for ε_{p+i} too) and ``kept`` the
     parities on which every flip is +1.  A block is kept when its weights
-    are all 0 and its parity is kept.
+    are all 0 and its parity is kept.  ``symmetries`` is the group of the
+    module docstring as (letter permutation, letter signs), one element per
+    letter permutation, the identity first; every element fixes every kept
+    grade, so it acts on each kept block (``repspace.OrbitBlock``).
     """
 
     algebra: LieAlgebra = field(compare=False, repr=False)
     torus: tuple[BasisLabel, ...]
     flips: tuple[int, ...]
     kept: tuple[int, ...]
+    symmetries: tuple[Symmetry, ...] = field(compare=False, repr=False)
 
     def keeps(self, grade: Grade) -> bool:
         return grade[-1] in self.kept and not any(grade[1:-1])
@@ -233,6 +270,7 @@ class SplitReduction:
             "torus": [str(t) for t in self.torus],
             "flips": list(self.flips),
             "kept_parities": list(self.kept),
+            "group_order": len(self.symmetries),
         }
 
 
@@ -263,7 +301,8 @@ def _even(mask: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
-    split = split_form(build_affine(sig) if affine else build_so(sig))
+    alg = build_affine(sig) if affine else build_so(sig)
+    split, images = _split_basis(alg)
     p, n = sig.p, sig.n
     r = min(p, sig.q)
     free = ((1 << n) - 1) ^ (((1 << r) - 1) << p)  # the bits a split parity can have
@@ -278,4 +317,161 @@ def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
             span |= {x ^ m for x in span}
     kept = tuple(m for m in masks if all(_even(m & f) for f in flips))
     torus = tuple(BoostY(i, p + i) for i in range(1, r + 1))
-    return SplitReduction(split, torus, tuple(flips), kept)
+    group = _symmetry_group(alg, split, images, span, kept)
+    return SplitReduction(split, torus, tuple(flips), kept, group)
+
+
+def _symmetry_group(
+    alg: LieAlgebra,
+    split: LieAlgebra,
+    images: Sequence[Mapping[int, int]],
+    flips: set[int],
+    kept: Sequence[int],
+) -> tuple[Symmetry, ...]:
+    """The signed permutations of R^n in SO(p)×SO(q) that map each split
+    vector to ± a split vector, as actions on the letters of ``split``, one
+    per letter permutation, sorted (the identity first).
+
+    ``flips`` is the group of the reduction's flips, as masks.  The first
+    element with a letter permutation is checked in full
+    (``_check_symmetry``); every later one must differ from it by one of
+    the flips, which is +1 on every kept grade, or ``ValueError`` is raised.
+    """
+    sig = alg.sig
+    p, n = sig.p, sig.n
+    r = min(p, sig.q)
+    flip_signs = {tuple(1 if _even(f & g[-1]) else -1 for g in split.grades) for f in flips}
+    letters = _signed_lookup(images)
+    group: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for head in permutations(range(p)):
+        for tail in permutations(range(p, n)):
+            perm = head + tail
+            # b_i = e_i + e_{p+i} must go to ±b_j or ±b_{p+j}: pairs go to pairs
+            if any(perm[i] >= r or perm[p + i] != p + perm[i] for i in range(r)):
+                continue
+            dets = (_perm_sign(head), _perm_sign([t - p for t in tail]))
+            for signs in product((1, -1), repeat=n):
+                if (prod(signs[:p]), prod(signs[p:])) != dets:
+                    continue
+                (letter_perm, letter_signs), moved = _symmetry(alg, letters, perm, signs)
+                if letter_perm not in group:
+                    _check_symmetry(split, kept, (letter_perm, letter_signs), moved)
+                    group[letter_perm] = letter_signs
+                elif tuple(map(mul, group[letter_perm], letter_signs)) not in flip_signs:
+                    raise ValueError(
+                        f"two symmetries of {split.name} with one letter permutation "
+                        "differ by more than a sign flip"
+                    )
+    return tuple(sorted(group.items()))
+
+
+def _signed_lookup(vectors: Sequence[Mapping[int, int]]) -> dict[frozenset, tuple[int, int]]:
+    """Each vector and its negative, keyed by its entries: (position, ±1)."""
+    out = {}
+    for k, vec in enumerate(vectors):
+        out[frozenset(vec.items())] = (k, 1)
+        out[frozenset((j, -c) for j, c in vec.items())] = (k, -1)
+    return out
+
+
+def _symmetry(
+    alg: LieAlgebra,
+    letters: Mapping[frozenset, tuple[int, int]],
+    perm: Sequence[int],
+    signs: Sequence[int],
+) -> tuple[Symmetry, list[tuple[int, int]]]:
+    """The action of e_k -> signs[k]·e_{perm[k]} (0-based) on the letters of
+    the split form of ``alg``, whose standard images ``letters`` looks up
+    (``_signed_lookup``), and on its split vectors: b_k -> ±b_k' as (k', ±1).
+
+    Raises ``ValueError`` unless the map keeps the p-block and the q-block
+    with det +1 on each, and maps each split vector to ± a split vector and
+    each letter to ± a letter.
+    """
+    sig = alg.sig
+    p, n = sig.p, sig.n
+
+    def fail(message: str) -> ValueError:
+        return ValueError(
+            f"the map e_k -> s_k e_π(k) with π = {list(perm)}, s = {list(signs)} "
+            f"on {alg.name} {message}"
+        )
+
+    for block in (range(p), range(p, n)):
+        if sorted(perm[k] for k in block) != list(block):
+            raise fail(f"does not keep the block {list(block)}")
+        if _perm_sign([perm[k] - block.start for k in block]) * prod(signs[k] for k in block) != 1:
+            raise fail(f"has det -1 on the block {list(block)}")
+    vecs = _split_vectors(sig)[0]
+    where = _signed_lookup(vecs)
+    moved = [where.get(frozenset((perm[j], signs[j] * c) for j, c in v.items())) for v in vecs]
+    if None in moved:
+        raise fail("maps a split vector to no split vector up to sign")
+
+    # the standard letters, then the split letters through their images
+    std: dict[int, tuple[int, int]] = {}
+    if alg.translation_indices:
+        for k in range(n):
+            std[alg.index(Translation(k + 1))] = (alg.index(Translation(perm[k] + 1)), signs[k])
+    for lab in so_labels(sig):
+        a, b = perm[lab.i - 1], perm[lab.j - 1]
+        s = signs[lab.i - 1] * signs[lab.j - 1] * (1 if a < b else -1)
+        std[alg.index(lab)] = (alg.index(_so_label(min(a, b), max(a, b), p)), s)
+    letter_perm, letter_signs = [0] * alg.dim, [0] * alg.dim
+    for img, (x, sign) in letters.items():
+        if sign == 1:
+            hit = letters.get(frozenset((std[k][0], std[k][1] * c) for k, c in img))
+            if hit is None:
+                raise fail(f"maps the split letter {x} to no letter up to sign")
+            letter_perm[x], letter_signs[x] = hit
+    return (tuple(letter_perm), tuple(letter_signs)), moved
+
+
+def _check_symmetry(
+    split: LieAlgebra, kept: Sequence[int], sym: Symmetry, moved: Sequence[tuple[int, int]]
+) -> None:
+    """Raises ``ValueError`` unless the letter action ``sym`` is an
+    automorphism of ``split`` and, with the split-vector map ``moved``,
+    fixes every grade of torus weight 0 and kept parity.
+
+    The vector map gives an action on grades: weights by the signed
+    permutation of the torus coordinates, parities by the permutation of
+    their bits.  Every letter must go to a letter of the acted-on grade, so
+    a word does too, and the kept grades must be fixed points.
+    """
+    sig = split.sig
+    r = min(sig.p, sig.q)
+    perm, signs = sym
+    _, weights, bits = _split_vectors(sig)
+
+    def fail(message: str) -> ValueError:
+        return ValueError(f"the symmetry {sym} of {split.name} {message}")
+
+    bit_map: dict[int, int] = {}
+    for k, (k2, _) in enumerate(moved):
+        if bit_map.setdefault(bits[k], bits[k2]) != bits[k2]:
+            raise fail("maps one parity bit to two")
+
+    def act_grade(g: Grade) -> Grade:
+        weight = [0] * r
+        for i in range(r):
+            for j, x in enumerate(weights[moved[i][0]]):
+                weight[j] += g[1 + i] * x
+        parity = sum(b2 for b, b2 in bit_map.items() if g[-1] & b)
+        return (g[0], *weight, parity)
+
+    for x in range(split.dim):
+        if split.grades[perm[x]] != act_grade(split.grades[x]):
+            raise fail(f"moves the grade of {split.labels[x]} off its action on grades")
+    # perm is a bijection (the images are independent), so it maps the pairs
+    # with a nonzero bracket into, hence onto, themselves: zero brackets
+    # go to zero brackets
+    for (x, y), vec in split.structure.items():
+        image = {perm[c]: signs[c] * v for c, v in vec.items()}
+        s = signs[x] * signs[y]
+        if image != {c: s * v for c, v in split.bracket(perm[x], perm[y]).items()}:
+            raise fail(f"is no automorphism: [{split.labels[x]}, {split.labels[y]}]")
+    zero = (0,) * (r + 1)
+    for m in kept:
+        if act_grade(zero + (m,)) != zero + (m,):
+            raise fail(f"moves the kept parity {m}")

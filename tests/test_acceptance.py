@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from leibniz_homology import (
-    HomologyOptions,
     Signature,
     annihilated_by,
     build_abelian,
@@ -204,18 +203,16 @@ def test_criterion_08_predicted_homology_dimensions():
     reason="stretch (non-gating): degree 5-6 Betti numbers; enable with RUN_STRETCH=1",
 )
 def test_criterion_08_stretch_degrees_5_and_6():
-    # Degree 5 needs the rank of the kept blocks of d_6 (42,024 columns,
-    # exact over Q).  Degree 6 would additionally need the kept d_7
-    # (362,784 columns), which exceeds the modular cap set here and is
-    # reported as capped.
+    # Degree 6 needs the rank of d_7 on the orbit sums of its kept blocks:
+    # 90,664 columns, under the default exact cap, so the whole table is
+    # exact over Q.  It is the first computed class of T(gamma~) past gamma~.
     with Budget("criterion 8 stretch: degrees 5 and 6 at (2,2)", 3600):
-        rep = homology_dims(
-            build_affine(Signature(2, 2)), 6, options=HomologyOptions(cap_modular=300_000)
-        )
-        assert [e.degree for e in rep.entries] == [0, 1, 2, 3, 4, 5]
-        assert rep.betti == [1, 0, 0, 1, 1, 0]
-        assert rep.entries[5].certification == "exact"
-        print(f"  degree 5 betti = 0 verified (exact); degree 6: {rep.cap_message}")
+        rep = homology_dims(build_affine(Signature(2, 2)), 6)
+        assert rep.capped_at is None
+        assert rep.betti == [1, 0, 0, 1, 1, 0, 1]
+        assert rep.matches and all(rep.matches)
+        assert all(e.certification == "exact" for e in rep.entries)
+        print(f"  degree 6 betti = 1 verified (exact); d_7 rank {rep.certificates[7].rank}")
 
 
 def test_criterion_09_abelian_oracle():

@@ -59,6 +59,25 @@ def test_invariants_descriptors(capsys, tmp_path):
     assert run(["invariants", "--p", "2", "--q", "2", "--module", "bogus:3"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("desc", ["wedge:I:2:junk", "I*wedge:1:x", "so*wedge:2:", "so:1", "tensor:h"])
+def test_invariants_trailing_or_missing_field_is_usage_error(capsys, desc):
+    assert run(["invariants", "--p", "2", "--q", "2", "--module", desc]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot parse module descriptor {desc!r}" in captured.err
+
+
+def test_invariants_note_keyed_on_parsed_module(capsys):
+    # the n = 4 note on so ⊗ Λ^2 follows the parsed degree, not the spelling
+    note = "expected 2 by direct computation"
+    for desc in ("so*wedge:2", "so*wedge:02"):
+        assert run(["invariants", "--p", "2", "--q", "2", "--module", desc]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "dim 2" in out and note in out, desc
+    assert run(["invariants", "--p", "2", "--q", "3", "--module", "so*wedge:2"]) == EXIT_OK
+    assert note not in capsys.readouterr().out
+
+
 def test_homology_abelian(capsys, tmp_path):
     out = tmp_path / "hom.json"
     assert run(["homology", "--abelian", "2", "--max-degree", "3", "--json", str(out)]) == EXIT_OK

@@ -102,10 +102,10 @@ def test_mode_exact_cap(full_route):
     # cap_modular=0: exact ranks only, a d_k past the exact cap ends the table
     h = build_affine(Signature(2, 2))
     opts = HomologyOptions(cap_exact=500, cap_modular=0)
-    # the cap counts the ranked columns: 80 kept at degree 3, 616 at degree 4
-    rep = homology_dims(h, 3, options=opts)
-    assert rep.capped_at == 4
-    assert [e.degree for e in rep.entries] == [0, 1, 2]
+    # the cap counts the ranked columns: 161 orbits at degree 4, 1,240 at degree 5
+    rep = homology_dims(h, 4, options=opts)
+    assert rep.capped_at == 5
+    assert [e.degree for e in rep.entries] == [0, 1, 2, 3]
     rep = homology_dims(full_route(h), 3, options=opts)
     assert rep.capped_at == 3  # 1000 columns at degree 3 exceed the cap
     assert [e.degree for e in rep.entries] == [0, 1]
@@ -245,12 +245,12 @@ def test_h5_degree4_two_prime(full_route):
 
 @pytest.mark.slow
 def test_h5_degree4_exact():
-    # the kept blocks of d_5: 42,663 columns, under the exact cap
+    # the orbit sums of the kept blocks of d_5: 5,345 columns (of 42,663 kept)
     rep = homology_dims(build_affine(Signature(2, 3)), 4)
     assert rep.betti == [1, 0, 0, 0, 1]
     assert rep.matches and all(rep.matches)
     assert all(e.certification == "exact" for e in rep.entries)
-    assert rep.certificates[5].rank == 3223
+    assert rep.certificates[5].rank == 408
 
 
 @pytest.mark.slow
@@ -269,7 +269,8 @@ def test_h4_degree4_two_prime(sig4, full_route):
     assert cert.method == "modular" and cert.rank == 9090 and len(cert.primes_used) == 2
 
 
-KEPT_D5_RANK = {(2, 2): 546, (3, 1): 1114, (1, 3): 1114}
+# the rank of d_5 on the orbit sums of its kept blocks
+KEPT_D5_RANK = {(2, 2): 148, (3, 1): 307, (1, 3): 307}
 
 
 def test_h4_degree4_exact(sig4):
@@ -279,6 +280,16 @@ def test_h4_degree4_exact(sig4):
     assert all(e.certification == "exact" for e in rep.entries)
     cert = rep.certificates[5]
     assert cert.method == "exact" and cert.rank == KEPT_D5_RANK[(sig4.p, sig4.q)]
+
+
+@pytest.mark.slow
+def test_h4_degree5_exact():
+    # degree 5 at n = 4: d_6 on the orbit sums of its kept blocks, exact over Q
+    rep = homology_dims(build_affine(Signature(2, 2)), 5)
+    assert rep.capped_at is None
+    assert rep.betti == [1, 0, 0, 1, 1, 0]
+    assert rep.matches and all(rep.matches)
+    assert all(e.certification == "exact" for e in rep.entries)
 
 
 def test_reduction_only_for_canonical_algebras(full_route):
@@ -333,9 +344,14 @@ def test_split_form_built_lazily():
 def test_reduction_in_report():
     rep = homology_dims(build_affine(Signature(2, 2)), 2)
     data = rep.to_json_dict()
-    assert data["reduction"] == {"torus": ["Y(1,3)", "Y(2,4)"], "flips": [3], "kept_parities": [0, 3]}
-    assert [e.dim for e in rep.entries] == [1, 2, 12]  # -2Y(1,3), -2Y(2,4) in degree 1
+    assert data["reduction"] == {
+        "torus": ["Y(1,3)", "Y(2,4)"], "flips": [3], "kept_parities": [0, 3], "group_order": 4
+    }
+    # orbit sums: (e1, e2) -> (-e1, -e2) negates -2Y(1,3) and -2Y(2,4) in
+    # degree 1, so their orbits drop out
+    assert [e.dim for e in rep.entries] == [1, 0, 5]
     assert "reduced to torus weight 0 under Y(1,3), Y(2,4)" in rep.table()
+    assert "orbit sums under a group of order 4" in rep.table()
     assert cohomology_dims(rep).to_json_dict()["reduction"] == data["reduction"]
     # unreduced reports carry no reduction key, as before
     assert "reduction" not in homology_dims(build_abelian(2), 2).to_json_dict()
@@ -407,3 +423,38 @@ def test_reduced_tables_match_full_route(alg, degree, full_route):
     assert reduced.reduction is not None and full.reduction is None
     assert reduced.betti == full.betti
     assert sum(e.dim for e in reduced.entries) < sum(e.dim for e in full.entries)
+
+
+def _betti_per_grade(op, red, top):
+    """{(degree, grade): Betti number} over the kept grades through ``top``,
+    every block ranked on its own."""
+    words = graded_words(red.algebra.grades)
+    rank = {k: {b.grade: _rank_exact_blocks([b]) for b in op.blocks(k)} for k in range(top + 2)}
+    return {
+        (k, g): op.word_index(k, g).dim - rank[k].get(g, 0) - rank[k + 1].get(g, 0)
+        for k in range(top + 1)
+        for g in words.grades_of_length(k)
+        if red.keeps(g)
+    }
+
+
+@pytest.mark.parametrize(
+    "pq, top",
+    [
+        pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}")
+        for pq, top in [((2, 2), 4), ((3, 1), 4), ((1, 3), 4), ((4, 0), 4), ((2, 3), 3), ((3, 3), 3)]
+    ],
+)
+def test_orbit_sums_match_kept_blocks_per_grade(pq, top):
+    # the route before orbit sums, every word of the kept blocks ranked, is
+    # the reference: each kept grade has the same Betti number on both
+    sig = Signature(*pq)
+    red = split_reduction(build_affine(sig))
+    kept = LodayBoundary(red.algebra, keep=red.keeps)
+    orbits = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    reference = _betti_per_grade(kept, red, top)
+    assert _betti_per_grade(orbits, red, top) == reference
+    assert orbits.dim(top + 1) < kept.dim(top + 1)
+    rep = homology_dims(build_affine(sig), top)
+    assert rep.betti == [sum(b for (k, _), b in reference.items() if k == d) for d in range(top + 1)]
+    assert [e.dim for e in rep.entries] == [orbits.dim(k) for k in range(top + 1)]

@@ -19,7 +19,7 @@ from leibniz_homology import (
     tensor_space,
     wedge_space,
 )
-from leibniz_homology.repspace import GradedWords
+from leibniz_homology.repspace import GradeBlock, GradedWords, OrbitBlock
 
 
 def t(h, i):
@@ -180,3 +180,31 @@ def test_graded_words_keyed_by_grade_tuples():
     words = GradedWords([(0, 1, 0), (1, 0, 1)])
     assert words.count(2, (0, 2, 0)) == 1
     assert words.count(2, (2 << 16, 0, 0)) == 0
+
+
+def test_orbit_block_indexes_even_orbits():
+    # a group of order 2 on three letters: 0 <-> 1 and 2 -> -2
+    words = GradedWords([(0, 0)] * 3)
+    group = [((0, 1, 2), (1, 1, 1)), ((1, 0, 2), (1, 1, -1))]
+    one = OrbitBlock(GradeBlock(words, 1, (0, 0)), group)
+    # {0, 1} is an orbit; 2 is negated by its stabiliser, so its sum is 0
+    assert one.dim == 1 and one.unrank_word(0) == (0,)
+    assert one.canonical((1,)) == ((0,), 1) and one.canonical((2,)) is None
+    two = OrbitBlock(GradeBlock(words, 2, (0, 0)), group)
+    reps = [(0, 0), (0, 1), (0, 2), (2, 0), (2, 2)]
+    assert [two.unrank_word(r) for r in range(two.dim)] == reps
+    assert [two.rank_word(w) for w in reps] == list(range(5))
+    assert two.canonical((1, 2)) == ((0, 2), -1)
+    assert two.canonical((2, 1)) == ((2, 0), -1)
+    assert two.canonical((1, 1)) == ((0, 0), 1)
+    assert two.canonical((2, 2)) == ((2, 2), 1)
+    # reduce sums the terms of one orbit with their signs
+    assert two.reduce({(1, 2): 3, (0, 2): 3}) == {}
+    assert two.reduce({(2, 1): 2, (0, 0): 1, (1, 1): 1}) == {(2, 0): -2, (0, 0): 2}
+    # every word of the block is a signed image of its representative
+    for w in map(GradeBlock(words, 2, (0, 0)).unrank_word, range(9)):
+        rep, sign = two.canonical(w)
+        assert any(
+            tuple(perm[a] for a in w) == rep and sign == signs[w[0]] * signs[w[1]]
+            for perm, signs in group
+        )

@@ -18,7 +18,8 @@ from leibniz_homology import (
     validate,
 )
 from leibniz_homology import split
-from leibniz_homology.split import split_form
+from leibniz_homology.repspace import GradeBlock, graded_words
+from leibniz_homology.split import split_form, split_reduction
 
 
 SPLIT_CASES = [
@@ -122,3 +123,54 @@ def test_split_form_check_survives_optimisation():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "is wrong" in proc.stdout
+
+
+def test_symmetry_with_det_minus_one_is_rejected():
+    # O(p)×O(q) elements outside SO(p)×SO(q) can act by -1 on homology
+    h = build_affine(Signature(2, 2))
+    letters = split._signed_lookup(split._split_basis(h)[1])
+    # e1 -> -e1: a reflection of the p-block
+    with pytest.raises(ValueError, match=r"det -1 on the block \[0, 1\]"):
+        split._symmetry(h, letters, (0, 1, 2, 3), (-1, 1, 1, 1))
+    # e1 <-> e2 and e3 <-> e4: det -1 on both blocks
+    with pytest.raises(ValueError, match="det -1"):
+        split._symmetry(h, letters, (1, 0, 3, 2), (1, 1, 1, 1))
+    # the same swaps with one sign in each block are rotations, kept up to
+    # the flip -I
+    (perm, _), _ = split._symmetry(h, letters, (1, 0, 3, 2), (-1, 1, -1, 1))
+    assert perm in {perm for perm, _ in split_reduction(h).symmetries}
+    # a map that leaves the split basis: e1 -> e2 but e3 -> e3
+    with pytest.raises(ValueError, match="no split vector"):
+        split._symmetry(h, letters, (1, 0, 2, 3), (-1, 1, 1, 1))
+
+
+def test_symmetry_that_breaks_a_bracket_is_rejected():
+    h = build_affine(Signature(2, 2))
+    red = split_reduction(h)
+    letters = split._signed_lookup(split._split_basis(h)[1])
+    (perm, signs), moved = split._symmetry(h, letters, (1, 0, 3, 2), (-1, 1, -1, 1))
+    split._check_symmetry(red.algebra, red.kept, (perm, signs), moved)
+    wrong = (perm, (-signs[0],) + signs[1:])  # one translation's sign flipped
+    with pytest.raises(ValueError, match="is no automorphism"):
+        split._check_symmetry(red.algebra, red.kept, wrong, moved)
+
+
+GROUP_ORDERS = {(2, 2): 4, (3, 1): 4, (1, 3): 4, (4, 0): 24, (2, 3): 8, (3, 3): 24}
+
+
+@pytest.mark.parametrize("pq", list(GROUP_ORDERS), ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_symmetries_fix_every_kept_grade(pq):
+    red = split_reduction(build_affine(Signature(*pq)))
+    alg = red.algebra
+    assert len(red.symmetries) == GROUP_ORDERS[pq]
+    assert red.symmetries[0] == (tuple(range(alg.dim)), (1,) * alg.dim)
+    assert len({perm for perm, _ in red.symmetries}) == len(red.symmetries)
+    words = graded_words(alg.grades)
+    for k in range(1, 4):
+        for g in words.grades_of_length(k):
+            if not red.keeps(g):
+                continue
+            block = GradeBlock(words, k, g)
+            for w in map(block.unrank_word, range(block.dim)):
+                for perm, _ in red.symmetries:
+                    assert words.grade_of(tuple(perm[a] for a in w)) == g, (w, perm)
