@@ -38,8 +38,9 @@ than guessed away.  Both engines read the same sparse integer columns
 once for all its primes.  ``cap_exact=0`` ranks every nonzero boundary
 modularly, ``cap_modular=0`` only exactly.  A degree past both caps ends the
 table there, as a partial report.  Every run spot-checks d∘d = 0 on random
-chains of the whole complex it ranks (the split form's, when reduced) at
-every degree and aborts on failure.
+chains of the columns it ranks (the orbit columns, when reduced) at every
+degree, through the same ``BoundaryBlock.column`` the ranks read, and aborts
+on failure (``complexes.check_dd_zero``).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .linalg import (
     SparseModularEliminator,
     draw_primes,
 )
-from .repspace import random_chain
 
 if TYPE_CHECKING:
     from .split import SplitReduction
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP_MODULAR = 3_000_000
-DD_CHECKS = 100  # random chains per degree in the d∘d = 0 spot check
+DD_CHECKS = 100  # random chains of ranked columns per degree in the d∘d = 0 check
 
 
 @dataclass(frozen=True)
@@ -313,13 +313,7 @@ def homology_dims(
 
         reduction = split_reduction(algebra)
     op = _boundary(algebra, kind, reduction)
-    check_dd_zero(
-        op.apply,
-        lambda k, r: random_chain(op.space(k), r),
-        range(2, max_degree + 2),
-        rng,
-        count=DD_CHECKS,
-    )
+    check_dd_zero(op, range(2, max_degree + 2), rng, count=DD_CHECKS)
 
     ranks: dict[int, RankCertificate] = {}
     capped_at = cap_message = None

@@ -299,10 +299,14 @@ class OrbitBlock:
     signs[a_1]···signs[a_L]·perm[a_1]...perm[a_L]; the group must map the
     block to itself and contain the identity.  An orbit whose stabiliser
     acts on a word by -1 has orbit sum 0 and is dropped; every other orbit
-    is indexed by its lex-least word, in lexicographic order.
-    ``canonical(word)`` gives (representative, ±1) with word = ±1·(an image
-    of the representative), or None on a dropped orbit, and caches only the
-    words it is asked for.
+    is indexed by its lex-least word, in lexicographic order.  The
+    representatives come from a walk of the block's state tree in lex
+    order that keeps, per prefix, the elements fixing it: a prefix is pruned
+    as soon as one of them maps its last letter lower (every word that
+    extends it then has a smaller image), and a leaf is dropped when one of
+    them acts on it by -1.  ``canonical(word)`` gives (representative, ±1) with
+    word = ±1·(an image of the representative), or None on a dropped orbit,
+    and caches only the words it is asked for.
     """
 
     __slots__ = ("length", "grade", "dim", "_symmetries", "_reps", "_rank", "_canon")
@@ -311,20 +315,33 @@ class OrbitBlock:
         self.length = block.length
         self.grade = block.grade
         self._symmetries = tuple(symmetries)
-        self._reps = [w for w in map(block.unrank_word, range(block.dim)) if self._is_rep(w)]
+        self._reps: list[Word] = []
+        if block.dim:
+            self._walk(block._root, (), [(perm, signs, 1) for perm, signs in self._symmetries])
         self._rank = {w: r for r, w in enumerate(self._reps)}
         self.dim = len(self._reps)
         self._canon: dict[Word, Optional[tuple[Word, int]]] = {}
 
-    def _is_rep(self, word: Word) -> bool:
-        """Is ``word`` lex-least in its orbit, and the orbit kept?"""
-        for perm, signs in self._symmetries:
-            image = tuple(map(perm.__getitem__, word))
-            if image < word:
-                return False
-            if image == word and math.prod(map(signs.__getitem__, word)) < 0:
-                return False
-        return True
+    def _walk(self, state: tuple, prefix: Word, fixing: list) -> None:
+        """Append the representatives below ``prefix``, whose state is
+        ``state``; ``fixing`` holds the elements that fix the prefix letter
+        by letter, each with its sign on it."""
+        if len(prefix) == self.length:
+            if all(s > 0 for _, _, s in fixing):
+                self._reps.append(prefix)
+            return
+        for a, nxt in enumerate(state[1]):
+            if nxt is None:
+                continue
+            keep = []
+            for perm, signs, s in fixing:
+                b = perm[a]
+                if b < a:
+                    break
+                if b == a:
+                    keep.append((perm, signs, s * signs[a]))
+            else:
+                self._walk(nxt, prefix + (a,), keep)
 
     def canonical(self, word: Word) -> Optional[tuple[Word, int]]:
         if word in self._canon:

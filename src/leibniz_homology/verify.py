@@ -156,17 +156,9 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
     # d∘d = 0 spot checks (Loday and CE)
     op = complexes.LodayBoundary(h)
     try:
-        complexes.check_dd_zero(
-            op.apply, lambda k, r: random_chain(tensor_space(h, k), r), range(2, 6), rng, 100
-        )
+        complexes.check_dd_zero(op, range(2, 6), rng, 100)
         ce = complexes.CEBoundary(h, range(h.dim), h.translation_indices)
-        complexes.check_dd_zero(
-            ce.apply,
-            lambda k, r: random_chain(ce.space(k), r),
-            range(2, sig.n + 1),
-            rng,
-            100,
-        )
+        complexes.check_dd_zero(ce, range(2, sig.n + 1), rng, 100)
         suite.record("structure.dd_zero", "plumbing", True, "100 random chains per degree")
     except AssertionError as exc:
         suite.record("structure.dd_zero", "plumbing", False, str(exc))

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,9 +26,10 @@ from leibniz_homology import (
     predicted_hl_dims,
     standard_translation_action,
 )
+from leibniz_homology import complexes, homology
 from leibniz_homology.homology import _rank_exact_blocks, _rank_modular_blocks
 from leibniz_homology.linalg import PrimeDisagreementError, draw_primes
-from leibniz_homology.repspace import graded_words
+from leibniz_homology.repspace import GradeBlock, OrbitBlock, graded_words
 from leibniz_homology.split import split_reduction
 
 
@@ -216,6 +218,59 @@ def test_pure_python_import_and_ranks():
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_orbit_sign_error_caught_by_dd_check(monkeypatch):
+    # a wrong sign on one non-representative word of a length-3 orbit block
+    # at (2,2) changes only the orbit columns; apply on the whole split
+    # complex never reads them, the check of the ranked columns does
+    h = build_affine(Signature(2, 2))
+    red = split_reduction(h)
+    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    grade = op._grades(3)[0]
+    orbits = op.word_index(3, grade)
+    block = GradeBlock(graded_words(red.algebra.grades), 3, grade)
+    target = next(
+        w for w in map(block.unrank_word, range(block.dim))
+        if orbits.canonical(w) is not None and orbits.canonical(w)[0] != w
+    )
+    canonical = OrbitBlock.canonical
+
+    def flipped(self, word):
+        hit = canonical(self, word)
+        if word == target and hit is not None:
+            return hit[0], -hit[1]
+        return hit
+
+    monkeypatch.setattr(OrbitBlock, "canonical", flipped)
+    with pytest.raises(AssertionError, match=re.escape(f"d∘d != 0 at degree 4, grade {grade}")):
+        homology_dims(h, 4)
+
+
+def test_ranked_dd_check_traced_as_complexes_layer():
+    # benchmark/tracing.py names the span of homology.check_dd_zero after
+    # the module defining it, and its layer table knows only
+    # complexes.check_dd_zero; install() rewraps module attributes for the
+    # rest of the process, so this runs in a subprocess
+    assert homology.check_dd_zero is complexes.check_dd_zero
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(root / 'benchmark')!r})\n"
+        "import tracing\n"
+        "from leibniz_homology import Signature, build_affine, homology_dims\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "with tracer:\n"
+        "    homology_dims(build_affine(Signature(2, 2)), 3)\n"
+        "metrics = tracer.layer_metrics()\n"
+        "if not metrics['complexes.ddcheck_s'] > 0:\n"
+        "    sys.exit(f'no time in the d∘d check: {metrics}')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

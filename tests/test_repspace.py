@@ -1,5 +1,6 @@
 """Word enumeration, rank/unrank, actions, canonicalization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from leibniz_homology import (
     BoostY,
     Chain,
     RotationX,
+    Signature,
     SpaceMismatchError,
     Translation,
     act,
     assemble_action,
+    build_affine,
     enumerate_basis,
     mixed_space,
     random_chain,
@@ -19,7 +22,9 @@ from leibniz_homology import (
     tensor_space,
     wedge_space,
 )
-from leibniz_homology.repspace import GradeBlock, GradedWords, OrbitBlock
+from leibniz_homology.complexes import LodayBoundary
+from leibniz_homology.repspace import GradeBlock, GradedWords, OrbitBlock, graded_words
+from leibniz_homology.split import split_reduction
 
 
 def t(h, i):
@@ -183,28 +188,61 @@ def test_graded_words_keyed_by_grade_tuples():
 
 
 def test_orbit_block_indexes_even_orbits():
-    # a group of order 2 on three letters: 0 <-> 1 and 2 -> -2
+    # a group of order 2 on three letters: 0 <-> 1 and 2 -> -2, listed with
+    # the identity first and last, so that neither order is assumed
     words = GradedWords([(0, 0)] * 3)
-    group = [((0, 1, 2), (1, 1, 1)), ((1, 0, 2), (1, 1, -1))]
-    one = OrbitBlock(GradeBlock(words, 1, (0, 0)), group)
-    # {0, 1} is an orbit; 2 is negated by its stabiliser, so its sum is 0
-    assert one.dim == 1 and one.unrank_word(0) == (0,)
-    assert one.canonical((1,)) == ((0,), 1) and one.canonical((2,)) is None
-    two = OrbitBlock(GradeBlock(words, 2, (0, 0)), group)
-    reps = [(0, 0), (0, 1), (0, 2), (2, 0), (2, 2)]
-    assert [two.unrank_word(r) for r in range(two.dim)] == reps
-    assert [two.rank_word(w) for w in reps] == list(range(5))
-    assert two.canonical((1, 2)) == ((0, 2), -1)
-    assert two.canonical((2, 1)) == ((2, 0), -1)
-    assert two.canonical((1, 1)) == ((0, 0), 1)
-    assert two.canonical((2, 2)) == ((2, 2), 1)
-    # reduce sums the terms of one orbit with their signs
-    assert two.reduce({(1, 2): 3, (0, 2): 3}) == {}
-    assert two.reduce({(2, 1): 2, (0, 0): 1, (1, 1): 1}) == {(2, 0): -2, (0, 0): 2}
-    # every word of the block is a signed image of its representative
-    for w in map(GradeBlock(words, 2, (0, 0)).unrank_word, range(9)):
-        rep, sign = two.canonical(w)
-        assert any(
-            tuple(perm[a] for a in w) == rep and sign == signs[w[0]] * signs[w[1]]
-            for perm, signs in group
-        )
+    identity, swap = ((0, 1, 2), (1, 1, 1)), ((1, 0, 2), (1, 1, -1))
+    for group in ([identity, swap], [swap, identity]):
+        one = OrbitBlock(GradeBlock(words, 1, (0, 0)), group)
+        # {0, 1} is an orbit; 2 is negated by its stabiliser, so its sum is 0
+        assert one.dim == 1 and one.unrank_word(0) == (0,)
+        assert one.canonical((1,)) == ((0,), 1) and one.canonical((2,)) is None
+        two = OrbitBlock(GradeBlock(words, 2, (0, 0)), group)
+        reps = [(0, 0), (0, 1), (0, 2), (2, 0), (2, 2)]
+        assert [two.unrank_word(r) for r in range(two.dim)] == reps
+        assert [two.rank_word(w) for w in reps] == list(range(5))
+        assert two.canonical((1, 2)) == ((0, 2), -1)
+        assert two.canonical((2, 1)) == ((2, 0), -1)
+        assert two.canonical((1, 1)) == ((0, 0), 1)
+        assert two.canonical((2, 2)) == ((2, 2), 1)
+        # reduce sums the terms of one orbit with their signs
+        assert two.reduce({(1, 2): 3, (0, 2): 3}) == {}
+        assert two.reduce({(2, 1): 2, (0, 0): 1, (1, 1): 1}) == {(2, 0): -2, (0, 0): 2}
+        # every word of the block is a signed image of its representative
+        for w in map(GradeBlock(words, 2, (0, 0)).unrank_word, range(9)):
+            rep, sign = two.canonical(w)
+            assert any(
+                tuple(perm[a] for a in w) == rep and sign == signs[w[0]] * signs[w[1]]
+                for perm, signs in group
+            )
+
+
+def _brute_force_reps(block, group):
+    """Every word of the block that every element maps to itself or above,
+    and that no element fixing it negates."""
+    reps = []
+    for word in map(block.unrank_word, range(block.dim)):
+        images = [(tuple(perm[a] for a in word), math.prod(signs[a] for a in word)) for perm, signs in group]
+        if all(image > word or (image == word and sign > 0) for image, sign in images):
+            reps.append(word)
+    return reps
+
+
+@pytest.mark.parametrize(
+    "pq, top",
+    [
+        pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}")
+        for pq, top in [((2, 2), 5), ((3, 1), 5), ((1, 3), 5), ((4, 0), 5), ((2, 3), 4), ((3, 3), 4)]
+    ],
+)
+def test_orbit_walk_matches_brute_force(pq, top):
+    # the pruned walk finds the representatives of applying every element
+    # to every word of every kept block, in the same order
+    red = split_reduction(build_affine(Signature(*pq)))
+    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    words = graded_words(red.algebra.grades)
+    for k in range(1, top + 1):
+        for grade in op._grades(k):
+            reps = _brute_force_reps(GradeBlock(words, k, grade), red.symmetries)
+            orbits = op.word_index(k, grade)
+            assert [orbits.unrank_word(r) for r in range(orbits.dim)] == reps, (k, grade)
