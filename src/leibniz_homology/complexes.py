@@ -56,6 +56,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .liealg import Coeff, Grade, LieAlgebra, accumulate
 from .linalg import DEFAULT_CAP_EXACT, CapExceededError, SparseMatrix, solve
 from .repspace import (
+    CHAIN_COEFFS,
+    CHAIN_TERMS,
     Chain,
     GradeBlock,
     OrbitBlock,
@@ -79,6 +81,9 @@ __all__ = [
     "embed_mixed_in_tensor",
     "check_dd_zero",
 ]
+
+MATRIX_CAP = 200_000  # columns of the largest LodayBoundary.matrix
+DD_CHECKS = 100  # random chains of ranked columns per degree in the d∘d = 0 check
 
 Word = tuple[int, ...]
 
@@ -236,11 +241,13 @@ class LodayBoundary(_Boundary):
         of ``rows``."""
         return rows.reduce(self.word_boundary(word))
 
-    def matrix(self, k: int, cap: int = 200_000) -> SparseMatrix:
+    def matrix(self, k: int) -> SparseMatrix:
         """The degree-k boundary as a sparse matrix (rows: degree k-1 words)."""
         space = self.space(k)
-        if space.dim > cap:
-            raise CapExceededError(f"boundary matrix at degree {k} has {space.dim} columns, cap {cap}")
+        if space.dim > MATRIX_CAP:
+            raise CapExceededError(
+                f"boundary matrix at degree {k} has {space.dim} columns, cap {MATRIX_CAP}"
+            )
         if k < 2:
             return SparseMatrix(1, space.dim)
         block = BoundaryBlock(None, space, self.space(k - 1), self.word_boundary)
@@ -406,18 +413,18 @@ def embed_mixed_in_tensor(chain: Chain) -> Chain:
     return chain.map(embed, tensor_space(chain.space.algebra, k + 1))
 
 
-def check_dd_zero(op: _Boundary, degrees: Iterable[int], rng, count: int = 100) -> None:
+def check_dd_zero(op: _Boundary, degrees: Iterable[int], rng) -> None:
     """d∘d = 0 on the blocks that ``op`` ranks; raises ``AssertionError``
     naming the degree and grade of the first nonzero composite.
 
-    Per degree k, ``count`` random chains of the columns of ``op.blocks(k)``
-    (4 columns each, uniform over the degree's columns, coefficients in
-    [-5, 5], drawn as ``random_chain`` draws them) go through their
-    ``BoundaryBlock.column`` and then through the columns of the degree-(k-1)
-    block of the same grade, read once per degree.  A degree whose d_{k-1}
-    has no blocks (d_1 of Loday) is skipped.  On orbit blocks this checks
-    the matrix of d on the orbit sums, signs included, which ``apply`` on
-    the whole complex never reads.
+    Per degree k, ``DD_CHECKS`` random chains of the columns of
+    ``op.blocks(k)`` (4 columns each, uniform over the degree's columns,
+    coefficients in [-5, 5], drawn as ``random_chain`` draws them) go
+    through their ``BoundaryBlock.column`` and then through the columns of
+    the degree-(k-1) block of the same grade, read once per degree.  A
+    degree whose d_{k-1} has no blocks (d_1 of Loday) is skipped.  On orbit
+    blocks this checks the matrix of d on the orbit sums, signs included,
+    which ``apply`` on the whole complex never reads.
     """
     for k in degrees:
         lower = {b.grade: b for b in op.blocks(k - 1)}
@@ -426,10 +433,10 @@ def check_dd_zero(op: _Boundary, degrees: Iterable[int], rng, count: int = 100) 
             continue
         ends = list(itertools.accumulate(b.cols for b in blocks))
         lower_columns: dict[tuple[Optional[Grade], int], list[tuple[int, Coeff]]] = {}
-        for _ in range(count):
+        for _ in range(DD_CHECKS):
             image: dict[tuple[Optional[Grade], int], Coeff] = {}  # (grade, row) -> coefficient
-            for _ in range(4):
-                j, c = rng.randrange(ends[-1]), rng.randint(-5, 5)
+            for _ in range(CHAIN_TERMS):
+                j, c = rng.randrange(ends[-1]), rng.randint(-CHAIN_COEFFS, CHAIN_COEFFS)
                 if not c:
                     continue
                 b = bisect_right(ends, j)

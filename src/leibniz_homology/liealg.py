@@ -529,7 +529,10 @@ class ValidationReport:
         return all(checks)
 
 
-def validate(alg: LieAlgebra, *, max_failures: int = 5) -> ValidationReport:
+MAX_FAILURES = 5  # failing pairs and triples listed per check
+
+
+def validate(alg: LieAlgebra) -> ValidationReport:
     """Check antisymmetry and Jacobi exactly; canonical algebras additionally
     get an integrality check and a recomputation from their defining fields."""
     report = ValidationReport(algebra=alg.name, antisymmetry_ok=True, jacobi_ok=True)
@@ -544,7 +547,7 @@ def validate(alg: LieAlgebra, *, max_failures: int = 5) -> ValidationReport:
             keys = set(vab) | set(vba)
             if any(vab.get(c, 0) != -vba.get(c, 0) for c in keys):
                 report.antisymmetry_ok = False
-                if len(report.antisymmetry_failures) < max_failures:
+                if len(report.antisymmetry_failures) < MAX_FAILURES:
                     report.antisymmetry_failures.append((alg.labels[a], alg.labels[b]))
 
     for a in range(d):
@@ -557,7 +560,7 @@ def validate(alg: LieAlgebra, *, max_failures: int = 5) -> ValidationReport:
                             acc[r] = acc.get(r, 0) + s * t
                 if any(v for v in acc.values()):
                     report.jacobi_ok = False
-                    if len(report.jacobi_failures) < max_failures:
+                    if len(report.jacobi_failures) < MAX_FAILURES:
                         report.jacobi_failures.append(
                             (alg.labels[a], alg.labels[b], alg.labels[c])
                         )

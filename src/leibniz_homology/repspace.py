@@ -575,14 +575,18 @@ def tensor_to_wedge(chain: Chain, target: Optional[Space] = None) -> Chain:
     return chain.map(lambda word: dict([sort_wedge(word)]), target)
 
 
-def random_chain(space: Space, rng, terms: int = 4, coeff_range: int = 5) -> Chain:
+CHAIN_TERMS = 4  # words drawn per random chain
+CHAIN_COEFFS = 5  # coefficients drawn from [-5, 5]
+
+
+def random_chain(space: Space, rng) -> Chain:
     """Small random chain for property tests (deterministic given the rng)."""
     coeffs: dict[Word, Fraction] = {}
     if space.dim == 0:
         return space.zero()
-    for _ in range(terms):
+    for _ in range(CHAIN_TERMS):
         w = space.unrank_word(rng.randrange(space.dim))
-        c = rng.randint(-coeff_range, coeff_range)
+        c = rng.randint(-CHAIN_COEFFS, CHAIN_COEFFS)
         if c:
             coeffs[w] = coeffs.get(w, Fraction(0)) + c
     return Chain(space, {w: c for w, c in coeffs.items() if c})

@@ -9,10 +9,11 @@ and trivial character under the sign flips that commute with the torus.
 It also builds, once per signature, the finite group whose orbit sums of
 those blocks carry all of their homology: the signed permutations of R^n
 that keep the p-block and the q-block with det +1 on each and map every
-split vector b_k to ±b_k', acting on the split form's letters by signed
-permutations.  They lie in SO(p)×SO(q), inside the identity component
-SO_0(p,q), which acts trivially on HL_* (Loday–Pirashvili); over Q the
-average over the group is then a chain projection with the same homology.
+split vector b_k to ±b_k', acting on the split form's letters by the
+signed permutations that this map on the split vectors induces.  They lie
+in SO(p)×SO(q), inside the identity component SO_0(p,q), which acts
+trivially on HL_* (Loday–Pirashvili); over Q the average over the group
+is then a chain projection with the same homology.
 Without the det condition this fails: with O(p)×O(q) the n = 4 tables lose
 their classes in degrees 3 and 4.  ``homology.homology_dims`` imports this
 module on its first reduced run, so importing the package does not load it.
@@ -25,7 +26,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import prod
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .liealg import (
     BasisLabel,
@@ -34,7 +35,6 @@ from .liealg import (
     GenericLabel,
     Grade,
     LieAlgebra,
-    RotationX,
     Signature,
     Translation,
     accumulate,
@@ -55,11 +55,6 @@ def _pair_sign(k: int, l: int, p: int) -> int:
     return 1 if l < p else -1
 
 
-def _so_label(k: int, l: int, p: int) -> BasisLabel:
-    """The X or Y label of the 0-based pair k < l."""
-    return BoostY(k + 1, l + 1) if k < p <= l else RotationX(k + 1, l + 1)
-
-
 def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> GenericLabel:
     """A label spelling out a combination of standard basis elements."""
     text = "".join(
@@ -69,11 +64,30 @@ def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> Ge
     return GenericLabel(text.lstrip("+"))
 
 
-def _split_vectors(sig: Signature) -> tuple[list[dict[int, int]], list[tuple[int, ...]], list[int]]:
-    """The split basis b_k of R^n in standard coordinates (0-based), with the
-    torus weights and parity bit of each: b_i = e_i + e_{p+i} (weight +1 in
-    coordinate i) and b_{p+i} = e_i - e_{p+i} (weight -1), both on bit i,
-    for i < r = min(p,q); b_k = e_k on bit k for unpaired k."""
+class _SplitTable(NamedTuple):
+    """The split basis of one signature and the letters of Λ²R^n on it.
+
+    ``vecs`` holds the b_k in standard coordinates (0-based), ``find`` each
+    ±b_k as (k, ±1), ``weights`` and ``bits`` their torus weights and parity
+    bits.  Letter t is ``_pair_sign(a, b, p)·b_a ∧ b_b`` for
+    ``pairs[t] = (a, b)``, in the order of ``so_labels``, and
+    ``wedge[(a, b)] = (t, s)`` for a != b when b_a ∧ b_b = s·letter t; in
+    the standard basis, e_a ∧ e_b = s·``so_labels(sig)[t]`` alike.
+    """
+
+    vecs: list[dict[int, int]]
+    find: dict[frozenset, tuple[int, int]]
+    weights: list[tuple[int, ...]]
+    bits: list[int]
+    pairs: list[tuple[int, int]]
+    wedge: dict[tuple[int, int], tuple[int, int]]
+
+
+@lru_cache(maxsize=None)
+def _split_table(sig: Signature) -> _SplitTable:
+    """The table of ``sig``: b_i = e_i + e_{p+i} (weight +1 in coordinate i)
+    and b_{p+i} = e_i - e_{p+i} (weight -1), both on bit i, for
+    i < r = min(p,q); b_k = e_k on bit k for unpaired k."""
     p, n = sig.p, sig.n
     r = min(p, sig.q)
     vecs: list[dict[int, int]] = []
@@ -90,7 +104,16 @@ def _split_vectors(sig: Signature) -> tuple[list[dict[int, int]], list[tuple[int
         vecs.append(vec)
         weights.append(tuple(w))
         bits.append(1 << bit)
-    return vecs, weights, bits
+    find = {}
+    for k, vec in enumerate(vecs):
+        find[frozenset(vec.items())] = (k, 1)
+        find[frozenset((j, -c) for j, c in vec.items())] = (k, -1)
+    pairs = [(lab.i - 1, lab.j - 1) for lab in so_labels(sig)]
+    wedge = {}
+    for t, (a, b) in enumerate(pairs):
+        wedge[(a, b)] = (t, _pair_sign(a, b, p))
+        wedge[(b, a)] = (t, -_pair_sign(a, b, p))
+    return _SplitTable(vecs, find, weights, bits, pairs, wedge)
 
 
 def split_form(alg: LieAlgebra) -> LieAlgebra:
@@ -120,12 +143,6 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     their weights, and every element's parity and count are those of its
     standard terms.
     """
-    return _split_basis(alg)[0]
-
-
-def _split_basis(alg: LieAlgebra) -> tuple[LieAlgebra, list[dict[int, int]]]:
-    """``split_form(alg)`` and the image of each of its elements in the
-    standard basis of ``alg``."""
     sig = alg.sig
     so = so_labels(sig) if sig is not None and sig.n >= 2 else []
     nt = sig.n if so and alg.translation_indices else 0
@@ -134,18 +151,9 @@ def _split_basis(alg: LieAlgebra) -> tuple[LieAlgebra, list[dict[int, int]]]:
         raise ValueError(f"{alg.name} is not so(p,q) or h_n on the canonical basis")
     p, n = sig.p, sig.n
     r = min(p, sig.q)
-    pairs = [(lab.i - 1, lab.j - 1) for lab in so]
-    vecs, weights, bits = _split_vectors(sig)
+    vecs, _, weights, bits, pairs, wedge = _split_table(sig)
     metric = [1] * p + [-1] * (n - p)
     gram = [[sum(metric[k] * c * v.get(k, 0) for k, c in u.items()) for v in vecs] for u in vecs]
-    pos = {pair: nt + t for t, pair in enumerate(pairs)}
-
-    def wedge(a: int, b: int) -> tuple[int, int]:
-        """b_a ∧ b_b as (element, sign); a != b."""
-        if a < b:
-            return pos[(a, b)], _pair_sign(a, b, p)
-        return pos[(b, a)], -_pair_sign(b, a, p)
-
     structure: dict[tuple[int, int], dict[int, int]] = {}
 
     def put(x: int, y: int, vec: dict[int, int]) -> None:
@@ -153,23 +161,21 @@ def _split_basis(alg: LieAlgebra) -> tuple[LieAlgebra, list[dict[int, int]]]:
             structure[(x, y)] = vec
             structure[(y, x)] = {c: -v for c, v in vec.items()}
 
-    for (a, b), x in pos.items():
+    for x, (a, b) in enumerate(pairs, nt):
         sx = _pair_sign(a, b, p)
         for w in range(nt):
             vec: dict[int, int] = {}
             accumulate(vec, b, sx * gram[a][w])
             accumulate(vec, a, -sx * gram[b][w])
             put(x, w, vec)
-        for (c, d), y in pos.items():
-            if y <= x:
-                continue
+        for y, (c, d) in enumerate(pairs[x - nt + 1:], x + 1):
             vec = {}
             for coef, u, v in (
                 (-gram[b][c], a, d), (gram[b][d], a, c), (gram[a][c], b, d), (-gram[a][d], b, c)
             ):
                 if coef and u != v:
-                    e, t = wedge(u, v)
-                    accumulate(vec, e, sx * _pair_sign(c, d, p) * coef * t)
+                    t, s = wedge[(u, v)]
+                    accumulate(vec, nt + t, sx * _pair_sign(c, d, p) * coef * s)
             put(x, y, vec)
 
     # the images in the standard basis, and the grades
@@ -182,10 +188,8 @@ def _split_basis(alg: LieAlgebra) -> tuple[LieAlgebra, list[dict[int, int]]]:
         for k, u in vecs[a].items():
             for l, v in vecs[b].items():
                 if k != l:
-                    lo, hi = min(k, l), max(k, l)
-                    lab = _so_label(lo, hi, p)
-                    sign = _pair_sign(a, b, p) * _pair_sign(lo, hi, p) * (1 if k < l else -1)
-                    accumulate(img, alg.index(lab), sign * u * v)
+                    t, s = wedge[(k, l)]
+                    accumulate(img, alg.index(so[t]), _pair_sign(a, b, p) * s * u * v)
         images.append(img)
         weight = tuple(x + y for x, y in zip(weights[a], weights[b]))
         grades.append((0,) + weight + (bits[a] ^ bits[b],))
@@ -223,14 +227,14 @@ def _split_basis(alg: LieAlgebra) -> tuple[LieAlgebra, list[dict[int, int]]]:
             if (c, (s & ~fold) ^ ((s & fold) >> p)) != (split.grades[x][0], split.grades[x][-1]):
                 raise fail(f"{labels[x]} has the term {alg.labels[k]} of another count or parity")
     for i in range(r):
-        t = pos[(i, p + i)]
+        t = nt + wedge[(i, p + i)][0]
         if images[t] != {alg.index(BoostY(i + 1, p + i + 1)): -2}:
             raise fail(f"{labels[t]} is not -2Y({i + 1},{p + i + 1})")
         for x in range(alg.dim):
             w = split.grades[x][1 + i]
             if split.bracket(t, x) != ({x: 2 * w} if w else {}):
                 raise fail(f"{labels[t]} does not act on {labels[x]} by twice its weight {w}")
-    return split, images
+    return split
 
 
 @dataclass(frozen=True)
@@ -302,7 +306,7 @@ def _even(mask: int) -> bool:
 @lru_cache(maxsize=None)
 def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
     alg = build_affine(sig) if affine else build_so(sig)
-    split, images = _split_basis(alg)
+    split = split_form(alg)
     p, n = sig.p, sig.n
     r = min(p, sig.q)
     free = ((1 << n) - 1) ^ (((1 << r) - 1) << p)  # the bits a split parity can have
@@ -317,16 +321,12 @@ def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
             span |= {x ^ m for x in span}
     kept = tuple(m for m in masks if all(_even(m & f) for f in flips))
     torus = tuple(BoostY(i, p + i) for i in range(1, r + 1))
-    group = _symmetry_group(alg, split, images, span, kept)
+    group = _symmetry_group(split, span, kept)
     return SplitReduction(split, torus, tuple(flips), kept, group)
 
 
 def _symmetry_group(
-    alg: LieAlgebra,
-    split: LieAlgebra,
-    images: Sequence[Mapping[int, int]],
-    flips: set[int],
-    kept: Sequence[int],
+    split: LieAlgebra, flips: set[int], kept: Sequence[int]
 ) -> tuple[Symmetry, ...]:
     """The signed permutations of R^n in SO(p)×SO(q) that map each split
     vector to ± a split vector, as actions on the letters of ``split``, one
@@ -337,12 +337,27 @@ def _symmetry_group(
     (``_check_symmetry``); every later one must differ from it by one of
     the flips, which is +1 on every kept grade, or ``ValueError`` is raised.
     """
-    sig = alg.sig
+    flip_signs = {tuple(1 if _even(f & g[-1]) else -1 for g in split.grades) for f in flips}
+    group: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for perm, signs in _rotations(split.sig):
+        (letter_perm, letter_signs), moved = _symmetry(split, perm, signs)
+        if letter_perm not in group:
+            _check_symmetry(split, kept, (letter_perm, letter_signs), moved)
+            group[letter_perm] = letter_signs
+        elif tuple(map(mul, group[letter_perm], letter_signs)) not in flip_signs:
+            raise ValueError(
+                f"two symmetries of {split.name} with one letter permutation "
+                "differ by more than a sign flip"
+            )
+    return tuple(sorted(group.items()))
+
+
+def _rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The maps e_k -> signs[k]·e_{perm[k]} (0-based) with det +1 on the
+    p-block and on the q-block that map the pairs (i, p+i), i < min(p,q),
+    to pairs, as (perm, signs)."""
     p, n = sig.p, sig.n
     r = min(p, sig.q)
-    flip_signs = {tuple(1 if _even(f & g[-1]) else -1 for g in split.grades) for f in flips}
-    letters = _signed_lookup(images)
-    group: dict[tuple[int, ...], tuple[int, ...]] = {}
     for head in permutations(range(p)):
         for tail in permutations(range(p, n)):
             perm = head + tail
@@ -351,50 +366,31 @@ def _symmetry_group(
                 continue
             dets = (_perm_sign(head), _perm_sign([t - p for t in tail]))
             for signs in product((1, -1), repeat=n):
-                if (prod(signs[:p]), prod(signs[p:])) != dets:
-                    continue
-                (letter_perm, letter_signs), moved = _symmetry(alg, letters, perm, signs)
-                if letter_perm not in group:
-                    _check_symmetry(split, kept, (letter_perm, letter_signs), moved)
-                    group[letter_perm] = letter_signs
-                elif tuple(map(mul, group[letter_perm], letter_signs)) not in flip_signs:
-                    raise ValueError(
-                        f"two symmetries of {split.name} with one letter permutation "
-                        "differ by more than a sign flip"
-                    )
-    return tuple(sorted(group.items()))
-
-
-def _signed_lookup(vectors: Sequence[Mapping[int, int]]) -> dict[frozenset, tuple[int, int]]:
-    """Each vector and its negative, keyed by its entries: (position, ±1)."""
-    out = {}
-    for k, vec in enumerate(vectors):
-        out[frozenset(vec.items())] = (k, 1)
-        out[frozenset((j, -c) for j, c in vec.items())] = (k, -1)
-    return out
+                if (prod(signs[:p]), prod(signs[p:])) == dets:
+                    yield perm, signs
 
 
 def _symmetry(
-    alg: LieAlgebra,
-    letters: Mapping[frozenset, tuple[int, int]],
-    perm: Sequence[int],
-    signs: Sequence[int],
+    split: LieAlgebra, perm: Sequence[int], signs: Sequence[int]
 ) -> tuple[Symmetry, list[tuple[int, int]]]:
-    """The action of e_k -> signs[k]·e_{perm[k]} (0-based) on the letters of
-    the split form of ``alg``, whose standard images ``letters`` looks up
-    (``_signed_lookup``), and on its split vectors: b_k -> ±b_k' as (k', ±1).
+    """The action of e_k -> signs[k]·e_{perm[k]} (0-based) on the split
+    vectors, b_k -> s_k·b_k' as (k', s_k), and the action it induces on the
+    letters of the split form ``split``: d(b_k) -> s_k·d(b_k'), and the
+    letter ``_pair_sign(a, b, p)·b_a ∧ b_b`` of a pair (a, b) to
+    ``_pair_sign(a, b, p)·s_a·s_b·b_a' ∧ b_b'``, ± the letter of the pair
+    {a', b'} (``_SplitTable.wedge``).
 
     Raises ``ValueError`` unless the map keeps the p-block and the q-block
-    with det +1 on each, and maps each split vector to ± a split vector and
-    each letter to ± a letter.
+    with det +1 on each and maps each split vector to ± a split vector.
     """
-    sig = alg.sig
+    sig = split.sig
     p, n = sig.p, sig.n
+    table = _split_table(sig)
 
     def fail(message: str) -> ValueError:
         return ValueError(
             f"the map e_k -> s_k e_π(k) with π = {list(perm)}, s = {list(signs)} "
-            f"on {alg.name} {message}"
+            f"on {split.name} {message}"
         )
 
     for block in (range(p), range(p, n)):
@@ -402,28 +398,18 @@ def _symmetry(
             raise fail(f"does not keep the block {list(block)}")
         if _perm_sign([perm[k] - block.start for k in block]) * prod(signs[k] for k in block) != 1:
             raise fail(f"has det -1 on the block {list(block)}")
-    vecs = _split_vectors(sig)[0]
-    where = _signed_lookup(vecs)
-    moved = [where.get(frozenset((perm[j], signs[j] * c) for j, c in v.items())) for v in vecs]
+    moved = [
+        table.find.get(frozenset((perm[j], signs[j] * c) for j, c in v.items())) for v in table.vecs
+    ]
     if None in moved:
         raise fail("maps a split vector to no split vector up to sign")
-
-    # the standard letters, then the split letters through their images
-    std: dict[int, tuple[int, int]] = {}
-    if alg.translation_indices:
-        for k in range(n):
-            std[alg.index(Translation(k + 1))] = (alg.index(Translation(perm[k] + 1)), signs[k])
-    for lab in so_labels(sig):
-        a, b = perm[lab.i - 1], perm[lab.j - 1]
-        s = signs[lab.i - 1] * signs[lab.j - 1] * (1 if a < b else -1)
-        std[alg.index(lab)] = (alg.index(_so_label(min(a, b), max(a, b), p)), s)
-    letter_perm, letter_signs = [0] * alg.dim, [0] * alg.dim
-    for img, (x, sign) in letters.items():
-        if sign == 1:
-            hit = letters.get(frozenset((std[k][0], std[k][1] * c) for k, c in img))
-            if hit is None:
-                raise fail(f"maps the split letter {x} to no letter up to sign")
-            letter_perm[x], letter_signs[x] = hit
+    nt = split.dim - len(table.pairs)
+    letter_perm, letter_signs = [k for k, _ in moved[:nt]], [s for _, s in moved[:nt]]
+    for a, b in table.pairs:
+        (a2, sa), (b2, sb) = moved[a], moved[b]
+        t, s = table.wedge[(a2, b2)]
+        letter_perm.append(nt + t)
+        letter_signs.append(_pair_sign(a, b, p) * sa * sb * s)
     return (tuple(letter_perm), tuple(letter_signs)), moved
 
 
@@ -442,20 +428,20 @@ def _check_symmetry(
     sig = split.sig
     r = min(sig.p, sig.q)
     perm, signs = sym
-    _, weights, bits = _split_vectors(sig)
+    table = _split_table(sig)
 
     def fail(message: str) -> ValueError:
         return ValueError(f"the symmetry {sym} of {split.name} {message}")
 
     bit_map: dict[int, int] = {}
     for k, (k2, _) in enumerate(moved):
-        if bit_map.setdefault(bits[k], bits[k2]) != bits[k2]:
+        if bit_map.setdefault(table.bits[k], table.bits[k2]) != table.bits[k2]:
             raise fail("maps one parity bit to two")
 
     def act_grade(g: Grade) -> Grade:
         weight = [0] * r
         for i in range(r):
-            for j, x in enumerate(weights[moved[i][0]]):
+            for j, x in enumerate(table.weights[moved[i][0]]):
                 weight[j] += g[1 + i] * x
         parity = sum(b2 for b, b2 in bit_map.items() if g[-1] & b)
         return (g[0], *weight, parity)
@@ -463,9 +449,9 @@ def _check_symmetry(
     for x in range(split.dim):
         if split.grades[perm[x]] != act_grade(split.grades[x]):
             raise fail(f"moves the grade of {split.labels[x]} off its action on grades")
-    # perm is a bijection (the images are independent), so it maps the pairs
-    # with a nonzero bracket into, hence onto, themselves: zero brackets
-    # go to zero brackets
+    # perm is a bijection (moved permutes the split vectors), so it maps
+    # the pairs with a nonzero bracket into, hence onto, themselves: zero
+    # brackets go to zero brackets
     for (x, y), vec in split.structure.items():
         image = {perm[c]: signs[c] * v for c, v in vec.items()}
         s = signs[x] * signs[y]

@@ -156,10 +156,11 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
     # d∘d = 0 spot checks (Loday and CE)
     op = complexes.LodayBoundary(h)
     try:
-        complexes.check_dd_zero(op, range(2, 6), rng, 100)
+        complexes.check_dd_zero(op, range(2, 6), rng)
         ce = complexes.CEBoundary(h, range(h.dim), h.translation_indices)
-        complexes.check_dd_zero(ce, range(2, sig.n + 1), rng, 100)
-        suite.record("structure.dd_zero", "plumbing", True, "100 random chains per degree")
+        complexes.check_dd_zero(ce, range(2, sig.n + 1), rng)
+        detail = f"{complexes.DD_CHECKS} random chains per degree"
+        suite.record("structure.dd_zero", "plumbing", True, detail)
     except AssertionError as exc:
         suite.record("structure.dd_zero", "plumbing", False, str(exc))
     # cross-field rank agreement of the engines behind the Betti numbers

@@ -226,12 +226,12 @@ def test_criterion_10_differential_soundness():
         rng = random.Random(0)
         for algebra in (build_affine(Signature(2, 2)), build_affine(Signature(3, 1)),
                         build_abelian(3)):
-            check_dd_zero(LodayBoundary(algebra), range(2, 7), rng, count=100)
+            check_dd_zero(LodayBoundary(algebra), range(2, 7), rng)
         from leibniz_homology import CEBoundary
 
         h = build_affine(Signature(2, 2))
         ce = CEBoundary(h, range(h.dim), h.translation_indices)
-        check_dd_zero(ce, range(2, 5), rng, count=100)
+        check_dd_zero(ce, range(2, 5), rng)
 
 
 def test_criterion_11_duality():

@@ -187,7 +187,7 @@ def test_ce_abelian_second_sum_vanishes(h22, rng):
     # over the abelian translations the bracket sum contributes nothing:
     # the boundary of I-lead words with I-wedge tails is the action sum only
     ce = CEBoundary(h22, range(h22.dim), h22.translation_indices)
-    check_dd_zero(ce, range(2, 5), rng, count=100)
+    check_dd_zero(ce, range(2, 5), rng)
 
 
 def test_ce_invalid_module_names_pair(h22):
