@@ -34,8 +34,10 @@ them, and when G acts trivially on homology they carry all of it.  An
 orbit whose stabiliser acts by -1 sums to 0 and is dropped.  The column of
 an orbit is the boundary of its lex-least word with every term replaced by
 ± its representative: the matrix of d on the orbit sums up to positive
-row and column scales (stabiliser orders), so it has the same rank.  A CE
-boundary has one block per degree, its whole chain space.
+row and column scales (stabiliser orders), so it has the same rank.
+``is_boundary`` solves on such orbit blocks too, under the signed
+coordinate rotations that fix its chain.  A CE boundary has one block per
+degree, its whole chain space.
 Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
 blocks.  A block's columns are sorted ``(row, value)`` lists, the one column
 format both rank engines of ``linalg`` read: ``columns()`` streams them to
@@ -53,7 +55,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .liealg import Coeff, Grade, LieAlgebra, accumulate
+from .liealg import Coeff, Grade, LieAlgebra, _perm_sign, accumulate
 from .linalg import DEFAULT_CAP_EXACT, CapExceededError, SparseMatrix, solve
 from .repspace import (
     CHAIN_COEFFS,
@@ -64,7 +66,6 @@ from .repspace import (
     Space,
     SpaceMismatchError,
     Symmetry,
-    _perm_sign,
     graded_words,
     mixed_space,
     sort_wedge,
@@ -358,10 +359,18 @@ def is_cycle(chain: Chain) -> bool:
 def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional[Chain]:
     """Exact witness x with d(x) = chain, or None (certified infeasible).
 
-    Restricted to tensor chains (the Loday complex).  The solve runs per
-    grade block of degree k+1, which keeps the column counts small; a block
-    exceeding ``cap_exact`` raises.
+    Restricted to tensor chains (the Loday complex).  Each grade block of
+    degree k+1 is solved on its orbit sums (``OrbitBlock``) under the group
+    H of signed permutations in SO(p)×SO(q) that fix the chain and its
+    grades (``rotations.chain_symmetries``; H = {id} for any algebra but
+    ``build_affine(sig)``/``build_so(sig)``).  H commutes with d, so
+    c = d(x) gives c = d(P x) for the average P over H; the witness
+    Σ_j x_j·P(rep_j) is re-checked against d in the standard basis.  A block
+    with more than ``cap_exact`` columns (orbit sums) raises
+    ``CapExceededError``; a negative cap is a ``ValueError``.
     """
+    if cap_exact < 0:
+        raise ValueError(f"cap_exact must be >= 0, got {cap_exact}")
     if chain.space.kind != "tensor":
         raise SpaceMismatchError("is_boundary expects a tensor chain")
     alg = chain.space.algebra
@@ -372,8 +381,12 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
     by_grade: dict[Grade, dict[Word, Fraction]] = {}
     for w, c in chain.coeffs.items():
         by_grade.setdefault(words.grade_of(w), {})[w] = c
+    from .rotations import chain_symmetries
+
+    symmetries = chain_symmetries(alg, by_grade)
+    group = symmetries or [(range(alg.dim), (1,) * alg.dim)]
     # only the blocks of the chain's grades are built
-    op = LodayBoundary(alg, keep=by_grade.__contains__)
+    op = LodayBoundary(alg, keep=by_grade.__contains__, symmetries=symmetries)
     blocks = {b.grade: b for b in op.blocks(k + 1)}
 
     witness: dict[Word, Fraction] = {}
@@ -385,12 +398,18 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
             raise CapExceededError(
                 f"exact solve block (grade {g}) has {block.cols} columns, cap {cap_exact}"
             )
+        if symmetries is not None:
+            coeffs = block.rowspace.reduce(coeffs)
         b = {block.rowspace.rank_word(w): c for w, c in coeffs.items()}
         x = solve(block, b)
         if x is None:
             return None
         for j, val in x.items():
-            witness[block.colspace.unrank_word(j)] = val
+            word = block.colspace.unrank_word(j)
+            share = val / len(group)  # x_j·P(rep_j)
+            for perm, signs in group:
+                image = tuple(map(perm.__getitem__, word))
+                accumulate(witness, image, math.prod(map(signs.__getitem__, word)) * share)
     out = Chain(tensor_space(alg, k + 1), witness)
     if op.apply(out) != Chain(tensor_space(alg, k), dict(chain.coeffs)):
         raise AssertionError("boundary witness failed exact re-check")

@@ -39,12 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .liealg import BoostY, Coeff, LieAlgebra, RotationX, Signature, Translation, build_affine
+from .liealg import BoostY, Coeff, LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine
 from .linalg import CapExceededError, SparseMatrix, kernel_basis
 from .repspace import (
     Chain,
     Space,
-    _perm_sign,
     act,
     act_word,
     mixed_space,

@@ -24,8 +24,10 @@ import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
+from math import prod
 from operator import add
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Signature",
@@ -380,6 +382,63 @@ def build_affine(sig: Signature) -> LieAlgebra:
     if alg.dim != sig.n * (sig.n + 1) // 2:
         raise RuntimeError(f"h{sig} came out with dimension {alg.dim}")
     return alg
+
+
+def is_canonical(alg: LieAlgebra) -> bool:
+    """Whether ``alg`` equals ``build_affine(alg.sig)`` or ``build_so(alg.sig)``
+    in labels, grades and structure constants (a ``sig=None`` copy is not)."""
+    sig = alg.sig
+    if sig is None or sig.n < 2:
+        return False
+    ref = build_affine(sig) if alg.translation_indices else build_so(sig)
+    return (alg.labels, alg.grades, alg.structure) == (ref.labels, ref.grades, ref.structure)
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        t = start
+        while not seen[t]:
+            seen[t] = True
+            t = perm[t]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def signed_rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The maps e_k -> s_k·e_{perm[k]} (0-based) in SO(p)×SO(q), grouped by
+    perm: each perm keeping both blocks, the identity first, with the sign
+    vectors s giving det +1 on each block, in ``product((1, -1))`` order."""
+    p, n = sig.p, sig.n
+    by_dets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for signs in product((1, -1), repeat=n):
+        by_dets.setdefault((prod(signs[:p]), prod(signs[p:])), []).append(signs)
+    for head in permutations(range(p)):
+        for tail in permutations(range(p, n)):
+            yield head + tail, by_dets[_perm_sign(head), _perm_sign([t - p for t in tail])]
+
+
+def check_automorphism(alg: LieAlgebra, sym: tuple[Sequence[int], Sequence[int]]) -> None:
+    """Raises ``ValueError`` unless e_x -> signs[x]·e_{perm[x]}, with
+    ``sym = (perm, signs)``, is an automorphism of ``alg``."""
+    perm, signs = sym
+    if sorted(perm) != list(range(alg.dim)):
+        raise ValueError(f"the symmetry {sym} of {alg.name} is no permutation of the letters")
+    # a bijection mapping the pairs with a nonzero bracket into, hence onto,
+    # themselves maps zero brackets to zero brackets
+    for (x, y), vec in alg.structure.items():
+        s = signs[x] * signs[y]
+        image = {perm[c]: signs[c] * v for c, v in vec.items()}
+        if image != {c: s * v for c, v in alg.bracket(perm[x], perm[y]).items()}:
+            raise ValueError(f"the symmetry {sym} of {alg.name} is no automorphism: "
+                             f"[{alg.labels[x]}, {alg.labels[y]}]")
 
 
 class ModuleLawError(ValueError):

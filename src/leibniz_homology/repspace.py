@@ -377,24 +377,6 @@ class OrbitBlock:
         return f"OrbitBlock(length={self.length}, grade={self.grade}, dim={self.dim})"
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def tensor_space(alg: LieAlgebra, k: int, factors: Optional[Sequence[int]] = None) -> Space:
     return Space(alg, "tensor", k, tuple(factors) if factors is not None else tuple(range(alg.dim)))
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
 from math import prod
 from operator import mul
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -37,13 +36,17 @@ from .liealg import (
     LieAlgebra,
     Signature,
     Translation,
+    _perm_sign,
     accumulate,
     build_affine,
     build_so,
+    check_automorphism,
+    is_canonical,
+    signed_rotations,
     so_labels,
 )
 from .linalg import ExactEliminator
-from .repspace import Symmetry, _perm_sign
+from .repspace import Symmetry
 
 __all__ = ["SplitReduction", "split_form", "split_reduction"]
 
@@ -289,14 +292,9 @@ def split_reduction(alg: LieAlgebra) -> Optional[SplitReduction]:
     keeps all blocks.  The split form is built on the first call per
     signature and cached.
     """
-    sig = alg.sig
-    if sig is None or sig.n < 2:
+    if not is_canonical(alg):
         return None
-    affine = bool(alg.translation_indices)
-    ref = build_affine(sig) if affine else build_so(sig)
-    if (alg.labels, alg.grades, alg.structure) != (ref.labels, ref.grades, ref.structure):
-        return None
-    return _split_reduction(sig, affine)
+    return _split_reduction(alg.sig, bool(alg.translation_indices))
 
 
 def _even(mask: int) -> bool:
@@ -353,21 +351,13 @@ def _symmetry_group(
 
 
 def _rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The maps e_k -> signs[k]·e_{perm[k]} (0-based) with det +1 on the
-    p-block and on the q-block that map the pairs (i, p+i), i < min(p,q),
-    to pairs, as (perm, signs)."""
-    p, n = sig.p, sig.n
-    r = min(p, sig.q)
-    for head in permutations(range(p)):
-        for tail in permutations(range(p, n)):
-            perm = head + tail
-            # b_i = e_i + e_{p+i} must go to ±b_j or ±b_{p+j}: pairs go to pairs
-            if any(perm[i] >= r or perm[p + i] != p + perm[i] for i in range(r)):
-                continue
-            dets = (_perm_sign(head), _perm_sign([t - p for t in tail]))
-            for signs in product((1, -1), repeat=n):
-                if (prod(signs[:p]), prod(signs[p:])) == dets:
-                    yield perm, signs
+    """The elements e_k -> signs[k]·e_{perm[k]} of ``signed_rotations(sig)``
+    that map the pairs (i, p+i), i < min(p,q), to pairs, as (perm, signs)."""
+    p, r = sig.p, min(sig.p, sig.q)
+    for perm, signings in signed_rotations(sig):
+        # b_i = e_i + e_{p+i} must go to ±b_j or ±b_{p+j}: pairs go to pairs
+        if all(perm[i] < r and perm[p + i] == p + perm[i] for i in range(r)):
+            yield from ((perm, signs) for signs in signings)
 
 
 def _symmetry(
@@ -427,7 +417,7 @@ def _check_symmetry(
     """
     sig = split.sig
     r = min(sig.p, sig.q)
-    perm, signs = sym
+    perm = sym[0]
     table = _split_table(sig)
 
     def fail(message: str) -> ValueError:
@@ -449,14 +439,7 @@ def _check_symmetry(
     for x in range(split.dim):
         if split.grades[perm[x]] != act_grade(split.grades[x]):
             raise fail(f"moves the grade of {split.labels[x]} off its action on grades")
-    # perm is a bijection (moved permutes the split vectors), so it maps
-    # the pairs with a nonzero bracket into, hence onto, themselves: zero
-    # brackets go to zero brackets
-    for (x, y), vec in split.structure.items():
-        image = {perm[c]: signs[c] * v for c, v in vec.items()}
-        s = signs[x] * signs[y]
-        if image != {c: s * v for c, v in split.bracket(perm[x], perm[y]).items()}:
-            raise fail(f"is no automorphism: [{split.labels[x]}, {split.labels[y]}]")
+    check_automorphism(split, sym)
     zero = (0,) * (r + 1)
     for m in kept:
         if act_grade(zero + (m,)) != zero + (m,):

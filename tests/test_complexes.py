@@ -1,6 +1,11 @@
 """Loday and CE boundaries, cycles, boundaries, embeddings."""
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +31,13 @@ from leibniz_homology import (
     tensor_space,
     tensor_to_wedge,
 )
+from leibniz_homology import rotations
 from leibniz_homology.complexes import LodayBoundary, check_dd_zero
+from leibniz_homology.rotations import chain_symmetries, letter_action
 from leibniz_homology.homology import _rank_exact_blocks
 from leibniz_homology.split import split_form, split_reduction
 from leibniz_homology.linalg import ExactEliminator, SparseMatrix, solve
-from leibniz_homology.repspace import graded_words
+from leibniz_homology.repspace import Chain, GradeBlock, graded_words
 
 
 def t(h, i):
@@ -243,7 +250,7 @@ def test_rho_embedding_not_cycle(sig4):
 
 
 def test_block_solve_matches_materialized_matrix(sig22):
-    # is_boundary solves on the grade blocks directly; the same block
+    # solve reads a grade block through its columns; the same block
     # materialized as a SparseMatrix must give the same witness (or None)
     sign, _ = resolve_gamma_tilde_sign(sig22)
     diff = make_gamma_tilde(sig22, sign) - make_gamma_bar(sig22)
@@ -284,3 +291,138 @@ def test_wedge_is_cycle_dispatch(h22):
     from leibniz_homology import make_alpha
 
     assert is_cycle(make_alpha(Signature(2, 2)))
+
+
+def test_is_boundary_negative_cap_is_value_error(h22):
+    # as in HomologyOptions: a negative cap is a usage error, also on a zero chain
+    at = make_alpha_tilde(Signature(2, 2))
+    for chain in (at, tensor_space(h22, 3).zero()):
+        with pytest.raises(ValueError, match="cap_exact must be >= 0"):
+            is_boundary(chain, cap_exact=-1)
+
+
+def _rehomed(chain, alg):
+    """``chain`` as a chain of the same words in the tensor space of ``alg``."""
+    return Chain(tensor_space(alg, chain.space.degree), dict(chain.coeffs))
+
+
+def _by_grade(chain):
+    words = graded_words(chain.space.algebra.grades)
+    out = {}
+    for w, c in chain.coeffs.items():
+        out.setdefault(words.grade_of(w), {})[w] = c
+    return out
+
+
+def _assert_routes_agree(chain, full_route, group_order):
+    """The orbit route on ``chain`` and the plain grade-block route on its
+    copy in a ``sig=None`` algebra agree on feasibility; every witness is
+    checked against d here too.  Returns whether ``chain`` is a boundary."""
+    alg = chain.space.algebra
+    symmetries = chain_symmetries(alg, _by_grade(chain))
+    assert symmetries is not None and len(symmetries) == group_order
+    assert symmetries[0] == (tuple(range(alg.dim)), (1,) * alg.dim)
+    full = _rehomed(chain, full_route(alg))
+    assert chain_symmetries(full.space.algebra, _by_grade(full)) is None
+    witnesses = [is_boundary(chain), is_boundary(full)]
+    assert (witnesses[0] is None) == (witnesses[1] is None)
+    for c, w in zip((chain, full), witnesses):
+        if w is not None:
+            assert LodayBoundary(c.space.algebra).apply(w) == c
+    return witnesses[0] is not None
+
+
+# the letter permutations of SO(p)×SO(q) among the signed permutations
+ROTATION_PERMS = {(2, 2): 4, (3, 1): 6, (1, 3): 6, (4, 0): 24}
+
+
+@pytest.mark.parametrize("pq", list(ROTATION_PERMS), ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_orbit_route_matches_plain_blocks_on_named_chains(pq, full_route):
+    # both named chains are fixed by every rotation; the witness of
+    # gamma~ - gamma_bar and the None of alpha~ agree with the plain route
+    sig = Signature(*pq)
+    sign, _ = resolve_gamma_tilde_sign(sig)
+    diff = make_gamma_tilde(sig, sign) - make_gamma_bar(sig)
+    assert _assert_routes_agree(diff, full_route, ROTATION_PERMS[pq])
+    assert not _assert_routes_agree(make_alpha_tilde(sig), full_route, ROTATION_PERMS[pq])
+
+
+def _half_turn_sum(alg, word):
+    """word + g·word for g: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3 at
+    (2,2); g² = -I is +1 on the words of parity 1111, so the sum is
+    fixed by g."""
+    perm, signs = letter_action(alg, (1, 0, 3, 2), (-1, 1, -1, 1))
+    image = tuple(perm[a] for a in word)
+    sign = math.prod(signs[a] for a in word)
+    return Chain(tensor_space(alg, len(word)), {word: Fraction(1)}) + Chain(
+        tensor_space(alg, len(word)), {image: Fraction(sign)}
+    )
+
+
+def test_orbit_route_matches_plain_blocks_on_partial_stabilisers(h22, full_route):
+    words = graded_words(h22.grades)
+    op = LodayBoundary(h22)
+    # a boundary fixed by a proper subgroup of the four letter permutations
+    x = _half_turn_sum(h22, GradeBlock(words, 4, (2, 15)).unrank_word(5))
+    c = op.apply(x)
+    assert not c.is_zero()
+    assert _assert_routes_agree(c, full_route, 2)
+    # a cycle that is no boundary, with the same partial stabiliser
+    block = GradeBlock(words, 5, (4, 15))
+    images = (op.apply(_half_turn_sum(h22, block.unrank_word(j))) for j in range(block.dim))
+    dy = next(d for d in images if not d.is_zero())
+    c = make_alpha_tilde(Signature(2, 2)) + dy
+    assert is_cycle(c)
+    assert not _assert_routes_agree(c, full_route, 2)
+
+
+def test_boundary_with_trivial_stabiliser_solves_on_plain_blocks(h22, rng):
+    x = random_chain(tensor_space(h22, 4), rng)
+    c = LodayBoundary(h22).apply(x)
+    assert chain_symmetries(h22, _by_grade(c)) is None
+    w = is_boundary(c)
+    assert w is not None and LodayBoundary(h22).apply(w) == c
+
+
+def _flip_first_letter(monkeypatch):
+    """Patch the letter action of ``rotations`` to negate the first letter."""
+    real = rotations.letter_action
+
+    def wrong(alg, perm, signs):
+        letters, letter_signs = real(alg, perm, signs)
+        return letters, (-letter_signs[0],) + letter_signs[1:]
+
+    monkeypatch.setattr(rotations, "letter_action", wrong)
+
+
+def test_wrong_letter_sign_is_no_automorphism(monkeypatch):
+    _flip_first_letter(monkeypatch)
+    with pytest.raises(ValueError, match="is no automorphism"):
+        is_boundary(make_alpha_tilde(Signature(2, 2)))
+
+
+def test_letter_action_check_survives_optimisation():
+    # the automorphism check raises, so python -O does not strip it
+    src = Path(__file__).resolve().parent.parent / "src"
+    here = Path(__file__).resolve().parent
+    code = (
+        "import sys\n"
+        "import pytest\n"
+        "from leibniz_homology import Signature, is_boundary, make_alpha_tilde\n"
+        "from test_complexes import _flip_first_letter\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    _flip_first_letter(mp)\n"
+        "    try:\n"
+        "        is_boundary(make_alpha_tilde(Signature(2, 2)))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        sys.exit('a wrong letter sign passed')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(here), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "is no automorphism" in proc.stdout

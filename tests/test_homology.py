@@ -396,6 +396,29 @@ def test_split_form_built_lazily():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_witness_solve_leaves_split_unloaded():
+    # the orbit route of is_boundary builds its group in the standard basis,
+    # and the package import loads neither module
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import leibniz_homology as lh\n"
+        "if 'leibniz_homology.rotations' in sys.modules:\n"
+        "    sys.exit('importing the package loaded the rotations module')\n"
+        "sig = lh.Signature(2, 2)\n"
+        "sign, _ = lh.resolve_gamma_tilde_sign(sig)\n"
+        "diff = lh.make_gamma_tilde(sig, sign) - lh.make_gamma_bar(sig)\n"
+        "if lh.is_boundary(diff) is None or lh.is_boundary(lh.make_alpha_tilde(sig)) is not None:\n"
+        "    sys.exit('wrong answers')\n"
+        "if 'leibniz_homology.split' in sys.modules:\n"
+        "    sys.exit('is_boundary loaded the split module')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_reduction_in_report():
     rep = homology_dims(build_affine(Signature(2, 2)), 2)
     data = rep.to_json_dict()

@@ -1,5 +1,6 @@
 """The split form of the affine algebras: closed-form construction and its check."""
 
+import math
 import os
 import re
 import subprocess
@@ -20,7 +21,8 @@ from leibniz_homology import (
     validate,
 )
 from leibniz_homology import split
-from leibniz_homology.liealg import so_labels
+from leibniz_homology.liealg import check_automorphism, signed_rotations, so_labels
+from leibniz_homology.rotations import letter_action
 from leibniz_homology.repspace import GradeBlock, graded_words
 from leibniz_homology.split import split_form, split_reduction
 
@@ -185,9 +187,9 @@ def _standard_images(form, alg):
     return [{index[lab]: int(sign + (count or "1")) for sign, count, lab in t} for t in terms]
 
 
-def _through_standard_letters(alg, letters, perm, signs):
-    """The action of e_k -> signs[k]·e_{perm[k]} on the split letters, by
-    mapping the standard letters and looking up each split letter's image."""
+def _standard_letter_map(alg, perm, signs):
+    """The action of e_k -> signs[k]·e_{perm[k]} on the standard letters of
+    ``alg``: letter -> (image letter, sign)."""
     p = alg.sig.p
     std = {}
     if alg.translation_indices:
@@ -199,6 +201,13 @@ def _through_standard_letters(alg, letters, perm, signs):
         image = BoostY(lo, hi) if lo <= p < hi else RotationX(lo, hi)
         sign = signs[lab.i - 1] * signs[lab.j - 1] * (1 if a < b else -1)
         std[alg.index(lab)] = (alg.index(image), sign)
+    return std
+
+
+def _through_standard_letters(alg, letters, perm, signs):
+    """The action of e_k -> signs[k]·e_{perm[k]} on the split letters, by
+    mapping the standard letters and looking up each split letter's image."""
+    std = _standard_letter_map(alg, perm, signs)
     letter_perm, letter_signs = [0] * alg.dim, [0] * alg.dim
     for img, (x, sign) in letters.items():
         if sign == 1:
@@ -244,3 +253,20 @@ def test_letter_action_matches_standard_route(build, pq):
     symmetries = split_reduction(alg).symmetries
     assert set(symmetries) <= actions
     assert {perm for perm, _ in symmetries} == {perm for perm, _ in actions}
+
+
+@pytest.mark.parametrize("build", [build_affine, build_so], ids=lambda b: b.__name__[6:])
+@pytest.mark.parametrize("pq", list(GROUP_ORDERS), ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_standard_letter_action_matches_oracle(build, pq):
+    # every signed permutation in SO(p)×SO(q), not only those that keep the
+    # split basis, acts on the standard letters as the oracle maps them
+    alg = build(Signature(*pq))
+    count = 0
+    for perm, signings in signed_rotations(alg.sig):
+        for signs in signings:
+            std = _standard_letter_map(alg, perm, signs)
+            assert letter_action(alg, perm, signs) == tuple(zip(*(std[x] for x in range(alg.dim))))
+            check_automorphism(alg, letter_action(alg, perm, signs))
+            count += 1
+    n = alg.sig.n
+    assert count == math.factorial(pq[0]) * math.factorial(pq[1]) * 2 ** (n - 1 - (pq[1] > 0))
