@@ -41,8 +41,9 @@ degree, its whole chain space.
 Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
 blocks.  A block's columns are sorted ``(row, value)`` lists, the one column
 format both rank engines of ``linalg`` read: ``columns()`` streams them to
-an exact rank, ``csc()`` lists them once for the primes of a modular rank.
-Matrices are materialized only on demand.
+an exact rank, ``csc()`` lists them once for the primes of a modular rank,
+and a ``ColumnStore`` keeps them between a rank and the d∘d check of one
+run.  Matrices are materialized only on demand.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ __all__ = [
     "is_cycle",
     "is_boundary",
     "embed_mixed_in_tensor",
+    "ColumnStore",
     "check_dd_zero",
 ]
 
@@ -87,6 +89,7 @@ MATRIX_CAP = 200_000  # columns of the largest LodayBoundary.matrix
 DD_CHECKS = 100  # random chains of ranked columns per degree in the d∘d = 0 check
 
 Word = tuple[int, ...]
+Column = list[tuple[int, Coeff]]  # sorted (row, value) pairs of one boundary column
 
 
 WordIndex = Union[GradeBlock, OrbitBlock, Space]
@@ -111,15 +114,15 @@ class BoundaryBlock:
     def cols(self) -> int:
         return self.colspace.dim
 
-    def column(self, j: int) -> list[tuple[int, Coeff]]:
+    def column(self, j: int) -> Column:
         out = self.word_boundary(self.colspace.unrank_word(j))
         return sorted((self.rowspace.rank_word(w), v) for w, v in out.items())
 
-    def columns(self) -> Iterator[list[tuple[int, Coeff]]]:
+    def columns(self) -> Iterator[Column]:
         for j in range(self.cols):
             yield self.column(j)
 
-    def csc(self) -> list[list[tuple[int, Coeff]]]:
+    def csc(self) -> list[Column]:
         """Every column of the block, generated once, for rank passes that
         read them more than once (one per prime)."""
         return list(self.columns())
@@ -432,7 +435,44 @@ def embed_mixed_in_tensor(chain: Chain) -> Chain:
     return chain.map(embed, tensor_space(chain.space.algebra, k + 1))
 
 
-def check_dd_zero(op: _Boundary, degrees: Iterable[int], rng) -> None:
+class ColumnStore:
+    """Boundary columns kept between the passes that read them: per degree
+    k and grade, column index -> ``BoundaryBlock.column``.  A rank pass and
+    ``check_dd_zero`` that share one generate each column once."""
+
+    def __init__(self) -> None:
+        self._degrees: dict[int, dict[Optional[Grade], dict[int, Column]]] = {}
+
+    def column(self, k: int, block: BoundaryBlock, j: int) -> Column:
+        """Column j of the degree-k ``block``, generated and kept if new."""
+        stored = self._degrees.setdefault(k, {}).setdefault(block.grade, {})
+        col = stored.get(j)
+        if col is None:
+            col = stored[j] = block.column(j)
+        return col
+
+    def columns(self, k: int, block: BoundaryBlock, keep: bool) -> Iterator[Column]:
+        """Every column of the degree-k ``block`` in order, the stored ones
+        read and the rest generated; with ``keep`` the new ones are kept,
+        without it the block's stored columns are let go."""
+        degree = self._degrees.setdefault(k, {})
+        stored = degree.setdefault(block.grade, {}) if keep else degree.pop(block.grade, {})
+        for j in range(block.cols):
+            col = stored.get(j)
+            if col is None:
+                col = block.column(j)
+                if keep:
+                    stored[j] = col
+            yield col
+
+    def drop(self, k: int) -> None:
+        """Let go of every stored column of degree k."""
+        self._degrees.pop(k, None)
+
+
+def check_dd_zero(
+    op: _Boundary, degrees: Iterable[int], rng, columns: Optional[ColumnStore] = None
+) -> None:
     """d∘d = 0 on the blocks that ``op`` ranks; raises ``AssertionError``
     naming the degree and grade of the first nonzero composite.
 
@@ -440,18 +480,22 @@ def check_dd_zero(op: _Boundary, degrees: Iterable[int], rng) -> None:
     ``op.blocks(k)`` (4 columns each, uniform over the degree's columns,
     coefficients in [-5, 5], drawn as ``random_chain`` draws them) go
     through their ``BoundaryBlock.column`` and then through the columns of
-    the degree-(k-1) block of the same grade, read once per degree.  A
-    degree whose d_{k-1} has no blocks (d_1 of Loday) is skipped.  On orbit
-    blocks this checks the matrix of d on the orbit sums, signs included,
-    which ``apply`` on the whole complex never reads.
+    the degree-(k-1) block of the same grade.  A degree whose d_{k-1} has
+    no blocks (d_1 of Loday) is skipped.  On orbit blocks this checks the
+    matrix of d on the orbit sums, signs included, which ``apply`` on the
+    whole complex never reads.  Columns are read from the store
+    ``columns``, which keeps the ones generated here; ``homology_dims``
+    shares one with its ranks, so no column is generated twice.  The
+    degree-(k-1) columns are let go once degree k is checked.
     """
+    store = ColumnStore() if columns is None else columns
     for k in degrees:
         lower = {b.grade: b for b in op.blocks(k - 1)}
         blocks = [b for b in op.blocks(k) if b.cols]
         if not lower or not blocks:
+            store.drop(k - 1)
             continue
         ends = list(itertools.accumulate(b.cols for b in blocks))
-        lower_columns: dict[tuple[Optional[Grade], int], list[tuple[int, Coeff]]] = {}
         for _ in range(DD_CHECKS):
             image: dict[tuple[Optional[Grade], int], Coeff] = {}  # (grade, row) -> coefficient
             for _ in range(CHAIN_TERMS):
@@ -460,14 +504,12 @@ def check_dd_zero(op: _Boundary, degrees: Iterable[int], rng) -> None:
                     continue
                 b = bisect_right(ends, j)
                 block = blocks[b]
-                for i, v in block.column(j - ends[b] + block.cols):
+                for i, v in store.column(k, block, j - ends[b] + block.cols):
                     accumulate(image, (block.grade, i), c * v)
             out: dict[tuple[Optional[Grade], int], Coeff] = {}
             for (g, i), v in image.items():
-                col = lower_columns.get((g, i))
-                if col is None:
-                    col = lower_columns[g, i] = lower[g].column(i)
-                for r, w in col:
+                for r, w in store.column(k - 1, lower[g], i):
                     accumulate(out, (g, r), v * w)
             if out:
                 raise AssertionError(f"d∘d != 0 at degree {k}, grade {min(out)[0]}")
+        store.drop(k - 1)

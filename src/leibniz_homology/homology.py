@@ -39,17 +39,31 @@ once for all its primes.  ``cap_exact=0`` ranks every nonzero boundary
 modularly, ``cap_modular=0`` only exactly.  A degree past both caps ends the
 table there, as a partial report.  Every run spot-checks d∘d = 0 on random
 chains of the columns it ranks (the orbit columns, when reduced) at every
-degree, through the same ``BoundaryBlock.column`` the ranks read, and aborts
-on failure (``complexes.check_dd_zero``).
+degree and aborts on failure (``complexes.check_dd_zero``).  It makes one
+pass per degree k: the check of degree k reads the columns of d_{k-1} that
+the last rank kept and generates the drawn columns of d_k, and the rank of
+d_k reads those back from the same ``complexes.ColumnStore``, so each ranked
+column is generated once.  The store holds one degree's columns at a time
+(the top degree only its drawn ones), and the degrees past a cap are checked
+on columns generated for the check alone.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .complexes import CEBoundary, LodayBoundary, WedgeBoundary, check_dd_zero
+from .complexes import (
+    BoundaryBlock,
+    CEBoundary,
+    Column,
+    ColumnStore,
+    LodayBoundary,
+    WedgeBoundary,
+    check_dd_zero,
+)
 from .liealg import LieAlgebra, Signature
 from .linalg import (
     DEFAULT_CAP_EXACT,
@@ -76,6 +90,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP_MODULAR = 3_000_000
+
+ColumnReader = Callable[[BoundaryBlock], Iterable[Column]]  # a block's columns, in order
 
 
 @dataclass(frozen=True)
@@ -205,30 +221,34 @@ def predicted_hl_dims(sig: Signature, max_degree: int) -> list[int]:
     return out
 
 
-def _rank_exact_blocks(blocks) -> int:
+def _rank_exact_blocks(blocks, read: Optional[ColumnReader] = None) -> int:
+    """Sum of per-block ranks over Q; ``read(block)`` gives a block's
+    columns in order (by default ``block.columns()``)."""
     total = 0
     for block in blocks:
         if block.cols == 0 or block.rows == 0:
             continue
         elim = ExactEliminator(block.rows)
-        for col in block.columns():
+        for col in block.columns() if read is None else read(block):
             if col:
                 elim.add_column(col)
         total += elim.rank
     return total
 
 
-def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
+def _rank_modular_blocks(
+    blocks, primes: Sequence[int], read: Optional[ColumnReader] = None
+) -> int:
     """Sum of per-block ranks; every block must agree across all primes.
 
-    Each block's columns are generated once and fed to one eliminator per
-    prime.
+    Each block's columns are listed once (``read(block)``, by default
+    ``block.csc()``) and fed to one eliminator per prime.
     """
     total = 0
     for block in blocks:
         if block.cols == 0 or block.rows == 0:
             continue
-        cols = block.csc()
+        cols = block.csc() if read is None else list(read(block))
         ranks = []
         for p in primes:
             elim = SparseModularEliminator(block.rows, p)
@@ -242,21 +262,24 @@ def _rank_modular_blocks(blocks, primes: Sequence[int]) -> int:
     return total
 
 
-def _boundary_rank(op, k: int, opts: HomologyOptions, primes: Sequence[int]) -> RankCertificate:
+def _boundary_rank(
+    op, k: int, opts: HomologyOptions, primes: Sequence[int], read: Optional[ColumnReader] = None
+) -> RankCertificate:
     """Rank of d_k on the boundary's blocks: exact within ``cap_exact``
-    columns, else modular within ``cap_modular``; no blocks means rank 0."""
+    columns, else modular within ``cap_modular``; no blocks means rank 0.
+    The caps are checked before any column is read."""
     blocks = op.blocks(k)
     if not blocks:
         return RankCertificate(0, "Q", "exact")
     cols = sum(b.cols for b in blocks)
     if cols <= opts.cap_exact:
-        return RankCertificate(_rank_exact_blocks(blocks), "Q", "exact")
+        return RankCertificate(_rank_exact_blocks(blocks, read), "Q", "exact")
     if cols > opts.cap_modular:
         raise CapExceededError(
             f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact} "
             f"and the modular cap {opts.cap_modular}"
         )
-    r = _rank_modular_blocks(blocks, primes)
+    r = _rank_modular_blocks(blocks, primes, read)
     return RankCertificate(r, "Fp", "modular", list(primes))
 
 
@@ -308,15 +331,22 @@ def homology_dims(
 
         reduction = split_reduction(algebra)
     op = _boundary(algebra, kind, reduction)
-    check_dd_zero(op, range(2, max_degree + 2), rng)
 
+    # one pass per degree k: the d∘d check reads the columns of d_{k-1} that
+    # the last rank kept and generates the drawn columns of d_k, which the
+    # rank of d_k reads back from the same store; below the top degree the
+    # rank keeps all its columns for the next check
+    store = ColumnStore()
     ranks: dict[int, RankCertificate] = {}
     capped_at = cap_message = None
     for k in range(1, max_degree + 2):
+        check_dd_zero(op, (k,), rng, store)
+        read = partial(store.columns, k, keep=k <= max_degree)
         try:
-            ranks[k] = _boundary_rank(op, k, opts, primes)
+            ranks[k] = _boundary_rank(op, k, opts, primes, read)
         except CapExceededError as exc:
             capped_at, cap_message = k, str(exc)
+            check_dd_zero(op, range(k + 1, max_degree + 2), rng, store)
             break
 
     entries = []

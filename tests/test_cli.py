@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, JSON reports."""
 
 import json
+import re
 
 import pytest
 
@@ -166,6 +167,24 @@ def test_verify_paper_definite(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["passed"] is True
     assert data["resolved_gamma_sign"] == -1
+
+
+def test_verify_paper_modular_only_reports_witnesses_not_run(tmp_path, capsys):
+    # --cap-exact 0 (modular ranks only) leaves the exact witness solves
+    # unrun and reported as such; the homology and prediction checks run
+    out = tmp_path / "modular.json"
+    assert run(["verify", "--suite", "paper", "--p", "2", "--q", "2", "--cap-exact", "0",
+                "--json", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    assert data["passed"] is True
+    results = {r["check_id"]: r for r in data["results"]}
+    for check_id in ("complexes.gamma_homologous", "complexes.alpha_tilde_not_boundary"):
+        assert results[check_id]["status"] == "reported"
+        assert re.fullmatch(r"not run: exact solve block \(grade .*\) has \d+ columns, cap 0",
+                            results[check_id]["details"])
+    assert results["homology.matches_prediction"]["status"] == "pass"
+    assert "modular" in results["homology.matches_prediction"]["details"]
+    assert results["homology.duality"]["status"] == "pass"
 
 
 def test_env_var_overrides(monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -204,7 +205,7 @@ def test_prime_disagreement_raises():
 
 def test_pure_python_import_and_ranks():
     # the package and its modular route run without numpy: cap_exact=0 sends
-    # d_2 and d_3 through csc() and the eliminators of both primes
+    # d_2 and d_3 through the eliminators of both primes
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
@@ -247,6 +248,75 @@ def test_orbit_sign_error_caught_by_dd_check(monkeypatch):
     monkeypatch.setattr(OrbitBlock, "canonical", flipped)
     with pytest.raises(AssertionError, match=re.escape(f"d∘d != 0 at degree 4, grade {grade}")):
         homology_dims(h, 4)
+
+
+def test_each_ranked_column_generated_once(monkeypatch):
+    # the d∘d check and the ranks share one column store: every ranked
+    # column is generated exactly once, and the only others are columns of
+    # blocks the ranks skip (no rows), which the check still reads
+    h = build_affine(Signature(2, 2))
+    calls = Counter()
+    column = complexes.BoundaryBlock.column
+
+    def counted(self, j):
+        calls[self.colspace.length, self.grade, j] += 1
+        return column(self, j)
+
+    monkeypatch.setattr(complexes.BoundaryBlock, "column", counted)
+    homology_dims(h, 4)
+    assert max(calls.values()) == 1
+    red = split_reduction(h)
+    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    blocks = [(k, b) for k in range(2, 6) for b in op.blocks(k)]
+    ranked = {(k, b.grade, j) for k, b in blocks if b.rows for j in range(b.cols)}
+    skipped = sum(b.cols for k, b in blocks if not b.rows)
+    assert ranked <= calls.keys()
+    assert len(calls) <= len(ranked) + skipped
+
+
+# at (2,2) d_4 has 161 orbit columns and d_5 1,240; modular ranks only
+@pytest.mark.parametrize("cap_modular, capped_at", [(500, 5), (100, 4)])
+def test_dd_check_covers_capped_degrees(monkeypatch, cap_modular, capped_at):
+    # a wrong sign on one non-representative word of the length-4 orbit
+    # block of translation count 2 first shows in d_4∘d_5; the check still
+    # reaches degree 5 when d_5 (or already d_4) is past both caps
+    h = build_affine(Signature(2, 2))
+    opts = HomologyOptions(cap_exact=0, cap_modular=cap_modular)
+    assert homology_dims(h, 4, options=opts).capped_at == capped_at
+    red = split_reduction(h)
+    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    grade = (2, 0, 0, 0)
+    orbits = op.word_index(4, grade)
+    block = GradeBlock(graded_words(red.algebra.grades), 4, grade)
+    target = next(
+        w for w in map(block.unrank_word, range(block.dim))
+        if orbits.canonical(w) is not None and orbits.canonical(w)[0] != w
+    )
+    canonical = OrbitBlock.canonical
+
+    def flipped(self, word):
+        hit = canonical(self, word)
+        if word == target and hit is not None:
+            return hit[0], -hit[1]
+        return hit
+
+    monkeypatch.setattr(OrbitBlock, "canonical", flipped)
+    with pytest.raises(AssertionError, match=re.escape(f"d∘d != 0 at degree 5, grade {grade}")):
+        homology_dims(h, 4, options=opts)
+
+
+def test_dd_check_draws_one_degree_at_a_time():
+    # homology_dims checks one degree per pass; the draws, and so the rng
+    # state after them, are those of one call over every degree
+    h = build_affine(Signature(2, 2))
+    red = split_reduction(h)
+    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    whole, stepped = random.Random(5), random.Random(5)
+    complexes.check_dd_zero(op, range(2, 6), whole)
+    store = complexes.ColumnStore()
+    for k in range(2, 6):
+        complexes.check_dd_zero(op, (k,), stepped, store)
+    assert stepped.getstate() == whole.getstate()
 
 
 def test_ranked_dd_check_traced_as_complexes_layer():
