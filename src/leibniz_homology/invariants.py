@@ -2,11 +2,17 @@
 
 Every linear map on chains is a word map extended by ``Chain.map``, as in
 ``repspace``.  ``invariant_subspace`` stacks the action of every acting basis
-element on each basis word (``act_word``) into one column, reads the kernel
+element on one basis word (``act_word``) into one column, reads the kernel
 from ``linalg.kernel_basis`` and re-verifies each kernel chain by direct
-annihilation (``act``).  ``lead_projection`` extends the projection of one
-tensor word onto lead ⊗ Λ^(k-1).  ``expected_invariant_dim`` is the paper's
-table of invariant dimensions.
+annihilation (``act``).  On an algebra equal to ``build_affine(sig)`` or
+``build_so(sig)`` (``liealg.is_canonical``) only the words whose parity is
+constant on each block get a column: for an acting ``X(i,j)``, both indices
+in one block, exp(π·X(i,j)) is the flip ε_iε_j, which multiplies a word of
+parity s by (-1)^(s_i + s_j), and a vector killed by X is fixed by every
+exp(tX), so an invariant has no word with s_i != s_j.  Every other algebra
+(a ``sig=None`` copy included) solves over all words.  ``lead_projection``
+extends the projection of one tensor word onto lead ⊗ Λ^(k-1).
+``expected_invariant_dim`` is the paper's table of invariant dimensions.
 
 The named elements (all exact, integer up to the stated 1/n! prefactor):
 
@@ -35,11 +41,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .liealg import BoostY, Coeff, LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine
+from .liealg import (
+    BoostY, Coeff, LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine, is_canonical,
+)
 from .linalg import CapExceededError, SparseMatrix, kernel_basis
 from .repspace import (
     Chain,
@@ -99,11 +108,42 @@ def expected_invariant_dim(module: str, n: int, k: int = 0) -> Optional[int]:
 
 
 def _resolve_acting(acting, space: Space) -> list[int]:
+    alg = space.algebra
     if isinstance(acting, LieAlgebra):
-        if acting is space.algebra:
+        if acting is alg:
             return list(range(acting.dim))
-        return [space.algebra.index(lab) for lab in acting.labels]
-    return [int(x) for x in acting]
+        return [alg.index(lab) for lab in acting.labels]
+    gens = []
+    for x in acting:
+        try:
+            i = operator.index(x)
+        except TypeError:
+            raise ValueError(f"acting index {x!r} is not an integer") from None
+        if not 0 <= i < alg.dim:
+            raise ValueError(f"acting index {i} out of range for the {alg.dim}-dimensional {alg.name}")
+        gens.append(i)
+    return gens
+
+
+def _kept_words(space: Space, gens: Sequence[int]) -> list[tuple[int, ...]]:
+    """The words of ``space`` an invariant of ``gens`` can involve, in rank
+    order: on a canonical algebra those whose parity s has s_i = s_j for
+    every acting ``RotationX(i,j)``, otherwise every word."""
+    alg = space.algebra
+    flips = []
+    if is_canonical(alg):
+        flips = [alg.grades[x][1] for x in gens if isinstance(alg.labels[x], RotationX)]
+    if not flips:
+        return list(space.words())
+    parity = [g[1] for g in alg.grades]
+    out = []
+    for word in space.words():
+        s = 0
+        for a in word:
+            s ^= parity[a]
+        if all(s & f in (0, f) for f in flips):  # f has bits i and j
+            out.append(word)
+    return out
 
 
 def invariant_subspace(
@@ -116,9 +156,21 @@ def invariant_subspace(
 
     ``acting`` is a subalgebra given either as a LieAlgebra whose labels are
     resolved inside the ambient algebra of the space, or as explicit ambient
-    basis indices.  Chains in the returned basis are primitive integer
-    vectors, the lowest-rank word carrying a positive coefficient, and each
-    is re-verified to be annihilated exactly.
+    basis indices (a non-integer or out-of-range index is a ValueError).
+    Chains in the returned basis are primitive integer vectors, the
+    lowest-rank word carrying a positive coefficient, and each is
+    re-verified to be annihilated exactly.
+
+    The stacked matrix has one row block of ``space.dim`` rows per acting
+    element (``row_cap`` bounds their total), but a column only for the
+    words ``_kept_words`` keeps.  On a canonical algebra
+    (``liealg.is_canonical``) those are the words whose parity is equal on
+    i and j for every acting ``X(i,j)``: exp(π·X(i,j)) acts on every module
+    built from h_n as the flip ε_iε_j, i.e. by (-1)^(s_i + s_j) on a word of
+    parity s, and fixes every vector X kills, so no invariant has a word
+    the rule drops.  The kernel is therefore the same, and since the tracked
+    elimination gives each dependent column its unique relation over the
+    earlier independent ones, so is the basis, chain for chain.
     """
     gens = _resolve_acting(acting, space)
     rows = len(gens) * space.dim
@@ -127,15 +179,15 @@ def invariant_subspace(
             f"stacked action matrix has {rows} rows "
             f"({len(gens)} generators x dim {space.dim}), cap {row_cap}"
         )
+    words = _kept_words(space, gens)
     entries: dict[tuple[int, int], Coeff] = {}
-    for j in range(space.dim):
-        word = space.unrank_word(j)
+    for j, word in enumerate(words):
         for t, x in enumerate(gens):
             for w, c in act_word(space, x, word).items():
                 entries[(t * space.dim + space.rank_word(w), j)] = c
     chains: list[Chain] = []
-    for vec in kernel_basis(SparseMatrix(rows, space.dim, entries)):
-        chain = Chain(space, {space.unrank_word(j): c for j, c in vec.items()})
+    for vec in kernel_basis(SparseMatrix(rows, len(words), entries)):
+        chain = Chain(space, {words[j]: c for j, c in vec.items()})
         first = min(chain.coeffs, key=space.rank_word)
         if chain.coeffs[first] < 0:
             chain = -1 * chain

@@ -463,7 +463,7 @@ class Chain:
     def word_str(self, word: Word) -> str:
         labels = self.space.algebra.labels
         if self.space.kind == "tensor":
-            return "*".join(str(labels[i]) for i in word)
+            return "*".join(str(labels[i]) for i in word) if word else "1"
         if self.space.kind == "wedge":
             return "^".join(str(labels[i]) for i in word) if word else "1"
         tail = "^".join(str(labels[i]) for i in word[1:]) if word[1:] else "1"

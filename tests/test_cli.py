@@ -60,6 +60,14 @@ def test_invariants_descriptors(capsys, tmp_path):
     assert run(["invariants", "--p", "2", "--q", "2", "--module", "bogus:3"]) == EXIT_USAGE
 
 
+def test_invariants_empty_tensor_word(capsys, tmp_path):
+    out = tmp_path / "t0.json"
+    assert run(["invariants", "--p", "2", "--q", "2", "--module", "tensor:h:0", "--json", str(out)]) == EXIT_OK
+    assert "   (1)·1\n" in capsys.readouterr().out
+    basis = json.loads(out.read_text())["results"][0]["basis"]
+    assert basis == [[{"word": "1", "numerator": 1, "denominator": 1}]]
+
+
 @pytest.mark.parametrize("desc", ["wedge:I:2:junk", "I*wedge:1:x", "so*wedge:2:", "so:1", "tensor:h"])
 def test_invariants_trailing_or_missing_field_is_usage_error(capsys, desc):
     assert run(["invariants", "--p", "2", "--q", "2", "--module", desc]) == EXIT_USAGE

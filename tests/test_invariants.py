@@ -1,6 +1,8 @@
 """Invariant subspace dimensions and the named invariant elements."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -233,3 +235,96 @@ def test_row_cap():
     h = build_affine(sig)
     with pytest.raises(CapExceededError):
         invariant_subspace(build_so(sig), wedge_space(h, 2), row_cap=10)
+
+
+def _module_descriptors(n):
+    return (
+        [f"wedge:I:{k}" for k in range(n + 1)]
+        + [f"tensor:h:{k}" for k in range(4)]
+        + [f"{kind}:{k}" for kind in ("I*wedge", "so*wedge") for k in range(n + 1)]
+        + ["so"]
+    )
+
+
+def _route_mismatches(sig, full_route, descriptors):
+    """Descriptors whose invariant basis on h differs, chain for chain, from
+    the one on its ``sig=None`` copy, which solves over every word."""
+    from leibniz_homology.cli import _parse_module
+    from leibniz_homology.repspace import Space
+
+    so = build_so(sig)
+    bad = []
+    for desc in descriptors:
+        space = _parse_module(desc, sig)[0]
+        copy = Space(full_route(space.algebra), space.kind, space.degree, space.factors, space.lead)
+        got = invariant_subspace(so, space).basis
+        want = invariant_subspace(so, copy).basis
+        if [c.coeffs for c in got] != [c.coeffs for c in want]:
+            bad.append(desc)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "pq", [(2, 1), (3, 0), (2, 2), (3, 1), (1, 3), (4, 0), (2, 3), (3, 2), (3, 3)], ids=str
+)
+def test_kept_words_basis_matches_full_route(pq, full_route):
+    sig = Signature(*pq)
+    assert _route_mismatches(sig, full_route, _module_descriptors(sig.n)) == []
+
+
+def _table_columns(monkeypatch, sig, alg):
+    """Columns handed to kernel_basis over the wedge, I⊗Λ^k and so⊗Λ^k tables."""
+    from leibniz_homology import invariants
+
+    cols = []
+    solve = invariants.kernel_basis
+    monkeypatch.setattr(invariants, "kernel_basis", lambda m: cols.append(m.cols) or solve(m))
+    so = build_so(sig)
+    for k in range(sig.n + 1):
+        invariant_subspace(so, wedge_space(alg, k))
+        invariant_subspace(so, mixed_space(alg, k, lead=alg.translation_indices))
+        invariant_subspace(so, mixed_space(alg, k, lead=alg.so_indices))
+    monkeypatch.undo()
+    return sum(cols)
+
+
+@pytest.mark.parametrize(
+    "pq, full, kept", [((2, 2), 176, 44), ((3, 1), 176, 44), ((4, 0), 176, 22), ((2, 3), 512, 64)]
+)
+def test_kept_words_column_counts(monkeypatch, full_route, pq, full, kept):
+    sig = Signature(*pq)
+    h = build_affine(sig)
+    assert _table_columns(monkeypatch, sig, full_route(h)) == full
+    assert _table_columns(monkeypatch, sig, h) == kept
+
+
+def test_cross_check_catches_a_wrong_kept_rule(monkeypatch, full_route):
+    # seeded mutation: keep only the parity-0 words of a canonical algebra;
+    # alpha has parity 1111 and drops out of Λ^4
+    from leibniz_homology import invariants
+
+    sig = Signature(2, 2)
+    assert _route_mismatches(sig, full_route, ["wedge:I:4"]) == []
+    rule = invariants._kept_words
+
+    def parity_zero_only(space, gens):
+        words = rule(space, gens)
+        if not invariants.is_canonical(space.algebra):
+            return words
+        parity = [g[1] for g in space.algebra.grades]
+        return [w for w in words if functools.reduce(operator.xor, (parity[a] for a in w), 0) == 0]
+
+    monkeypatch.setattr(invariants, "_kept_words", parity_zero_only)
+    assert invariant_subspace(build_so(sig), wedge_space(build_affine(sig), 4)).dim == 0
+    assert _route_mismatches(sig, full_route, ["wedge:I:4"]) == ["wedge:I:4"]
+
+
+def test_acting_indices_checked():
+    h = build_affine(Signature(2, 2))
+    space = wedge_space(h, 2)
+    assert invariant_subspace([9], space).dim == 2
+    for bad in ([99], [10], [-1], [1.7], ["1"]):
+        with pytest.raises(ValueError):
+            invariant_subspace(bad, space)
+    with pytest.raises(ValueError):
+        annihilated_by(make_alpha(Signature(2, 2)), [h.dim])

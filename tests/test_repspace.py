@@ -246,3 +246,8 @@ def test_orbit_walk_matches_brute_force(pq, top):
             reps = _brute_force_reps(GradeBlock(words, k, grade), red.symmetries)
             orbits = op.word_index(k, grade)
             assert [orbits.unrank_word(r) for r in range(orbits.dim)] == reps, (k, grade)
+
+
+def test_empty_word_renders_as_one(h22):
+    for space in (tensor_space(h22, 0), wedge_space(h22, 0)):
+        assert str(space.basis_chain(())) == "(1)·1"
