@@ -80,7 +80,7 @@ __all__ = [
     "expected_invariant_dim",
 ]
 
-DEFAULT_ROW_CAP = 2_000_000
+ROW_CAP = 2_000_000  # rows of the stacked action matrix of invariant_subspace
 
 
 @dataclass
@@ -112,7 +112,10 @@ def _resolve_acting(acting, space: Space) -> list[int]:
     if isinstance(acting, LieAlgebra):
         if acting is alg:
             return list(range(acting.dim))
-        return [alg.index(lab) for lab in acting.labels]
+        try:
+            return [alg.index(lab) for lab in acting.labels]
+        except KeyError as exc:
+            raise ValueError(f"acting label {exc.args[0]} of {acting.name} is not in {alg.name}") from None
     gens = []
     for x in acting:
         try:
@@ -146,23 +149,19 @@ def _kept_words(space: Space, gens: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def invariant_subspace(
-    acting: Union[LieAlgebra, Sequence[int]],
-    space: Space,
-    *,
-    row_cap: int = DEFAULT_ROW_CAP,
-) -> InvariantBasis:
+def invariant_subspace(acting: Union[LieAlgebra, Sequence[int]], space: Space) -> InvariantBasis:
     """Exact kernel of the stacked action matrices of all acting elements.
 
     ``acting`` is a subalgebra given either as a LieAlgebra whose labels are
-    resolved inside the ambient algebra of the space, or as explicit ambient
-    basis indices (a non-integer or out-of-range index is a ValueError).
+    resolved inside the ambient algebra of the space (a label it lacks is a
+    ValueError), or as explicit ambient basis indices (a non-integer or
+    out-of-range index is a ValueError).
     Chains in the returned basis are primitive integer vectors, the
     lowest-rank word carrying a positive coefficient, and each is
     re-verified to be annihilated exactly.
 
     The stacked matrix has one row block of ``space.dim`` rows per acting
-    element (``row_cap`` bounds their total), but a column only for the
+    element (``ROW_CAP`` bounds their total), but a column only for the
     words ``_kept_words`` keeps.  On a canonical algebra
     (``liealg.is_canonical``) those are the words whose parity is equal on
     i and j for every acting ``X(i,j)``: exp(π·X(i,j)) acts on every module
@@ -174,10 +173,10 @@ def invariant_subspace(
     """
     gens = _resolve_acting(acting, space)
     rows = len(gens) * space.dim
-    if rows > row_cap:
+    if rows > ROW_CAP:
         raise CapExceededError(
             f"stacked action matrix has {rows} rows "
-            f"({len(gens)} generators x dim {space.dim}), cap {row_cap}"
+            f"({len(gens)} generators x dim {space.dim}), cap {ROW_CAP}"
         )
     words = _kept_words(space, gens)
     entries: dict[tuple[int, int], Coeff] = {}

@@ -15,7 +15,9 @@ The commutator of two such pairs is again degree <= 1:
 so all structure constants of so(p,q) and of the affine algebra
 h_n = I_n ⋊ so(p,q) come out as exact integers.  Basis order is fixed:
 translations by i, then X(i,j) lexicographic (p-block before q-block), then
-Y(i,j) lexicographic.
+Y(i,j) lexicographic.  The signed coordinate permutations in SO(p)×SO(q)
+(``signed_rotations``) act on the letters by ``letter_action``, read off the
+pair-sign table ``letter_pairs``; ``split`` and ``rotations`` share both.
 """
 
 from __future__ import annotations
@@ -425,6 +427,41 @@ def signed_rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], list[tup
             yield head + tail, by_dets[_perm_sign(head), _perm_sign([t - p for t in tail])]
 
 
+def _pair_sign(k: int, l: int, p: int) -> int:
+    """The sign s with e_k ∧ e_l = s·(the X or Y label of the pair), 0-based
+    k < l: the field of x -> e_k B(e_l, x) - e_l B(e_k, x) is X(k+1,l+1) in
+    the p-block, and -X(k+1,l+1) in the q-block or -Y(k+1,l+1) across."""
+    return 1 if l < p else -1
+
+
+@lru_cache(maxsize=None)
+def letter_pairs(sig: Signature) -> tuple[list[tuple[int, int]], dict[tuple[int, int], tuple[int, int]]]:
+    """The pairs (i-1, j-1) of ``so_labels(sig)`` in order, and
+    ``wedge[(a, b)] = (t, s)`` for a != b when e_a ∧ e_b = s·so_labels(sig)[t]."""
+    pairs = [(lab.i - 1, lab.j - 1) for lab in so_labels(sig)]
+    wedge = {}
+    for t, (a, b) in enumerate(pairs):
+        s = _pair_sign(a, b, sig.p)
+        wedge[(a, b)], wedge[(b, a)] = (t, s), (t, -s)
+    return pairs, wedge
+
+
+def letter_action(alg: LieAlgebra, moved: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The signed letter permutation of ``alg`` induced by b_k -> s·b_k' for
+    ``moved[k] = (k', s)``, on a basis b of R^n whose letters are the d(b_k)
+    (if any), then ``_pair_sign(a, b, p)·b_a ∧ b_b`` for the ``letter_pairs``:
+    the standard letters of ``build_affine(sig)`` and ``build_so(sig)`` for
+    b = e, the split form's letters for its split vectors."""
+    pairs, wedge = letter_pairs(alg.sig)
+    nt = alg.dim - len(pairs)
+    letters = [moved[k] for k in range(nt)]
+    for a, b in pairs:
+        (a2, sa), (b2, sb) = moved[a], moved[b]
+        t, s = wedge[(a2, b2)]
+        letters.append((nt + t, _pair_sign(a, b, alg.sig.p) * sa * sb * s))
+    return tuple(zip(*letters))
+
+
 def check_automorphism(alg: LieAlgebra, sym: tuple[Sequence[int], Sequence[int]]) -> None:
     """Raises ``ValueError`` unless e_x -> signs[x]·e_{perm[x]}, with
     ``sym = (perm, signs)``, is an automorphism of ``alg``."""
@@ -499,35 +536,18 @@ def standard_translation_action(sig: Signature) -> list[Matrix]:
     return mats
 
 
-def build_abelian_extension(
-    g: LieAlgebra,
-    action: Sequence,
-    *,
-    m_dim: Optional[int] = None,
-    m_labels: Optional[Sequence[BasisLabel]] = None,
-) -> LieAlgebra:
+def build_abelian_extension(g: LieAlgebra, action: Sequence, *, m_dim: int) -> LieAlgebra:
     """Abelian extension M ⊕ g with bracket [g1+m1, g2+m2] = [g1,g2] + [g1,m2] - [g2,m1].
 
     ``action[a]`` is the matrix of m -> [e_a, m] on M, a dict (i, j) -> value
     or a list of rows, with ``int`` or ``Fraction`` entries only (any other
     value raises ``ValueError``: no float is rounded).  The matrices must
     satisfy action([a,b]) = action(a)action(b) - action(b)action(a); the
-    failing pair is named otherwise.  Basis order: M first, then g; M has
-    grade (1, 0) and g grade (0, 0).
+    failing pair is named otherwise.  Basis order: M = span of m(1), ...,
+    m(m_dim) first, then g; M has grade (1, 0) and g grade (0, 0).
     """
     if len(action) != g.dim:
         raise ValueError("need one action matrix per basis element of g")
-    if m_dim is None:
-        if m_labels is not None:
-            m_dim = len(m_labels)
-        else:
-            m_dim = 0
-            for mat in action:
-                if isinstance(mat, dict):
-                    for (i, j) in mat:
-                        m_dim = max(m_dim, i + 1, j + 1)
-                else:
-                    m_dim = max(m_dim, len(mat))
     mats = [_as_sparse_matrix(mat, m_dim) for mat in action]
 
     for a in range(g.dim):
@@ -543,9 +563,7 @@ def build_abelian_extension(
             if any(v for v in diff.values()):
                 raise ModuleLawError((g.labels[a], g.labels[b]), "action([a,b]) != [action(a),action(b)]")
 
-    if m_labels is None:
-        m_labels = [GenericLabel(f"m({i})") for i in range(1, m_dim + 1)]
-    labels: list[BasisLabel] = list(m_labels) + list(g.labels)
+    labels: list[BasisLabel] = [GenericLabel(f"m({i})") for i in range(1, m_dim + 1)] + list(g.labels)
     structure: dict[tuple[int, int], dict[int, Coeff]] = {}
     # g-g block, shifted by m_dim.
     for (a, b), vec in g.structure.items():

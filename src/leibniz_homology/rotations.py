@@ -3,7 +3,7 @@
 A map e_k -> s_k·e_{perm[k]} of R^n with det +1 on the p-block and on the
 q-block (``liealg.signed_rotations``) acts on ``build_affine(sig)`` and
 ``build_so(sig)`` by a signed permutation of the letters
-(``letter_action``).  ``chain_symmetries`` finds those that fix a chain;
+(``liealg.letter_action``).  ``chain_symmetries`` finds those that fix a chain;
 ``complexes.is_boundary`` solves on the orbit sums under them and loads
 this module on its first call, so importing the package does not load it.
 """
@@ -14,39 +14,11 @@ from math import prod
 from typing import Mapping, Optional, Sequence
 
 from .liealg import (
-    BoostY,
-    Coeff,
-    Grade,
-    LieAlgebra,
-    RotationX,
-    Translation,
-    check_automorphism,
-    is_canonical,
-    signed_rotations,
+    Coeff, Grade, LieAlgebra, check_automorphism, is_canonical, letter_action, signed_rotations,
 )
 from .repspace import Symmetry
 
 Word = tuple[int, ...]
-
-
-def letter_action(alg: LieAlgebra, perm: Sequence[int], signs: Sequence[int]) -> Symmetry:
-    """The action of e_k -> signs[k]·e_{perm[k]} (0-based, keeping both
-    blocks) on the letters of ``build_affine(sig)`` or ``build_so(sig)``:
-    T_k -> s_k T_π(k), and X(i,j) or Y(i,j) -> s_i s_j·(the sign of the
-    order of π(i), π(j)) times the X or Y label of the pair {π(i), π(j)}."""
-    p = alg.sig.p
-    letter_perm, letter_signs = [], []
-    for lab in alg.labels:
-        if isinstance(lab, Translation):
-            image, sign = Translation(perm[lab.i - 1] + 1), signs[lab.i - 1]
-        else:
-            a, b = perm[lab.i - 1], perm[lab.j - 1]
-            lo, hi = min(a, b) + 1, max(a, b) + 1
-            image = BoostY(lo, hi) if lo <= p < hi else RotationX(lo, hi)
-            sign = signs[lab.i - 1] * signs[lab.j - 1] * (1 if a < b else -1)
-        letter_perm.append(alg.index(image))
-        letter_signs.append(sign)
-    return tuple(letter_perm), tuple(letter_signs)
 
 
 def chain_symmetries(
@@ -76,7 +48,7 @@ def chain_symmetries(
         return sum(1 << perm[i] for i in bits if mask >> i & 1)
 
     def action(perm: Sequence[int], signs: Sequence[int]) -> Symmetry:
-        sym = letter_action(alg, perm, signs)
+        sym = letter_action(alg, list(zip(perm, signs)))
         check_automorphism(alg, sym)
         for x, (count, mask) in enumerate(alg.grades):
             if alg.grades[sym[0][x]] != (count, permuted(perm, mask)):

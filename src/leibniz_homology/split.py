@@ -10,7 +10,8 @@ It also builds, once per signature, the finite group whose orbit sums of
 those blocks carry all of their homology: the signed permutations of R^n
 that keep the p-block and the q-block with det +1 on each and map every
 split vector b_k to ±b_k', acting on the split form's letters by the
-signed permutations that this map on the split vectors induces.  They lie
+signed permutations that this map on the split vectors induces
+(``liealg.letter_action``).  They lie
 in SO(p)×SO(q), inside the identity component SO_0(p,q), which acts
 trivially on HL_* (Loday–Pirashvili); over Q the average over the group
 is then a chain projection with the same homology.
@@ -36,12 +37,15 @@ from .liealg import (
     LieAlgebra,
     Signature,
     Translation,
+    _pair_sign,
     _perm_sign,
     accumulate,
     build_affine,
     build_so,
     check_automorphism,
     is_canonical,
+    letter_action,
+    letter_pairs,
     signed_rotations,
     so_labels,
 )
@@ -49,13 +53,6 @@ from .linalg import ExactEliminator
 from .repspace import Symmetry
 
 __all__ = ["SplitReduction", "split_form", "split_reduction"]
-
-
-def _pair_sign(k: int, l: int, p: int) -> int:
-    """The sign s with e_k ∧ e_l = s·(the X or Y label of the pair), 0-based
-    k < l: the field of x -> e_k B(e_l, x) - e_l B(e_k, x) is X(k+1,l+1) in
-    the p-block, and -X(k+1,l+1) in the q-block or -Y(k+1,l+1) across."""
-    return 1 if l < p else -1
 
 
 def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> GenericLabel:
@@ -68,22 +65,19 @@ def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> Ge
 
 
 class _SplitTable(NamedTuple):
-    """The split basis of one signature and the letters of Λ²R^n on it.
+    """The split basis b of one signature.
 
     ``vecs`` holds the b_k in standard coordinates (0-based), ``find`` each
     ±b_k as (k, ±1), ``weights`` and ``bits`` their torus weights and parity
-    bits.  Letter t is ``_pair_sign(a, b, p)·b_a ∧ b_b`` for
-    ``pairs[t] = (a, b)``, in the order of ``so_labels``, and
-    ``wedge[(a, b)] = (t, s)`` for a != b when b_a ∧ b_b = s·letter t; in
-    the standard basis, e_a ∧ e_b = s·``so_labels(sig)[t]`` alike.
+    bits.  The letters of Λ²R^n on it are those of ``liealg.letter_pairs``
+    with b for e: letter t is ``_pair_sign(a, b, p)·b_a ∧ b_b`` for the t-th
+    pair (a, b), and b_a ∧ b_b = s·letter t for ``wedge[(a, b)] = (t, s)``.
     """
 
     vecs: list[dict[int, int]]
     find: dict[frozenset, tuple[int, int]]
     weights: list[tuple[int, ...]]
     bits: list[int]
-    pairs: list[tuple[int, int]]
-    wedge: dict[tuple[int, int], tuple[int, int]]
 
 
 @lru_cache(maxsize=None)
@@ -111,12 +105,7 @@ def _split_table(sig: Signature) -> _SplitTable:
     for k, vec in enumerate(vecs):
         find[frozenset(vec.items())] = (k, 1)
         find[frozenset((j, -c) for j, c in vec.items())] = (k, -1)
-    pairs = [(lab.i - 1, lab.j - 1) for lab in so_labels(sig)]
-    wedge = {}
-    for t, (a, b) in enumerate(pairs):
-        wedge[(a, b)] = (t, _pair_sign(a, b, p))
-        wedge[(b, a)] = (t, -_pair_sign(a, b, p))
-    return _SplitTable(vecs, find, weights, bits, pairs, wedge)
+    return _SplitTable(vecs, find, weights, bits)
 
 
 def split_form(alg: LieAlgebra) -> LieAlgebra:
@@ -154,7 +143,8 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
         raise ValueError(f"{alg.name} is not so(p,q) or h_n on the canonical basis")
     p, n = sig.p, sig.n
     r = min(p, sig.q)
-    vecs, _, weights, bits, pairs, wedge = _split_table(sig)
+    vecs, _, weights, bits = _split_table(sig)
+    pairs, wedge = letter_pairs(sig)
     metric = [1] * p + [-1] * (n - p)
     gram = [[sum(metric[k] * c * v.get(k, 0) for k, c in u.items()) for v in vecs] for u in vecs]
     structure: dict[tuple[int, int], dict[int, int]] = {}
@@ -365,10 +355,7 @@ def _symmetry(
 ) -> tuple[Symmetry, list[tuple[int, int]]]:
     """The action of e_k -> signs[k]·e_{perm[k]} (0-based) on the split
     vectors, b_k -> s_k·b_k' as (k', s_k), and the action it induces on the
-    letters of the split form ``split``: d(b_k) -> s_k·d(b_k'), and the
-    letter ``_pair_sign(a, b, p)·b_a ∧ b_b`` of a pair (a, b) to
-    ``_pair_sign(a, b, p)·s_a·s_b·b_a' ∧ b_b'``, ± the letter of the pair
-    {a', b'} (``_SplitTable.wedge``).
+    letters of the split form ``split`` (``liealg.letter_action``).
 
     Raises ``ValueError`` unless the map keeps the p-block and the q-block
     with det +1 on each and maps each split vector to ± a split vector.
@@ -393,14 +380,7 @@ def _symmetry(
     ]
     if None in moved:
         raise fail("maps a split vector to no split vector up to sign")
-    nt = split.dim - len(table.pairs)
-    letter_perm, letter_signs = [k for k, _ in moved[:nt]], [s for _, s in moved[:nt]]
-    for a, b in table.pairs:
-        (a2, sa), (b2, sb) = moved[a], moved[b]
-        t, s = table.wedge[(a2, b2)]
-        letter_perm.append(nt + t)
-        letter_signs.append(_pair_sign(a, b, p) * sa * sb * s)
-    return (tuple(letter_perm), tuple(letter_signs)), moved
+    return letter_action(split, moved), moved
 
 
 def _check_symmetry(

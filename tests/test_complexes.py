@@ -31,9 +31,10 @@ from leibniz_homology import (
     tensor_space,
     tensor_to_wedge,
 )
-from leibniz_homology import rotations
+from leibniz_homology import liealg, rotations
 from leibniz_homology.complexes import LodayBoundary, check_dd_zero
-from leibniz_homology.rotations import chain_symmetries, letter_action
+from leibniz_homology.liealg import letter_action
+from leibniz_homology.rotations import chain_symmetries
 from leibniz_homology.homology import _rank_exact_blocks
 from leibniz_homology.split import split_form, split_reduction
 from leibniz_homology.linalg import ExactEliminator, SparseMatrix, solve
@@ -351,7 +352,7 @@ def _half_turn_sum(alg, word):
     """word + g·word for g: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3 at
     (2,2); g² = -I is +1 on the words of parity 1111, so the sum is
     fixed by g."""
-    perm, signs = letter_action(alg, (1, 0, 3, 2), (-1, 1, -1, 1))
+    perm, signs = letter_action(alg, [(1, -1), (0, 1), (3, -1), (2, 1)])
     image = tuple(perm[a] for a in word)
     sign = math.prod(signs[a] for a in word)
     return Chain(tensor_space(alg, len(word)), {word: Fraction(1)}) + Chain(
@@ -385,11 +386,10 @@ def test_boundary_with_trivial_stabiliser_solves_on_plain_blocks(h22, rng):
 
 
 def _flip_first_letter(monkeypatch):
-    """Patch the letter action of ``rotations`` to negate the first letter."""
-    real = rotations.letter_action
+    """Patch the letter action ``rotations`` calls to negate the first letter."""
 
-    def wrong(alg, perm, signs):
-        letters, letter_signs = real(alg, perm, signs)
+    def wrong(alg, moved):
+        letters, letter_signs = liealg.letter_action(alg, moved)
         return letters, (-letter_signs[0],) + letter_signs[1:]
 
     monkeypatch.setattr(rotations, "letter_action", wrong)
@@ -426,3 +426,14 @@ def test_letter_action_check_survives_optimisation():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "is no automorphism" in proc.stdout
+
+
+def test_letter_action_that_moves_a_grade_is_rejected(monkeypatch):
+    # the identity is an automorphism, but for the first rotation tried,
+    # e3 -> ±e4 and e4 -> ±e3, it leaves d(3) on bit 2, not bit 3
+    def ignore_the_map(alg, moved):
+        return liealg.letter_action(alg, [(k, 1) for k in range(alg.sig.n)])
+
+    monkeypatch.setattr(rotations, "letter_action", ignore_the_map)
+    with pytest.raises(ValueError, match=r"moves the grade of d\(3\)"):
+        is_boundary(make_alpha_tilde(Signature(2, 2)))

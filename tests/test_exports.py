@@ -25,3 +25,13 @@ def test_exports_resolve():
             for alias in node.names:
                 assert hasattr(leibniz_homology, alias.name)
                 assert alias.name in source.__all__, f"{node.module} does not export {alias.name}"
+
+
+def test_no_assert_or_debug_flag_in_the_package():
+    # python -O strips assert statements and sets __debug__ to False; with
+    # neither in the package, every check it makes runs the same under -O
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
+            if isinstance(node, ast.Name):
+                assert node.id != "__debug__", f"{path.name}:{node.lineno} reads __debug__"

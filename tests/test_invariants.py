@@ -32,6 +32,7 @@ from leibniz_homology import (
     tensor_to_wedge,
     wedge_space,
 )
+from leibniz_homology import invariants
 from leibniz_homology.linalg import CapExceededError
 
 
@@ -230,11 +231,12 @@ def test_scaled_action_has_same_kernel():
     assert len(plain) == invariant_subspace(so, space).dim
 
 
-def test_row_cap():
+def test_row_cap(monkeypatch):
     sig = Signature(2, 2)
     h = build_affine(sig)
-    with pytest.raises(CapExceededError):
-        invariant_subspace(build_so(sig), wedge_space(h, 2), row_cap=10)
+    monkeypatch.setattr(invariants, "ROW_CAP", 10)
+    with pytest.raises(CapExceededError, match="cap 10"):
+        invariant_subspace(build_so(sig), wedge_space(h, 2))
 
 
 def _module_descriptors(n):
@@ -328,3 +330,10 @@ def test_acting_indices_checked():
             invariant_subspace(bad, space)
     with pytest.raises(ValueError):
         annihilated_by(make_alpha(Signature(2, 2)), [h.dim])
+    # an acting algebra with a label h lacks: so(3,1) has X(1,3)
+    so31 = build_so(Signature(3, 1))
+    message = r"acting label X\(1,3\) of so\(3,1\) is not in h\(2,2\)"
+    with pytest.raises(ValueError, match=message):
+        invariant_subspace(so31, space)
+    with pytest.raises(ValueError, match=message):
+        annihilated_by(make_alpha(Signature(2, 2)), so31)

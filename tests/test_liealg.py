@@ -19,6 +19,7 @@ from leibniz_homology import (
     standard_translation_action,
     validate,
 )
+from leibniz_homology.liealg import check_automorphism
 
 from vfield_oracle import oracle_bracket
 
@@ -140,6 +141,16 @@ def test_extension_with_zero_action_is_direct_sum():
     for i in range(2):
         for a in range(2, ext.dim):
             assert ext.bracket(i, a) == {}
+    # a zero action does not show M's dimension, so it must be given
+    with pytest.raises(TypeError):
+        build_abelian_extension(so, [{} for _ in range(so.dim)])
+
+
+def test_automorphism_check_rejects_a_non_permutation():
+    h = build_affine(Signature(2, 2))
+    check_automorphism(h, (tuple(range(h.dim)), (1,) * h.dim))
+    with pytest.raises(ValueError, match="is no permutation of the letters"):
+        check_automorphism(h, ((0,) + tuple(range(h.dim - 1)), (1,) * h.dim))
 
 
 def test_extension_module_law_violation_names_pair():

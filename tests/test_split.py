@@ -21,8 +21,7 @@ from leibniz_homology import (
     validate,
 )
 from leibniz_homology import split
-from leibniz_homology.liealg import check_automorphism, signed_rotations, so_labels
-from leibniz_homology.rotations import letter_action
+from leibniz_homology.liealg import check_automorphism, letter_action, signed_rotations, so_labels
 from leibniz_homology.repspace import GradeBlock, graded_words
 from leibniz_homology.split import split_form, split_reduction
 
@@ -153,6 +152,9 @@ def test_symmetry_with_det_minus_one_is_rejected():
     # a map that leaves the split basis: e1 -> e2 but e3 -> e3
     with pytest.raises(ValueError, match="no split vector"):
         split._symmetry(form, (1, 0, 2, 3), (-1, 1, 1, 1))
+    # e1 <-> e3 mixes the blocks
+    with pytest.raises(ValueError, match=r"does not keep the block \[0, 1\]"):
+        split._symmetry(form, (2, 1, 0, 3), (1, 1, 1, 1))
 
 
 def _broken_symmetry(h):
@@ -168,6 +170,35 @@ def _broken_symmetry(h):
 def test_symmetry_that_breaks_a_bracket_is_rejected():
     with pytest.raises(ValueError, match="is no automorphism"):
         split._check_symmetry(*_broken_symmetry(build_affine(Signature(2, 2))))
+
+
+def test_symmetry_check_rejects_hand_made_actions():
+    # each input breaks one condition of _check_symmetry; at (2,2) the
+    # split vectors b_0, b_2 sit on parity bit 0 and b_1, b_3 on bit 1
+    red = split_reduction(build_affine(Signature(2, 2)))
+    form, kept = red.algebra, red.kept
+    sym, moved = split._symmetry(form, (1, 0, 3, 2), (-1, 1, -1, 1))
+    identity = (tuple(range(form.dim)), (1,) * form.dim)
+    still = [(k, 1) for k in range(4)]
+    with pytest.raises(ValueError, match="maps one parity bit to two"):
+        split._check_symmetry(form, kept, identity, [(0, 1), (1, 1), (1, 1), (3, 1)])
+    # the letters of d(b_0) and d(b_1) swapped, the split vectors kept
+    swapped = ((1, 0) + identity[0][2:], identity[1])
+    with pytest.raises(ValueError, match="moves the grade of"):
+        split._check_symmetry(form, kept, swapped, still)
+    # the rotation swaps the bits, so it moves the parity 0b01 were it kept
+    split._check_symmetry(form, kept, sym, moved)
+    with pytest.raises(ValueError, match="moves the kept parity 1"):
+        split._check_symmetry(form, (1,), sym, moved)
+
+
+def test_symmetry_group_rejects_an_unlisted_flip():
+    # -I is one of the reduction's flips at (2,2); without it the group's
+    # two elements of one letter permutation differ by a flip not allowed
+    red = split_reduction(build_affine(Signature(2, 2)))
+    assert split._symmetry_group(red.algebra, {0, *red.flips}, red.kept) == red.symmetries
+    with pytest.raises(ValueError, match="differ by more than a sign flip"):
+        split._symmetry_group(red.algebra, {0}, red.kept)
 
 
 def _signed_lookup(vectors):
@@ -265,8 +296,9 @@ def test_standard_letter_action_matches_oracle(build, pq):
     for perm, signings in signed_rotations(alg.sig):
         for signs in signings:
             std = _standard_letter_map(alg, perm, signs)
-            assert letter_action(alg, perm, signs) == tuple(zip(*(std[x] for x in range(alg.dim))))
-            check_automorphism(alg, letter_action(alg, perm, signs))
+            sym = letter_action(alg, list(zip(perm, signs)))
+            assert sym == tuple(zip(*(std[x] for x in range(alg.dim))))
+            check_automorphism(alg, sym)
             count += 1
     n = alg.sig.n
     assert count == math.factorial(pq[0]) * math.factorial(pq[1]) * 2 ** (n - 1 - (pq[1] > 0))
