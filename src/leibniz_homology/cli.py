@@ -15,8 +15,9 @@ Module descriptor mini-grammar for ``invariants --module``:
     so*wedge:k     so(p,q) ⊗ wedge^k
     so             the adjoint module of so(p,q)
 
-Exit codes: 0 all checks passed, 1 check failure, 2 usage error, 3 resource
-cap exceeded.
+Exit codes: 0 all checks passed, 1 check failure, 2 usage error (a --json
+path that cannot be written included, found before any computation), 3
+resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -98,6 +99,23 @@ def _options(args) -> HomologyOptions:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _check_json_path(path: Optional[str]) -> None:
+    """A ``--json`` path that cannot be written is a usage error, found
+    before any computation; the report itself is written at the end."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        why = "it is a directory"
+    elif not os.path.isdir(parent):
+        why = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        why = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write the --json report to {path}: {why}")
 
 
 def _emit(args, payload: dict) -> None:
@@ -310,6 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        _check_json_path(args.json)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

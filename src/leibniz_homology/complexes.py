@@ -16,17 +16,15 @@ and with trivial coefficients it is the wedge boundary on Λ^k g alone.
 All three are implemented matrix-free on words and share one interface:
 ``space(k)`` (the degree-k chain space), ``dim(k)`` (the number of its
 words that are ranked), ``word_boundary(word)``, ``apply(chain)`` (its
-linear extension, ``Chain.map``) and ``blocks(k)``, the
-``BoundaryBlock``s whose ranks add up to the rank of d_k.  Every algebra is graded by (translation count, torus weights if any,
-parity bitmask), (0, 0) on every basis element unless stated otherwise; the
-affine algebras grade T_i, X(i,j), Y(i,j) by their characters under the
-diagonal sign flips, and their split forms add the torus weights
-(``LieAlgebra``).  Brackets add counts and weights and XOR parities, so the
-Loday boundary preserves the grade of a word and d_k splits into one block
-per grade of the degree-k words, each indexed by a ``GradeBlock``; its ranks
-and solves run block by block.  A Loday boundary built with ``keep`` has
-only the blocks whose grades it accepts, and its ``dim`` counts their
-words.  Built with ``symmetries`` as well, a finite group G of signed letter
+linear extension, ``Chain.map``) and ``blocks(k)``, the ``BoundaryBlock``s
+whose ranks add up to the rank of d_k.  Every algebra is graded by
+(translation count, torus weights if any, parity bitmask) (``LieAlgebra``);
+brackets add counts and weights and XOR parities, so the Loday boundary
+preserves the grade of a word and d_k splits into one block per grade of
+the degree-k words, each indexed by a ``GradeBlock``; its ranks and solves
+run block by block.  A Loday boundary built with ``keep`` has only the
+blocks of the grades it lists, and its ``dim`` counts their words.  Built
+with ``symmetries`` as well, a finite group G of signed letter
 permutations that are automorphisms of the algebra and fix every kept
 grade, it has the orbit sums of those blocks instead (``OrbitBlock``): G
 commutes with d, so over Q the average over G is a chain projection onto
@@ -90,8 +88,6 @@ DD_CHECKS = 100  # random chains of ranked columns per degree in the d∘d = 0 c
 
 Word = tuple[int, ...]
 Column = list[tuple[int, Coeff]]  # sorted (row, value) pairs of one boundary column
-
-
 WordIndex = Union[GradeBlock, OrbitBlock, Space]
 
 
@@ -119,8 +115,7 @@ class BoundaryBlock:
         return sorted((self.rowspace.rank_word(w), v) for w, v in out.items())
 
     def columns(self) -> Iterator[Column]:
-        for j in range(self.cols):
-            yield self.column(j)
+        return map(self.column, range(self.cols))
 
     def csc(self) -> list[Column]:
         """Every column of the block, generated once, for rank passes that
@@ -162,13 +157,14 @@ class LodayBoundary(_Boundary):
 
     ``apply`` also takes chains of a tensor power restricted to some factors;
     their boundary words may leave that set, so the image lies in the full
-    power.  With ``keep``, ``blocks`` and ``dim`` see only the grades it
-    accepts.  With ``symmetries``, a group of signed letter permutations
-    that commutes with the boundary and fixes every kept grade, they see the
-    subcomplex of orbit sums (``OrbitBlock``): a block's column is the
-    boundary of an orbit's representative, each term replaced by its
-    representative with its sign.  ``apply`` and ``space`` still cover the
-    whole complex.
+    power.  With ``keep``, ``keep(k)`` lists the grades to rank in degree k
+    and ``blocks`` and ``dim`` see only those with words, so the word index
+    counts only them and the grades they reach.  With ``symmetries``, a
+    group of signed letter permutations that commutes with the boundary and
+    fixes every kept grade, they see the subcomplex of orbit sums
+    (``OrbitBlock``): a block's column is the boundary of an orbit's
+    representative, each term replaced by its representative with its sign.
+    ``apply`` and ``space`` still cover the whole complex.
     """
 
     kind = "tensor"
@@ -176,7 +172,7 @@ class LodayBoundary(_Boundary):
     def __init__(
         self,
         algebra: LieAlgebra,
-        keep: Optional[Callable[[Grade], bool]] = None,
+        keep: Optional[Callable[[int], Iterable[Grade]]] = None,
         symmetries: Optional[Sequence[Symmetry]] = None,
     ):
         self.algebra = algebra
@@ -210,7 +206,8 @@ class LodayBoundary(_Boundary):
 
     def _grades(self, k: int) -> list[Grade]:
         words = graded_words(self.algebra.grades)
-        return [g for g in words.grades_of_length(k) if self.keep is None or self.keep(g)]
+        listed = words.grades_of_length(k) if self.keep is None else self.keep(k)
+        return sorted(g for g in listed if words.count(k, g))
 
     def word_index(self, k: int, grade: Grade) -> WordIndex:
         """The index of the degree-k words of this grade: a ``GradeBlock``,
@@ -389,7 +386,7 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
     symmetries = chain_symmetries(alg, by_grade)
     group = symmetries or [(range(alg.dim), (1,) * alg.dim)]
     # only the blocks of the chain's grades are built
-    op = LodayBoundary(alg, keep=by_grade.__contains__, symmetries=symmetries)
+    op = LodayBoundary(alg, keep=lambda _: by_grade, symmetries=symmetries)
     blocks = {b.grade: b for b in op.blocks(k + 1)}
 
     witness: dict[Word, Fraction] = {}
@@ -446,10 +443,9 @@ class ColumnStore:
     def column(self, k: int, block: BoundaryBlock, j: int) -> Column:
         """Column j of the degree-k ``block``, generated and kept if new."""
         stored = self._degrees.setdefault(k, {}).setdefault(block.grade, {})
-        col = stored.get(j)
-        if col is None:
-            col = stored[j] = block.column(j)
-        return col
+        if j not in stored:
+            stored[j] = block.column(j)
+        return stored[j]
 
     def columns(self, k: int, block: BoundaryBlock, keep: bool) -> Iterator[Column]:
         """Every column of the degree-k ``block`` in order, the stored ones

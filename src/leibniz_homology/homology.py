@@ -291,7 +291,7 @@ def _boundary(algebra: LieAlgebra, kind: str, reduction: Optional[SplitReduction
     if kind == "loday":
         if reduction is not None:
             return LodayBoundary(
-                reduction.algebra, keep=reduction.keeps, symmetries=reduction.symmetries
+                reduction.algebra, keep=reduction.grades, symmetries=reduction.symmetries
             )
         return LodayBoundary(algebra)
     if kind != "ce":

@@ -28,7 +28,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .liealg import Coeff, Grade, LieAlgebra, accumulate, add_grades
@@ -94,21 +94,13 @@ class Space:
             return math.comb(d, self.degree)
         return len(self.lead) * math.comb(d, self.degree)
 
-    @property
+    @cached_property
     def _pos(self) -> dict[int, int]:
-        pos = self.__dict__.get("_pos_cache")
-        if pos is None:
-            pos = {idx: t for t, idx in enumerate(self.factors)}
-            object.__setattr__(self, "_pos_cache", pos)
-        return pos
+        return {idx: t for t, idx in enumerate(self.factors)}
 
-    @property
+    @cached_property
     def _lead_pos(self) -> dict[int, int]:
-        pos = self.__dict__.get("_lead_pos_cache")
-        if pos is None:
-            pos = {idx: t for t, idx in enumerate(self.lead or ())}
-            object.__setattr__(self, "_lead_pos_cache", pos)
-        return pos
+        return {idx: t for t, idx in enumerate(self.lead or ())}
 
     # -- rank / unrank --------------------------------------------------------
 
@@ -166,8 +158,7 @@ def _colex_rank(positions: Sequence[int]) -> int:
 def _colex_unrank(r: int, k: int) -> list[int]:
     out = [0] * k
     while k > 0:
-        lo = k - 1
-        hi = lo
+        hi = k - 1
         while math.comb(hi + 1, k) <= r:
             hi += 1
         out[k - 1] = hi
@@ -184,17 +175,21 @@ class GradedWords:
     """Rank/unrank of the tensor words of a graded algebra, block by grade.
 
     A word's grade adds its letters' additive fields (translation count and
-    torus weights) and XORs their parities (``add_grades``).  ``_counts[L]``
-    maps each grade of the words of length L to their number; it grows one
-    length at a time, when a block of that length is asked for.  The state
-    of a (length, grade) pair with words is ``(offsets, successors)``:
+    torus weights) and XORs their parities (``add_grades``).  ``_counts[m]``
+    maps each grade of the length-m words to their number, for m up to half
+    the longest length counted, rounded up (up to L after
+    ``grades_of_length(L)``).  Above it ``count`` sums over the first letter,
+    count(L, g) = Σ_a count(L-1, g - grade_a), memoised, with no sum on a
+    grade no length-L word has: its (count, parity) pair is not reached at
+    length L, or a field is off [L·min, L·max] over the letters.  So a
+    reduced complex counts only the grades its kept blocks reach.  A (length,
+    grade) pair with words has the state ``(offsets, successors)``:
     ``offsets[a]`` counts its words whose first letter is below a (the last
-    entry is the total), and ``successors[a]`` is the state of the suffix
-    after a first letter a, or None when no word starts with a.  In
-    lexicographic order within a block, ranking a word is one lookup per
-    letter and unranking one bisect per letter.  A state is built when a
-    block first reaches it, so a reduced complex pays only for the states
-    its kept blocks reach.
+    entry is the total), ``successors[a]`` is the state of the suffix after
+    a first letter a, or None when no word starts with a.  In lexicographic
+    order within a block, ranking a word is one lookup per letter and
+    unranking one bisect per letter.  A state is built when a block first
+    reaches it.
     """
 
     def __init__(self, grades: Sequence[Grade]):
@@ -206,6 +201,10 @@ class GradedWords:
         # adding a letter's inverse takes its grade off the front of a word
         self._inverses = [tuple(-x for x in g[:-1]) + (g[-1],) for g in self.grades]
         self._counts: list[dict[Grade, int]] = [{self._zero: 1}]  # length -> grade -> words
+        self._memo: dict[tuple[int, Grade], int] = {}  # counts above the table
+        self._bounds = [(min(f), max(f)) for f in list(zip(*self.grades))[:-1]]
+        self._pairs = {(g[0], g[-1]) for g in self.grades}
+        self._reached = [{(0, 0)}]  # length -> the (count, parity) pairs of its words
         self._states: dict[tuple[int, Grade], tuple] = {(0, self._zero): ((), ())}
 
     def _grow(self, length: int) -> None:
@@ -217,6 +216,15 @@ class GradedWords:
                     cur[h] = cur.get(h, 0) + n
             self._counts.append(cur)
 
+    def _occurs(self, length: int, grade: Grade) -> bool:
+        """False when no word of this length can have this grade."""
+        while len(self._reached) <= length:
+            last = self._reached[-1]
+            self._reached.append({(c + d, s ^ t) for c, s in last for d, t in self._pairs})
+        return (grade[0], grade[-1]) in self._reached[length] and all(
+            length * lo <= x <= length * hi for x, (lo, hi) in zip(grade, self._bounds)
+        )
+
     def grades_of_length(self, length: int) -> list[Grade]:
         """The grades of the words of this length, sorted."""
         self._grow(length)
@@ -224,28 +232,31 @@ class GradedWords:
 
     def count(self, length: int, grade: Grade) -> int:
         """The number of words of this length and grade."""
-        self._grow(length)
-        return self._counts[length].get(tuple(grade), 0)
+        grade = tuple(grade)
+        self._grow((length + 1) // 2)
+        if length < len(self._counts):
+            return self._counts[length].get(grade, 0)
+        key = (length, grade)
+        if key not in self._memo:
+            suffixes = (self.count(length - 1, add_grades(grade, inv)) for inv in self._inverses)
+            self._memo[key] = sum(suffixes) if self._occurs(length, grade) else 0
+        return self._memo[key]
 
     def state(self, length: int, grade: Grade) -> tuple:
         """The state of a (length, grade) pair with words (``count`` > 0)."""
         st = self._states.get((length, grade))
         if st is None:
-            prev = self._counts[length - 1]
             off, successors = [0], []
             for inv in self._inverses:
                 h = add_grades(grade, inv)
-                n = prev.get(h, 0)
+                n = self.count(length - 1, h)
                 off.append(off[-1] + n)
                 successors.append(self.state(length - 1, h) if n else None)
             st = self._states[(length, grade)] = (off, successors)
         return st
 
     def grade_of(self, word: Word) -> Grade:
-        grade = self._zero
-        for a in word:
-            grade = add_grades(grade, self.grades[a])
-        return grade
+        return reduce(add_grades, map(self.grades.__getitem__, word), self._zero)
 
 
 @lru_cache(maxsize=32)
@@ -455,9 +466,7 @@ class Chain:
 
     def scaled_integral(self) -> "Chain":
         """The chain multiplied by the lcm of all denominators (mod-p friendly)."""
-        lcm = 1
-        for c in self.coeffs.values():
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        lcm = math.lcm(*(c.denominator for c in self.coeffs.values()))
         return Chain(self.space, {w: c * lcm for w, c in self.coeffs.items()})
 
     def word_str(self, word: Word) -> str:
@@ -472,10 +481,7 @@ class Chain:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        parts = []
-        for w, c in self.terms():
-            parts.append(f"({c})·{self.word_str(w)}")
-        return " + ".join(parts)
+        return " + ".join(f"({c})·{self.word_str(w)}" for w, c in self.terms())
 
 
 def sort_wedge(word: Sequence[int]) -> tuple[Word, int]:
@@ -563,12 +569,10 @@ CHAIN_COEFFS = 5  # coefficients drawn from [-5, 5]
 
 def random_chain(space: Space, rng) -> Chain:
     """Small random chain for property tests (deterministic given the rng)."""
-    coeffs: dict[Word, Fraction] = {}
-    if space.dim == 0:
-        return space.zero()
-    for _ in range(CHAIN_TERMS):
+    coeffs: dict[Word, int] = {}
+    for _ in range(CHAIN_TERMS if space.dim else 0):
         w = space.unrank_word(rng.randrange(space.dim))
         c = rng.randint(-CHAIN_COEFFS, CHAIN_COEFFS)
         if c:
-            coeffs[w] = coeffs.get(w, Fraction(0)) + c
-    return Chain(space, {w: c for w, c in coeffs.items() if c})
+            coeffs[w] = coeffs.get(w, 0) + c
+    return Chain(space, coeffs)  # a sum that cancels is dropped

@@ -262,6 +262,12 @@ class SplitReduction:
     def keeps(self, grade: Grade) -> bool:
         return grade[-1] in self.kept and not any(grade[1:-1])
 
+    def grades(self, k: int) -> list[Grade]:
+        """The grades ``keeps`` accepts that a word of length k could have:
+        count c <= k, every weight 0 and a kept parity."""
+        zeros = (0,) * len(self.torus)
+        return [(c, *zeros, m) for c in range(k + 1) for m in self.kept]
+
     def to_json_dict(self) -> dict:
         return {
             "torus": [str(t) for t in self.torus],

@@ -245,3 +245,35 @@ def test_verify_report_shape(tmp_path):
     assert all(r["claim"] for r in data["results"])
     assert data["passed"] == all(r["status"] != "fail" for r in data["results"])
     assert {"seed", "primes", "cap_exact", "cap_modular"} <= set(data["environment"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["algebra", "--p", "2", "--q", "2"],
+        ["invariants", "--p", "2", "--q", "2", "--module", "so"],
+        ["homology", "--p", "2", "--q", "2", "--max-degree", "2"],
+        ["verify", "--suite", "structure", "--p", "2", "--q", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_json_path_is_usage_error(monkeypatch, capsys, tmp_path, argv):
+    # refused before any computation: every subcommand's work raises here
+    from leibniz_homology import cli
+
+    def no_work(*args, **kwargs):
+        raise RuntimeError("computed before the --json path was checked")
+
+    for name in ("validate", "invariant_subspace", "homology_dims", "run_suite"):
+        monkeypatch.setattr(cli, name, no_work)
+    missing = tmp_path / "missing" / "x.json"
+    for path, why in [(missing, f"no directory {missing.parent}"), (tmp_path, "it is a directory")]:
+        assert run(argv + ["--json", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot write the --json report to {path}: {why}"]
+    assert not missing.parent.exists()
+    # the same path from the environment is checked the same way
+    monkeypatch.setenv("LEIBNIZ_HOMOLOGY_JSON", str(missing))
+    assert run(argv) == EXIT_USAGE
+    assert str(missing) in capsys.readouterr().err

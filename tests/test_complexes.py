@@ -385,6 +385,22 @@ def test_boundary_with_trivial_stabiliser_solves_on_plain_blocks(h22, rng):
     assert w is not None and LodayBoundary(h22).apply(w) == c
 
 
+@pytest.mark.parametrize("sig", [Signature(2, 2), Signature(3, 1)], ids=str)
+def test_is_boundary_builds_one_block_per_chain_grade(monkeypatch, rng, sig):
+    # is_boundary names its chain's grades: one block each, sorted, and no
+    # block of a grade the chain lacks
+    h = build_affine(sig)
+    built = []
+    blocks = LodayBoundary.blocks
+    monkeypatch.setattr(LodayBoundary, "blocks", lambda op, k: built.append(blocks(op, k)) or built[-1])
+    c = LodayBoundary(h).apply(random_chain(tensor_space(h, 4), rng))
+    for chain, boundary in [(c, True), (make_alpha_tilde(sig), False)]:
+        built.clear()
+        assert (is_boundary(chain) is not None) == boundary
+        assert [[b.grade for b in out] for out in built] == [sorted(_by_grade(chain))]
+    assert len(_by_grade(c)) > 1
+
+
 def _flip_first_letter(monkeypatch):
     """Patch the letter action ``rotations`` calls to negate the first letter."""
 

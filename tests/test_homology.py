@@ -229,7 +229,7 @@ def test_orbit_sign_error_caught_by_dd_check(monkeypatch):
     # complex never reads them, the check of the ranked columns does
     h = build_affine(Signature(2, 2))
     red = split_reduction(h)
-    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
     grade = op._grades(3)[0]
     orbits = op.word_index(3, grade)
     block = GradeBlock(graded_words(red.algebra.grades), 3, grade)
@@ -266,7 +266,7 @@ def test_each_ranked_column_generated_once(monkeypatch):
     homology_dims(h, 4)
     assert max(calls.values()) == 1
     red = split_reduction(h)
-    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
     blocks = [(k, b) for k in range(2, 6) for b in op.blocks(k)]
     ranked = {(k, b.grade, j) for k, b in blocks if b.rows for j in range(b.cols)}
     skipped = sum(b.cols for k, b in blocks if not b.rows)
@@ -284,7 +284,7 @@ def test_dd_check_covers_capped_degrees(monkeypatch, cap_modular, capped_at):
     opts = HomologyOptions(cap_exact=0, cap_modular=cap_modular)
     assert homology_dims(h, 4, options=opts).capped_at == capped_at
     red = split_reduction(h)
-    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
     grade = (2, 0, 0, 0)
     orbits = op.word_index(4, grade)
     block = GradeBlock(graded_words(red.algebra.grades), 4, grade)
@@ -310,7 +310,7 @@ def test_dd_check_draws_one_degree_at_a_time():
     # state after them, are those of one call over every degree
     h = build_affine(Signature(2, 2))
     red = split_reduction(h)
-    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
     whole, stepped = random.Random(5), random.Random(5)
     complexes.check_dd_zero(op, range(2, 6), whole)
     store = complexes.ColumnStore()
@@ -530,6 +530,32 @@ def test_dropped_blocks_build_no_states():
 
 @pytest.mark.parametrize(
     "pq, top",
+    [
+        pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}")
+        for pq, top in [((2, 2), 5), ((3, 1), 5), ((1, 3), 5), ((4, 0), 5), ((2, 3), 5), ((3, 3), 4)]
+    ],
+)
+def test_named_kept_grades_miss_none(pq, top):
+    # the reduction names its candidate grades per degree; on a fresh word
+    # index they give the blocks that filtering every grade of the degree
+    # through ``keeps`` gives, with the same row and column dimensions
+    red = split_reduction(build_affine(Signature(*pq)))
+    graded_words.cache_clear()
+    named = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
+    got = [[(b.grade, b.rows, b.cols) for b in named.blocks(k)] for k in range(top + 1)]
+    words = graded_words(red.algebra.grades)
+    filtered = LodayBoundary(
+        red.algebra,
+        keep=lambda k: [g for g in words.grades_of_length(k) if red.keeps(g)],
+        symmetries=red.symmetries,
+    )
+    assert got == [[(b.grade, b.rows, b.cols) for b in filtered.blocks(k)] for k in range(top + 1)]
+    assert [named.dim(k) for k in range(top + 1)] == [filtered.dim(k) for k in range(top + 1)]
+    assert all(got[2:])
+
+
+@pytest.mark.parametrize(
+    "pq, top",
     [pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}") for pq, top in [((2, 2), 3), ((3, 1), 3), ((4, 0), 3), ((3, 3), 2)]],
 )
 def test_flipped_blocks_are_acyclic(pq, top):
@@ -598,8 +624,8 @@ def test_orbit_sums_match_kept_blocks_per_grade(pq, top):
     # the reference: each kept grade has the same Betti number on both
     sig = Signature(*pq)
     red = split_reduction(build_affine(sig))
-    kept = LodayBoundary(red.algebra, keep=red.keeps)
-    orbits = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    kept = LodayBoundary(red.algebra, keep=red.grades)
+    orbits = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
     reference = _betti_per_grade(kept, red, top)
     assert _betti_per_grade(orbits, red, top) == reference
     assert orbits.dim(top + 1) < kept.dim(top + 1)

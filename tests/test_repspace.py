@@ -14,14 +14,19 @@ from leibniz_homology import (
     Translation,
     act,
     assemble_action,
+    build_abelian,
+    build_abelian_extension,
     build_affine,
+    build_so,
     enumerate_basis,
     mixed_space,
     random_chain,
     sort_wedge,
+    standard_translation_action,
     tensor_space,
     wedge_space,
 )
+from leibniz_homology import repspace
 from leibniz_homology.complexes import LodayBoundary
 from leibniz_homology.repspace import GradeBlock, GradedWords, OrbitBlock, graded_words
 from leibniz_homology.split import split_reduction
@@ -187,6 +192,65 @@ def test_graded_words_keyed_by_grade_tuples():
     assert words.count(2, (2 << 16, 0, 0)) == 0
 
 
+def _gradings():
+    sig = Signature(2, 2)
+    split = {pq: split_reduction(build_affine(Signature(*pq))).algebra for pq in [(2, 2), (2, 3), (3, 3)]}
+    extension = build_abelian_extension(build_so(sig), standard_translation_action(sig), m_dim=4)
+    return [
+        pytest.param(build_affine(sig).grades, 5, id="h22"),
+        pytest.param(split[2, 2].grades, 5, id="split_2_2"),
+        pytest.param(split[2, 3].grades, 5, id="split_2_3"),
+        pytest.param(split[3, 3].grades, 4, id="split_3_3"),
+        pytest.param(build_abelian(4).grades, 5, id="I4"),
+        pytest.param(extension.grades, 5, id="extension"),
+    ]
+
+
+@pytest.mark.parametrize("grades, top", _gradings())
+def test_counts_on_demand_match_full_table(grades, top):
+    # the full table of every grade of every length is the old counting
+    # route; a fresh index per length counts that length on demand, above
+    # its half table, and must agree on every grade, zero grades included
+    full = GradedWords(grades)
+    full.grades_of_length(top)
+    fields = range(len(grades[0]) - 1)
+    ranges = [(min(g[i] for g in grades), max(g[i] for g in grades)) for i in fields]
+    for length in range(top + 1):
+        table = full._counts[length]
+        assert sum(table.values()) == len(grades) ** length
+        probes = set(table)
+        for g in table:
+            # every other parity, and each additive field one past its range
+            probes |= {g[:-1] + (g[-1] ^ m,) for m in range(1 << 5)}
+            for i, (lo, hi) in zip(fields, ranges):
+                probes |= {g[:i] + (x,) + g[i + 1 :] for x in (length * lo - 1, length * hi + 1)}
+        assert len(probes) > len(table)
+        words = GradedWords(grades)
+        for g in sorted(probes):
+            assert words.count(length, g) == table.get(g, 0), (length, g)
+        # lengths 2 and up are counted above the table
+        assert (length < len(words._counts)) == (length < 2)
+
+
+def test_reduced_route_counts_few_grades(monkeypatch):
+    # the kept blocks of the split h(3,3) through length 4 build the table
+    # of every grade only to length 2 and count the rest on demand: 5,796
+    # grade additions with the states, 14,490 with the full table
+    red = split_reduction(build_affine(Signature(3, 3)))
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
+    adds = []
+    add_grades = repspace.add_grades
+    monkeypatch.setattr(repspace, "add_grades", lambda g, h: adds.append(1) or add_grades(g, h))
+    graded_words.cache_clear()
+    for k in range(1, 5):
+        for grade in op._grades(k):
+            op.word_index(k, grade)
+    words = graded_words(red.algebra.grades)
+    graded_words.cache_clear()
+    assert len(words._counts) == 3
+    assert len(adds) <= 6000
+
+
 def test_orbit_block_indexes_even_orbits():
     # a group of order 2 on three letters: 0 <-> 1 and 2 -> -2, listed with
     # the identity first and last, so that neither order is assumed
@@ -239,7 +303,7 @@ def test_orbit_walk_matches_brute_force(pq, top):
     # the pruned walk finds the representatives of applying every element
     # to every word of every kept block, in the same order
     red = split_reduction(build_affine(Signature(*pq)))
-    op = LodayBoundary(red.algebra, keep=red.keeps, symmetries=red.symmetries)
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
     words = graded_words(red.algebra.grades)
     for k in range(1, top + 1):
         for grade in op._grades(k):
