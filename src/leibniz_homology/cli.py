@@ -177,11 +177,13 @@ def _parse_module(desc: str, sig: Signature) -> tuple[Space, Optional[int], str]
             lead = h.translation_indices if name == "I*wedge" else h.so_indices
             expected = expected_invariant_dim(name, n, k)
             note = ""
-            if expected is None:  # so ⊗ Λ^2 at n = 4
-                note = " (expected 2 by direct computation; the k=2 / k=n-2 statements coincide here)"
+            if expected is None:  # the two ends coincide: so ⊗ Λ^2 at n = 4, I ⊗ Λ^1 at n = 2
+                note = f" (expected 2 by direct computation; the k={k} / k=n-{k} statements coincide here)"
             return mixed_space(h, k, lead=lead), expected, note
         if name == "so" and not fields:
-            return tensor_space(h, 1, factors=h.so_indices), expected_invariant_dim("so", n), ""
+            expected = expected_invariant_dim("so", n)
+            note = "" if expected is not None else " (recorded: so is 1-dimensional and abelian at n = 2)"
+            return tensor_space(h, 1, factors=h.so_indices), expected, note
     except ValueError:
         pass
     raise UsageError(

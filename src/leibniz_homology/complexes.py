@@ -362,8 +362,9 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
     Restricted to tensor chains (the Loday complex).  Each grade block of
     degree k+1 is solved on its orbit sums (``OrbitBlock``) under the group
     H of signed permutations in SO(p)×SO(q) that fix the chain and its
-    grades (``rotations.chain_symmetries``; H = {id} for any algebra but
-    ``build_affine(sig)``/``build_so(sig)``).  H commutes with d, so
+    grades (``rotations.chain_symmetries``: ``rotations.symmetry_group`` on
+    the standard basis, which also builds ``split``'s orbit group; H = {id}
+    for any algebra but ``build_affine(sig)``/``build_so(sig)``).  H commutes with d, so
     c = d(x) gives c = d(P x) for the average P over H; the witness
     Σ_j x_j·P(rep_j) is re-checked against d in the standard basis.  A block
     with more than ``cap_exact`` columns (orbit sums) raises

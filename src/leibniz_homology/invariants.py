@@ -97,13 +97,15 @@ class InvariantBasis:
 def expected_invariant_dim(module: str, n: int, k: int = 0) -> Optional[int]:
     """The paper's dimension of the so(p,q)-invariants at n = p + q of Λ^k I
     (``"wedge"``), I ⊗ Λ^k (``"I*wedge"``), so ⊗ Λ^k (``"so*wedge"``) or the
-    adjoint module (``"so"``).  None for so ⊗ Λ^2 at n = 4, where the
-    statements for k = 2 and k = n - 2 coincide and the value is only recorded."""
+    adjoint module (``"so"``).  None, the value only recorded, where the
+    statements for the two ends of a module coincide (so ⊗ Λ^2 at n = 4,
+    I ⊗ Λ^1 at n = 2) and for the adjoint module at n = 2, where so(p,q) is
+    1-dimensional and abelian."""
     if module == "so":
-        return 0
-    if module == "so*wedge" and n == 4 and k == 2:
-        return None
+        return None if n == 2 else 0
     ends = {"wedge": (0, n), "I*wedge": (1, n - 1), "so*wedge": (2, n - 2)}[module]
+    if k in ends and ends[0] == ends[1]:
+        return None
     return 1 if k in ends else 0
 
 

@@ -17,7 +17,9 @@ h_n = I_n ⋊ so(p,q) come out as exact integers.  Basis order is fixed:
 translations by i, then X(i,j) lexicographic (p-block before q-block), then
 Y(i,j) lexicographic.  The signed coordinate permutations in SO(p)×SO(q)
 (``signed_rotations``) act on the letters by ``letter_action``, read off the
-pair-sign table ``letter_pairs``; ``split`` and ``rotations`` share both.
+pair-sign table ``letter_pairs``; both have one caller,
+``rotations.symmetry_group``, which builds the groups of ``split`` and
+``complexes.is_boundary``.
 """
 
 from __future__ import annotations

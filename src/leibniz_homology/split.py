@@ -9,9 +9,9 @@ and trivial character under the sign flips that commute with the torus.
 It also builds, once per signature, the finite group whose orbit sums of
 those blocks carry all of their homology: the signed permutations of R^n
 that keep the p-block and the q-block with det +1 on each and map every
-split vector b_k to ±b_k', acting on the split form's letters by the
-signed permutations that this map on the split vectors induces
-(``liealg.letter_action``).  They lie
+split vector b_k to ±b_k', acting on the split form's letters
+(``rotations.symmetry_group`` on the split vectors' ``_split_table``,
+with the kept grades as its target).  They lie
 in SO(p)×SO(q), inside the identity component SO_0(p,q), which acts
 trivially on HL_* (Loday–Pirashvili); over Q the average over the group
 is then a chain projection with the same homology.
@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
-from operator import mul
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .liealg import (
     BasisLabel,
@@ -38,19 +36,16 @@ from .liealg import (
     Signature,
     Translation,
     _pair_sign,
-    _perm_sign,
     accumulate,
     build_affine,
     build_so,
-    check_automorphism,
     is_canonical,
-    letter_action,
     letter_pairs,
-    signed_rotations,
     so_labels,
 )
 from .linalg import ExactEliminator
 from .repspace import Symmetry
+from .rotations import BasisTable, symmetry_group
 
 __all__ = ["SplitReduction", "split_form", "split_reduction"]
 
@@ -64,24 +59,8 @@ def _expansion_label(vec: Mapping[int, int], labels: Sequence[BasisLabel]) -> Ge
     return GenericLabel(text.lstrip("+"))
 
 
-class _SplitTable(NamedTuple):
-    """The split basis b of one signature.
-
-    ``vecs`` holds the b_k in standard coordinates (0-based), ``find`` each
-    ±b_k as (k, ±1), ``weights`` and ``bits`` their torus weights and parity
-    bits.  The letters of Λ²R^n on it are those of ``liealg.letter_pairs``
-    with b for e: letter t is ``_pair_sign(a, b, p)·b_a ∧ b_b`` for the t-th
-    pair (a, b), and b_a ∧ b_b = s·letter t for ``wedge[(a, b)] = (t, s)``.
-    """
-
-    vecs: list[dict[int, int]]
-    find: dict[frozenset, tuple[int, int]]
-    weights: list[tuple[int, ...]]
-    bits: list[int]
-
-
 @lru_cache(maxsize=None)
-def _split_table(sig: Signature) -> _SplitTable:
+def _split_table(sig: Signature) -> BasisTable:
     """The table of ``sig``: b_i = e_i + e_{p+i} (weight +1 in coordinate i)
     and b_{p+i} = e_i - e_{p+i} (weight -1), both on bit i, for
     i < r = min(p,q); b_k = e_k on bit k for unpaired k."""
@@ -101,11 +80,7 @@ def _split_table(sig: Signature) -> _SplitTable:
         vecs.append(vec)
         weights.append(tuple(w))
         bits.append(1 << bit)
-    find = {}
-    for k, vec in enumerate(vecs):
-        find[frozenset(vec.items())] = (k, 1)
-        find[frozenset((j, -c) for j, c in vec.items())] = (k, -1)
-    return _SplitTable(vecs, find, weights, bits)
+    return BasisTable(vecs, weights, bits)
 
 
 def split_form(alg: LieAlgebra) -> LieAlgebra:
@@ -143,7 +118,8 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
         raise ValueError(f"{alg.name} is not so(p,q) or h_n on the canonical basis")
     p, n = sig.p, sig.n
     r = min(p, sig.q)
-    vecs, _, weights, bits = _split_table(sig)
+    table = _split_table(sig)
+    vecs, weights, bits = table.vecs, table.weights, table.bits
     pairs, wedge = letter_pairs(sig)
     metric = [1] * p + [-1] * (n - p)
     gram = [[sum(metric[k] * c * v.get(k, 0) for k, c in u.items()) for v in vecs] for u in vecs]
@@ -315,118 +291,6 @@ def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
             span |= {x ^ m for x in span}
     kept = tuple(m for m in masks if all(_even(m & f) for f in flips))
     torus = tuple(BoostY(i, p + i) for i in range(1, r + 1))
-    group = _symmetry_group(split, span, kept)
-    return SplitReduction(split, torus, tuple(flips), kept, group)
-
-
-def _symmetry_group(
-    split: LieAlgebra, flips: set[int], kept: Sequence[int]
-) -> tuple[Symmetry, ...]:
-    """The signed permutations of R^n in SO(p)×SO(q) that map each split
-    vector to ± a split vector, as actions on the letters of ``split``, one
-    per letter permutation, sorted (the identity first).
-
-    ``flips`` is the group of the reduction's flips, as masks.  The first
-    element with a letter permutation is checked in full
-    (``_check_symmetry``); every later one must differ from it by one of
-    the flips, which is +1 on every kept grade, or ``ValueError`` is raised.
-    """
-    flip_signs = {tuple(1 if _even(f & g[-1]) else -1 for g in split.grades) for f in flips}
-    group: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for perm, signs in _rotations(split.sig):
-        (letter_perm, letter_signs), moved = _symmetry(split, perm, signs)
-        if letter_perm not in group:
-            _check_symmetry(split, kept, (letter_perm, letter_signs), moved)
-            group[letter_perm] = letter_signs
-        elif tuple(map(mul, group[letter_perm], letter_signs)) not in flip_signs:
-            raise ValueError(
-                f"two symmetries of {split.name} with one letter permutation "
-                "differ by more than a sign flip"
-            )
-    return tuple(sorted(group.items()))
-
-
-def _rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The elements e_k -> signs[k]·e_{perm[k]} of ``signed_rotations(sig)``
-    that map the pairs (i, p+i), i < min(p,q), to pairs, as (perm, signs)."""
-    p, r = sig.p, min(sig.p, sig.q)
-    for perm, signings in signed_rotations(sig):
-        # b_i = e_i + e_{p+i} must go to ±b_j or ±b_{p+j}: pairs go to pairs
-        if all(perm[i] < r and perm[p + i] == p + perm[i] for i in range(r)):
-            yield from ((perm, signs) for signs in signings)
-
-
-def _symmetry(
-    split: LieAlgebra, perm: Sequence[int], signs: Sequence[int]
-) -> tuple[Symmetry, list[tuple[int, int]]]:
-    """The action of e_k -> signs[k]·e_{perm[k]} (0-based) on the split
-    vectors, b_k -> s_k·b_k' as (k', s_k), and the action it induces on the
-    letters of the split form ``split`` (``liealg.letter_action``).
-
-    Raises ``ValueError`` unless the map keeps the p-block and the q-block
-    with det +1 on each and maps each split vector to ± a split vector.
-    """
-    sig = split.sig
-    p, n = sig.p, sig.n
-    table = _split_table(sig)
-
-    def fail(message: str) -> ValueError:
-        return ValueError(
-            f"the map e_k -> s_k e_π(k) with π = {list(perm)}, s = {list(signs)} "
-            f"on {split.name} {message}"
-        )
-
-    for block in (range(p), range(p, n)):
-        if sorted(perm[k] for k in block) != list(block):
-            raise fail(f"does not keep the block {list(block)}")
-        if _perm_sign([perm[k] - block.start for k in block]) * prod(signs[k] for k in block) != 1:
-            raise fail(f"has det -1 on the block {list(block)}")
-    moved = [
-        table.find.get(frozenset((perm[j], signs[j] * c) for j, c in v.items())) for v in table.vecs
-    ]
-    if None in moved:
-        raise fail("maps a split vector to no split vector up to sign")
-    return letter_action(split, moved), moved
-
-
-def _check_symmetry(
-    split: LieAlgebra, kept: Sequence[int], sym: Symmetry, moved: Sequence[tuple[int, int]]
-) -> None:
-    """Raises ``ValueError`` unless the letter action ``sym`` is an
-    automorphism of ``split`` and, with the split-vector map ``moved``,
-    fixes every grade of torus weight 0 and kept parity.
-
-    The vector map gives an action on grades: weights by the signed
-    permutation of the torus coordinates, parities by the permutation of
-    their bits.  Every letter must go to a letter of the acted-on grade, so
-    a word does too, and the kept grades must be fixed points.
-    """
-    sig = split.sig
-    r = min(sig.p, sig.q)
-    perm = sym[0]
-    table = _split_table(sig)
-
-    def fail(message: str) -> ValueError:
-        return ValueError(f"the symmetry {sym} of {split.name} {message}")
-
-    bit_map: dict[int, int] = {}
-    for k, (k2, _) in enumerate(moved):
-        if bit_map.setdefault(table.bits[k], table.bits[k2]) != table.bits[k2]:
-            raise fail("maps one parity bit to two")
-
-    def act_grade(g: Grade) -> Grade:
-        weight = [0] * r
-        for i in range(r):
-            for j, x in enumerate(table.weights[moved[i][0]]):
-                weight[j] += g[1 + i] * x
-        parity = sum(b2 for b, b2 in bit_map.items() if g[-1] & b)
-        return (g[0], *weight, parity)
-
-    for x in range(split.dim):
-        if split.grades[perm[x]] != act_grade(split.grades[x]):
-            raise fail(f"moves the grade of {split.labels[x]} off its action on grades")
-    check_automorphism(split, sym)
-    zero = (0,) * (r + 1)
-    for m in kept:
-        if act_grade(zero + (m,)) != zero + (m,):
-            raise fail(f"moves the kept parity {m}")
+    zeros = (0,) * r
+    group = symmetry_group(split, _split_table(sig), {(0, *zeros, m): {} for m in kept})
+    return SplitReduction(split, torus, tuple(flips), kept, tuple(group))

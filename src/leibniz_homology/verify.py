@@ -371,13 +371,13 @@ def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optio
 def run_suite(
     suite_name: str, sig: Signature, options: Optional[HomologyOptions] = None
 ) -> VerifyReport:
-    """Run the named suite ("structure", "paper" alias "claims", or "all")."""
+    """Run the named suite ("structure", "paper" or "all")."""
     opts = options or HomologyOptions()
     suite = _Suite()
     resolved: Optional[int] = None
-    if suite_name not in ("structure", "paper", "claims", "all"):
+    if suite_name not in ("structure", "paper", "all"):
         raise ValueError(f"unknown suite {suite_name!r}")
-    claims = suite_name in ("paper", "claims", "all")
+    claims = suite_name in ("paper", "all")
     if claims and sig.n < 4:
         raise ValueError(f"the claim suite is stated for n >= 4, got n={sig.n}")
     if suite_name in ("structure", "all"):

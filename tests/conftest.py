@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +48,20 @@ def _full_route(alg):
 @pytest.fixture
 def full_route():
     return _full_route
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_python(*args, timeout=120):
+    """``python *args`` in a subprocess with the package's ``src`` and the
+    test modules on PYTHONPATH; the output is captured as text."""
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.fixture
+def run_python():
+    return _run_python

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from leibniz_homology import Signature, run_suite
 from leibniz_homology.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, build_parser, main
 from leibniz_homology.homology import DEFAULT_CAP_EXACT, DEFAULT_CAP_MODULAR
 
@@ -87,6 +88,20 @@ def test_invariants_note_keyed_on_parsed_module(capsys):
     assert note not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("pq", [(1, 1), (2, 0), (2, 1), (1, 2), (3, 0)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_invariants_small_n_has_no_false_mismatch(capsys, pq):
+    # at n = 2 so(p,q) is abelian and I ⊗ Λ^1 has its two ends at k = 1:
+    # those values are recorded, every other one matches the paper
+    n = sum(pq)
+    descs = ["so"] + [f"{kind}{k}" for kind in ("wedge:I:", "I*wedge:", "so*wedge:") for k in range(n + 1)]
+    for desc in descs:
+        assert run(["invariants", "--p", str(pq[0]), "--q", str(pq[1]), "--module", desc]) == EXIT_OK, desc
+        out = capsys.readouterr().out
+        assert "MISMATCH" not in out, out
+        if n == 2 and desc in ("so", "I*wedge:1"):
+            assert "(recorded: so is 1-dimensional" in out or "the k=1 / k=n-1 statements coincide" in out
+
+
 def test_homology_abelian(capsys, tmp_path):
     out = tmp_path / "hom.json"
     assert run(["homology", "--abelian", "2", "--max-degree", "3", "--json", str(out)]) == EXIT_OK
@@ -165,6 +180,13 @@ def test_verify_refuses_small_n(capsys):
     assert run(["verify", "--suite", "paper", "--p", "1", "--q", "2"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "the claim suite is stated for n >= 4, got n=3" in err
+
+
+@pytest.mark.parametrize("name", ["claims", "bogus"])
+def test_unknown_suite_is_value_error(name):
+    # the suites are the CLI's choices, with no alias
+    with pytest.raises(ValueError, match=f"unknown suite '{name}'"):
+        run_suite(name, Signature(2, 2))
 
 
 def test_verify_paper_definite(tmp_path, capsys):

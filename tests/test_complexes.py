@@ -1,15 +1,12 @@
 """Loday and CE boundaries, cycles, boundaries, embeddings."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from leibniz_homology import (
+    BoostY,
     CEBoundary,
     LieAlgebra,
     ModuleLawError,
@@ -31,7 +28,7 @@ from leibniz_homology import (
     tensor_space,
     tensor_to_wedge,
 )
-from leibniz_homology import liealg, rotations
+from leibniz_homology import liealg, rotations, split
 from leibniz_homology.complexes import LodayBoundary, check_dd_zero
 from leibniz_homology.liealg import letter_action
 from leibniz_homology.rotations import chain_symmetries
@@ -414,42 +411,53 @@ def _flip_first_letter(monkeypatch):
 def test_wrong_letter_sign_is_no_automorphism(monkeypatch):
     _flip_first_letter(monkeypatch)
     with pytest.raises(ValueError, match="is no automorphism"):
+        split._split_reduction.__wrapped__(Signature(2, 2), True)
+    with pytest.raises(ValueError, match="is no automorphism"):
         is_boundary(make_alpha_tilde(Signature(2, 2)))
 
 
-def test_letter_action_check_survives_optimisation():
+def test_letter_action_check_survives_optimisation(run_python):
     # the automorphism check raises, so python -O does not strip it
-    src = Path(__file__).resolve().parent.parent / "src"
-    here = Path(__file__).resolve().parent
     code = (
         "import sys\n"
         "import pytest\n"
         "from leibniz_homology import Signature, is_boundary, make_alpha_tilde\n"
+        "from leibniz_homology.split import _split_reduction\n"
         "from test_complexes import _flip_first_letter\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "with pytest.MonkeyPatch.context() as mp:\n"
         "    _flip_first_letter(mp)\n"
-        "    try:\n"
-        "        is_boundary(make_alpha_tilde(Signature(2, 2)))\n"
-        "    except ValueError as exc:\n"
-        "        print(exc)\n"
-        "    else:\n"
-        "        sys.exit('a wrong letter sign passed')\n"
+        "    for route in (lambda: _split_reduction.__wrapped__(Signature(2, 2), True),\n"
+        "                  lambda: is_boundary(make_alpha_tilde(Signature(2, 2)))):\n"
+        "        try:\n"
+        "            route()\n"
+        "        except ValueError as exc:\n"
+        "            print(exc)\n"
+        "        else:\n"
+        "            sys.exit('a wrong letter sign passed')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(here), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert "is no automorphism" in proc.stdout
+    assert proc.stdout.count("is no automorphism") == 2
 
 
 def test_letter_action_that_moves_a_grade_is_rejected(monkeypatch):
-    # the identity is an automorphism, but for the first rotation tried,
-    # e3 -> ±e4 and e4 -> ±e3, it leaves d(3) on bit 2, not bit 3
-    def ignore_the_map(alg, moved):
-        return liealg.letter_action(alg, [(k, 1) for k in range(alg.sig.n)])
+    # every map but the identity sends the first letter where the true
+    # action sends the second: d(b_0) and d(b_1) differ in grade on the
+    # split form, d(1) and d(2) in parity on the standard basis
+    def swap_first_letters(alg, moved):
+        letters, letter_signs = liealg.letter_action(alg, moved)
+        if any(k != k2 for k, (k2, _) in enumerate(moved)):
+            letters = (letters[1], letters[0]) + letters[2:]
+        return letters, letter_signs
 
-    monkeypatch.setattr(rotations, "letter_action", ignore_the_map)
-    with pytest.raises(ValueError, match=r"moves the grade of d\(3\)"):
-        is_boundary(make_alpha_tilde(Signature(2, 2)))
+    monkeypatch.setattr(rotations, "letter_action", swap_first_letters)
+    with pytest.raises(ValueError, match=r"moves the grade of d\(1\)\+d\(3\)"):
+        split._split_reduction.__wrapped__(Signature(2, 2), True)
+    # only the identity fixes the parity 0101 of Y(1,3), so the raise shows
+    # that each letter action is checked before the chain filters it out
+    h = build_affine(Signature(2, 2))
+    y13 = Chain(tensor_space(h, 1), {(h.index(BoostY(1, 3)),): Fraction(1)})
+    with pytest.raises(ValueError, match=r"moves the grade of d\(1\)"):
+        is_boundary(y13)

@@ -1,8 +1,5 @@
 """Each narrative script under demos/ runs to completion."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,8 +8,6 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.stem)
-def test_demo_runs(path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(path)], env=env, capture_output=True, text=True, timeout=600)
+def test_demo_runs(path, run_python):
+    proc = run_python(str(path), timeout=600)
     assert proc.returncode == 0, proc.stderr

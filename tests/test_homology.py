@@ -1,10 +1,7 @@
 """Betti tables, predictions, duality, caps."""
 
-import os
 import random
 import re
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -203,10 +200,9 @@ def test_prime_disagreement_raises():
         _rank_modular_blocks([block], [p1, p2])
 
 
-def test_pure_python_import_and_ranks():
+def test_pure_python_import_and_ranks(run_python):
     # the package and its modular route run without numpy: cap_exact=0 sends
     # d_2 and d_3 through the eliminators of both primes
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
         "import leibniz_homology\n"
@@ -217,9 +213,7 @@ def test_pure_python_import_and_ranks():
         "if 'numpy' in sys.modules:\n"
         "    sys.exit('numpy was imported')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -319,7 +313,7 @@ def test_dd_check_draws_one_degree_at_a_time():
     assert stepped.getstate() == whole.getstate()
 
 
-def test_ranked_dd_check_traced_as_complexes_layer():
+def test_ranked_dd_check_traced_as_complexes_layer(run_python):
     # benchmark/tracing.py names the span of homology.check_dd_zero after
     # the module defining it, and its layer table knows only
     # complexes.check_dd_zero; install() rewraps module attributes for the
@@ -339,9 +333,7 @@ def test_ranked_dd_check_traced_as_complexes_layer():
         "if not metrics['complexes.ddcheck_s'] > 0:\n"
         "    sys.exit(f'no time in the d∘d check: {metrics}')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -442,10 +434,9 @@ def test_reduction_only_for_canonical_algebras(full_route):
     assert [e.dim for e in homology_dims(twin, 2).entries] == [1, 10, 100]
 
 
-def test_split_form_built_lazily():
+def test_split_form_built_lazily(run_python):
     # importing the package and building the algebra load no split form; the
     # first reduced homology run builds it, once
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
         "from leibniz_homology import Signature, build_affine, homology_dims\n"
@@ -460,16 +451,13 @@ def test_split_form_built_lazily():
         "if (info.currsize, info.misses) != (1, 1):\n"
         "    sys.exit(f'split forms built: {info}')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_witness_solve_leaves_split_unloaded():
+def test_witness_solve_leaves_split_unloaded(run_python):
     # the orbit route of is_boundary builds its group in the standard basis,
     # and the package import loads neither module
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
         "import leibniz_homology as lh\n"
@@ -483,9 +471,7 @@ def test_witness_solve_leaves_split_unloaded():
         "if 'leibniz_homology.split' in sys.modules:\n"
         "    sys.exit('is_boundary loaded the split module')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 

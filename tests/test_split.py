@@ -1,11 +1,7 @@
 """The split form of the affine algebras: closed-form construction and its check."""
 
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,9 +14,10 @@ from leibniz_homology import (
     build_abelian,
     build_affine,
     build_so,
+    homology_dims,
     validate,
 )
-from leibniz_homology import split
+from leibniz_homology import liealg, rotations, split
 from leibniz_homology.liealg import check_automorphism, letter_action, signed_rotations, so_labels
 from leibniz_homology.repspace import GradeBlock, graded_words
 from leibniz_homology.split import split_form, split_reduction
@@ -104,15 +101,15 @@ def test_split_form_rejects_gradings_of_other_origin(monkeypatch, regrade, messa
         split_form(build_affine(Signature(2, 2)))
 
 
-def test_split_form_check_survives_optimisation():
+def test_split_form_check_survives_optimisation(run_python):
     # the isomorphism and group checks raise, so python -O does not strip them
-    src = Path(__file__).resolve().parent.parent / "src"
-    here = Path(__file__).resolve().parent
     code = (
         "import sys\n"
+        "import pytest\n"
         "from leibniz_homology import Signature, build_affine\n"
-        "from leibniz_homology.split import _check_symmetry, split_form\n"
-        "from test_split import _broken_symmetry, _corrupted\n"
+        "from leibniz_homology.split import _split_reduction, split_form\n"
+        "from test_complexes import _flip_first_letter\n"
+        "from test_split import _corrupted\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "try:\n"
@@ -121,84 +118,121 @@ def test_split_form_check_survives_optimisation():
         "    print(exc)\n"
         "else:\n"
         "    sys.exit('a corrupted constant passed')\n"
-        "try:\n"
-        "    _check_symmetry(*_broken_symmetry(build_affine(Signature(2, 2))))\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
-        "else:\n"
-        "    sys.exit('a broken symmetry passed')\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    _flip_first_letter(mp)\n"
+        "    try:\n"
+        "        _split_reduction.__wrapped__(Signature(2, 2), True)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        sys.exit('a broken symmetry passed')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(here), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert "is wrong" in proc.stdout and "is no automorphism" in proc.stdout
 
 
-def test_symmetry_with_det_minus_one_is_rejected():
+def _group_of(monkeypatch, rotations_of_sig, table=None):
+    """The orbit group of the split h(2,2) built from the signed rotations
+    ``rotations_of_sig`` lists, on the split table or ``table``."""
+    form = split_reduction(build_affine(Signature(2, 2))).algebra
+    monkeypatch.setattr(rotations, "signed_rotations", lambda sig: iter(rotations_of_sig))
+    return rotations.symmetry_group(form, table or split._split_table(form.sig), {})
+
+
+def test_symmetry_with_det_minus_one_is_rejected(monkeypatch):
     # O(p)×O(q) elements outside SO(p)×SO(q) can act by -1 on homology
-    h = build_affine(Signature(2, 2))
-    form = split_form(h)
     # e1 -> -e1: a reflection of the p-block
     with pytest.raises(ValueError, match=r"det -1 on the block \[0, 1\]"):
-        split._symmetry(form, (0, 1, 2, 3), (-1, 1, 1, 1))
+        _group_of(monkeypatch, [((0, 1, 2, 3), [(-1, 1, 1, 1)])])
     # e1 <-> e2 and e3 <-> e4: det -1 on both blocks
     with pytest.raises(ValueError, match="det -1"):
-        split._symmetry(form, (1, 0, 3, 2), (1, 1, 1, 1))
+        _group_of(monkeypatch, [((1, 0, 3, 2), [(1, 1, 1, 1)])])
     # the same swaps with one sign in each block are rotations, kept up to
     # the flip -I
-    (perm, _), _ = split._symmetry(form, (1, 0, 3, 2), (-1, 1, -1, 1))
-    assert perm in {perm for perm, _ in split_reduction(h).symmetries}
-    # a map that leaves the split basis: e1 -> e2 but e3 -> e3
-    with pytest.raises(ValueError, match="no split vector"):
-        split._symmetry(form, (1, 0, 2, 3), (-1, 1, 1, 1))
-    # e1 <-> e3 mixes the blocks
+    ((perm, _),) = _group_of(monkeypatch, [((1, 0, 3, 2), [(-1, 1, -1, 1)])])
+    assert perm in {perm for perm, _ in split_reduction(build_affine(Signature(2, 2))).symmetries}
+
+
+def test_map_that_mixes_the_blocks_is_rejected(monkeypatch):
+    # e1 <-> e3 maps the split vectors' supports to supports, but mixes
+    # the blocks
     with pytest.raises(ValueError, match=r"does not keep the block \[0, 1\]"):
-        split._symmetry(form, (2, 1, 0, 3), (1, 1, 1, 1))
+        _group_of(monkeypatch, [((2, 1, 0, 3), [(1, 1, 1, 1)])])
 
 
-def _broken_symmetry(h):
-    """The split form of ``h``, its kept parities, a symmetry of the
-    rotation e1 <-> e2, e3 <-> e4 (one sign in each block) with one
-    translation's sign flipped, and the rotation's split-vector map."""
-    red = split_reduction(h)
-    (perm, signs), moved = split._symmetry(red.algebra, (1, 0, 3, 2), (-1, 1, -1, 1))
-    split._check_symmetry(red.algebra, red.kept, (perm, signs), moved)
-    return red.algebra, red.kept, (perm, (-signs[0],) + signs[1:]), moved
+def test_map_that_leaves_the_basis_is_rejected(monkeypatch):
+    # with only +b_k to look up, e1 -> -e1, e2 -> -e2 maps b_0 = e1 + e3
+    # to -b_2, which is missing
+    table = split._split_table(Signature(2, 2))
+    positive = rotations.BasisTable(table.vecs, table.weights, table.bits)
+    positive.find = {key: kb for key, kb in table.find.items() if kb[1] == 1}
+    with pytest.raises(ValueError, match="no basis vector up to sign"):
+        _group_of(monkeypatch, [((0, 1, 2, 3), [(1, 1, 1, 1), (-1, -1, 1, 1)])], positive)
 
 
-def test_symmetry_that_breaks_a_bracket_is_rejected():
+def test_symmetry_that_breaks_a_bracket_is_rejected(monkeypatch):
+    # the rotation e1 <-> e2, e3 <-> e4 (one sign in each block) with the
+    # sign of the translation d(b_0) flipped in its letter action
+    def broken(alg, moved):
+        letters, letter_signs = liealg.letter_action(alg, moved)
+        if any(k != k2 for k, (k2, _) in enumerate(moved)):
+            letter_signs = (-letter_signs[0],) + letter_signs[1:]
+        return letters, letter_signs
+
+    rotation = [((1, 0, 3, 2), [(-1, 1, -1, 1)])]
+    assert len(_group_of(monkeypatch, rotation)) == 1
+    monkeypatch.setattr(rotations, "letter_action", broken)
     with pytest.raises(ValueError, match="is no automorphism"):
-        split._check_symmetry(*_broken_symmetry(build_affine(Signature(2, 2))))
+        _group_of(monkeypatch, rotation)
 
 
-def test_symmetry_check_rejects_hand_made_actions():
-    # each input breaks one condition of _check_symmetry; at (2,2) the
-    # split vectors b_0, b_2 sit on parity bit 0 and b_1, b_3 on bit 1
-    red = split_reduction(build_affine(Signature(2, 2)))
-    form, kept = red.algebra, red.kept
-    sym, moved = split._symmetry(form, (1, 0, 3, 2), (-1, 1, -1, 1))
-    identity = (tuple(range(form.dim)), (1,) * form.dim)
-    still = [(k, 1) for k in range(4)]
-    with pytest.raises(ValueError, match="maps one parity bit to two"):
-        split._check_symmetry(form, kept, identity, [(0, 1), (1, 1), (1, 1), (3, 1)])
+def test_symmetry_check_rejects_hand_made_actions(monkeypatch):
+    # at (2,2) the split vectors b_0, b_2 sit on parity bit 0 and b_1, b_3
+    # on bit 1; the letters 0 and 1 are d(b_0) and d(b_1)
+    form = split_reduction(build_affine(Signature(2, 2))).algebra
+    table = split._split_table(form.sig)
+    zeros = (0,) * (len(form.grades[0]) - 2)
+    rotation = ((1, 0, 3, 2), [(-1, 1, -1, 1)])
+    monkeypatch.setattr(rotations, "signed_rotations", lambda sig: iter([rotation]))
+    # the rotation swaps the bits: it fixes the parity 0b11 but moves 0b01,
+    # so a target on 0b01 filters it out rather than keep it
+    assert len(rotations.symmetry_group(form, table, {(0, *zeros, 3): {}})) == 1
+    assert rotations.symmetry_group(form, table, {(0, *zeros, 1): {}}) == []
+
     # the letters of d(b_0) and d(b_1) swapped, the split vectors kept
-    swapped = ((1, 0) + identity[0][2:], identity[1])
-    with pytest.raises(ValueError, match="moves the grade of"):
-        split._check_symmetry(form, kept, swapped, still)
-    # the rotation swaps the bits, so it moves the parity 0b01 were it kept
-    split._check_symmetry(form, kept, sym, moved)
-    with pytest.raises(ValueError, match="moves the kept parity 1"):
-        split._check_symmetry(form, (1,), sym, moved)
+    def swap_first_letters(alg, moved):
+        letters, letter_signs = liealg.letter_action(alg, moved)
+        return (letters[1], letters[0]) + letters[2:], letter_signs
+
+    monkeypatch.setattr(rotations, "letter_action", swap_first_letters)
+    with pytest.raises(ValueError, match=r"moves the grade of d\(1\)\+d\(3\)"):
+        _group_of(monkeypatch, [((0, 1, 2, 3), [(1, 1, 1, 1)])])
 
 
-def test_symmetry_group_rejects_an_unlisted_flip():
-    # -I is one of the reduction's flips at (2,2); without it the group's
-    # two elements of one letter permutation differ by a flip not allowed
-    red = split_reduction(build_affine(Signature(2, 2)))
-    assert split._symmetry_group(red.algebra, {0, *red.flips}, red.kept) == red.symmetries
+def test_symmetry_group_rejects_an_unlisted_flip(monkeypatch):
+    # -I is the flip of both parity bits at (2,2); negating one more letter
+    # of its action makes it differ from the identity by more than a flip
+    def wrong(alg, moved):
+        letters, letter_signs = liealg.letter_action(alg, moved)
+        if all(s == -1 for _, s in moved):
+            letter_signs = (-letter_signs[0],) + letter_signs[1:]
+        return letters, letter_signs
+
+    signings = [(1, 1, 1, 1), (-1, -1, -1, -1)]
+    assert len(_group_of(monkeypatch, [((0, 1, 2, 3), signings)])) == 1
+    monkeypatch.setattr(rotations, "letter_action", wrong)
     with pytest.raises(ValueError, match="differ by more than a sign flip"):
-        split._symmetry_group(red.algebra, {0}, red.kept)
+        _group_of(monkeypatch, [((0, 1, 2, 3), signings)])
+
+
+def test_so2_keeps_one_action_for_two_index_maps():
+    # so(2,0) has one letter, X(1,2), and the quarter turn e1 -> e2,
+    # e2 -> -e1 acts on it as the identity does, with another index map
+    so2 = build_so(Signature(2, 0))
+    assert split_reduction(so2).symmetries == (((0,), (1,)),)
+    assert rotations.chain_symmetries(so2, {so2.grades[0]: {(0,): 1}}) is None
+    assert homology_dims(so2, 3).betti == [1, 1, 1, 1]
 
 
 def _signed_lookup(vectors):
@@ -277,8 +311,7 @@ def test_letter_action_matches_standard_route(build, pq):
     form = split_form(alg)
     letters = _signed_lookup(_standard_images(form, alg))
     actions = set()
-    for perm, signs in split._rotations(alg.sig):
-        sym, _ = split._symmetry(form, perm, signs)
+    for perm, signs, _, sym in rotations._candidates(form, split._split_table(alg.sig)):
         assert sym == _through_standard_letters(alg, letters, perm, signs), (perm, signs)
         actions.add(sym)
     symmetries = split_reduction(alg).symmetries
