@@ -39,9 +39,8 @@ degree, its whole chain space.
 Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
 blocks.  A block's columns are sorted ``(row, value)`` lists, the one column
 format both rank engines of ``linalg`` read: ``columns()`` streams them to
-an exact rank, ``csc()`` lists them once for the primes of a modular rank,
-and a ``ColumnStore`` keeps them between a rank and the d∘d check of one
-run.  Matrices are materialized only on demand.
+an exact rank and ``csc()`` lists them once for the primes of a modular
+rank.  Matrices are materialized only on demand.
 """
 
 from __future__ import annotations
@@ -79,12 +78,11 @@ __all__ = [
     "is_cycle",
     "is_boundary",
     "embed_mixed_in_tensor",
-    "ColumnStore",
     "check_dd_zero",
 ]
 
 MATRIX_CAP = 200_000  # columns of the largest LodayBoundary.matrix
-DD_CHECKS = 100  # random chains of ranked columns per degree in the d∘d = 0 check
+DD_CHECKS = 100  # random chains of columns per degree in the sampled d∘d = 0 check
 
 Word = tuple[int, ...]
 Column = list[tuple[int, Coeff]]  # sorted (row, value) pairs of one boundary column
@@ -433,66 +431,29 @@ def embed_mixed_in_tensor(chain: Chain) -> Chain:
     return chain.map(embed, tensor_space(chain.space.algebra, k + 1))
 
 
-class ColumnStore:
-    """Boundary columns kept between the passes that read them: per degree
-    k and grade, column index -> ``BoundaryBlock.column``.  A rank pass and
-    ``check_dd_zero`` that share one generate each column once."""
-
-    def __init__(self) -> None:
-        self._degrees: dict[int, dict[Optional[Grade], dict[int, Column]]] = {}
-
-    def column(self, k: int, block: BoundaryBlock, j: int) -> Column:
-        """Column j of the degree-k ``block``, generated and kept if new."""
-        stored = self._degrees.setdefault(k, {}).setdefault(block.grade, {})
-        if j not in stored:
-            stored[j] = block.column(j)
-        return stored[j]
-
-    def columns(self, k: int, block: BoundaryBlock, keep: bool) -> Iterator[Column]:
-        """Every column of the degree-k ``block`` in order, the stored ones
-        read and the rest generated; with ``keep`` the new ones are kept,
-        without it the block's stored columns are let go."""
-        degree = self._degrees.setdefault(k, {})
-        stored = degree.setdefault(block.grade, {}) if keep else degree.pop(block.grade, {})
-        for j in range(block.cols):
-            col = stored.get(j)
-            if col is None:
-                col = block.column(j)
-                if keep:
-                    stored[j] = col
-            yield col
-
-    def drop(self, k: int) -> None:
-        """Let go of every stored column of degree k."""
-        self._degrees.pop(k, None)
-
-
-def check_dd_zero(
-    op: _Boundary, degrees: Iterable[int], rng, columns: Optional[ColumnStore] = None
-) -> None:
-    """d∘d = 0 on the blocks that ``op`` ranks; raises ``AssertionError``
-    naming the degree and grade of the first nonzero composite.
+def check_dd_zero(op: _Boundary, degrees: Iterable[int], rng) -> None:
+    """d∘d = 0 on random chains of the blocks that ``op`` ranks; raises
+    ``AssertionError`` naming the degree and grade of the first nonzero
+    composite.
 
     Per degree k, ``DD_CHECKS`` random chains of the columns of
     ``op.blocks(k)`` (4 columns each, uniform over the degree's columns,
     coefficients in [-5, 5], drawn as ``random_chain`` draws them) go
     through their ``BoundaryBlock.column`` and then through the columns of
-    the degree-(k-1) block of the same grade.  A degree whose d_{k-1} has
-    no blocks (d_1 of Loday) is skipped.  On orbit blocks this checks the
-    matrix of d on the orbit sums, signs included, which ``apply`` on the
-    whole complex never reads.  Columns are read from the store
-    ``columns``, which keeps the ones generated here; ``homology_dims``
-    shares one with its ranks, so no column is generated twice.  The
-    degree-(k-1) columns are let go once degree k is checked.
+    the degree-(k-1) block of the same grade, each generated once per
+    degree.  A degree whose d_{k-1} has no blocks (d_1 of Loday) is skipped.
+    On orbit blocks this checks the matrix of d on the orbit sums, signs
+    included, which ``apply`` on the whole complex never reads.  It holds
+    no column past its degree, for the complexes and degrees whose columns
+    are not kept; ``homology_dims`` composes every column it ranks instead.
     """
-    store = ColumnStore() if columns is None else columns
     for k in degrees:
         lower = {b.grade: b for b in op.blocks(k - 1)}
         blocks = [b for b in op.blocks(k) if b.cols]
         if not lower or not blocks:
-            store.drop(k - 1)
             continue
         ends = list(itertools.accumulate(b.cols for b in blocks))
+        lower_columns: dict[tuple[Optional[Grade], int], Column] = {}
         for _ in range(DD_CHECKS):
             image: dict[tuple[Optional[Grade], int], Coeff] = {}  # (grade, row) -> coefficient
             for _ in range(CHAIN_TERMS):
@@ -501,12 +462,14 @@ def check_dd_zero(
                     continue
                 b = bisect_right(ends, j)
                 block = blocks[b]
-                for i, v in store.column(k, block, j - ends[b] + block.cols):
+                for i, v in block.column(j - ends[b] + block.cols):
                     accumulate(image, (block.grade, i), c * v)
             out: dict[tuple[Optional[Grade], int], Coeff] = {}
             for (g, i), v in image.items():
-                for r, w in store.column(k - 1, lower[g], i):
+                col = lower_columns.get((g, i))
+                if col is None:
+                    col = lower_columns[g, i] = lower[g].column(i)
+                for r, w in col:
                     accumulate(out, (g, r), v * w)
             if out:
                 raise AssertionError(f"d∘d != 0 at degree {k}, grade {min(out)[0]}")
-        store.drop(k - 1)

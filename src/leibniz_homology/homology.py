@@ -37,15 +37,17 @@ than guessed away.  Both engines read the same sparse integer columns
 (``linalg.integer_column``); a modular rank generates each block's columns
 once for all its primes.  ``cap_exact=0`` ranks every nonzero boundary
 modularly, ``cap_modular=0`` only exactly.  A degree past both caps ends the
-table there, as a partial report.  Every run spot-checks d∘d = 0 on random
-chains of the columns it ranks (the orbit columns, when reduced) at every
-degree and aborts on failure (``complexes.check_dd_zero``).  It makes one
-pass per degree k: the check of degree k reads the columns of d_{k-1} that
-the last rank kept and generates the drawn columns of d_k, and the rank of
-d_k reads those back from the same ``complexes.ColumnStore``, so each ranked
-column is generated once.  The store holds one degree's columns at a time
-(the top degree only its drawn ones), and the degrees past a cap are checked
-on columns generated for the check alone.
+table there, as a partial report.  Every run checks d∘d = 0 on every column
+it ranks (the orbit columns, when reduced) and aborts on a nonzero
+composite, naming the degree and grade.  It makes one pass per degree k:
+the rank of d_k reads each column once, composed on the way with the
+columns of d_{k-1} of its grade that the last rank kept, and below the top
+degree keeps it for the next.  So the check generates no column of its own,
+and only two degrees' columns are held at a time.  A block with no rows, or
+whose grade had no ranked block below it, has a zero composite and is not
+composed.  The degrees past a cap are not ranked, and their columns are not
+held: they are spot-checked on random chains instead
+(``complexes.check_dd_zero``).
 """
 
 from __future__ import annotations
@@ -53,18 +55,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import (
     BoundaryBlock,
     CEBoundary,
     Column,
-    ColumnStore,
     LodayBoundary,
     WedgeBoundary,
     check_dd_zero,
 )
-from .liealg import LieAlgebra, Signature
+from .liealg import Coeff, Grade, LieAlgebra, Signature, accumulate
 from .linalg import (
     DEFAULT_CAP_EXACT,
     CapExceededError,
@@ -92,6 +93,7 @@ __all__ = [
 DEFAULT_CAP_MODULAR = 3_000_000
 
 ColumnReader = Callable[[BoundaryBlock], Iterable[Column]]  # a block's columns, in order
+HeldColumns = dict[Optional[Grade], list[Column]]  # one degree's ranked columns, by grade
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,31 @@ def predicted_hl_dims(sig: Signature, max_degree: int) -> list[int]:
     return out
 
 
+def _composed_columns(
+    k: int,
+    lower: HeldColumns,
+    kept: Optional[HeldColumns],
+    block: BoundaryBlock,
+) -> Iterator[Column]:
+    """The columns of the degree-k ``block`` in order, each composed with
+    ``lower``'s columns of d_{k-1} of its grade, which it lets go; a nonzero
+    composite raises ``AssertionError``.  With ``kept`` the columns are kept
+    there, by grade, for degree k+1."""
+    below = lower.pop(block.grade, None)
+    held = None if kept is None else kept.setdefault(block.grade, [])
+    for col in block.columns():
+        if below is not None:
+            out: dict[int, Coeff] = {}
+            for i, v in col:
+                for r, w in below[i]:
+                    accumulate(out, r, v * w)
+            if out:
+                raise AssertionError(f"d∘d != 0 at degree {k}, grade {block.grade}")
+        if held is not None:
+            held.append(col)
+        yield col
+
+
 def _rank_exact_blocks(blocks, read: Optional[ColumnReader] = None) -> int:
     """Sum of per-block ranks over Q; ``read(block)`` gives a block's
     columns in order (by default ``block.columns()``)."""
@@ -332,22 +359,21 @@ def homology_dims(
         reduction = split_reduction(algebra)
     op = _boundary(algebra, kind, reduction)
 
-    # one pass per degree k: the d∘d check reads the columns of d_{k-1} that
-    # the last rank kept and generates the drawn columns of d_k, which the
-    # rank of d_k reads back from the same store; below the top degree the
-    # rank keeps all its columns for the next check
-    store = ColumnStore()
+    # one pass per degree k: the rank of d_k composes each column it reads
+    # with the kept columns of d_{k-1}, and below the top degree keeps it
+    lower: Optional[HeldColumns] = {}
     ranks: dict[int, RankCertificate] = {}
     capped_at = cap_message = None
     for k in range(1, max_degree + 2):
-        check_dd_zero(op, (k,), rng, store)
-        read = partial(store.columns, k, keep=k <= max_degree)
+        kept: Optional[HeldColumns] = {} if k <= max_degree else None
+        read = partial(_composed_columns, k, lower, kept)
         try:
             ranks[k] = _boundary_rank(op, k, opts, primes, read)
         except CapExceededError as exc:
             capped_at, cap_message = k, str(exc)
-            check_dd_zero(op, range(k + 1, max_degree + 2), rng, store)
+            check_dd_zero(op, range(k, max_degree + 2), rng)
             break
+        lower = kept
 
     entries = []
     for k in range(0, max_degree + 1):

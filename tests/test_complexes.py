@@ -83,7 +83,7 @@ def test_dd_zero_full_matrices(h22):
 
 def test_dd_zero_random_chains(h22, h31, rng):
     # the Chain route over the whole complex, split form included: the
-    # cross-check of check_dd_zero, which reads only the ranked columns
+    # cross-check of the d∘d checks, which read only the ranked columns
     for a in (h22, h31, split_reduction(h22).algebra):
         op = LodayBoundary(a)
         for k in range(2, 7):

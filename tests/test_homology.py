@@ -217,38 +217,78 @@ def test_pure_python_import_and_ranks(run_python):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_orbit_sign_error_caught_by_dd_check(monkeypatch):
-    # a wrong sign on one non-representative word of a length-3 orbit block
-    # at (2,2) changes only the orbit columns; apply on the whole split
-    # complex never reads them, the check of the ranked columns does
-    h = build_affine(Signature(2, 2))
-    red = split_reduction(h)
-    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
-    grade = op._grades(3)[0]
-    orbits = op.word_index(3, grade)
-    block = GradeBlock(graded_words(red.algebra.grades), 3, grade)
-    target = next(
+def _reduced_h22() -> LodayBoundary:
+    """The boundary that ``homology_dims`` ranks for h(2,2): the orbit sums
+    of the kept blocks of its split form."""
+    red = split_reduction(build_affine(Signature(2, 2)))
+    return LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
+
+
+def _non_representatives(op, k, grade):
+    """The degree-k words of ``grade`` that lie in a kept orbit of ``op``
+    but are not its representative, in lex order."""
+    orbits = op.word_index(k, grade)
+    block = GradeBlock(graded_words(op.algebra.grades), k, grade)
+    return [
         w for w in map(block.unrank_word, range(block.dim))
-        if orbits.canonical(w) is not None and orbits.canonical(w)[0] != w
-    )
+        if (hit := orbits.canonical(w)) is not None and hit[0] != w
+    ]
+
+
+def _flip_orbit_signs(monkeypatch) -> set:
+    """Make ``OrbitBlock.canonical`` give the wrong sign on every word put
+    in the returned set."""
+    wrong = set()
     canonical = OrbitBlock.canonical
 
     def flipped(self, word):
         hit = canonical(self, word)
-        if word == target and hit is not None:
+        if word in wrong and hit is not None:
             return hit[0], -hit[1]
         return hit
 
     monkeypatch.setattr(OrbitBlock, "canonical", flipped)
+    return wrong
+
+
+def test_orbit_sign_error_caught_by_dd_check(monkeypatch):
+    # a wrong sign on one non-representative word of a length-3 orbit block
+    # at (2,2) changes only the orbit columns; apply on the whole split
+    # complex never reads them, the check of the ranked columns does
+    op = _reduced_h22()
+    grade = op._grades(3)[0]
+    _flip_orbit_signs(monkeypatch).add(_non_representatives(op, 3, grade)[0])
     with pytest.raises(AssertionError, match=re.escape(f"d∘d != 0 at degree 4, grade {grade}")):
-        homology_dims(h, 4)
+        homology_dims(build_affine(Signature(2, 2)), 4)
+
+
+def test_no_orbit_sign_error_changes_the_table_silently(monkeypatch):
+    # each of the 104 single-word sign errors on the length-4 orbit block of
+    # grade (0,0,0,0) at (2,2) either fails the d∘d check of the ranked
+    # columns or leaves the table right; 100 random chains per degree let 16
+    # of them through with the table [1, 0, 0, 1, 0]
+    h = build_affine(Signature(2, 2))
+    words = _non_representatives(_reduced_h22(), 4, (0, 0, 0, 0))
+    assert len(words) == 104
+    wrong = _flip_orbit_signs(monkeypatch)
+    raised = 0
+    for word in words:
+        wrong.clear()
+        wrong.add(word)
+        try:
+            betti = homology_dims(h, 4).betti
+        except AssertionError as exc:
+            assert re.fullmatch(r"d∘d != 0 at degree [45], grade .*", str(exc)), word
+            raised += 1
+        else:
+            assert betti == [1, 0, 0, 1, 1], word
+    assert raised  # the sweep reaches errors that the check must catch
 
 
 def test_each_ranked_column_generated_once(monkeypatch):
-    # the d∘d check and the ranks share one column store: every ranked
-    # column is generated exactly once, and the only others are columns of
-    # blocks the ranks skip (no rows), which the check still reads
-    h = build_affine(Signature(2, 2))
+    # the d∘d check composes the columns the ranks read, so it generates
+    # none of its own: every ranked column is generated exactly once, and
+    # no column of a block the ranks skip (no rows) is generated at all
     calls = Counter()
     column = complexes.BoundaryBlock.column
 
@@ -257,15 +297,12 @@ def test_each_ranked_column_generated_once(monkeypatch):
         return column(self, j)
 
     monkeypatch.setattr(complexes.BoundaryBlock, "column", counted)
-    homology_dims(h, 4)
-    assert max(calls.values()) == 1
-    red = split_reduction(h)
-    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
+    homology_dims(build_affine(Signature(2, 2)), 4)
+    op = _reduced_h22()
     blocks = [(k, b) for k in range(2, 6) for b in op.blocks(k)]
     ranked = {(k, b.grade, j) for k, b in blocks if b.rows for j in range(b.cols)}
-    skipped = sum(b.cols for k, b in blocks if not b.rows)
-    assert ranked <= calls.keys()
-    assert len(calls) <= len(ranked) + skipped
+    assert calls.keys() == ranked
+    assert set(calls.values()) == {1}
 
 
 # at (2,2) d_4 has 161 orbit columns and d_5 1,240; modular ranks only
@@ -273,62 +310,39 @@ def test_each_ranked_column_generated_once(monkeypatch):
 def test_dd_check_covers_capped_degrees(monkeypatch, cap_modular, capped_at):
     # a wrong sign on one non-representative word of the length-4 orbit
     # block of translation count 2 first shows in d_4∘d_5; the check still
-    # reaches degree 5 when d_5 (or already d_4) is past both caps
+    # reaches degree 5 when d_5 (or already d_4) is past both caps.  Those
+    # degrees are not ranked, so they get the sampled check; 1,000 chains
+    # per degree catch this error whichever columns are drawn
     h = build_affine(Signature(2, 2))
     opts = HomologyOptions(cap_exact=0, cap_modular=cap_modular)
     assert homology_dims(h, 4, options=opts).capped_at == capped_at
-    red = split_reduction(h)
-    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
     grade = (2, 0, 0, 0)
-    orbits = op.word_index(4, grade)
-    block = GradeBlock(graded_words(red.algebra.grades), 4, grade)
-    target = next(
-        w for w in map(block.unrank_word, range(block.dim))
-        if orbits.canonical(w) is not None and orbits.canonical(w)[0] != w
-    )
-    canonical = OrbitBlock.canonical
-
-    def flipped(self, word):
-        hit = canonical(self, word)
-        if word == target and hit is not None:
-            return hit[0], -hit[1]
-        return hit
-
-    monkeypatch.setattr(OrbitBlock, "canonical", flipped)
+    _flip_orbit_signs(monkeypatch).add(_non_representatives(_reduced_h22(), 4, grade)[0])
+    monkeypatch.setattr(complexes, "DD_CHECKS", 1_000)
     with pytest.raises(AssertionError, match=re.escape(f"d∘d != 0 at degree 5, grade {grade}")):
         homology_dims(h, 4, options=opts)
 
 
-def test_dd_check_draws_one_degree_at_a_time():
-    # homology_dims checks one degree per pass; the draws, and so the rng
-    # state after them, are those of one call over every degree
-    h = build_affine(Signature(2, 2))
-    red = split_reduction(h)
-    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
-    whole, stepped = random.Random(5), random.Random(5)
-    complexes.check_dd_zero(op, range(2, 6), whole)
-    store = complexes.ColumnStore()
-    for k in range(2, 6):
-        complexes.check_dd_zero(op, (k,), stepped, store)
-    assert stepped.getstate() == whole.getstate()
-
-
 def test_ranked_dd_check_traced_as_complexes_layer(run_python):
-    # benchmark/tracing.py names the span of homology.check_dd_zero after
-    # the module defining it, and its layer table knows only
-    # complexes.check_dd_zero; install() rewraps module attributes for the
-    # rest of the process, so this runs in a subprocess
+    # the degrees past a cap get the sampled check; benchmark/tracing.py
+    # names the span of homology.check_dd_zero after the module defining
+    # it, and its layer table knows only complexes.check_dd_zero; install()
+    # rewraps module attributes for the rest of the process, so this runs
+    # in a subprocess
     assert homology.check_dd_zero is complexes.check_dd_zero
     root = Path(__file__).resolve().parent.parent
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(root / 'benchmark')!r})\n"
         "import tracing\n"
-        "from leibniz_homology import Signature, build_affine, homology_dims\n"
+        "from leibniz_homology import HomologyOptions, Signature, build_affine, homology_dims\n"
         "tracer = tracing.Tracer()\n"
         "tracing.install(tracer)\n"
+        "opts = HomologyOptions(cap_exact=0, cap_modular=500)\n"
         "with tracer:\n"
-        "    homology_dims(build_affine(Signature(2, 2)), 3)\n"
+        "    rep = homology_dims(build_affine(Signature(2, 2)), 4, options=opts)\n"
+        "if rep.capped_at != 5:\n"
+        "    sys.exit(f'not capped at degree 5: {rep.capped_at}')\n"
         "metrics = tracer.layer_metrics()\n"
         "if not metrics['complexes.ddcheck_s'] > 0:\n"
         "    sys.exit(f'no time in the d∘d check: {metrics}')\n"
