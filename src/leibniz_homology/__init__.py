@@ -64,10 +64,8 @@ from .linalg import (
     ExactEliminator,
     PrimeDisagreementError,
     RankCertificate,
-    SparseMatrix,
     SparseModularEliminator,
     kernel_basis,
-    rank_mod_p,
     solve,
 )
 from .repspace import (

@@ -37,10 +37,11 @@ row and column scales (stabiliser orders), so it has the same rank.
 coordinate rotations that fix its chain.  A CE boundary has one block per
 degree, its whole chain space.
 Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
-blocks.  A block's columns are sorted ``(row, value)`` lists, the one column
-format both rank engines of ``linalg`` read: ``columns()`` streams them to
-an exact rank and ``csc()`` lists them once for the primes of a modular
-rank.  Matrices are materialized only on demand.
+blocks.  A block is its row count and its columns, sorted ``(row, value)``
+lists: the one matrix format of ``linalg``, which its rank engines and
+solves read.  ``columns()`` streams them to an exact rank or a solve and
+``csc()`` lists them once for the primes of a modular rank; no other form
+of a boundary matrix is ever built.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .liealg import Coeff, Grade, LieAlgebra, _perm_sign, accumulate
-from .linalg import DEFAULT_CAP_EXACT, CapExceededError, SparseMatrix, solve
+from .liealg import Coeff, Grade, LieAlgebra, ModuleLawError, _perm_sign, accumulate
+from .linalg import DEFAULT_CAP_EXACT, CapExceededError, solve
 from .repspace import (
     CHAIN_COEFFS,
     CHAIN_TERMS,
@@ -81,7 +82,6 @@ __all__ = [
     "check_dd_zero",
 ]
 
-MATRIX_CAP = 200_000  # columns of the largest LodayBoundary.matrix
 DD_CHECKS = 100  # random chains of columns per degree in the sampled d∘d = 0 check
 
 Word = tuple[int, ...]
@@ -240,19 +240,6 @@ class LodayBoundary(_Boundary):
         of ``rows``."""
         return rows.reduce(self.word_boundary(word))
 
-    def matrix(self, k: int) -> SparseMatrix:
-        """The degree-k boundary as a sparse matrix (rows: degree k-1 words)."""
-        space = self.space(k)
-        if space.dim > MATRIX_CAP:
-            raise CapExceededError(
-                f"boundary matrix at degree {k} has {space.dim} columns, cap {MATRIX_CAP}"
-            )
-        if k < 2:
-            return SparseMatrix(1, space.dim)
-        block = BoundaryBlock(None, space, self.space(k - 1), self.word_boundary)
-        entries = {(i, j): v for j, col in enumerate(block.columns()) for i, v in col}
-        return SparseMatrix(block.rows, block.cols, entries)
-
 
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg boundary with coefficients.
@@ -294,8 +281,6 @@ class CEBoundary(_Boundary):
                         raise SpaceMismatchError(
                             f"[{algebra.labels[a]}, {algebra.labels[b]}] leaves the wedge subalgebra"
                         )
-        from .liealg import ModuleLawError
-
         for m in self.lead:
             for x in self.wedge:
                 for c in algebra.bracket(m, x):
@@ -400,7 +385,7 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
         if symmetries is not None:
             coeffs = block.rowspace.reduce(coeffs)
         b = {block.rowspace.rank_word(w): c for w, c in coeffs.items()}
-        x = solve(block, b)
+        x = solve(block.rows, block.columns(), b)
         if x is None:
             return None
         for j, val in x.items():

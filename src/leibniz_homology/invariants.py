@@ -47,9 +47,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .liealg import (
-    BoostY, Coeff, LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine, is_canonical,
+    BoostY, LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine, is_canonical,
 )
-from .linalg import CapExceededError, SparseMatrix, kernel_basis
+from .linalg import CapExceededError, kernel_basis
 from .repspace import (
     Chain,
     Space,
@@ -181,13 +181,16 @@ def invariant_subspace(acting: Union[LieAlgebra, Sequence[int]], space: Space) -
             f"({len(gens)} generators x dim {space.dim}), cap {ROW_CAP}"
         )
     words = _kept_words(space, gens)
-    entries: dict[tuple[int, int], Coeff] = {}
-    for j, word in enumerate(words):
-        for t, x in enumerate(gens):
-            for w, c in act_word(space, x, word).items():
-                entries[(t * space.dim + space.rank_word(w), j)] = c
+    columns = [
+        sorted(
+            (t * space.dim + space.rank_word(w), c)
+            for t, x in enumerate(gens)
+            for w, c in act_word(space, x, word).items()
+        )
+        for word in words
+    ]
     chains: list[Chain] = []
-    for vec in kernel_basis(SparseMatrix(rows, len(words), entries)):
+    for vec in kernel_basis(rows, columns):
         chain = Chain(space, {words[j]: c for j, c in vec.items()})
         first = min(chain.coeffs, key=space.rank_word)
         if chain.coeffs[first] < 0:

@@ -16,11 +16,15 @@ reduced-echelon column elimination with dictionary rows keyed by pivot:
   across two independently drawn primes is required before a modular rank is
   reported.
 
-Both read the same columns: sorted ``(row, value)`` pairs of Python integers
-or ``Fraction``s.  ``integer_column`` scales a column with fractions by the
-lcm of its denominators before either engine reduces it; the scaled column
-spans the same line over Q, so the rank over Q is unchanged, a rank mod p
-stays at most the rank over Q, and no prime can divide a denominator.
+Every matrix of the package is one format, the one both engines read: its
+row count and a list of columns, each a sorted list of ``(row, value)``
+pairs of Python integers or ``Fraction``s.  ``kernel_basis(rows, columns)``
+and ``solve(rows, columns, b)`` raise ``ValueError`` on a row index outside
+``[0, rows)``, which a tracked ``ExactEliminator`` would read as a
+combination coordinate.  ``integer_column`` scales a column with fractions
+by the lcm of its denominators before either engine reduces it; the scaled
+column spans the same line over Q, so the rank over Q is unchanged, a rank
+mod p stays at most the rank over Q, and no prime can divide a denominator.
 
 Column indices below refer to vectors living in F^rows; the eliminators
 maintain a reduced basis of the span of the columns seen so far, so the
@@ -32,10 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Protocol, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
-    "SparseMatrix",
     "RankCertificate",
     "CapExceededError",
     "PrimeDisagreementError",
@@ -43,7 +46,6 @@ __all__ = [
     "SparseModularEliminator",
     "kernel_basis",
     "solve",
-    "rank_mod_p",
     "integer_column",
     "is_probable_prime",
     "draw_primes",
@@ -61,15 +63,6 @@ PRIME_HI = 1 << 30
 DEFAULT_CAP_EXACT = 100_000
 
 SparseColumn = Sequence[tuple[int, Union[int, Fraction]]]
-
-
-class ColumnSource(Protocol):
-    """A matrix read column by column: ``SparseMatrix`` or ``complexes.BoundaryBlock``."""
-
-    @property
-    def rows(self) -> int: ...
-
-    def columns(self) -> Iterable[SparseColumn]: ...
 
 
 class CapExceededError(RuntimeError):
@@ -127,52 +120,6 @@ def draw_primes(rng, count: int) -> list[int]:
         if c not in out and is_probable_prime(c):
             out.append(c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Public matrix type.
-
-
-class SparseMatrix:
-    """Sparse matrix over Q; no stored zeros."""
-
-    def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries: dict[tuple[int, int], Union[int, Fraction]] = {}
-        if entries:
-            for (i, j), v in (entries.items() if isinstance(entries, dict) else entries):
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(f"entry ({i},{j}) out of range {rows}x{cols}")
-                if v:
-                    self.entries[(i, j)] = v
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def columns(self) -> list[list[tuple[int, Union[int, Fraction]]]]:
-        cols: list[list[tuple[int, Union[int, Fraction]]]] = [[] for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j].append((i, v))
-        for col in cols:
-            col.sort()
-        return cols
-
-    def matvec(self, vec: dict[int, Union[int, Fraction]]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for (i, j), v in self.entries.items():
-            c = vec.get(j)
-            if c:
-                out[i] = out.get(i, Fraction(0)) + Fraction(v) * c
-        return {i: v for i, v in out.items() if v}
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols} over Q, nnz={self.nnz})"
 
 
 @dataclass
@@ -394,19 +341,19 @@ class SparseModularEliminator:
 # Public operations.
 
 
-def rank_mod_p(m: SparseMatrix, p: int) -> int:
-    elim = SparseModularEliminator(m.rows, p)
-    elim.process_sparse_columns(m.columns())
-    return elim.rank
+def _checked(rows: int, columns: Iterable[SparseColumn]) -> list[SparseColumn]:
+    """The columns as a list, after checking every row index against ``rows``."""
+    cols = list(columns)
+    if any(not 0 <= i < rows for col in cols for i, _ in col):
+        raise ValueError(f"column row index out of range for {rows} rows")
+    return cols
 
 
-def kernel_basis(m: ColumnSource) -> list[dict[int, int]]:
-    """Exact kernel basis; each vector a primitive integer dict col -> coeff.
-
-    Every returned v satisfies m·v = 0 exactly (re-checked here).
-    """
-    cols = list(m.columns())
-    elim = ExactEliminator(m.rows, track=True)
+def kernel_basis(rows: int, columns: Iterable[SparseColumn]) -> list[dict[int, int]]:
+    """Exact kernel basis of the matrix; each vector a primitive integer dict
+    col -> coeff, re-checked to send the columns to 0 exactly."""
+    cols = _checked(rows, columns)
+    elim = ExactEliminator(rows, track=True)
     kernel = [elim.relation for col in cols if not elim.add_column(col)]
     for v in kernel:
         if _image(cols, v):
@@ -414,12 +361,15 @@ def kernel_basis(m: ColumnSource) -> list[dict[int, int]]:
     return kernel
 
 
-def solve(m: ColumnSource, b: dict[int, Union[int, Fraction]]) -> Optional[dict[int, Fraction]]:
-    """Exact witness x with m·x = b, or None (certified by rank comparison)."""
-    if any(not 0 <= i < m.rows for i in b):
-        raise ValueError(f"right-hand side index out of range for {m.rows} rows")
-    cols = list(m.columns())
-    elim = ExactEliminator(m.rows, track=True)
+def solve(
+    rows: int, columns: Iterable[SparseColumn], b: dict[int, Union[int, Fraction]]
+) -> Optional[dict[int, Fraction]]:
+    """Exact witness x with sum_j x[j] * columns[j] = b, re-checked, or None
+    (certified by rank comparison)."""
+    if any(not 0 <= i < rows for i in b):
+        raise ValueError(f"right-hand side index out of range for {rows} rows")
+    cols = _checked(rows, columns)
+    elim = ExactEliminator(rows, track=True)
     for col in cols:
         elim.add_column(col)
     if elim.add_column(sorted(b.items())):

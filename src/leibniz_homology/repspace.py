@@ -178,18 +178,20 @@ class GradedWords:
     torus weights) and XORs their parities (``add_grades``).  ``_counts[m]``
     maps each grade of the length-m words to their number, for m up to half
     the longest length counted, rounded up (up to L after
-    ``grades_of_length(L)``).  Above it ``count`` sums over the first letter,
-    count(L, g) = Σ_a count(L-1, g - grade_a), memoised, with no sum on a
-    grade no length-L word has: its (count, parity) pair is not reached at
-    length L, or a field is off [L·min, L·max] over the letters.  So a
-    reduced complex counts only the grades its kept blocks reach.  A (length,
-    grade) pair with words has the state ``(offsets, successors)``:
-    ``offsets[a]`` counts its words whose first letter is below a (the last
-    entry is the total), ``successors[a]`` is the state of the suffix after
-    a first letter a, or None when no word starts with a.  In lexicographic
-    order within a block, ranking a word is one lookup per letter and
-    unranking one bisect per letter.  A state is built when a block first
-    reaches it.
+    ``grades_of_length(L)``).  A (length, grade) pair has the state
+    ``(offsets, successors)``: ``offsets[a]`` counts its words whose first
+    letter is below a (the last entry is the total), ``successors[a]`` is
+    the state of the suffix after a first letter a, or None when no word
+    starts with a.  Above the table, count(L, g) is the total of the state
+    of (L, g), so each suffix grade is formed once, as its state is built,
+    and 0 with no state when no length-L word can have the grade: its
+    (count, parity) pair is not reached at length L, or a field is off
+    [L·min, L·max] over the letters.  Only a pair with words keeps its
+    state; a pair found to have none is kept in ``_empty``.  So a reduced
+    complex counts only the grades its kept blocks reach, and a state is
+    built when a block first reaches it.  In lexicographic order within a
+    block, ranking a word is one lookup per letter and unranking one bisect
+    per letter.
     """
 
     def __init__(self, grades: Sequence[Grade]):
@@ -201,11 +203,11 @@ class GradedWords:
         # adding a letter's inverse takes its grade off the front of a word
         self._inverses = [tuple(-x for x in g[:-1]) + (g[-1],) for g in self.grades]
         self._counts: list[dict[Grade, int]] = [{self._zero: 1}]  # length -> grade -> words
-        self._memo: dict[tuple[int, Grade], int] = {}  # counts above the table
         self._bounds = [(min(f), max(f)) for f in list(zip(*self.grades))[:-1]]
         self._pairs = {(g[0], g[-1]) for g in self.grades}
         self._reached = [{(0, 0)}]  # length -> the (count, parity) pairs of its words
         self._states: dict[tuple[int, Grade], tuple] = {(0, self._zero): ((), ())}
+        self._empty: set[tuple[int, Grade]] = set()  # pairs above the table with no words
 
     def _grow(self, length: int) -> None:
         while len(self._counts) <= length:
@@ -236,15 +238,14 @@ class GradedWords:
         self._grow((length + 1) // 2)
         if length < len(self._counts):
             return self._counts[length].get(grade, 0)
-        key = (length, grade)
-        if key not in self._memo:
-            suffixes = (self.count(length - 1, add_grades(grade, inv)) for inv in self._inverses)
-            self._memo[key] = sum(suffixes) if self._occurs(length, grade) else 0
-        return self._memo[key]
+        if (length, grade) in self._empty or not self._occurs(length, grade):
+            return 0
+        return self.state(length, grade)[0][-1]
 
     def state(self, length: int, grade: Grade) -> tuple:
-        """The state of a (length, grade) pair with words (``count`` > 0)."""
-        st = self._states.get((length, grade))
+        """The state of a (length, grade) pair, kept if the pair has words."""
+        key = (length, grade)
+        st = self._states.get(key)
         if st is None:
             off, successors = [0], []
             for inv in self._inverses:
@@ -252,7 +253,11 @@ class GradedWords:
                 n = self.count(length - 1, h)
                 off.append(off[-1] + n)
                 successors.append(self.state(length - 1, h) if n else None)
-            st = self._states[(length, grade)] = (off, successors)
+            st = (off, successors)
+            if off[-1]:
+                self._states[key] = st
+            else:
+                self._empty.add(key)
         return st
 
     def grade_of(self, word: Word) -> Grade:
@@ -540,17 +545,14 @@ def act(x: int, chain: Chain) -> Chain:
     return chain.map(lambda word: act_word(space, x, word), space)
 
 
-def assemble_action(space: Space, x: int):
-    """The action of x as an assembled sparse matrix (dict (row, col) -> coeff).
-
-    Column j is ``act_word(space, x, word_j)`` in rank coordinates, so it
-    agrees column for column with ``act``.
-    """
-    entries: dict[tuple[int, int], Coeff] = {}
-    for j in range(space.dim):
-        for w, c in act_word(space, x, space.unrank_word(j)).items():
-            entries[(space.rank_word(w), j)] = c
-    return entries
+def assemble_action(space: Space, x: int) -> list[list[tuple[int, Coeff]]]:
+    """The action of x as sorted ``(row, value)`` columns, the matrix format
+    of ``linalg``: column j is ``act_word(space, x, word_j)`` in rank
+    coordinates, so it agrees column for column with ``act``."""
+    return [
+        sorted((space.rank_word(w), c) for w, c in act_word(space, x, word).items())
+        for word in space.words()
+    ]
 
 
 def tensor_to_wedge(chain: Chain, target: Optional[Space] = None) -> Chain:

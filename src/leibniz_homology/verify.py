@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import complexes, invariants, liealg, repspace
@@ -28,7 +27,7 @@ from .homology import (
     predicted_hl_dims,
 )
 from .liealg import Signature, build_abelian, build_affine, build_so, standard_translation_action, validate
-from .linalg import CapExceededError, draw_primes
+from .linalg import CapExceededError, _image, draw_primes
 from .repspace import act, mixed_space, random_chain, tensor_space, wedge_space
 
 __all__ = ["CheckResult", "VerifyReport", "run_suite", "SCHEMA_VERSION"]
@@ -142,15 +141,9 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
     ok = True
     for _ in range(10):
         x = rng.choice(h.so_indices)
-        entries = repspace.assemble_action(sp, x)
+        columns = repspace.assemble_action(sp, x)
         ch = random_chain(sp, rng)
-        vec = {sp.rank_word(w): c for w, c in ch.coeffs.items()}
-        image = {}
-        for (i, j), v in entries.items():
-            c = vec.get(j)
-            if c:
-                image[i] = image.get(i, Fraction(0)) + v * c
-        image = {i: v for i, v in image.items() if v}
+        image = _image(columns, {sp.rank_word(w): c for w, c in ch.coeffs.items()})
         direct = {sp.rank_word(w): c for w, c in act(x, ch).coeffs.items()}
         ok = ok and image == direct
     suite.record("structure.action_paths_agree", "plumbing", ok)

@@ -28,6 +28,7 @@ from leibniz_homology import (
 )
 from leibniz_homology import repspace
 from leibniz_homology.complexes import LodayBoundary
+from leibniz_homology.linalg import _image
 from leibniz_homology.repspace import GradeBlock, GradedWords, OrbitBlock, graded_words
 from leibniz_homology.split import split_reduction
 
@@ -154,15 +155,12 @@ def test_canonicalization_order_independent(h22, rng):
 def test_assembled_matrix_agrees_with_matrix_free(h22, rng):
     sp = mixed_space(h22, 2, lead=h22.so_indices)
     for x in h22.so_indices[:3]:
-        entries = assemble_action(sp, x)
+        columns = assemble_action(sp, x)
+        assert all(col == sorted(col) for col in columns)
         for _ in range(10):
             ch = random_chain(sp, rng)
             vec = {sp.rank_word(w): c for w, c in ch.coeffs.items()}
-            image: dict[int, Fraction] = {}
-            for (i, j), v in entries.items():
-                if j in vec:
-                    image[i] = image.get(i, Fraction(0)) + v * vec[j]
-            image = {i: v for i, v in image.items() if v}
+            image = _image(columns, vec)
             direct = {sp.rank_word(w): c for w, c in act(x, ch).coeffs.items()}
             assert image == direct
 
