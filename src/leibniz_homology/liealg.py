@@ -464,20 +464,39 @@ def letter_action(alg: LieAlgebra, moved: Sequence[tuple[int, int]]) -> tuple[tu
     return tuple(zip(*letters))
 
 
-def check_automorphism(alg: LieAlgebra, sym: tuple[Sequence[int], Sequence[int]]) -> None:
+def structure_triples(alg: LieAlgebra) -> frozenset[tuple[int, int, int, Coeff]]:
+    """The triples (x, y, c, v) with v the coefficient of e_c in [e_x, e_y]."""
+    return frozenset((x, y, c, v) for (x, y), vec in alg.structure.items() for c, v in vec.items())
+
+
+def check_automorphism(
+    alg: LieAlgebra,
+    sym: tuple[Sequence[int], Sequence[int]],
+    triples: Optional[frozenset[tuple[int, int, int, Coeff]]] = None,
+) -> None:
     """Raises ``ValueError`` unless e_x -> signs[x]·e_{perm[x]}, with
-    ``sym = (perm, signs)``, is an automorphism of ``alg``."""
+    ``sym = (perm, signs)``, is an automorphism of ``alg``.  ``triples`` is
+    ``structure_triples(alg)``, built here when not given; a caller checking
+    many maps builds it once."""
     perm, signs = sym
     if sorted(perm) != list(range(alg.dim)):
         raise ValueError(f"the symmetry {sym} of {alg.name} is no permutation of the letters")
-    # a bijection mapping the pairs with a nonzero bracket into, hence onto,
-    # themselves maps zero brackets to zero brackets
-    for (x, y), vec in alg.structure.items():
-        s = signs[x] * signs[y]
-        image = {perm[c]: signs[c] * v for c, v in vec.items()}
-        if image != {c: s * v for c, v in alg.bracket(perm[x], perm[y]).items()}:
-            raise ValueError(f"the symmetry {sym} of {alg.name} is no automorphism: "
-                             f"[{alg.labels[x]}, {alg.labels[y]}]")
+    if triples is None:
+        triples = structure_triples(alg)
+    # the map is injective on triples, so an image equal to the set means the
+    # bracket of every pair of letters maps to the bracket of its image pair
+    if {(perm[x], perm[y], perm[c], signs[x] * signs[y] * signs[c] * v) for x, y, c, v in triples} == triples:
+        return
+    # name the first stored pair whose bracket does not map to its image
+    # pair's; one exists, since a bijection mapping the stored pairs into,
+    # hence onto, themselves maps zero brackets to zero brackets
+    x, y = next(
+        (x, y) for (x, y), vec in alg.structure.items()
+        if {perm[c]: signs[c] * v for c, v in vec.items()}
+        != {c: signs[x] * signs[y] * v for c, v in alg.bracket(perm[x], perm[y]).items()}
+    )
+    raise ValueError(f"the symmetry {sym} of {alg.name} is no automorphism: "
+                     f"[{alg.labels[x]}, {alg.labels[y]}]")
 
 
 class ModuleLawError(ValueError):

@@ -320,9 +320,14 @@ class OrbitBlock:
     order that keeps, per prefix, the elements fixing it: a prefix is pruned
     as soon as one of them maps its last letter lower (every word that
     extends it then has a smaller image), and a leaf is dropped when one of
-    them acts on it by -1.  ``canonical(word)`` gives (representative, ±1) with
-    word = ±1·(an image of the representative), or None on a dropped orbit,
-    and caches only the words it is asked for.
+    them acts on it by -1.  ``canonical(word)`` prunes the group the same
+    way, letter by letter: it keeps the elements that map the first letter
+    of the word lowest, of those the ones that map the next letter lowest,
+    and so on until one is left or the word ends.  The survivors are the
+    elements whose image of the word is the lex-least one, its
+    representative r.  It gives (r, ±1) with word = ±1·(an image of r), or
+    None when two survivors act on the word with different signs (a dropped
+    orbit), and caches only the words it is asked for.
     """
 
     __slots__ = ("length", "grade", "dim", "_symmetries", "_reps", "_rank", "_canon")
@@ -362,15 +367,17 @@ class OrbitBlock:
     def canonical(self, word: Word) -> Optional[tuple[Word, int]]:
         if word in self._canon:
             return self._canon[word]
-        best, sign = None, 0
-        for perm, signs in self._symmetries:
-            image = tuple(map(perm.__getitem__, word))
-            s = math.prod(map(signs.__getitem__, word))
-            if best is None or image < best:
-                best, sign = image, s
-            elif image == best and s != sign:
-                sign = 0  # the stabiliser of ``best`` has an element acting by -1
-        out = self._canon[word] = (best, sign) if sign else None
+        survivors = self._symmetries
+        for a in word:
+            if len(survivors) == 1:
+                break
+            least = min(perm[a] for perm, _ in survivors)
+            survivors = [g for g in survivors if g[0][a] == least]
+        perm, signs = survivors[0]
+        sign = math.prod(map(signs.__getitem__, word))
+        if any(math.prod(map(s.__getitem__, word)) != sign for _, s in survivors[1:]):
+            sign = 0  # the stabiliser of the image has an element acting by -1
+        out = self._canon[word] = (tuple(map(perm.__getitem__, word)), sign) if sign else None
         return out
 
     def reduce(self, terms: Mapping[Word, Coeff]) -> dict[Word, Coeff]:

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .liealg import (
     Coeff, Grade, LieAlgebra, _perm_sign, check_automorphism, is_canonical, letter_action,
-    signed_rotations,
+    signed_rotations, structure_triples,
 )
 from .repspace import Symmetry
 
@@ -97,7 +97,8 @@ def symmetry_group(
     The vector map acts on grades: weights by the signed permutation of the
     torus coordinates, parities by the permutation of the bits.  The first
     action with a letter permutation must map every letter to one of the
-    acted-on grade and pass ``liealg.check_automorphism``.  A later one with
+    acted-on grade and pass ``liealg.check_automorphism``, against the
+    structure triples built once per call.  A later one with
     a kept letter permutation must have the same map of vector indices and
     differ from the kept one by the letter signs of a diagonal flip (a mask
     of parity bits), a scalar on each grade block, or act alike (so(p,q)
@@ -112,6 +113,7 @@ def symmetry_group(
         for m in range(used + 1) if not m & ~used
     }
     checked: set[tuple[int, ...]] = set()
+    triples = structure_triples(alg)
     group: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
     for _, _, moved, (perm, signs) in _candidates(alg, table):
         index = [k for k, _ in moved]
@@ -136,7 +138,7 @@ def symmetry_group(
                     raise ValueError(
                         f"the symmetry {(perm, signs)} of {alg.name} moves the grade of {alg.labels[x]}"
                     )
-            check_automorphism(alg, (perm, signs))
+            check_automorphism(alg, (perm, signs), triples)
             checked.add(perm)
         if all(act(g) == g and _fixes(perm, signs, chain) for g, chain in target.items()):
             group[perm] = (signs, index)

@@ -19,7 +19,7 @@ from leibniz_homology import (
     standard_translation_action,
     validate,
 )
-from leibniz_homology.liealg import check_automorphism
+from leibniz_homology.liealg import check_automorphism, letter_action
 
 from vfield_oracle import oracle_bracket
 
@@ -151,6 +151,21 @@ def test_automorphism_check_rejects_a_non_permutation():
     check_automorphism(h, (tuple(range(h.dim)), (1,) * h.dim))
     with pytest.raises(ValueError, match="is no permutation of the letters"):
         check_automorphism(h, ((0,) + tuple(range(h.dim - 1)), (1,) * h.dim))
+
+
+def test_automorphism_check_reads_the_copy_it_is_given():
+    # the demo's fault injection: a constant of a copy changed after the
+    # original passed; the check must read the copy's structure, not a
+    # table kept from an earlier call
+    h = build_affine(Signature(2, 2))
+    sym = letter_action(h, list(zip((1, 0, 3, 2), (-1, 1, -1, 1))))  # e1 <-> e2, e3 <-> e4
+    check_automorphism(h, sym)
+    bad = h.copy()
+    check_automorphism(bad, sym)
+    bad.structure[(0, h.index(RotationX(1, 2)))][1] = 5
+    with pytest.raises(ValueError, match=r"is no automorphism: \[d\(1\), X\(1,2\)\]"):
+        check_automorphism(bad, sym)
+    check_automorphism(h, sym)
 
 
 def test_extension_module_law_violation_names_pair():

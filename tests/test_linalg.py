@@ -8,7 +8,9 @@ import pytest
 
 from leibniz_homology import (
     ExactEliminator,
+    Signature,
     SparseModularEliminator,
+    build_affine,
     kernel_basis,
     solve,
 )
@@ -21,6 +23,7 @@ from leibniz_homology.linalg import (
     integer_column,
     is_probable_prime,
 )
+from leibniz_homology.split import split_reduction
 
 
 def matrix(rows, cols, entries=()):
@@ -253,6 +256,40 @@ def test_streamed_rank_two_primes(h22):
     # the grade blocks against the whole d_4
     d4 = full_boundary(op, 4)
     assert modular_rank((d4.rows, d4.columns()), p1) == 909
+
+
+def test_pivot_is_the_largest_row():
+    p = draw_primes(random.Random(12), 1)[0]
+    for elim in (ExactEliminator(5), ExactEliminator(5, track=True), SparseModularEliminator(5, p)):
+        assert elim.add_column([(1, 2), (3, -1)]) and set(elim.basis) == {3}
+        assert elim.add_column([(0, 1), (3, 1)]) and set(elim.basis) == {1, 3}  # left on rows 0 and 1
+        assert not elim.add_column([(0, 1), (1, 2)])  # the sum of the two
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "pq, top",
+    [
+        pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}")
+        for pq, top in [((2, 2), 6), ((3, 1), 5), ((1, 3), 5), ((4, 0), 5), ((2, 3), 5), ((3, 3), 4)]
+    ],
+)
+def test_largest_row_pivot_matches_least_row_pivot(pq, top):
+    # every kept block the orbit route ranks through d_top, in both engines:
+    # feeding row r as rows - 1 - r pivots on the least row, the former rule
+    red = split_reduction(build_affine(Signature(*pq)))
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
+    p = draw_primes(random.Random(13), 1)[0]
+    total = 0
+    for k in range(1, top + 1):
+        for block in op.blocks(k):
+            rows, cols = block.rows, list(block.columns())
+            flipped = [sorted((rows - 1 - r, v) for r, v in col) for col in cols]
+            r = exact_rank((rows, cols))
+            assert r == exact_rank((rows, flipped)), (k, block.grade)
+            assert modular_rank((rows, cols), p) == modular_rank((rows, flipped), p) == r, (k, block.grade)
+            total += r
+    assert total
 
 
 def test_denominator_divisible_by_prime_keeps_rank():

@@ -310,6 +310,40 @@ def test_orbit_walk_matches_brute_force(pq, top):
             assert [orbits.unrank_word(r) for r in range(orbits.dim)] == reps, (k, grade)
 
 
+def _brute_force_canonical(word, group):
+    """The least image of the word over the whole group, with the sign of
+    the elements reaching it, or None when two of them differ in sign."""
+    images = {}
+    for perm, signs in group:
+        image = tuple(perm[a] for a in word)
+        images.setdefault(image, set()).add(math.prod(signs[a] for a in word))
+    best = min(images)
+    (sign,) = images[best] if len(images[best]) == 1 else (None,)
+    return None if sign is None else (best, sign)
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (4, 0), (3, 3)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_canonical_matches_brute_force(pq):
+    # pruning the group letter by letter finds the least image over the
+    # whole group, and drops the same orbits, on every word of every kept
+    # block through degree 4
+    red = split_reduction(build_affine(Signature(*pq)))
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
+    words = graded_words(red.algebra.grades)
+    outcomes = set()
+    for k in range(1, 5):
+        for grade in op._grades(k):
+            orbits, block = op.word_index(k, grade), GradeBlock(words, k, grade)
+            for w in map(block.unrank_word, range(block.dim)):
+                hit = orbits.canonical(w)
+                assert hit == _brute_force_canonical(w, red.symmetries), (k, grade, w)
+                outcomes.add(None if hit is None else (hit[0] == w, hit[1]))
+    # representatives and other words of both signs occur (and dropped
+    # orbits at (2,2) and (3,3))
+    assert outcomes - {None} == {(True, 1), (False, 1), (False, -1)}
+    assert (None in outcomes) == (pq != (4, 0))
+
+
 def test_empty_word_renders_as_one(h22):
     for space in (tensor_space(h22, 0), wedge_space(h22, 0)):
         assert str(space.basis_chain(())) == "(1)·1"

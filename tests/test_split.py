@@ -335,3 +335,45 @@ def test_standard_letter_action_matches_oracle(build, pq):
             count += 1
     n = alg.sig.n
     assert count == math.factorial(pq[0]) * math.factorial(pq[1]) * 2 ** (n - 1 - (pq[1] > 0))
+
+
+def _per_pair_check(alg, sym):
+    """The automorphism check pair by pair, as it was before the structure
+    triples: the oracle of ``check_automorphism``."""
+    perm, signs = sym
+    if sorted(perm) != list(range(alg.dim)):
+        raise ValueError(f"the symmetry {sym} of {alg.name} is no permutation of the letters")
+    for (x, y), vec in alg.structure.items():
+        s = signs[x] * signs[y]
+        image = {perm[c]: signs[c] * v for c, v in vec.items()}
+        if image != {c: s * v for c, v in alg.bracket(perm[x], perm[y]).items()}:
+            raise ValueError(f"the symmetry {sym} of {alg.name} is no automorphism: "
+                             f"[{alg.labels[x]}, {alg.labels[y]}]")
+
+
+def _outcome(check, alg, sym):
+    try:
+        check(alg, sym)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("pq", list(GROUP_ORDERS), ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_automorphism_set_check_matches_per_pair_check(pq):
+    # every candidate action on the split letters, one with a letter sign
+    # flipped and one with two letters swapped: the set comparison accepts
+    # and rejects as the pair-by-pair check does, naming the same pair
+    form = split_form(build_affine(Signature(*pq)))
+    triples = liealg.structure_triples(form)
+    actions = [sym for _, _, _, sym in rotations._candidates(form, split._split_table(form.sig))]
+    perm, signs = actions[-1]
+    flipped = (perm, (-signs[0],) + signs[1:])
+    swapped = ((perm[1], perm[0]) + perm[2:], signs)
+    for sym in actions + [flipped, swapped]:
+        want = _outcome(_per_pair_check, form, sym)
+        assert _outcome(check_automorphism, form, sym) == want, sym
+        assert _outcome(lambda a, s: check_automorphism(a, s, triples), form, sym) == want, sym
+    assert all(_outcome(check_automorphism, form, sym) is None for sym in actions)
+    for sym in (flipped, swapped):
+        assert "is no automorphism" in _outcome(check_automorphism, form, sym)
