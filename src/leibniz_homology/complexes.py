@@ -39,9 +39,10 @@ degree, its whole chain space.
 Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
 blocks.  A block is its row count and its columns, sorted ``(row, value)``
 lists: the one matrix format of ``linalg``, which its rank engines and
-solves read.  ``columns()`` streams them to an exact rank or a solve and
-``csc()`` lists them once for the primes of a modular rank; no other form
-of a boundary matrix is ever built.
+solves read.  ``columns()`` streams them to every rank and solve; a modular
+rank lists them once for all its primes.  ``csc()`` lists them too, but no
+package code calls it: it stays only because ``benchmark/tracing.py`` wraps
+it by name.  No other form of a boundary matrix is ever built.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class BoundaryBlock:
         return map(self.column, range(self.cols))
 
     def csc(self) -> list[Column]:
-        """Every column of the block, generated once, for rank passes that
-        read them more than once (one per prime)."""
+        """Every column of the block, generated once.  No package code calls
+        it; it stays only because ``benchmark/tracing.py`` wraps it by name."""
         return list(self.columns())
 
 

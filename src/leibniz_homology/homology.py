@@ -29,18 +29,20 @@ parities and the group order.  At q = 0 there is no torus and the kept
 blocks are those of the flips alone.  Every other algebra, and every CE
 complex, keeps all blocks and every word.
 
-The rank of d_k is the sum of its block ranks: exact (streaming elimination
-over Q) when the ranked blocks have at most ``cap_exact`` columns together,
-otherwise modular when they have at most ``cap_modular``, where every prime
+The rank of d_k is the sum of its block ranks, all taken by ``_rank_blocks``:
+over Q (streaming elimination) without primes, else mod every prime, which
 must agree on every block or the disagreement is reported as an error rather
 than guessed away.  Both engines read the same sparse integer columns
 (``linalg.integer_column``); a modular rank generates each block's columns
-once for all its primes.  ``cap_exact=0`` ranks every nonzero boundary
-modularly, ``cap_modular=0`` only exactly.  A degree past both caps ends the
-table there, as a partial report.  Every run checks d∘d = 0 on every column
-it ranks (the orbit columns, when reduced) and aborts on a nonzero
-composite, naming the degree and grade.  It makes one pass per degree k:
-the rank of d_k reads each column once, composed on the way with the
+once for all its primes.  The degree loop of ``homology_dims`` chooses before
+it reads a column: exact when the ranked blocks have at most ``cap_exact``
+columns together, otherwise modular when they have at most ``cap_modular``.
+``cap_exact=0`` ranks every nonzero boundary modularly, ``cap_modular=0``
+only exactly.  A degree past both caps ends the table there, as a partial
+report, and the loop writes the cap message.  Every run checks d∘d = 0 on
+every column it ranks (the orbit columns, when reduced) and aborts on a
+nonzero composite, naming the degree and grade.  It makes one pass per degree
+k: the rank of d_k reads each column once, composed on the way with the
 columns of d_{k-1} of its grade that the last rank kept, and below the top
 degree keeps it for the next.  So the check generates no column of its own,
 and only two degrees' columns are held at a time.  A block with no rows, or
@@ -53,7 +55,7 @@ held: they are spot-checked on random chains instead
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -68,7 +70,6 @@ from .complexes import (
 from .liealg import Coeff, Grade, LieAlgebra, Signature, accumulate
 from .linalg import (
     DEFAULT_CAP_EXACT,
-    CapExceededError,
     ExactEliminator,
     PrimeDisagreementError,
     RankCertificate,
@@ -130,14 +131,7 @@ class BettiEntry:
     certification: str  # "exact" | "two-prime"
 
     def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dim": self.dim,
-            "rank_d_k": self.rank_d_k,
-            "rank_d_k1": self.rank_d_k1,
-            "betti": self.betti,
-            "certification": self.certification,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -248,34 +242,25 @@ def _composed_columns(
         yield col
 
 
-def _rank_exact_blocks(blocks, read: Optional[ColumnReader] = None) -> int:
-    """Sum of per-block ranks over Q; ``read(block)`` gives a block's
-    columns in order (by default ``block.columns()``)."""
-    total = 0
-    for block in blocks:
-        if block.cols == 0 or block.rows == 0:
-            continue
-        elim = ExactEliminator(block.rows)
-        for col in block.columns() if read is None else read(block):
-            if col:
-                elim.add_column(col)
-        total += elim.rank
-    return total
-
-
-def _rank_modular_blocks(
-    blocks, primes: Sequence[int], read: Optional[ColumnReader] = None
+def _rank_blocks(
+    blocks, primes: Sequence[int] = (), read: ColumnReader = BoundaryBlock.columns
 ) -> int:
-    """Sum of per-block ranks; every block must agree across all primes.
-
-    Each block's columns are listed once (``read(block)``, by default
-    ``block.csc()``) and fed to one eliminator per prime.
-    """
+    """Sum of the ranks of ``blocks``: over Q without ``primes``, else mod
+    every prime, which must agree on every block.  ``read(block)`` gives a
+    block's columns in order; a modular rank lists them once for all its
+    primes.  Blocks with no rows or no columns are skipped."""
     total = 0
     for block in blocks:
         if block.cols == 0 or block.rows == 0:
             continue
-        cols = block.csc() if read is None else list(read(block))
+        if not primes:
+            elim = ExactEliminator(block.rows)
+            for col in read(block):
+                if col:
+                    elim.add_column(col)
+            total += elim.rank
+            continue
+        cols = list(read(block))
         ranks = []
         for p in primes:
             elim = SparseModularEliminator(block.rows, p)
@@ -287,27 +272,6 @@ def _rank_modular_blocks(
             )
         total += ranks[0]
     return total
-
-
-def _boundary_rank(
-    op, k: int, opts: HomologyOptions, primes: Sequence[int], read: Optional[ColumnReader] = None
-) -> RankCertificate:
-    """Rank of d_k on the boundary's blocks: exact within ``cap_exact``
-    columns, else modular within ``cap_modular``; no blocks means rank 0.
-    The caps are checked before any column is read."""
-    blocks = op.blocks(k)
-    if not blocks:
-        return RankCertificate(0, "Q", "exact")
-    cols = sum(b.cols for b in blocks)
-    if cols <= opts.cap_exact:
-        return RankCertificate(_rank_exact_blocks(blocks, read), "Q", "exact")
-    if cols > opts.cap_modular:
-        raise CapExceededError(
-            f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact} "
-            f"and the modular cap {opts.cap_modular}"
-        )
-    r = _rank_modular_blocks(blocks, primes, read)
-    return RankCertificate(r, "Fp", "modular", list(primes))
 
 
 def _boundary(algebra: LieAlgebra, kind: str, reduction: Optional[SplitReduction]):
@@ -359,20 +323,30 @@ def homology_dims(
         reduction = split_reduction(algebra)
     op = _boundary(algebra, kind, reduction)
 
-    # one pass per degree k: the rank of d_k composes each column it reads
-    # with the kept columns of d_{k-1}, and below the top degree keeps it
+    # one pass per degree k: past both caps the table ends; else the rank of
+    # d_k, exact within cap_exact, composes each column it reads with the
+    # kept columns of d_{k-1}, and below the top degree keeps it
     lower: Optional[HeldColumns] = {}
     ranks: dict[int, RankCertificate] = {}
     capped_at = cap_message = None
     for k in range(1, max_degree + 2):
-        kept: Optional[HeldColumns] = {} if k <= max_degree else None
-        read = partial(_composed_columns, k, lower, kept)
-        try:
-            ranks[k] = _boundary_rank(op, k, opts, primes, read)
-        except CapExceededError as exc:
-            capped_at, cap_message = k, str(exc)
+        blocks = op.blocks(k)
+        cols = sum(b.cols for b in blocks)
+        if cols > opts.cap_exact and cols > opts.cap_modular:
+            capped_at = k
+            cap_message = (
+                f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact} "
+                f"and the modular cap {opts.cap_modular}"
+            )
             check_dd_zero(op, range(k, max_degree + 2), rng)
             break
+        kept: Optional[HeldColumns] = {} if k <= max_degree else None
+        read = partial(_composed_columns, k, lower, kept)
+        if cols <= opts.cap_exact:
+            ranks[k] = RankCertificate(_rank_blocks(blocks, read=read), "Q", "exact")
+        else:
+            rank = _rank_blocks(blocks, primes, read)
+            ranks[k] = RankCertificate(rank, "Fp", "modular", list(primes))
         lower = kept
 
     entries = []

@@ -41,7 +41,7 @@ basis size is the rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -137,12 +137,7 @@ class RankCertificate:
     primes_used: list[int] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "field": self.field,
-            "method": self.method,
-            "primes_used": list(self.primes_used),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,13 @@ produce byte-identical output (no timestamps, deterministic prime draws).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import complexes, invariants, liealg, repspace
 from .homology import (
     HomologyOptions,
-    _rank_exact_blocks,
-    _rank_modular_blocks,
+    _rank_blocks,
     cohomology_dims,
     homology_dims,
     predicted_hl_dims,
@@ -43,12 +42,7 @@ class CheckResult:
     details: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "claim": self.claim,
-            "status": self.status,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -158,9 +152,9 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
     except AssertionError as exc:
         suite.record("structure.dd_zero", "plumbing", False, str(exc))
     # cross-field rank agreement of the engines behind the Betti numbers
-    exact = _rank_exact_blocks(op.blocks(2))
+    exact = _rank_blocks(op.blocks(2))
     primes = draw_primes(random.Random(opts.seed), opts.primes)
-    mod_ranks = [_rank_modular_blocks(op.blocks(2), [p]) for p in primes]
+    mod_ranks = [_rank_blocks(op.blocks(2), [p]) for p in primes]
     suite.record(
         "structure.rank_cross_field",
         "plumbing",

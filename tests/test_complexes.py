@@ -32,7 +32,7 @@ from leibniz_homology import liealg, rotations, split
 from leibniz_homology.complexes import BoundaryBlock, LodayBoundary, check_dd_zero
 from leibniz_homology.liealg import letter_action
 from leibniz_homology.rotations import chain_symmetries
-from leibniz_homology.homology import _rank_exact_blocks
+from leibniz_homology.homology import _rank_blocks
 from leibniz_homology.split import split_form, split_reduction
 from leibniz_homology.linalg import ExactEliminator, _image, solve
 from leibniz_homology.repspace import Chain, GradeBlock, graded_words
@@ -163,7 +163,7 @@ def test_grade_block_ranks_match_full_matrix(pq, split):
     op = LodayBoundary(alg)
     for k in (2, 3):
         rank = exact_rank(full_boundary(op, k))
-        assert _rank_exact_blocks(op.blocks(k)) == rank
+        assert _rank_blocks(op.blocks(k)) == rank
         assert rank == exact_rank(full_boundary(LodayBoundary(h), k))
 
 

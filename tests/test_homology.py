@@ -25,7 +25,7 @@ from leibniz_homology import (
     standard_translation_action,
 )
 from leibniz_homology import complexes, homology
-from leibniz_homology.homology import _rank_exact_blocks, _rank_modular_blocks
+from leibniz_homology.homology import _rank_blocks
 from leibniz_homology.linalg import PrimeDisagreementError, draw_primes
 from leibniz_homology.repspace import GradeBlock, OrbitBlock, graded_words
 from leibniz_homology.split import split_reduction
@@ -71,14 +71,9 @@ def test_rank_nullity_identity(sig4):
 
 
 def test_overreported_rank_raises(monkeypatch):
-    # a rank larger than the chain space must stop the report, also under -O
-    from leibniz_homology import RankCertificate, homology
-
-    monkeypatch.setattr(
-        homology,
-        "_boundary_rank",
-        lambda op, k, *args: RankCertificate(op.algebra.dim**k, "Q", "exact"),
-    )
+    # a rank larger than the chain space must stop the report, also under -O;
+    # 10**9 is more than any chain space of the abelian algebra through degree 3
+    monkeypatch.setattr(homology, "_rank_blocks", lambda blocks, *args, **kwargs: 10**9)
     with pytest.raises(RuntimeError, match="exceeds the dimension"):
         homology_dims(build_abelian(2), 2)
 
@@ -194,10 +189,14 @@ def test_negative_caps_rejected():
 def test_prime_disagreement_raises():
     # an entry equal to p1 vanishes mod p1 only: rank 0 mod p1, 1 mod p2
     p1, p2 = draw_primes(random.Random(9), 2)
-    block = SimpleNamespace(grade=(1, 3), rows=1, cols=1, csc=lambda: [[(0, p1)]])
-    assert _rank_modular_blocks([block], [p2]) == 1
+    block = SimpleNamespace(grade=(1, 3), rows=1, cols=1)
+
+    def read(b):
+        return [[(0, p1)]]
+
+    assert _rank_blocks([block], [p2], read) == 1
     with pytest.raises(PrimeDisagreementError, match=r"grade=\(1, 3\): ranks \[0, 1\]"):
-        _rank_modular_blocks([block], [p1, p2])
+        _rank_blocks([block], [p1, p2], read)
 
 
 def test_pure_python_import_and_ranks(run_python):
@@ -565,7 +564,7 @@ def test_flipped_blocks_are_acyclic(pq, top):
     op = LodayBoundary(red.algebra)
     words = graded_words(red.algebra.grades)
     rank = {
-        k: {b.grade: _rank_exact_blocks([b]) for b in op.blocks(k) if not red.keeps(b.grade)}
+        k: {b.grade: _rank_blocks([b]) for b in op.blocks(k) if not red.keeps(b.grade)}
         for k in range(1, top + 2)
     }
     dropped = {"weight": 0, "character": 0}
@@ -603,7 +602,7 @@ def _betti_per_grade(op, red, top):
     """{(degree, grade): Betti number} over the kept grades through ``top``,
     every block ranked on its own."""
     words = graded_words(red.algebra.grades)
-    rank = {k: {b.grade: _rank_exact_blocks([b]) for b in op.blocks(k)} for k in range(top + 2)}
+    rank = {k: {b.grade: _rank_blocks([b]) for b in op.blocks(k)} for k in range(top + 2)}
     return {
         (k, g): op.word_index(k, g).dim - rank[k].get(g, 0) - rank[k + 1].get(g, 0)
         for k in range(top + 1)

@@ -246,13 +246,13 @@ def test_boundary_rank_cross_field(h22):
 
 
 def test_streamed_rank_two_primes(h22):
-    from leibniz_homology.homology import _rank_modular_blocks
+    from leibniz_homology.homology import _rank_blocks
 
     op = LodayBoundary(h22)
     blocks = op.blocks(4)
     p1, p2 = draw_primes(random.Random(5), 2)
-    assert _rank_modular_blocks(blocks, [p1]) == _rank_modular_blocks(blocks, [p2]) == 909
-    assert _rank_modular_blocks(blocks, [p1, p2]) == 909
+    assert _rank_blocks(blocks, [p1]) == _rank_blocks(blocks, [p2]) == 909
+    assert _rank_blocks(blocks, [p1, p2]) == 909
     # the grade blocks against the whole d_4
     d4 = full_boundary(op, 4)
     assert modular_rank((d4.rows, d4.columns()), p1) == 909
