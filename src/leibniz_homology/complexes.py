@@ -33,6 +33,12 @@ orbit whose stabiliser acts by -1 sums to 0 and is dropped.  The column of
 an orbit is the boundary of its lex-least word with every term replaced by
 ± its representative: the matrix of d on the orbit sums up to positive
 row and column scales (stabiliser orders), so it has the same rank.
+A block's column is ``ranked`` by its row index: the boundary of the
+column's word, each term ranked and the pairs sorted; on an orbit block
+each term goes through ``OrbitBlock.canonical`` to its representative's
+rank with its sign, in the same pass.  A Loday boundary reads its brackets
+from a table by letter that it builds from ``algebra.structure`` when it is
+built, so it keeps the constants the algebra had then.
 ``is_boundary`` solves on such orbit blocks too, under the signed
 coordinate rotations that fix its chain.  A CE boundary has one block per
 degree, its whole chain space.
@@ -52,7 +58,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .liealg import Coeff, Grade, LieAlgebra, ModuleLawError, _perm_sign, accumulate
@@ -110,8 +115,7 @@ class BoundaryBlock:
         return self.colspace.dim
 
     def column(self, j: int) -> Column:
-        out = self.word_boundary(self.colspace.unrank_word(j))
-        return sorted((self.rowspace.rank_word(w), v) for w, v in out.items())
+        return self.rowspace.ranked(self.word_boundary(self.colspace.unrank_word(j)))
 
     def columns(self) -> Iterator[Column]:
         return map(self.column, range(self.cols))
@@ -164,6 +168,11 @@ class LodayBoundary(_Boundary):
     (``OrbitBlock``): a block's column is the boundary of an orbit's
     representative, each term replaced by its representative with its sign.
     ``apply`` and ``space`` still cover the whole complex.
+
+    The boundary reads ``algebra.structure`` once, when it is built, into a
+    table by letter that ``word_boundary`` reads: a change to the algebra's
+    constants after that is not seen, and a boundary built afterwards (on a
+    changed ``copy()``, say) reads the new ones.
     """
 
     kind = "tensor"
@@ -178,23 +187,29 @@ class LodayBoundary(_Boundary):
         self.keep = keep
         self.symmetries = symmetries
         self._indices: dict[tuple[int, Grade], WordIndex] = {}
+        # _brackets[b][a]: the (c, s) terms of [e_a, e_b]
+        self._brackets: list[list[tuple[tuple[int, Coeff], ...]]] = [
+            [()] * algebra.dim for _ in range(algebra.dim)
+        ]
+        for (a, b), vec in algebra.structure.items():
+            self._brackets[b][a] = tuple(vec.items())
 
     def space(self, k: int) -> Space:
         return tensor_space(self.algebra, k)
 
-    def word_boundary(self, word: Word) -> dict[Word, int]:
-        if len(word) <= 1:
-            return {}
-        out: dict[Word, int] = {}
-        bracket = self.algebra.bracket
+    def word_boundary(self, word: Word) -> dict[Word, Coeff]:
+        out: dict[Word, Coeff] = {}
         for j in range(1, len(word)):
             sign = -1 if (j + 1) % 2 else 1  # (-1)^(j+1) for 1-based j+1
-            rest = word[:j] + word[j + 1 :]
+            brackets = self._brackets[word[j]]
+            rest = None
             for i in range(j):
-                vec = bracket(word[i], word[j])
-                if not vec:
+                terms = brackets[word[i]]
+                if not terms:
                     continue
-                for c, s in vec.items():
+                if rest is None:
+                    rest = word[:j] + word[j + 1 :]
+                for c, s in terms:
                     new = rest[:i] + (c,) + rest[i + 1 :]
                     v = out.get(new, 0) + sign * s
                     if v:
@@ -227,19 +242,10 @@ class LodayBoundary(_Boundary):
         sorted; none below degree 2 (d_1 is the zero map)."""
         if k < 2:
             return []
-        out = []
-        for g in self._grades(k):
-            cols, rows = self.word_index(k, g), self.word_index(k - 1, g)
-            column = self.word_boundary
-            if self.symmetries is not None:
-                column = partial(self._orbit_boundary, rows)
-            out.append(BoundaryBlock(g, cols, rows, column))
-        return out
-
-    def _orbit_boundary(self, rows: OrbitBlock, word: Word) -> dict[Word, Coeff]:
-        """The boundary of an orbit's representative, on the representatives
-        of ``rows``."""
-        return rows.reduce(self.word_boundary(word))
+        return [
+            BoundaryBlock(g, self.word_index(k, g), self.word_index(k - 1, g), self.word_boundary)
+            for g in self._grades(k)
+        ]
 
 
 # ---------------------------------------------------------------------------

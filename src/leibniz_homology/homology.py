@@ -67,7 +67,7 @@ from .complexes import (
     WedgeBoundary,
     check_dd_zero,
 )
-from .liealg import Coeff, Grade, LieAlgebra, Signature, accumulate
+from .liealg import Coeff, Grade, LieAlgebra, Signature
 from .linalg import (
     DEFAULT_CAP_EXACT,
     ExactEliminator,
@@ -234,7 +234,11 @@ def _composed_columns(
             out: dict[int, Coeff] = {}
             for i, v in col:
                 for r, w in below[i]:
-                    accumulate(out, r, v * w)
+                    nv = out.get(r, 0) + v * w
+                    if nv:
+                        out[r] = nv
+                    elif r in out:
+                        del out[r]
             if out:
                 raise AssertionError(f"d∘d != 0 at degree {k}, grade {block.grade}")
         if held is not None:

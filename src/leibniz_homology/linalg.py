@@ -150,8 +150,11 @@ class ExactEliminator:
     The design is that of ``SparseModularEliminator``: ``basis`` maps each
     pivot to its row, every row is zero at every pivot but its own, so one
     pass over the pivots a column hits, in any order, fully reduces it, and
-    what is left pivots on its largest row index below ``rowdim``.  ``users``
-    maps each coordinate to the rows containing it for back-reduction.  The
+    what is left pivots on its largest row index below ``rowdim``.  That pass
+    reduces the column's own fresh dict in place: per pivot it scales the
+    dict by a only when a != 1, then subtracts b times the row (the dict
+    ``_combine`` would build, key order included).  ``users`` maps each
+    coordinate to the rows containing it for back-reduction.  The
     arithmetic is fraction-free on Python integers, which cannot overflow;
     every column is read through ``integer_column``, and every row is
     primitive with a positive pivot entry.
@@ -198,9 +201,19 @@ class ExactEliminator:
             work[rowdim + self.fed] = scale
         self.fed += 1
         self._left = None
+        # work is the column's own dict: reduce it in place to a*work - b*row
         for piv in [r for r in work if r in self.basis]:
-            a, b = _cofactors(self.basis[piv][piv], work[piv])
-            work = _combine(a, work, b, self.basis[piv])
+            row = self.basis[piv]
+            a, b = _cofactors(row[piv], work[piv])
+            if a != 1:
+                for t, x in work.items():
+                    work[t] = a * x
+            for t, x in row.items():
+                nx = work.get(t, 0) - b * x
+                if nx:
+                    work[t] = nx
+                else:
+                    del work[t]
         piv = max((r for r in work if r < rowdim), default=None)
         if piv is None:
             if self.track:

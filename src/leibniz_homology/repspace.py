@@ -133,6 +133,11 @@ class Space:
         tail = tuple(self.factors[c] for c in _colex_unrank(r % block, self.degree))
         return (lead,) + tail
 
+    def ranked(self, terms: Mapping[Word, Coeff]) -> list[tuple[int, Coeff]]:
+        """A combination of this space's words as a sorted ``(row, value)``
+        column."""
+        return sorted((self.rank_word(w), v) for w, v in terms.items())
+
     def words(self) -> Iterator[Word]:
         for r in range(self.dim):
             yield self.unrank_word(r)
@@ -300,6 +305,11 @@ class GradeBlock:
             off, nxt = nxt[a]
         return tuple(out)
 
+    def ranked(self, terms: Mapping[Word, Coeff]) -> list[tuple[int, Coeff]]:
+        """A combination of this block's words as a sorted ``(row, value)``
+        column."""
+        return sorted((self.rank_word(w), v) for w, v in terms.items())
+
     def __repr__(self) -> str:
         return f"GradeBlock(length={self.length}, grade={self.grade}, dim={self.dim})"
 
@@ -389,6 +399,22 @@ class OrbitBlock:
             if hit is not None:
                 accumulate(out, hit[0], hit[1] * v)
         return out
+
+    def ranked(self, terms: Mapping[Word, Coeff]) -> list[tuple[int, Coeff]]:
+        """``reduce(terms)`` as a sorted ``(row, value)`` column, in one pass:
+        each term goes to the rank of its representative, with its sign."""
+        out: dict[int, Coeff] = {}
+        rank, canonical = self._rank, self.canonical
+        for word, v in terms.items():
+            hit = canonical(word)
+            if hit is not None:
+                r = rank[hit[0]]
+                nv = out.get(r, 0) + hit[1] * v
+                if nv:
+                    out[r] = nv
+                elif r in out:
+                    del out[r]
+        return sorted(out.items())
 
     def rank_word(self, word: Word) -> int:
         return self._rank[word]

@@ -15,6 +15,7 @@ from leibniz_homology import (
     Signature,
     Translation,
     build_abelian,
+    build_abelian_extension,
     build_affine,
     embed_mixed_in_tensor,
     is_boundary,
@@ -35,7 +36,7 @@ from leibniz_homology.rotations import chain_symmetries
 from leibniz_homology.homology import _rank_blocks
 from leibniz_homology.split import split_form, split_reduction
 from leibniz_homology.linalg import ExactEliminator, _image, solve
-from leibniz_homology.repspace import Chain, GradeBlock, graded_words
+from leibniz_homology.repspace import Chain, GradeBlock, OrbitBlock, graded_words
 
 
 def t(h, i):
@@ -165,6 +166,86 @@ def test_grade_block_ranks_match_full_matrix(pq, split):
         rank = exact_rank(full_boundary(op, k))
         assert _rank_blocks(op.blocks(k)) == rank
         assert rank == exact_rank(full_boundary(LodayBoundary(h), k))
+
+
+def _bracket_word_boundary(algebra, word):
+    """The Loday boundary of one word as it read the brackets before the
+    bracket table: ``algebra.bracket`` for every pair of positions."""
+    out = {}
+    for j in range(1, len(word)):
+        sign = -1 if (j + 1) % 2 else 1
+        rest = word[:j] + word[j + 1 :]
+        for i in range(j):
+            for c, s in algebra.bracket(word[i], word[j]).items():
+                liealg.accumulate(out, rest[:i] + (c,) + rest[i + 1 :], sign * s)
+    return out
+
+
+def _reduce_then_rank_column(block, algebra, j):
+    """Column j of ``block`` by the word route: the boundary of its word,
+    ``reduce``d to orbit representatives on an orbit block, then each word
+    ranked by ``rank_word`` and the pairs sorted."""
+    out = _bracket_word_boundary(algebra, block.colspace.unrank_word(j))
+    if isinstance(block.rowspace, OrbitBlock):
+        out = block.rowspace.reduce(out)
+    return sorted((block.rowspace.rank_word(w), v) for w, v in out.items())
+
+
+def _fraction_extension():
+    """The abelian extension with [g, m] = m/2 of ``test_homology``'s
+    ``test_fraction_constants_keep_modular_rank``."""
+    return build_abelian_extension(build_abelian(1), [[[Fraction(1, 2)]]], m_dim=1)
+
+
+def _oracle_cases():
+    reduced = [((2, 2), 5), ((3, 1), 5), ((4, 0), 5), ((2, 3), 4), ((3, 3), 4)]
+    cases = [pytest.param(pq, degree, id=f"{pq[0]}_{pq[1]}") for pq, degree in reduced]
+    return cases + [pytest.param("full_2_2", 4, id="full_2_2"), pytest.param("fraction", 4, id="fraction")]
+
+
+@pytest.mark.parametrize("case, degree", _oracle_cases())
+def test_columns_match_bracket_route(case, degree, full_route):
+    # the bracket table and the one-pass orbit column against the word route
+    # they replace, column for column: every kept orbit block of the reduced
+    # complexes, every grade block of the sig=None copy of h(2,2), and the
+    # extension with a Fraction constant
+    if case == "full_2_2":
+        op = LodayBoundary(full_route(build_affine(Signature(2, 2))))
+    elif case == "fraction":
+        op = LodayBoundary(_fraction_extension())
+    else:
+        red = split_reduction(build_affine(Signature(*case)))
+        op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
+    alg = op.algebra
+    checked = 0
+    for k in range(2, degree + 1):
+        for block in op.blocks(k):
+            for j in range(block.cols):
+                word = block.colspace.unrank_word(j)
+                assert op.word_boundary(word) == _bracket_word_boundary(alg, word), word
+                assert block.column(j) == _reduce_then_rank_column(block, alg, j), (k, block.grade, j)
+                checked += 1
+    assert checked == sum(op.dim(k) for k in range(2, degree + 1))
+    if case == "fraction":
+        assert any(type(v) is Fraction for b in op.blocks(2) for col in b.columns() for _, v in col)
+
+
+def test_boundary_reads_the_structure_once_when_built():
+    # a boundary keeps the constants its algebra had when it was built: one
+    # on a copy mutated as the demo does sees the new constant, one built on
+    # the original, or on the copy before the change, keeps the old one
+    h = build_affine(Signature(2, 2))
+    x12 = h.index(RotationX(1, 2))
+    word = (0, x12)
+    old = {(c,): v for c, v in h.bracket(0, x12).items()}
+    assert old == {(1,): -1}  # [d(1), X(1,2)] = -d(2)
+    assert LodayBoundary(h).word_boundary(word) == old
+    bad = h.copy()
+    before = LodayBoundary(bad)
+    bad.structure[(0, x12)][1] = 5
+    assert LodayBoundary(bad).word_boundary(word) == {(1,): 5}
+    assert before.word_boundary(word) == old
+    assert LodayBoundary(h).word_boundary(word) == old
 
 
 def test_ce_blocks_are_whole_chain_spaces(h22):

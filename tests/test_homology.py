@@ -304,6 +304,31 @@ def test_each_ranked_column_generated_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_every_boundary_term_goes_through_canonical(monkeypatch):
+    # the sign-injection tests patch OrbitBlock.canonical, so they reach
+    # every term of every ranked orbit column only if each term is looked
+    # up there, once, and nothing else calls it
+    calls = 0
+    terms = 0
+    canonical = OrbitBlock.canonical
+    column = complexes.BoundaryBlock.column
+
+    def counted_canonical(self, word):
+        nonlocal calls
+        calls += 1
+        return canonical(self, word)
+
+    def counted_column(self, j):
+        nonlocal terms
+        terms += len(self.word_boundary(self.colspace.unrank_word(j)))
+        return column(self, j)
+
+    monkeypatch.setattr(OrbitBlock, "canonical", counted_canonical)
+    monkeypatch.setattr(complexes.BoundaryBlock, "column", counted_column)
+    homology_dims(build_affine(Signature(2, 2)), 4)
+    assert terms and calls == terms
+
+
 # at (2,2) d_4 has 161 orbit columns and d_5 1,240; modular ranks only
 @pytest.mark.parametrize("cap_modular, capped_at", [(500, 5), (100, 4)])
 def test_dd_check_covers_capped_degrees(monkeypatch, cap_modular, capped_at):

@@ -18,7 +18,10 @@ from leibniz_homology.complexes import BoundaryBlock, LodayBoundary
 from leibniz_homology.linalg import (
     PRIME_HI,
     PRIME_LO,
+    _cofactors,
+    _combine,
     _image,
+    _normalize,
     draw_primes,
     integer_column,
     is_probable_prime,
@@ -219,6 +222,88 @@ def test_eliminator_invariants(rng, exact):
             for row in elim.basis.values():
                 combo = {c - rows: x for c, x in row.items() if c >= rows}
                 assert _int_image(cols, combo) == {c: x for c, x in row.items() if c < rows}
+
+
+def _combine_add_column(elim, col):
+    """``ExactEliminator.add_column`` as it was before the in-place pass:
+    every pivot the column hits gives a new dict from ``_combine``."""
+    rowdim = elim.rowdim
+    scale, col = integer_column(col)
+    work = {r: v for r, v in col if v}
+    if elim.track:
+        work[rowdim + elim.fed] = scale
+    elim.fed += 1
+    elim._left = None
+    for piv in [r for r in work if r in elim.basis]:
+        a, b = _cofactors(elim.basis[piv][piv], work[piv])
+        work = _combine(a, work, b, elim.basis[piv])
+    piv = max((r for r in work if r < rowdim), default=None)
+    if piv is None:
+        if elim.track:
+            elim._left = work
+        return False
+    work = _normalize(work, piv)
+    users = elim.users
+    for piv2 in list(users.get(piv, ())):
+        row2 = elim.basis[piv2]
+        a, b = _cofactors(work[piv], row2[piv])
+        new2 = _normalize(_combine(a, row2, b, work), piv2)
+        for r in row2.keys() - new2.keys():
+            if r < rowdim:
+                users[r].discard(piv2)
+        for r in new2.keys() - row2.keys():
+            if r < rowdim:
+                users.setdefault(r, set()).add(piv2)
+        elim.basis[piv2] = new2
+    elim.basis[piv] = work
+    for r in work:
+        if r < rowdim:
+            users.setdefault(r, set()).add(piv)
+    return True
+
+
+def _assert_same_reduction(rows, cols, track):
+    """The in-place reduction and the ``_combine`` one give the same pivots,
+    rows (key order included), users and relations, and leave every fed
+    column as it was."""
+    elim, oracle = ExactEliminator(rows, track=track), ExactEliminator(rows, track=track)
+    for t, col in enumerate(cols):
+        fed = list(col)
+        assert elim.add_column(col) == _combine_add_column(oracle, col), t
+        assert col == fed
+        got, want = elim.relation, oracle.relation
+        assert got == want and list(got or ()) == list(want or ()), t  # key order too
+    assert elim.rank == oracle.rank
+    assert [(p, list(row.items())) for p, row in elim.basis.items()] == [
+        (p, list(row.items())) for p, row in oracle.basis.items()
+    ]
+    assert elim.users == oracle.users
+    return elim.rank
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_in_place_reduction_matches_combine(rng, fractions):
+    dependent = 0
+    for _ in range(80):
+        rows, ncols = rng.randint(1, 10), rng.randint(1, 18)
+        cols = []
+        for _ in range(ncols):
+            col = []
+            for i in range(rows):
+                if rng.random() < 0.4:
+                    v = rng.randint(-9, 9)
+                    col.append((i, Fraction(v, rng.randint(1, 6)) if fractions else v))
+            cols.append(col)
+        dependent += ncols - _assert_same_reduction(rows, cols, track=True)
+    assert dependent  # relations were compared
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["rank", "tracked"])
+def test_in_place_reduction_matches_combine_on_d5(track):
+    red = split_reduction(build_affine(Signature(2, 2)))
+    op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
+    total = sum(_assert_same_reduction(b.rows, list(b.columns()), track) for b in op.blocks(5))
+    assert total == 148  # rank d_5 = 161 - rank d_4 - betti_4 = 161 - 12 - 1
 
 
 def _int_image(cols, combo):
