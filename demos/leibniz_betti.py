@@ -13,8 +13,9 @@ commuting with the torus (in the identity component) negates.  The signed
 permutations in SO(p)×SO(q) that map the split basis to itself up to sign
 act trivially too, so only the orbit sums of the kept blocks under them
 are ranked.  For h_4 that leaves 1,240 of the 10^5 columns of d_5 (4,992
-in the kept blocks), ranked exactly over Q in a fraction of a second
-(ranks are exact through 10^5 ranked columns, two-prime modular above).
+in the kept blocks), ranked exactly over Q in a fraction of a second.
+Every rank is exact; a degree past the column cap (3 million ranked columns
+by default) ends the table in a partial report instead.
 
 The homologous-witness solve at the end exhibits an explicit preimage
 showing that gamma~ and gamma_bar represent the same class.

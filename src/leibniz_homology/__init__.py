@@ -5,8 +5,7 @@ The package constructs so(p,q), the abelian algebra of translations and the
 affine algebra h_n = I_n ⋊ so(p,q) as exact structure-constant tables,
 computes invariant subspaces of their tensor/wedge modules, builds the named
 invariant elements, assembles the Loday and Chevalley-Eilenberg complexes and
-verifies the homology dimension claims by exact and two-prime modular rank
-computations.
+verifies the homology dimension claims by exact rank computations over Q.
 """
 
 from .complexes import (
@@ -62,7 +61,6 @@ from .liealg import (
 from .linalg import (
     CapExceededError,
     ExactEliminator,
-    PrimeDisagreementError,
     RankCertificate,
     SparseModularEliminator,
     kernel_basis,

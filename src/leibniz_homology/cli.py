@@ -5,8 +5,9 @@ subspace of a module descriptor), ``homology`` (Betti table with prediction
 comparison), ``verify`` (the structure/claim suites).
 
 Global flags (environment variables with the same names, uppercased and
-prefixed with LEIBNIZ_HOMOLOGY_, override the defaults): --seed, --primes,
---cap-exact, --cap-modular, --json.
+prefixed with LEIBNIZ_HOMOLOGY_, override the defaults): --seed, --cap-exact,
+--json.  Every Betti number is exact over Q; a degree past --cap-exact ends
+the table in a partial report (exit 3).
 
 Module descriptor mini-grammar for ``invariants --module``:
     wedge:I:k      the k-th wedge power of the translations
@@ -28,13 +29,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .homology import (
-    DEFAULT_CAP_EXACT,
-    DEFAULT_CAP_MODULAR,
-    HomologyOptions,
-    cohomology_dims,
-    homology_dims,
-)
+from .homology import DEFAULT_CAP_EXACT, HomologyOptions, cohomology_dims, homology_dims
 from .invariants import expected_invariant_dim, invariant_subspace
 from .liealg import Signature, build_abelian, build_affine, build_so, validate
 from .linalg import CapExceededError
@@ -61,15 +56,11 @@ def _env_default(name: str, fallback, cast):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=_env_default("SEED", 0, int),
-                        help="seed for prime selection and random spot checks")
-    parser.add_argument("--primes", type=int, default=_env_default("PRIMES", 2, int),
-                        help="number of agreeing primes required for modular ranks")
+                        help="seed for random spot checks and verify's cross-field primes")
     parser.add_argument("--cap-exact", type=int,
                         default=_env_default("CAP_EXACT", DEFAULT_CAP_EXACT, int),
-                        help="max columns for exact elimination (0: modular ranks only)")
-    parser.add_argument("--cap-modular", type=int,
-                        default=_env_default("CAP_MODULAR", DEFAULT_CAP_MODULAR, int),
-                        help="max columns for modular elimination (0: exact ranks only)")
+                        help="max ranked columns of one degree, and of one witness solve block; "
+                             "a degree past it ends the table in a partial report")
     parser.add_argument("--json", metavar="PATH",
                         default=_env_default("JSON", None, str),
                         help="write the machine-readable report to PATH")
@@ -91,12 +82,7 @@ class UsageError(Exception):
 
 def _options(args) -> HomologyOptions:
     try:
-        return HomologyOptions(
-            cap_exact=args.cap_exact,
-            cap_modular=args.cap_modular,
-            primes=args.primes,
-            seed=args.seed,
-        )
+        return HomologyOptions(cap_exact=args.cap_exact, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc))
 

@@ -45,10 +45,10 @@ degree, its whole chain space.
 Degrees below 2 of the Loday complex and degree 0 of a CE complex have no
 blocks.  A block is its row count and its columns, sorted ``(row, value)``
 lists: the one matrix format of ``linalg``, which its rank engines and
-solves read.  ``columns()`` streams them to every rank and solve; a modular
-rank lists them once for all its primes.  ``csc()`` lists them too, but no
-package code calls it: it stays only because ``benchmark/tracing.py`` wraps
-it by name.  No other form of a boundary matrix is ever built.
+solves read.  ``columns()`` streams them to every rank and solve.  ``csc()``
+lists them, but no package code calls it: it stays only because
+``benchmark/tracing.py`` wraps it by name.  No other form of a boundary
+matrix is ever built.
 """
 
 from __future__ import annotations

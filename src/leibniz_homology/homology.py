@@ -29,27 +29,27 @@ parities and the group order.  At q = 0 there is no torus and the kept
 blocks are those of the flips alone.  Every other algebra, and every CE
 complex, keeps all blocks and every word.
 
-The rank of d_k is the sum of its block ranks, all taken by ``_rank_blocks``:
-over Q (streaming elimination) without primes, else mod every prime, which
-must agree on every block or the disagreement is reported as an error rather
-than guessed away.  Both engines read the same sparse integer columns
-(``linalg.integer_column``); a modular rank generates each block's columns
-once for all its primes.  The degree loop of ``homology_dims`` chooses before
-it reads a column: exact when the ranked blocks have at most ``cap_exact``
-columns together, otherwise modular when they have at most ``cap_modular``.
-``cap_exact=0`` ranks every nonzero boundary modularly, ``cap_modular=0``
-only exactly.  A degree past both caps ends the table there, as a partial
-report, and the loop writes the cap message.  Every run checks d∘d = 0 on
-every column it ranks (the orbit columns, when reduced) and aborts on a
-nonzero composite, naming the degree and grade.  It makes one pass per degree
-k: the rank of d_k reads each column once, composed on the way with the
-columns of d_{k-1} of its grade that the last rank kept, and below the top
-degree keeps it for the next.  So the check generates no column of its own,
-and only two degrees' columns are held at a time.  A block with no rows, or
-whose grade had no ranked block below it, has a zero composite and is not
-composed.  The degrees past a cap are not ranked, and their columns are not
-held: they are spot-checked on random chains instead
-(``complexes.check_dd_zero``).
+The rank of d_k is the sum of its block ranks, all taken over Q by
+``_rank_blocks`` (streaming fraction-free elimination,
+``linalg.ExactEliminator``), so every Betti number of a report is exact.
+``_rank_blocks`` can also rank mod one prime, which only bounds the rank
+over Q from above; ``verify`` uses that as a cross-check of the engines and
+no Betti number rests on it.  Every rank reads the sparse integer columns of
+``linalg.integer_column``.  The degree loop of ``homology_dims`` checks the
+one cap before it reads a column: a degree whose ranked blocks have more
+than ``cap_exact`` columns together ends the table there, as a partial
+report whose entries are all exact, and the loop writes the cap message.
+
+Every run checks d∘d = 0 on every column it ranks (the orbit columns, when
+reduced) and aborts on a nonzero composite, naming the degree and grade.  It
+makes one pass per degree k: the rank of d_k reads each column once,
+composed on the way with the columns of d_{k-1} of its grade that the last
+rank kept, and below the top degree keeps it for the next.  So the check
+generates no column of its own, and only two degrees' columns are held at a
+time.  A block with no rows, or whose grade had no ranked block below it,
+has a zero composite and is not composed.  The degrees past the cap are not
+ranked, and their columns are not held: they are spot-checked on random
+chains, drawn from the seed, instead (``complexes.check_dd_zero``).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .complexes import (
     BoundaryBlock,
@@ -68,21 +68,13 @@ from .complexes import (
     check_dd_zero,
 )
 from .liealg import Coeff, Grade, LieAlgebra, Signature
-from .linalg import (
-    DEFAULT_CAP_EXACT,
-    ExactEliminator,
-    PrimeDisagreementError,
-    RankCertificate,
-    SparseModularEliminator,
-    draw_primes,
-)
+from .linalg import DEFAULT_CAP_EXACT, ExactEliminator, RankCertificate, SparseModularEliminator
 
 if TYPE_CHECKING:
     from .split import SplitReduction
 
 __all__ = [
     "DEFAULT_CAP_EXACT",
-    "DEFAULT_CAP_MODULAR",
     "HomologyOptions",
     "BettiEntry",
     "BettiReport",
@@ -91,8 +83,6 @@ __all__ = [
     "cohomology_dims",
 ]
 
-DEFAULT_CAP_MODULAR = 3_000_000
-
 ColumnReader = Callable[[BoundaryBlock], Iterable[Column]]  # a block's columns, in order
 HeldColumns = dict[Optional[Grade], list[Column]]  # one degree's ranked columns, by grade
 
@@ -100,25 +90,15 @@ HeldColumns = dict[Optional[Grade], list[Column]]  # one degree's ranked columns
 @dataclass(frozen=True)
 class HomologyOptions:
     cap_exact: int = DEFAULT_CAP_EXACT
-    cap_modular: int = DEFAULT_CAP_MODULAR
-    primes: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("cap_exact", "cap_modular"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
-        if self.primes < 2:
-            raise ValueError(f"modular ranks need at least 2 agreeing primes, got {self.primes}")
+        if self.cap_exact < 0:
+            raise ValueError(f"cap_exact must be at least 0, got {self.cap_exact}")
 
-    def environment(self, primes_used: Sequence[int]) -> dict:
-        """The environment record of a report: seed, primes drawn, caps."""
-        return {
-            "seed": self.seed,
-            "primes": list(primes_used),
-            "cap_exact": self.cap_exact,
-            "cap_modular": self.cap_modular,
-        }
+    def environment(self) -> dict:
+        """The environment record of a report: seed and cap."""
+        return {"seed": self.seed, "cap_exact": self.cap_exact}
 
 
 @dataclass
@@ -128,7 +108,7 @@ class BettiEntry:
     rank_d_k: int
     rank_d_k1: int
     betti: int
-    certification: str  # "exact" | "two-prime"
+    certification: str  # always "exact"
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -247,34 +227,25 @@ def _composed_columns(
 
 
 def _rank_blocks(
-    blocks, primes: Sequence[int] = (), read: ColumnReader = BoundaryBlock.columns
+    blocks, p: Optional[int] = None, read: ColumnReader = BoundaryBlock.columns
 ) -> int:
-    """Sum of the ranks of ``blocks``: over Q without ``primes``, else mod
-    every prime, which must agree on every block.  ``read(block)`` gives a
-    block's columns in order; a modular rank lists them once for all its
-    primes.  Blocks with no rows or no columns are skipped."""
+    """Sum of the ranks of ``blocks``: over Q without ``p``, else mod the
+    prime ``p``, which is at most the rank over Q.  ``read(block)`` gives a
+    block's columns in order.  Blocks with no rows or no columns are
+    skipped."""
     total = 0
     for block in blocks:
         if block.cols == 0 or block.rows == 0:
             continue
-        if not primes:
+        if p is None:
             elim = ExactEliminator(block.rows)
             for col in read(block):
                 if col:
                     elim.add_column(col)
-            total += elim.rank
-            continue
-        cols = list(read(block))
-        ranks = []
-        for p in primes:
+        else:
             elim = SparseModularEliminator(block.rows, p)
-            elim.process_sparse_columns(cols)
-            ranks.append(elim.rank)
-        if len(set(ranks)) != 1:
-            raise PrimeDisagreementError(
-                f"block grade={block.grade}: ranks {ranks} for primes {list(primes)}"
-            )
-        total += ranks[0]
+            elim.process_sparse_columns(read(block))
+        total += elim.rank
     return total
 
 
@@ -310,15 +281,14 @@ def homology_dims(
     of translation count 1) the report carries the predicted dimension series
     and per-degree match flags.  The Loday complex of ``build_affine``/
     ``build_so`` runs on the orbit sums of the kept blocks of its split
-    form only (``reduction`` in the report).  A cap hit produces a partial report
+    form only (``reduction`` in the report).  Every rank is exact over Q.  A
+    degree past ``cap_exact`` ends the table in a partial report
     (``capped_at`` set) rather than an exception.  A negative ``max_degree``
     raises ``ValueError``.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     opts = options or HomologyOptions()
-    rng = random.Random(opts.seed)
-    primes = draw_primes(rng, opts.primes)
     reduction = None
     if kind == "loday":
         # loaded on the first Loday run, so importing the package stays as cheap
@@ -327,30 +297,23 @@ def homology_dims(
         reduction = split_reduction(algebra)
     op = _boundary(algebra, kind, reduction)
 
-    # one pass per degree k: past both caps the table ends; else the rank of
-    # d_k, exact within cap_exact, composes each column it reads with the
-    # kept columns of d_{k-1}, and below the top degree keeps it
+    # one pass per degree k: past the cap the table ends; else the exact
+    # rank of d_k composes each column it reads with the kept columns of
+    # d_{k-1}, and below the top degree keeps it
     lower: Optional[HeldColumns] = {}
     ranks: dict[int, RankCertificate] = {}
     capped_at = cap_message = None
     for k in range(1, max_degree + 2):
         blocks = op.blocks(k)
         cols = sum(b.cols for b in blocks)
-        if cols > opts.cap_exact and cols > opts.cap_modular:
+        if cols > opts.cap_exact:
             capped_at = k
-            cap_message = (
-                f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact} "
-                f"and the modular cap {opts.cap_modular}"
-            )
-            check_dd_zero(op, range(k, max_degree + 2), rng)
+            cap_message = f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact}"
+            check_dd_zero(op, range(k, max_degree + 2), random.Random(opts.seed))
             break
         kept: Optional[HeldColumns] = {} if k <= max_degree else None
         read = partial(_composed_columns, k, lower, kept)
-        if cols <= opts.cap_exact:
-            ranks[k] = RankCertificate(_rank_blocks(blocks, read=read), "Q", "exact")
-        else:
-            rank = _rank_blocks(blocks, primes, read)
-            ranks[k] = RankCertificate(rank, "Fp", "modular", list(primes))
+        ranks[k] = RankCertificate(_rank_blocks(blocks, read=read), "Q", "exact")
         lower = kept
 
     entries = []
@@ -365,10 +328,7 @@ def homology_dims(
             raise RuntimeError(
                 f"degree {k}: rank d_k + rank d_k+1 = {rk + rk1} exceeds the dimension {dim}"
             )
-        cert = "exact"
-        if (k and ranks[k].method == "modular") or ranks[k + 1].method == "modular":
-            cert = "two-prime"
-        entries.append(BettiEntry(k, dim, rk, rk1, betti, cert))
+        entries.append(BettiEntry(k, dim, rk, rk1, betti, "exact"))
 
     sig = algebra.sig
     affine = sig is not None and sig.n >= 4 and sum(g[0] for g in algebra.grades) == sig.n
@@ -384,7 +344,7 @@ def homology_dims(
         predicted=predicted,
         matches=matches,
         certificates=ranks,
-        environment=opts.environment(primes),
+        environment=opts.environment(),
         capped_at=capped_at,
         cap_message=cap_message,
         reduction=reduction,

@@ -19,9 +19,10 @@ the least.
   of the fed columns as coordinates of the same dict.
 
 * ``SparseModularEliminator`` — mod p, every pivot entry 1.  Primes are drawn
-  from [2^29, 2^30).  Ranks mod p never exceed the rank over Q; agreement
-  across two independently drawn primes is required before a modular rank is
-  reported.
+  from [2^29, 2^30).  A rank mod p never exceeds the rank over Q, so it is
+  only an upper bound; no Betti number rests on it.  It stays as an
+  independent cross-check of the exact engine (``verify``'s
+  ``structure.rank_cross_field``) and as a test oracle.
 
 Every matrix of the package is one format, the one both engines read: its
 row count and a list of columns, each a sorted list of ``(row, value)``
@@ -41,14 +42,13 @@ basis size is the rank.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
     "RankCertificate",
     "CapExceededError",
-    "PrimeDisagreementError",
     "ExactEliminator",
     "SparseModularEliminator",
     "kernel_basis",
@@ -65,19 +65,16 @@ __all__ = [
 PRIME_LO = 1 << 29
 PRIME_HI = 1 << 30
 
-# Default cap on the columns of an exact rank (``homology``) or of one exact
-# solve block (``complexes.is_boundary``); kept here, below both modules.
-DEFAULT_CAP_EXACT = 100_000
+# Default cap on the columns of one degree's exact rank (``homology``) or of
+# one exact solve block (``complexes.is_boundary``); kept here, below both
+# modules.
+DEFAULT_CAP_EXACT = 3_000_000
 
 SparseColumn = Sequence[tuple[int, Union[int, Fraction]]]
 
 
 class CapExceededError(RuntimeError):
     """A configured size cap was exceeded; message names the offending sizes."""
-
-
-class PrimeDisagreementError(RuntimeError):
-    """Modular ranks disagreed across primes; reported instead of guessed."""
 
 
 def integer_column(col: SparseColumn) -> tuple[int, SparseColumn]:
@@ -132,9 +129,8 @@ def draw_primes(rng, count: int) -> list[int]:
 @dataclass
 class RankCertificate:
     rank: int
-    field: str  # "Q" or "Fp"
-    method: str  # "exact" | "modular"
-    primes_used: list[int] = field(default_factory=list)
+    field: str  # "Q"
+    method: str  # "exact"
 
     def to_json_dict(self) -> dict:
         return asdict(self)

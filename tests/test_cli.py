@@ -6,8 +6,8 @@ import re
 import pytest
 
 from leibniz_homology import Signature, run_suite
-from leibniz_homology.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, build_parser, main
-from leibniz_homology.homology import DEFAULT_CAP_EXACT, DEFAULT_CAP_MODULAR
+from leibniz_homology.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from leibniz_homology.homology import DEFAULT_CAP_EXACT
 
 
 def run(args):
@@ -122,20 +122,18 @@ def test_homology_h4_low_degrees(capsys):
 
 
 def test_homology_cap_gives_partial_and_exit3(capsys):
-    # the kept d_5 (4,992 columns) is past both caps
-    code = run(
-        ["homology", "--p", "2", "--q", "2", "--max-degree", "4",
-         "--cap-exact", "1000", "--cap-modular", "1000"]
-    )
+    # d_5 (1,240 orbit columns) is past the cap; the entries before it are exact
+    code = run(["homology", "--p", "2", "--q", "2", "--max-degree", "4", "--cap-exact", "1000"])
     assert code == EXIT_CAP
+    captured = capsys.readouterr()
+    assert "capped at degree 5" in captured.out
+    assert captured.err == "partial report: degree 5: 1240 columns exceed the exact cap 1000\n"
 
 
 def test_cap_defaults_follow_library(monkeypatch):
-    for name in ("CAP_EXACT", "CAP_MODULAR"):
-        monkeypatch.delenv("LEIBNIZ_HOMOLOGY_" + name, raising=False)
+    monkeypatch.delenv("LEIBNIZ_HOMOLOGY_CAP_EXACT", raising=False)
     args = build_parser().parse_args(["homology", "--abelian", "2"])
     assert args.cap_exact == DEFAULT_CAP_EXACT
-    assert args.cap_modular == DEFAULT_CAP_MODULAR
 
 
 def test_homology_usage_errors(capsys):
@@ -151,19 +149,21 @@ def test_homology_usage_errors(capsys):
     assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error"] * 3
 
 
-def test_fewer_than_two_primes_is_usage_error(capsys):
-    assert run(["homology", "--abelian", "2", "--primes", "1"]) == EXIT_USAGE
-    assert run(["verify", "--suite", "structure", "--p", "2", "--q", "2", "--primes", "1"]) == EXIT_USAGE
-    assert "at least 2" in capsys.readouterr().err
+def test_removed_modular_flags_are_usage_errors(capsys):
+    # every rank is exact, so the flags of the former two-prime route are gone
+    for flag in (["--primes", "2"], ["--cap-modular", "5"]):
+        assert run(["homology", "--abelian", "2"] + flag) == EXIT_USAGE
+        assert run(["verify", "--suite", "structure", "--p", "2", "--q", "2"] + flag) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_negative_cap_is_usage_error(capsys):
     assert run(["homology", "--abelian", "2", "--cap-exact", "-1"]) == EXIT_USAGE
-    assert run(["verify", "--suite", "structure", "--p", "2", "--q", "2", "--cap-modular", "-1"]) == EXIT_USAGE
+    assert run(["verify", "--suite", "structure", "--p", "2", "--q", "2", "--cap-exact", "-1"]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "cap_exact must be at least 0" in err and "cap_modular must be at least 0" in err
-    # cap 0 turns one engine off and is not an error
-    assert run(["homology", "--abelian", "2", "--max-degree", "2", "--cap-exact", "0"]) == EXIT_OK
+    assert err.count("cap_exact must be at least 0") == 2
+    # cap 0 is not an error: degree 0 needs only d_1, which has no columns
+    assert run(["homology", "--abelian", "2", "--max-degree", "0", "--cap-exact", "0"]) == EXIT_OK
 
 
 def test_verify_structure(capsys, tmp_path):
@@ -200,20 +200,21 @@ def test_verify_paper_definite(tmp_path, capsys):
 
 
 def test_verify_paper_modular_only_reports_witnesses_not_run(tmp_path, capsys):
-    # --cap-exact 0 (modular ranks only) leaves the exact witness solves
-    # unrun and reported as such; the homology and prediction checks run
-    out = tmp_path / "modular.json"
-    assert run(["verify", "--suite", "paper", "--p", "2", "--q", "2", "--cap-exact", "0",
-                "--json", str(out)]) == EXIT_OK
+    # a cap below the witness blocks (120 and 260 orbit columns) leaves the
+    # exact witness solves unrun and reported as such; the homology table,
+    # exact under the same cap (d_5 has 1,240 columns), fails the prediction
+    # check because it is partial, and the suite goes on to duality
+    out = tmp_path / "capped.json"
+    assert run(["verify", "--suite", "paper", "--p", "2", "--q", "2", "--cap-exact", "100",
+                "--json", str(out)]) == EXIT_CHECK_FAILED
     data = json.loads(out.read_text())
-    assert data["passed"] is True
     results = {r["check_id"]: r for r in data["results"]}
     for check_id in ("complexes.gamma_homologous", "complexes.alpha_tilde_not_boundary"):
         assert results[check_id]["status"] == "reported"
-        assert re.fullmatch(r"not run: exact solve block \(grade .*\) has \d+ columns, cap 0",
+        assert re.fullmatch(r"not run: exact solve block \(grade .*\) has \d+ columns, cap 100",
                             results[check_id]["details"])
-    assert results["homology.matches_prediction"]["status"] == "pass"
-    assert "modular" in results["homology.matches_prediction"]["details"]
+    assert [r["check_id"] for r in data["results"] if r["status"] == "fail"] == ["homology.matches_prediction"]
+    assert "certs=['exact', 'exact', 'exact']" in results["homology.matches_prediction"]["details"]
     assert results["homology.duality"]["status"] == "pass"
 
 
@@ -226,7 +227,7 @@ def test_env_var_overrides(monkeypatch, tmp_path):
     assert data["environment"]["seed"] == 99
 
 
-@pytest.mark.parametrize("name", ["SEED", "PRIMES", "CAP_EXACT", "CAP_MODULAR"])
+@pytest.mark.parametrize("name", ["SEED", "CAP_EXACT"])
 def test_malformed_env_var_is_usage_error(monkeypatch, capsys, name):
     monkeypatch.setenv("LEIBNIZ_HOMOLOGY_" + name, "abc")
     assert run(["homology", "--abelian", "2"]) == EXIT_USAGE
@@ -266,7 +267,7 @@ def test_verify_report_shape(tmp_path):
     assert len(ids) == len(set(ids))  # one claim per check id
     assert all(r["claim"] for r in data["results"])
     assert data["passed"] == all(r["status"] != "fail" for r in data["results"])
-    assert {"seed", "primes", "cap_exact", "cap_modular"} <= set(data["environment"])
+    assert set(data["environment"]) == {"seed", "cap_exact"}
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,8 @@ from leibniz_homology import (
     standard_translation_action,
 )
 from leibniz_homology import complexes, homology
-from leibniz_homology.homology import _rank_blocks
-from leibniz_homology.linalg import PrimeDisagreementError, draw_primes
+from leibniz_homology.homology import DEFAULT_CAP_EXACT, _rank_blocks
+from leibniz_homology.linalg import draw_primes
 from leibniz_homology.repspace import GradeBlock, OrbitBlock, graded_words
 from leibniz_homology.split import split_reduction
 
@@ -94,9 +94,9 @@ def test_duality_flags():
 
 
 def test_mode_exact_cap(full_route):
-    # cap_modular=0: exact ranks only, a d_k past the exact cap ends the table
+    # every rank is exact: a d_k past the cap ends the table
     h = build_affine(Signature(2, 2))
-    opts = HomologyOptions(cap_exact=500, cap_modular=0)
+    opts = HomologyOptions(cap_exact=500)
     # the cap counts the ranked columns: 161 orbits at degree 4, 1,240 at degree 5
     rep = homology_dims(h, 4, options=opts)
     assert rep.capped_at == 5
@@ -107,13 +107,17 @@ def test_mode_exact_cap(full_route):
 
 
 def test_mode_modular_small():
-    # cap_exact=0: every d_k with columns is ranked modularly
+    # cap_exact=0 ends the table at the first d_k with columns, d_2 at (2,2)
+    # (degree 1 has no orbit); the entries before it are exact.  A rank mod
+    # one prime, the engines' cross-check, agrees with the exact one here
     h = build_affine(Signature(2, 2))
-    opts = HomologyOptions(cap_exact=0)
-    rep = homology_dims(h, 2, options=opts)
-    assert rep.betti == [1, 0, 0]
-    assert rep.entries[1].certification == "two-prime"
-    assert rep.certificates[2].primes_used
+    rep = homology_dims(h, 2, options=HomologyOptions(cap_exact=0))
+    assert rep.capped_at == 2 and rep.betti == [1]
+    assert rep.entries[0].certification == "exact"
+    assert rep.cap_message == "degree 2: 5 columns exceed the exact cap 0"
+    blocks = _reduced_h22().blocks(3)
+    (p,) = draw_primes(random.Random(0), 1)
+    assert _rank_blocks(blocks, p) == _rank_blocks(blocks) == homology_dims(h, 2).certificates[3].rank
 
 
 def test_ce_homology_of_translations():
@@ -142,24 +146,27 @@ def test_ce_homology_semisimple_trivial_coefficients():
 
 
 def test_ce_cap_gives_modular_entry_or_partial_report():
-    # 10 * C(4,2) = 60 columns of the CE d_2 exceed the exact cap: d_2 is
-    # ranked modularly, and without a modular cap the table stops there
+    # the CE complex has the one cap too: within it every entry is exact;
+    # 10 * C(4,2) = 60 columns of the CE d_2 exceed a cap of 50, and the
+    # table stops there
     h = build_affine(Signature(2, 2))
-    rep = homology_dims(h, 3, kind="ce", options=HomologyOptions(cap_exact=50))
+    rep = homology_dims(h, 3, kind="ce")
     assert rep.betti == [6, 20, 20, 10]
-    assert [e.certification for e in rep.entries] == ["exact", "two-prime", "two-prime", "exact"]
-    assert rep.certificates[2].method == "modular" and len(rep.certificates[2].primes_used) == 2
-    rep = homology_dims(h, 3, kind="ce", options=HomologyOptions(cap_exact=50, cap_modular=0))
+    assert [e.certification for e in rep.entries] == ["exact"] * 4
+    assert rep.certificates[2].method == "exact"
+    rep = homology_dims(h, 3, kind="ce", options=HomologyOptions(cap_exact=50))
     assert rep.capped_at == 2 and [e.betti for e in rep.entries] == [6]
 
 
 def test_fraction_constants_keep_modular_rank():
-    # [g, m] = m/2: the modular route must not truncate 1/2 to 0
+    # [g, m] = m/2: neither engine may truncate 1/2 to 0
     ext = build_abelian_extension(build_abelian(1), [[[Fraction(1, 2)]]], m_dim=1)
-    exact = homology_dims(ext, 3, options=HomologyOptions(cap_modular=0))
-    modular = homology_dims(ext, 3, options=HomologyOptions(cap_exact=0))
-    assert exact.betti == modular.betti == [1, 1, 1, 1]
-    assert [modular.certificates[k].rank for k in (2, 3, 4)] == [1, 2, 5]
+    exact = homology_dims(ext, 3)
+    assert exact.betti == [1, 1, 1, 1]
+    assert [exact.certificates[k].rank for k in (2, 3, 4)] == [1, 2, 5]
+    op = LodayBoundary(ext)
+    (p,) = draw_primes(random.Random(0), 1)
+    assert [_rank_blocks(op.blocks(k), p) for k in (2, 3, 4)] == [1, 2, 5]
 
 
 def test_prediction_only_for_affine_gradings():
@@ -172,43 +179,42 @@ def test_prediction_only_for_affine_gradings():
     assert homology_dims(twin, 2).predicted == predicted_hl_dims(sig, 2)
 
 
-def test_fewer_than_two_primes_rejected():
-    for primes in (0, 1):
-        with pytest.raises(ValueError, match="at least 2"):
-            HomologyOptions(primes=primes)
-
-
 def test_negative_caps_rejected():
-    for name in ("cap_exact", "cap_modular"):
-        with pytest.raises(ValueError, match=f"{name} must be at least 0, got -1"):
-            HomologyOptions(**{name: -1})
-    # cap 0 is valid: it turns one engine off
-    assert HomologyOptions(cap_exact=0, cap_modular=0).cap_exact == 0
+    with pytest.raises(ValueError, match="cap_exact must be at least 0, got -1"):
+        HomologyOptions(cap_exact=-1)
+    # cap 0 is valid: it ranks only the degrees without columns
+    assert HomologyOptions(cap_exact=0).cap_exact == 0
 
 
-def test_prime_disagreement_raises():
+def test_modular_rank_depends_on_the_prime():
     # an entry equal to p1 vanishes mod p1 only: rank 0 mod p1, 1 mod p2
+    # and over Q; a rank mod p is at most the rank over Q, and the prime
+    # decides whether it falls below
     p1, p2 = draw_primes(random.Random(9), 2)
     block = SimpleNamespace(grade=(1, 3), rows=1, cols=1)
 
     def read(b):
         return [[(0, p1)]]
 
-    assert _rank_blocks([block], [p2], read) == 1
-    with pytest.raises(PrimeDisagreementError, match=r"grade=\(1, 3\): ranks \[0, 1\]"):
-        _rank_blocks([block], [p1, p2], read)
+    assert _rank_blocks([block], p1, read) == 0
+    assert _rank_blocks([block], p2, read) == 1 == _rank_blocks([block], read=read)
 
 
 def test_pure_python_import_and_ranks(run_python):
-    # the package and its modular route run without numpy: cap_exact=0 sends
-    # d_2 and d_3 through the eliminators of both primes
+    # the package and both engines run without numpy: d_2 and d_3 exact,
+    # and d_3 mod one prime as verify's cross-check ranks it
     code = (
         "import sys\n"
         "import leibniz_homology\n"
-        "from leibniz_homology import HomologyOptions, Signature, build_affine, homology_dims\n"
-        "rep = homology_dims(build_affine(Signature(2, 2)), 2, options=HomologyOptions(cap_exact=0))\n"
-        "if rep.certificates[3].method != 'modular':\n"
-        "    sys.exit(f'd_3 was not ranked modularly: {rep.certificates}')\n"
+        "from leibniz_homology import LodayBoundary, Signature, build_affine, homology_dims\n"
+        "from leibniz_homology.homology import _rank_blocks\n"
+        "h = build_affine(Signature(2, 2))\n"
+        "rep = homology_dims(h, 2)\n"
+        "if rep.certificates[3].method != 'exact' or rep.betti != [1, 0, 0]:\n"
+        "    sys.exit(f'not exact: {rep.certificates}')\n"
+        "blocks = LodayBoundary(h).blocks(3)\n"
+        "if _rank_blocks(blocks, 1_000_003) != _rank_blocks(blocks):\n"
+        "    sys.exit('the ranks of the full d_3 mod p and over Q differ')\n"
         "if 'numpy' in sys.modules:\n"
         "    sys.exit('numpy was imported')\n"
     )
@@ -329,16 +335,16 @@ def test_every_boundary_term_goes_through_canonical(monkeypatch):
     assert terms and calls == terms
 
 
-# at (2,2) d_4 has 161 orbit columns and d_5 1,240; modular ranks only
-@pytest.mark.parametrize("cap_modular, capped_at", [(500, 5), (100, 4)])
-def test_dd_check_covers_capped_degrees(monkeypatch, cap_modular, capped_at):
+# at (2,2) d_4 has 161 orbit columns and d_5 1,240
+@pytest.mark.parametrize("cap_exact, capped_at", [(500, 5), (100, 4)])
+def test_dd_check_covers_capped_degrees(monkeypatch, cap_exact, capped_at):
     # a wrong sign on one non-representative word of the length-4 orbit
     # block of translation count 2 first shows in d_4∘d_5; the check still
-    # reaches degree 5 when d_5 (or already d_4) is past both caps.  Those
+    # reaches degree 5 when d_5 (or already d_4) is past the cap.  Those
     # degrees are not ranked, so they get the sampled check; 1,000 chains
     # per degree catch this error whichever columns are drawn
     h = build_affine(Signature(2, 2))
-    opts = HomologyOptions(cap_exact=0, cap_modular=cap_modular)
+    opts = HomologyOptions(cap_exact=cap_exact)
     assert homology_dims(h, 4, options=opts).capped_at == capped_at
     grade = (2, 0, 0, 0)
     _flip_orbit_signs(monkeypatch).add(_non_representatives(_reduced_h22(), 4, grade)[0])
@@ -362,7 +368,7 @@ def test_ranked_dd_check_traced_as_complexes_layer(run_python):
         "from leibniz_homology import HomologyOptions, Signature, build_affine, homology_dims\n"
         "tracer = tracing.Tracer()\n"
         "tracing.install(tracer)\n"
-        "opts = HomologyOptions(cap_exact=0, cap_modular=500)\n"
+        "opts = HomologyOptions(cap_exact=500)\n"
         "with tracer:\n"
         "    rep = homology_dims(build_affine(Signature(2, 2)), 4, options=opts)\n"
         "if rep.capped_at != 5:\n"
@@ -377,25 +383,20 @@ def test_ranked_dd_check_traced_as_complexes_layer(run_python):
 
 def test_environment_recorded():
     rep = homology_dims(build_abelian(2), 2, options=HomologyOptions(seed=42))
-    assert rep.environment["seed"] == 42
-    assert len(rep.environment["primes"]) == 2
+    assert rep.environment == {"seed": 42, "cap_exact": DEFAULT_CAP_EXACT}
 
 
 @pytest.mark.slow
-def test_h5_degree4_two_prime(full_route):
+def test_h5_degree4_full_route(full_route):
     # the first tensor-algebra generator sits in degree n-1 = 4 at n = 5;
     # on the full route its detection needs the rank of the 50625 x 759375
-    # boundary, two primes at the former exact cap; the table is the one
-    # the reduced route gives exactly (test_h5_degree4_exact)
+    # boundary, exact under the default cap; the table is the one the
+    # reduced route gives (test_h5_degree4_exact)
     sig = Signature(2, 3)
-    rep = homology_dims(
-        full_route(build_affine(sig)),
-        4,
-        options=HomologyOptions(cap_exact=10_000),
-    )
+    rep = homology_dims(full_route(build_affine(sig)), 4)
     assert rep.betti == [1, 0, 0, 0, 1]
     assert rep.betti == predicted_hl_dims(sig, 4)
-    assert rep.entries[4].certification == "two-prime"
+    assert all(e.certification == "exact" for e in rep.entries)
 
 
 @pytest.mark.slow
@@ -409,19 +410,15 @@ def test_h5_degree4_exact():
 
 
 @pytest.mark.slow
-def test_h4_degree4_two_prime(sig4, full_route):
-    # the full route at the former exact cap: d_5 (10^5 columns) by two primes;
-    # the table is the one the reduced route gives exactly (test_h4_degree4_exact)
-    rep = homology_dims(
-        full_route(build_affine(sig4)),
-        4,
-        options=HomologyOptions(cap_exact=10_000),
-    )
+def test_h4_degree4_full_route(sig4, full_route):
+    # the full route: d_5 (10^5 columns) exact under the default cap; the
+    # table is the one the reduced route gives (test_h4_degree4_exact)
+    rep = homology_dims(full_route(build_affine(sig4)), 4)
     assert rep.betti == [1, 0, 0, 1, 1]
     assert rep.betti == predicted_hl_dims(sig4, 4)
-    assert rep.entries[4].certification == "two-prime"
+    assert all(e.certification == "exact" for e in rep.entries)
     cert = rep.certificates[5]
-    assert cert.method == "modular" and cert.rank == 9090 and len(cert.primes_used) == 2
+    assert cert.method == "exact" and cert.rank == 9090
 
 
 # the rank of d_5 on the orbit sums of its kept blocks
@@ -444,6 +441,21 @@ def test_h4_degree5_exact():
     assert rep.capped_at is None
     assert rep.betti == [1, 0, 0, 1, 1, 0]
     assert rep.matches and all(rep.matches)
+    assert all(e.certification == "exact" for e in rep.entries)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "pq, table", [((4, 0), [1, 0, 0, 1, 1, 0, 1]), ((6, 0), [1, 0, 0, 0, 0, 1, 1])], ids=["4_0", "6_0"]
+)
+def test_degree6_exact(pq, table):
+    # degree 6 needs d_7 on the orbit sums of its kept blocks: 53,088
+    # columns at (4,0) and 106,358 at (6,0), both within the default cap;
+    # at n = 6 Betti_6 is the alpha~ class in degree n
+    sig = Signature(*pq)
+    rep = homology_dims(build_affine(sig), 6)
+    assert rep.capped_at is None
+    assert rep.betti == table == predicted_hl_dims(sig, 6)
     assert all(e.certification == "exact" for e in rep.entries)
 
 

@@ -336,8 +336,7 @@ def test_streamed_rank_two_primes(h22):
     op = LodayBoundary(h22)
     blocks = op.blocks(4)
     p1, p2 = draw_primes(random.Random(5), 2)
-    assert _rank_blocks(blocks, [p1]) == _rank_blocks(blocks, [p2]) == 909
-    assert _rank_blocks(blocks, [p1, p2]) == 909
+    assert _rank_blocks(blocks, p1) == _rank_blocks(blocks, p2) == _rank_blocks(blocks) == 909
     # the grade blocks against the whole d_4
     d4 = full_boundary(op, 4)
     assert modular_rank((d4.rows, d4.columns()), p1) == 909
