@@ -73,7 +73,6 @@ from .repspace import (
     act,
     act_word,
     assemble_action,
-    enumerate_basis,
     mixed_space,
     random_chain,
     sort_wedge,

@@ -4,10 +4,10 @@ Subcommands: ``algebra`` (construct and validate), ``invariants`` (invariant
 subspace of a module descriptor), ``homology`` (Betti table with prediction
 comparison), ``verify`` (the structure/claim suites).
 
-Global flags (environment variables with the same names, uppercased and
-prefixed with LEIBNIZ_HOMOLOGY_, override the defaults): --seed, --cap-exact,
---json.  Every Betti number is exact over Q; a degree past --cap-exact ends
-the table in a partial report (exit 3).
+Every subcommand takes --json PATH; ``homology`` and ``verify`` also take
+--seed and --cap-exact, which no other subcommand reads.  Every Betti number
+is exact over Q; a degree past --cap-exact ends the table in a partial
+report (exit 3).
 
 Module descriptor mini-grammar for ``invariants --module``:
     wedge:I:k      the k-th wedge power of the translations
@@ -41,29 +41,18 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-ENV_PREFIX = "LEIBNIZ_HOMOLOGY_"
+
+def _add_json(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", metavar="PATH", help="write the machine-readable report to PATH")
 
 
-def _env_default(name: str, fallback, cast):
-    value = os.environ.get(ENV_PREFIX + name)
-    if value is None:
-        return fallback
-    try:
-        return cast(value)
-    except ValueError:
-        raise UsageError(f"{ENV_PREFIX}{name}: cannot read {value!r} as {cast.__name__}") from None
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=_env_default("SEED", 0, int),
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0,
                         help="seed for random spot checks and verify's cross-field primes")
-    parser.add_argument("--cap-exact", type=int,
-                        default=_env_default("CAP_EXACT", DEFAULT_CAP_EXACT, int),
+    parser.add_argument("--cap-exact", type=int, default=DEFAULT_CAP_EXACT,
                         help="max ranked columns of one degree, and of one witness solve block; "
                              "a degree past it ends the table in a partial report")
-    parser.add_argument("--json", metavar="PATH",
-                        default=_env_default("JSON", None, str),
-                        help="write the machine-readable report to PATH")
+    _add_json(parser)
 
 
 def _signature(args) -> Signature:
@@ -126,7 +115,7 @@ def cmd_algebra(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "algebra",
         "signature": {"p": sig.p, "q": sig.q},
-        "environment": {"seed": args.seed},
+        "environment": {},
         "results": [
             {
                 "dim_so": so.dim,
@@ -192,7 +181,7 @@ def cmd_invariants(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "invariants",
         "signature": {"p": sig.p, "q": sig.q},
-        "environment": {"seed": args.seed},
+        "environment": {},
         "results": [
             {
                 "module": args.module,
@@ -279,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alg = sub.add_parser("algebra", help="construct and validate the algebras of a signature")
     p_alg.add_argument("--p", type=int, required=True)
     p_alg.add_argument("--q", type=int, required=True)
-    _add_common(p_alg)
+    _add_json(p_alg)
     p_alg.set_defaults(func=cmd_algebra)
 
     p_inv = sub.add_parser("invariants", help="invariant subspace of a module descriptor")
@@ -287,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--q", type=int, required=True)
     p_inv.add_argument("--module", required=True,
                        help="wedge:I:k | tensor:h:k | I*wedge:k | so*wedge:k | so")
-    _add_common(p_inv)
+    _add_json(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_hom = sub.add_parser("homology", help="Betti table of the Loday complex")
@@ -296,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--abelian", type=int, metavar="N",
                        help="use the N-dimensional abelian algebra instead of --p/--q")
     p_hom.add_argument("--max-degree", type=int, default=None)
-    _add_common(p_hom)
+    _add_run_options(p_hom)
     p_hom.set_defaults(func=cmd_homology)
 
     p_ver = sub.add_parser("verify", help="run the structure / claim verification suites")
     p_ver.add_argument("--suite", choices=("structure", "paper", "all"), default="all")
     p_ver.add_argument("--p", type=int, required=True)
     p_ver.add_argument("--q", type=int, required=True)
-    _add_common(p_ver)
+    _add_run_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -311,11 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = build_parser()  # reads the environment overrides
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    try:
         _check_json_path(args.json)
         return args.func(args)
     except UsageError as exc:

@@ -44,7 +44,6 @@ __all__ = [
     "tensor_space",
     "wedge_space",
     "mixed_space",
-    "enumerate_basis",
     "sort_wedge",
     "act",
     "act_word",
@@ -146,7 +145,7 @@ class Space:
         return Chain(self, {})
 
     def basis_chain(self, word: Word, coeff: Coeff = 1) -> "Chain":
-        return Chain(self, {word: Fraction(coeff)})
+        return Chain(self, {word: coeff})
 
     def __repr__(self) -> str:
         base = f"{self.kind}^{self.degree}[{len(self.factors)}]"
@@ -447,23 +446,22 @@ def mixed_space(
     return Space(alg, "mixed", k, tuple(factors), tuple(lead))
 
 
-def enumerate_basis(space: Space) -> list[Word]:
-    """All words of the space in rank order (rank/unrank are inverse bijections)."""
-    return list(space.words())
-
-
 # ---------------------------------------------------------------------------
 # Chains.
 
 
 @dataclass
 class Chain:
-    """Sparse rational linear combination of words of one space."""
+    """Sparse rational linear combination of words of one space.  Every
+    coefficient must be exact, an ``int`` or a ``Fraction``."""
 
     space: Space
     coeffs: dict[Word, Fraction]
 
     def __post_init__(self) -> None:
+        for w, c in self.coeffs.items():
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"coefficient of word {w} is {c!r}, not an int or a Fraction")
         self.coeffs = {w: Fraction(c) for w, c in self.coeffs.items() if c}
 
     def is_zero(self) -> bool:
@@ -481,6 +479,8 @@ class Chain:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "Chain":
+        if not isinstance(scalar, (int, Fraction)):
+            raise ValueError(f"scalar {scalar!r} is not an int or a Fraction")
         s = Fraction(scalar)
         return Chain(self.space, {w: s * c for w, c in self.coeffs.items()})
 
@@ -501,11 +501,6 @@ class Chain:
 
     def terms(self) -> list[tuple[Word, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda t: self.space.rank_word(t[0]))
-
-    def scaled_integral(self) -> "Chain":
-        """The chain multiplied by the lcm of all denominators (mod-p friendly)."""
-        lcm = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        return Chain(self.space, {w: c * lcm for w, c in self.coeffs.items()})
 
     def word_str(self, word: Word) -> str:
         labels = self.space.algebra.labels

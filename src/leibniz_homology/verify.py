@@ -56,7 +56,7 @@ class CheckResult:
 @dataclass
 class VerifyReport:
     suite: str
-    signature: Optional[Signature]
+    signature: Signature
     checks: list[CheckResult]
     environment: dict
     resolved_gamma_sign: Optional[int] = None
@@ -70,9 +70,7 @@ class VerifyReport:
             "schema_version": SCHEMA_VERSION,
             "command": "verify",
             "suite": self.suite,
-            "signature": {"p": self.signature.p, "q": self.signature.q}
-            if self.signature
-            else None,
+            "signature": {"p": self.signature.p, "q": self.signature.q},
             "environment": self.environment,
             "resolved_gamma_sign": self.resolved_gamma_sign,
             "passed": self.passed,

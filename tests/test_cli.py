@@ -130,8 +130,7 @@ def test_homology_cap_gives_partial_and_exit3(capsys):
     assert captured.err == "partial report: degree 5: 1240 columns exceed the exact cap 1000\n"
 
 
-def test_cap_defaults_follow_library(monkeypatch):
-    monkeypatch.delenv("LEIBNIZ_HOMOLOGY_CAP_EXACT", raising=False)
+def test_cap_defaults_follow_library():
     args = build_parser().parse_args(["homology", "--abelian", "2"])
     assert args.cap_exact == DEFAULT_CAP_EXACT
 
@@ -155,6 +154,41 @@ def test_removed_modular_flags_are_usage_errors(capsys):
         assert run(["homology", "--abelian", "2"] + flag) == EXIT_USAGE
         assert run(["verify", "--suite", "structure", "--p", "2", "--q", "2"] + flag) == EXIT_USAGE
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["algebra", "--p", "2", "--q", "2"], ["--seed", "1"]),
+        (["algebra", "--p", "2", "--q", "2"], ["--cap-exact", "5"]),
+        (["invariants", "--p", "2", "--q", "2", "--module", "so"], ["--cap-exact", "-5"]),
+        (["invariants", "--p", "2", "--q", "2", "--module", "so"], ["--seed", "7"]),
+    ],
+    ids=["algebra-seed", "algebra-cap", "invariants-cap", "invariants-seed"],
+)
+def test_unread_flags_are_usage_errors(capsys, argv, flag):
+    # algebra and invariants draw nothing at random and rank no boundary,
+    # so they take neither flag
+    assert run(argv + flag) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+def test_run_options_accepted_by_homology_and_verify(tmp_path):
+    for argv in (["homology", "--abelian", "2", "--max-degree", "1"],
+                 ["verify", "--suite", "structure", "--p", "2", "--q", "2"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run(argv + ["--seed", "5", "--cap-exact", "1000", "--json", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["environment"] == {"seed": 5, "cap_exact": 1000}
+
+
+def test_algebra_and_invariants_record_empty_environment(tmp_path):
+    for argv in (["algebra", "--p", "2", "--q", "2"],
+                 ["invariants", "--p", "2", "--q", "2", "--module", "so"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run(argv + ["--json", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["environment"] == {}
 
 
 def test_negative_cap_is_usage_error(capsys):
@@ -218,24 +252,6 @@ def test_verify_paper_modular_only_reports_witnesses_not_run(tmp_path, capsys):
     assert results["homology.duality"]["status"] == "pass"
 
 
-def test_env_var_overrides(monkeypatch, tmp_path):
-    out = tmp_path / "env.json"
-    monkeypatch.setenv("LEIBNIZ_HOMOLOGY_SEED", "99")
-    monkeypatch.setenv("LEIBNIZ_HOMOLOGY_JSON", str(out))
-    assert run(["homology", "--abelian", "2", "--max-degree", "2"]) == EXIT_OK
-    data = json.loads(out.read_text())
-    assert data["environment"]["seed"] == 99
-
-
-@pytest.mark.parametrize("name", ["SEED", "CAP_EXACT"])
-def test_malformed_env_var_is_usage_error(monkeypatch, capsys, name):
-    monkeypatch.setenv("LEIBNIZ_HOMOLOGY_" + name, "abc")
-    assert run(["homology", "--abelian", "2"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: LEIBNIZ_HOMOLOGY_{name}: cannot read 'abc' as int"]
-
-
 @pytest.mark.slow
 def test_verify_paper_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -296,7 +312,3 @@ def test_unwritable_json_path_is_usage_error(monkeypatch, capsys, tmp_path, argv
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: cannot write the --json report to {path}: {why}"]
     assert not missing.parent.exists()
-    # the same path from the environment is checked the same way
-    monkeypatch.setenv("LEIBNIZ_HOMOLOGY_JSON", str(missing))
-    assert run(argv) == EXIT_USAGE
-    assert str(missing) in capsys.readouterr().err

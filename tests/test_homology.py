@@ -446,12 +446,15 @@ def test_h4_degree5_exact():
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "pq, table", [((4, 0), [1, 0, 0, 1, 1, 0, 1]), ((6, 0), [1, 0, 0, 0, 0, 1, 1])], ids=["4_0", "6_0"]
+    "pq, table",
+    [((4, 0), [1, 0, 0, 1, 1, 0, 1]), ((5, 0), [1, 0, 0, 0, 1, 1, 0]), ((6, 0), [1, 0, 0, 0, 0, 1, 1])],
+    ids=["4_0", "5_0", "6_0"],
 )
 def test_degree6_exact(pq, table):
     # degree 6 needs d_7 on the orbit sums of its kept blocks: 53,088
-    # columns at (4,0) and 106,358 at (6,0), both within the default cap;
-    # at n = 6 Betti_6 is the alpha~ class in degree n
+    # columns at (4,0), 97,727 at (5,0) and 106,358 at (6,0), all within
+    # the default cap; at n = 6 Betti_6 is the alpha~ class in degree n,
+    # and at n = 5 degree 6 has no class
     sig = Signature(*pq)
     rep = homology_dims(build_affine(sig), 6)
     assert rep.capped_at is None
