@@ -79,8 +79,10 @@ def _options(args) -> HomologyOptions:
 def _check_json_path(path: Optional[str]) -> None:
     """A ``--json`` path that cannot be written is a usage error, found
     before any computation; the report itself is written at the end."""
-    if not path:
+    if path is None:
         return
+    if not path:
+        raise UsageError("cannot write the --json report: the path is empty")
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         why = "it is a directory"

@@ -389,10 +389,7 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
             raise CapExceededError(
                 f"exact solve block (grade {g}) has {block.cols} columns, cap {cap_exact}"
             )
-        if symmetries is not None:
-            coeffs = block.rowspace.reduce(coeffs)
-        b = {block.rowspace.rank_word(w): c for w, c in coeffs.items()}
-        x = solve(block.rows, block.columns(), b)
+        x = solve(block.rows, block.columns(), dict(block.rowspace.ranked(coeffs)))
         if x is None:
             return None
         for j, val in x.items():

@@ -389,19 +389,11 @@ class OrbitBlock:
         out = self._canon[word] = (tuple(map(perm.__getitem__, word)), sign) if sign else None
         return out
 
-    def reduce(self, terms: Mapping[Word, Coeff]) -> dict[Word, Coeff]:
-        """A combination of this block's words as a combination of its
-        representatives; the terms of dropped orbits vanish."""
-        out: dict[Word, Coeff] = {}
-        for word, v in terms.items():
-            hit = self.canonical(word)
-            if hit is not None:
-                accumulate(out, hit[0], hit[1] * v)
-        return out
-
     def ranked(self, terms: Mapping[Word, Coeff]) -> list[tuple[int, Coeff]]:
-        """``reduce(terms)`` as a sorted ``(row, value)`` column, in one pass:
-        each term goes to the rank of its representative, with its sign."""
+        """A combination of this block's words as a sorted ``(row, value)``
+        column of its representatives, in one pass: each term goes to the
+        rank of its representative, with its sign; the terms of dropped
+        orbits vanish."""
         out: dict[int, Coeff] = {}
         rank, canonical = self._rank, self.canonical
         for word, v in terms.items():

@@ -1,27 +1,29 @@
 """The signed coordinate permutations in SO(p)×SO(q) as letter actions.
 
 A map e_k -> s_k·e_{perm[k]} of R^n with det +1 on the p-block and on the
-q-block (``liealg.signed_rotations``) that maps each vector of a basis b
-of R^n to ± one of them acts on ``build_affine(sig)`` and ``build_so(sig)``,
-written on the letters of b, by a signed permutation of the letters
-(``liealg.letter_action``).  ``symmetry_group`` is the one builder of the
-finite groups of such actions: ``split`` calls it with the split vectors
-for the orbit group of its kept blocks, ``chain_symmetries`` with the
-standard basis for the stabiliser of a chain.  It is loaded with
-``split`` or on the first ``complexes.is_boundary`` call, so importing the
-package does not load it.
+q-block (``liealg.signed_rotations``, which yields only such maps) that
+maps each vector of a basis b of R^n to ± one of them acts on
+``build_affine(sig)`` and ``build_so(sig)``, written on the letters of b,
+by a signed permutation of the letters (``liealg.letter_action``).
+``symmetry_group`` is the one builder of the finite groups of such
+actions: ``split`` calls it with the split vectors for the orbit group of
+its kept blocks, ``chain_symmetries`` with the standard basis for the
+stabiliser of a chain.  It builds one letter action per group element
+(so(2,0), one letter for two index maps, takes two) and checks what can
+fail: that each action moves grades as its map does and is an
+automorphism.  It is loaded with ``split`` or on the first
+``complexes.is_boundary`` call, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import prod
-from operator import mul, or_
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .liealg import (
-    Coeff, Grade, LieAlgebra, _perm_sign, check_automorphism, is_canonical, letter_action,
-    signed_rotations, structure_triples,
+    Coeff, Grade, LieAlgebra, check_automorphism, is_canonical, letter_action, signed_rotations,
+    structure_triples,
 )
 from .repspace import Symmetry
 
@@ -33,7 +35,10 @@ class BasisTable:
     (0-based), ``find`` each ±b_k as (k, ±1), ``weights`` and ``bits`` their
     torus weights and parity bits; b_i has weight e_i for i below the
     number r of weights, and the letters of the algebra on b are those of
-    ``liealg.letter_action``."""
+    ``liealg.letter_action``.  Every sign pattern on the support of a b_k
+    is ± some b_k' (the split vectors pair e_i + e_{p+i} with e_i - e_{p+i}),
+    so whether a signed permutation maps the basis to itself up to sign
+    depends on its permutation alone."""
 
     __slots__ = ("vecs", "find", "weights", "bits")
 
@@ -50,99 +55,63 @@ def _standard_table(n: int) -> BasisTable:
     return BasisTable([{k: 1} for k in range(n)], [()] * n, [1 << k for k in range(n)])
 
 
-def _candidates(
-    alg: LieAlgebra, table: BasisTable
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, int]], Symmetry]]:
-    """(perm, signs, moved, letter action) for each e_k -> signs[k]·e_{perm[k]}
-    of ``signed_rotations(alg.sig)`` whose perm maps the support of every b_k
-    to the support of some b_k', with b_k -> s·b_k' for ``moved[k] = (k', s)``.
-
-    Raises ``ValueError`` unless the map keeps the p-block and the q-block
-    with det +1 on each and maps each b_k to ± some b_k'."""
-    p, n = alg.sig.p, alg.sig.n
-    supports = {frozenset(v) for v in table.vecs}
-    for perm, signings in signed_rotations(alg.sig):
-        images = [[(perm[j], j, c) for j, c in v.items()] for v in table.vecs]
-        if any(frozenset(i for i, _, _ in image) not in supports for image in images):
-            continue
-        blocks = [(b, sorted(map(perm.__getitem__, b)) == list(b)) for b in (range(p), range(p, n))]
-        dets = [_perm_sign([perm[k] - b.start for k in b]) if keeps else 0 for b, keeps in blocks]
-        for signs in signings:
-            for (block, keeps), det in zip(blocks, dets):
-                if not keeps:
-                    raise _map_error(alg, perm, signs, f"does not keep the block {list(block)}")
-                if det * prod(signs[block.start:block.stop]) != 1:
-                    raise _map_error(alg, perm, signs, f"has det -1 on the block {list(block)}")
-            moved = [
-                table.find.get(frozenset([(i, signs[j] * c) for i, j, c in image])) for image in images
-            ]
-            if None in moved:
-                raise _map_error(alg, perm, signs, "maps a basis vector to no basis vector up to sign")
-            yield perm, signs, moved, letter_action(alg, moved)
-
-
-def _map_error(alg: LieAlgebra, perm: Sequence[int], signs: Sequence[int], message: str) -> ValueError:
-    return ValueError(
-        f"the map e_k -> s_k e_π(k) with π = {list(perm)}, s = {list(signs)} on {alg.name} {message}"
-    )
-
-
 def symmetry_group(
     alg: LieAlgebra, table: BasisTable, target: Mapping[Grade, Mapping[Word, Coeff]]
 ) -> list[Symmetry]:
-    """The letter actions of the ``_candidates`` on the basis ``table`` that
-    fix every grade of ``target`` and its chain there, one per letter
-    permutation, sorted (the identity first).
+    """The letter actions of the maps of ``signed_rotations(alg.sig)`` that
+    send each b_k of the basis ``table`` to ± some b_k' and fix every grade
+    of ``target`` and its chain there, one per letter permutation, sorted
+    (the identity first).
 
-    The vector map acts on grades: weights by the signed permutation of the
+    Two sign vectors with one map of vector indices differ by a diagonal
+    flip, a scalar on each grade block: once an index map has a kept
+    action, its other sign vectors add nothing and are skipped before
+    ``letter_action``.  A flip can be -1 on a target grade, so an index
+    map whose action fails ``target`` tries its next sign vector.  The
+    vector map acts on grades: weights by the signed permutation of the
     torus coordinates, parities by the permutation of the bits.  The first
-    action with a letter permutation must map every letter to one of the
+    action of each letter permutation must map every letter to one of the
     acted-on grade and pass ``liealg.check_automorphism``, against the
-    structure triples built once per call.  A later one with
-    a kept letter permutation must have the same map of vector indices and
-    differ from the kept one by the letter signs of a diagonal flip (a mask
-    of parity bits), a scalar on each grade block, or act alike (so(p,q)
-    at n = 2 has one letter for two index maps); otherwise ``ValueError``
-    is raised.
+    structure triples built once per call; otherwise ``ValueError`` is
+    raised.
     """
     r = len(table.weights[0])
-    used = reduce(or_, table.bits)
-    parities = [g[-1] for g in alg.grades]
-    flips = {
-        tuple(1 - 2 * ((m & s).bit_count() & 1) for s in parities)
-        for m in range(used + 1) if not m & ~used
-    }
-    checked: set[tuple[int, ...]] = set()
     triples = structure_triples(alg)
-    group: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
-    for _, _, moved, (perm, signs) in _candidates(alg, table):
-        index = [k for k, _ in moved]
-        if perm in group:
-            kept, kept_index = group[perm]
-            if signs != kept and (index != kept_index or tuple(map(mul, kept, signs)) not in flips):
-                raise ValueError(
-                    f"two symmetries of {alg.name} with one letter permutation "
-                    "differ by more than a sign flip"
-                )
-            continue
-        bit_of = {table.bits[k]: table.bits[k2] for k, k2 in enumerate(index)}
-        axes = [table.weights[index[i]] for i in range(r)]  # the weights of the images of b_0..b_{r-1}
+    checked: set[tuple[int, ...]] = set()
+    kept: set[tuple[int, ...]] = set()  # index maps whose action is in the group
+    group: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for coords, signings in signed_rotations(alg.sig):
+        images = [[(coords[j], j, c) for j, c in v.items()] for v in table.vecs]
+        for signing in signings:
+            moved = [table.find.get(frozenset([(i, signing[j] * c) for i, j, c in image])) for image in images]
+            if None in moved:
+                break  # the supports do not match, whatever the signs
+            index = tuple(k for k, _ in moved)
+            if index in kept:
+                continue
+            perm, signs = letter_action(alg, moved)
+            if perm in group:  # so(2,0): one letter for two index maps
+                kept.add(index)
+                continue
+            bit_of = {table.bits[k]: table.bits[k2] for k, k2 in enumerate(index)}
+            axes = [table.weights[index[i]] for i in range(r)]  # the weights of the images of b_0..b_{r-1}
 
-        def act(g: Grade) -> Grade:
-            weight = (sum(g[1 + i] * axes[i][j] for i in range(r)) for j in range(r))
-            return (g[0], *weight, sum(b2 for b, b2 in bit_of.items() if g[-1] & b))
+            def act(g: Grade) -> Grade:
+                weight = (sum(g[1 + i] * axes[i][j] for i in range(r)) for j in range(r))
+                return (g[0], *weight, sum(b2 for b, b2 in bit_of.items() if g[-1] & b))
 
-        if perm not in checked:
-            for x, g in enumerate(alg.grades):
-                if alg.grades[perm[x]] != act(g):
-                    raise ValueError(
-                        f"the symmetry {(perm, signs)} of {alg.name} moves the grade of {alg.labels[x]}"
-                    )
-            check_automorphism(alg, (perm, signs), triples)
-            checked.add(perm)
-        if all(act(g) == g and _fixes(perm, signs, chain) for g, chain in target.items()):
-            group[perm] = (signs, index)
-    return sorted((perm, signs) for perm, (signs, _) in group.items())
+            if perm not in checked:
+                for x, g in enumerate(alg.grades):
+                    if alg.grades[perm[x]] != act(g):
+                        raise ValueError(
+                            f"the symmetry {(perm, signs)} of {alg.name} moves the grade of {alg.labels[x]}"
+                        )
+                check_automorphism(alg, (perm, signs), triples)
+                checked.add(perm)
+            if all(act(g) == g and _fixes(perm, signs, chain) for g, chain in target.items()):
+                group[perm] = signs
+                kept.add(index)
+    return sorted(group.items())
 
 
 def _fixes(perm: Sequence[int], signs: Sequence[int], chain: Mapping[Word, Coeff]) -> bool:

@@ -306,9 +306,16 @@ def test_unwritable_json_path_is_usage_error(monkeypatch, capsys, tmp_path, argv
     for name in ("validate", "invariant_subspace", "homology_dims", "run_suite"):
         monkeypatch.setattr(cli, name, no_work)
     missing = tmp_path / "missing" / "x.json"
-    for path, why in [(missing, f"no directory {missing.parent}"), (tmp_path, "it is a directory")]:
-        assert run(argv + ["--json", str(path)]) == EXIT_USAGE
+    head = "cannot write the --json report"
+    for flags, err in [
+        (["--json", str(missing)], f"{head} to {missing}: no directory {missing.parent}"),
+        (["--json", str(tmp_path)], f"{head} to {tmp_path}: it is a directory"),
+        # an empty path names no file: refused, not taken for "no report"
+        (["--json", ""], f"{head}: the path is empty"),
+        (["--json="], f"{head}: the path is empty"),
+    ]:
+        assert run(argv + flags) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: cannot write the --json report to {path}: {why}"]
+        assert captured.err.splitlines() == [f"error: {err}"]
     assert not missing.parent.exists()

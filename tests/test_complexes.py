@@ -183,11 +183,17 @@ def _bracket_word_boundary(algebra, word):
 
 def _reduce_then_rank_column(block, algebra, j):
     """Column j of ``block`` by the word route: the boundary of its word,
-    ``reduce``d to orbit representatives on an orbit block, then each word
-    ranked by ``rank_word`` and the pairs sorted."""
+    reduced to orbit representatives on an orbit block (each word to ± its
+    representative by ``canonical``, dropped orbits left out), then each
+    word ranked by ``rank_word`` and the pairs sorted."""
     out = _bracket_word_boundary(algebra, block.colspace.unrank_word(j))
     if isinstance(block.rowspace, OrbitBlock):
-        out = block.rowspace.reduce(out)
+        reduced = {}
+        for w, v in out.items():
+            hit = block.rowspace.canonical(w)
+            if hit is not None:
+                liealg.accumulate(reduced, hit[0], hit[1] * v)
+        out = reduced
     return sorted((block.rowspace.rank_word(w), v) for w, v in out.items())
 
 
@@ -425,6 +431,30 @@ def test_orbit_route_matches_plain_blocks_on_named_chains(pq, full_route):
     diff = make_gamma_tilde(sig, sign) - make_gamma_bar(sig)
     assert _assert_routes_agree(diff, full_route, ROTATION_PERMS[pq])
     assert not _assert_routes_agree(make_alpha_tilde(sig), full_route, ROTATION_PERMS[pq])
+
+
+def test_one_letter_action_per_group_element(monkeypatch):
+    # the group builder skips an index map once it has a kept action, so it
+    # builds one letter action per element: for the split orbit groups and
+    # for the stabilisers of the named chains
+    calls = []
+
+    def counted(alg, moved):
+        calls.append(moved)
+        return liealg.letter_action(alg, moved)
+
+    monkeypatch.setattr(rotations, "letter_action", counted)
+    for pq, order in [((2, 2), 4), ((3, 3), 24), ((4, 0), 24)]:
+        calls.clear()
+        group = split._split_reduction.__wrapped__(Signature(*pq), True).symmetries
+        assert len(calls) == len(group) == order, pq
+    for pq in [(2, 2), (3, 1)]:
+        sig = Signature(*pq)
+        sign, _ = resolve_gamma_tilde_sign(sig)
+        for chain in (make_gamma_tilde(sig, sign) - make_gamma_bar(sig), make_alpha_tilde(sig)):
+            calls.clear()
+            group = chain_symmetries(chain.space.algebra, _by_grade(chain))
+            assert len(calls) == len(group) == ROTATION_PERMS[pq], pq
 
 
 def _half_turn_sum(alg, word):

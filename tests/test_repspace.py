@@ -278,9 +278,10 @@ def test_orbit_block_indexes_even_orbits():
         assert two.canonical((2, 1)) == ((2, 0), -1)
         assert two.canonical((1, 1)) == ((0, 0), 1)
         assert two.canonical((2, 2)) == ((2, 2), 1)
-        # reduce sums the terms of one orbit with their signs
-        assert two.reduce({(1, 2): 3, (0, 2): 3}) == {}
-        assert two.reduce({(2, 1): 2, (0, 0): 1, (1, 1): 1}) == {(2, 0): -2, (0, 0): 2}
+        # ranked sums the terms of one orbit with their signs, at the rank
+        # of its representative
+        assert two.ranked({(1, 2): 3, (0, 2): 3}) == []
+        assert two.ranked({(2, 1): 2, (0, 0): 1, (1, 1): 1}) == [(0, 2), (3, -2)]
         # every word of the block is a signed image of its representative
         for w in map(GradeBlock(words, 2, (0, 0)).unrank_word, range(9)):
             rep, sign = two.canonical(w)

@@ -132,43 +132,69 @@ def test_split_form_check_survives_optimisation(run_python):
     assert "is wrong" in proc.stdout and "is no automorphism" in proc.stdout
 
 
-def _group_of(monkeypatch, rotations_of_sig, table=None):
+def _moved(table, perm, signs):
+    """(k', ±1) with e_k -> signs[k]·e_{perm[k]} sending b_k to ±b_k', for
+    each vector b_k of ``table``; None for a b_k sent to no ±b_k'."""
+    return [
+        table.find.get(frozenset((perm[j], signs[j] * c) for j, c in vec.items())) for vec in table.vecs
+    ]
+
+
+def _candidates(alg, table):
+    """(perm, signs, letter action) for every map of ``signed_rotations``
+    that sends each vector of ``table`` to ± one of them: every sign
+    vector, where the group builder keeps one per element."""
+    for perm, signings in signed_rotations(alg.sig):
+        for signs in signings:
+            moved = _moved(table, perm, signs)
+            if None not in moved:
+                yield perm, signs, letter_action(alg, moved)
+
+
+def _group_of(monkeypatch, rotations_of_sig):
     """The orbit group of the split h(2,2) built from the signed rotations
-    ``rotations_of_sig`` lists, on the split table or ``table``."""
+    ``rotations_of_sig`` lists."""
     form = split_reduction(build_affine(Signature(2, 2))).algebra
     monkeypatch.setattr(rotations, "signed_rotations", lambda sig: iter(rotations_of_sig))
-    return rotations.symmetry_group(form, table or split._split_table(form.sig), {})
+    return rotations.symmetry_group(form, split._split_table(form.sig), {})
+
+
+def _block_det(perm, signs, block):
+    """det of e_k -> signs[k]·e_{perm[k]} on ``block``, which it keeps: the
+    sign of the permutation by its inversions times the signs."""
+    inversions = sum(perm[a] > perm[b] for a in block for b in block if a < b)
+    return (-1) ** inversions * math.prod(signs[k] for k in block)
+
+
+@pytest.mark.parametrize(
+    "pq", [(p, n - p) for n in range(2, 7) for p in range(n, 0, -1)], ids=lambda pq: f"{pq[0]}_{pq[1]}"
+)
+def test_signed_rotations_are_in_so_p_times_so_q(pq):
+    # the group builder takes membership in SO(p)×SO(q) from
+    # ``signed_rotations`` unchecked: every map it yields keeps both blocks
+    # with det +1 on each, and it yields each of them once
+    p, q = pq
+    maps = [(perm, signs) for perm, signings in signed_rotations(Signature(p, q)) for signs in signings]
+    for perm, signs in maps:
+        for block in (range(p), range(p, p + q)):
+            assert sorted(perm[k] for k in block) == list(block), (perm, signs)
+            assert _block_det(perm, signs, block) == 1, (perm, signs)
+    assert len(set(maps)) == len(maps) == math.factorial(p) * math.factorial(q) * 2 ** (p + q - 1 - (q > 0))
 
 
 def test_symmetry_with_det_minus_one_is_rejected(monkeypatch):
-    # O(p)×O(q) elements outside SO(p)×SO(q) can act by -1 on homology
-    # e1 -> -e1: a reflection of the p-block
-    with pytest.raises(ValueError, match=r"det -1 on the block \[0, 1\]"):
-        _group_of(monkeypatch, [((0, 1, 2, 3), [(-1, 1, 1, 1)])])
-    # e1 <-> e2 and e3 <-> e4: det -1 on both blocks
-    with pytest.raises(ValueError, match="det -1"):
-        _group_of(monkeypatch, [((1, 0, 3, 2), [(1, 1, 1, 1)])])
+    # O(p)×O(q) elements outside SO(p)×SO(q) can act by -1 on homology;
+    # ``signed_rotations`` yields none of them, so the group holds none of
+    # their actions: e1 -> -e1, a reflection of the p-block, and
+    # e1 <-> e2, e3 <-> e4, det -1 on both blocks
+    red = split_reduction(build_affine(Signature(2, 2)))
+    table = split._split_table(red.algebra.sig)
+    for perm, signs in [((0, 1, 2, 3), (-1, 1, 1, 1)), ((1, 0, 3, 2), (1, 1, 1, 1))]:
+        assert letter_action(red.algebra, _moved(table, perm, signs)) not in red.symmetries
     # the same swaps with one sign in each block are rotations, kept up to
     # the flip -I
     ((perm, _),) = _group_of(monkeypatch, [((1, 0, 3, 2), [(-1, 1, -1, 1)])])
-    assert perm in {perm for perm, _ in split_reduction(build_affine(Signature(2, 2))).symmetries}
-
-
-def test_map_that_mixes_the_blocks_is_rejected(monkeypatch):
-    # e1 <-> e3 maps the split vectors' supports to supports, but mixes
-    # the blocks
-    with pytest.raises(ValueError, match=r"does not keep the block \[0, 1\]"):
-        _group_of(monkeypatch, [((2, 1, 0, 3), [(1, 1, 1, 1)])])
-
-
-def test_map_that_leaves_the_basis_is_rejected(monkeypatch):
-    # with only +b_k to look up, e1 -> -e1, e2 -> -e2 maps b_0 = e1 + e3
-    # to -b_2, which is missing
-    table = split._split_table(Signature(2, 2))
-    positive = rotations.BasisTable(table.vecs, table.weights, table.bits)
-    positive.find = {key: kb for key, kb in table.find.items() if kb[1] == 1}
-    with pytest.raises(ValueError, match="no basis vector up to sign"):
-        _group_of(monkeypatch, [((0, 1, 2, 3), [(1, 1, 1, 1), (-1, -1, 1, 1)])], positive)
+    assert perm in {perm for perm, _ in red.symmetries}
 
 
 def test_symmetry_that_breaks_a_bracket_is_rejected(monkeypatch):
@@ -208,22 +234,6 @@ def test_symmetry_check_rejects_hand_made_actions(monkeypatch):
     monkeypatch.setattr(rotations, "letter_action", swap_first_letters)
     with pytest.raises(ValueError, match=r"moves the grade of d\(1\)\+d\(3\)"):
         _group_of(monkeypatch, [((0, 1, 2, 3), [(1, 1, 1, 1)])])
-
-
-def test_symmetry_group_rejects_an_unlisted_flip(monkeypatch):
-    # -I is the flip of both parity bits at (2,2); negating one more letter
-    # of its action makes it differ from the identity by more than a flip
-    def wrong(alg, moved):
-        letters, letter_signs = liealg.letter_action(alg, moved)
-        if all(s == -1 for _, s in moved):
-            letter_signs = (-letter_signs[0],) + letter_signs[1:]
-        return letters, letter_signs
-
-    signings = [(1, 1, 1, 1), (-1, -1, -1, -1)]
-    assert len(_group_of(monkeypatch, [((0, 1, 2, 3), signings)])) == 1
-    monkeypatch.setattr(rotations, "letter_action", wrong)
-    with pytest.raises(ValueError, match="differ by more than a sign flip"):
-        _group_of(monkeypatch, [((0, 1, 2, 3), signings)])
 
 
 def test_so2_keeps_one_action_for_two_index_maps():
@@ -303,6 +313,13 @@ def test_symmetries_fix_every_kept_grade(pq):
 
 
 @pytest.mark.parametrize("build", [build_affine, build_so], ids=lambda b: b.__name__[6:])
+@pytest.mark.parametrize("pq, order", [((4, 1), 12), ((1, 4), 12), ((5, 0), 120), ((6, 0), 720)],
+                         ids=["4_1", "1_4", "5_0", "6_0"])
+def test_group_orders_at_n5_and_n6(build, pq, order):
+    assert len(split_reduction(build(Signature(*pq))).symmetries) == order
+
+
+@pytest.mark.parametrize("build", [build_affine, build_so], ids=lambda b: b.__name__[6:])
 @pytest.mark.parametrize("pq", list(GROUP_ORDERS), ids=lambda pq: f"{pq[0]}_{pq[1]}")
 def test_letter_action_matches_standard_route(build, pq):
     # the letter action induced from the split vectors equals the one got
@@ -311,7 +328,7 @@ def test_letter_action_matches_standard_route(build, pq):
     form = split_form(alg)
     letters = _signed_lookup(_standard_images(form, alg))
     actions = set()
-    for perm, signs, _, sym in rotations._candidates(form, split._split_table(alg.sig)):
+    for perm, signs, sym in _candidates(form, split._split_table(alg.sig)):
         assert sym == _through_standard_letters(alg, letters, perm, signs), (perm, signs)
         actions.add(sym)
     symmetries = split_reduction(alg).symmetries
@@ -366,7 +383,7 @@ def test_automorphism_set_check_matches_per_pair_check(pq):
     # and rejects as the pair-by-pair check does, naming the same pair
     form = split_form(build_affine(Signature(*pq)))
     triples = liealg.structure_triples(form)
-    actions = [sym for _, _, _, sym in rotations._candidates(form, split._split_table(form.sig))]
+    actions = [sym for _, _, sym in _candidates(form, split._split_table(form.sig))]
     perm, signs = actions[-1]
     flipped = (perm, (-signs[0],) + signs[1:])
     swapped = ((perm[1], perm[0]) + perm[2:], signs)
