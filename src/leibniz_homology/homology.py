@@ -47,9 +47,10 @@ composed on the way with the columns of d_{k-1} of its grade that the last
 rank kept, and below the top degree keeps it for the next.  So the check
 generates no column of its own, and only two degrees' columns are held at a
 time.  A block with no rows, or whose grade had no ranked block below it,
-has a zero composite and is not composed.  The degrees past the cap are not
-ranked, and their columns are not held: they are spot-checked on random
-chains, drawn from the seed, instead (``complexes.check_dd_zero``).
+has a zero composite and is not composed.  The capped degree is not
+ranked, and its columns are not held: it is spot-checked on random
+chains, drawn from the seed, instead (``complexes.check_dd_zero``).  No
+entry of the table reads a later degree, so none is built.
 """
 
 from __future__ import annotations
@@ -237,14 +238,10 @@ def _rank_blocks(
     for block in blocks:
         if block.cols == 0 or block.rows == 0:
             continue
-        if p is None:
-            elim = ExactEliminator(block.rows)
-            for col in read(block):
-                if col:
-                    elim.add_column(col)
-        else:
-            elim = SparseModularEliminator(block.rows, p)
-            elim.process_sparse_columns(read(block))
+        elim = ExactEliminator(block.rows) if p is None else SparseModularEliminator(block.rows, p)
+        for col in read(block):
+            if col:
+                elim.add_column(col)
         total += elim.rank
     return total
 
@@ -309,7 +306,7 @@ def homology_dims(
         if cols > opts.cap_exact:
             capped_at = k
             cap_message = f"degree {k}: {cols} columns exceed the exact cap {opts.cap_exact}"
-            check_dd_zero(op, range(k, max_degree + 2), random.Random(opts.seed))
+            check_dd_zero(op, (k,), random.Random(opts.seed))
             break
         kept: Optional[HeldColumns] = {} if k <= max_degree else None
         read = partial(_composed_columns, k, lower, kept)

@@ -292,10 +292,6 @@ class SparseModularEliminator:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
-    def saturated(self) -> bool:
-        return self.rank >= self.rowdim
-
     def add_column(self, col: SparseColumn) -> bool:
         p = self.p
         work: dict[int, int] = {}
@@ -339,13 +335,6 @@ class SparseModularEliminator:
             self.users.setdefault(r, set()).add(piv)
         self.fill += len(row)
         return True
-
-    def process_sparse_columns(self, cols: Iterable[SparseColumn]) -> None:
-        """Feed columns in order, stopping early once the rank saturates."""
-        for col in cols:
-            self.add_column(col)
-            if self.saturated:
-                return
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ class BasisTable:
     (0-based), ``find`` each ±b_k as (k, ±1), ``weights`` and ``bits`` their
     torus weights and parity bits; b_i has weight e_i for i below the
     number r of weights, and the letters of the algebra on b are those of
-    ``liealg.letter_action``.  Every sign pattern on the support of a b_k
+    ``liealg.letter_images``.  Every sign pattern on the support of a b_k
     is ± some b_k' (the split vectors pair e_i + e_{p+i} with e_i - e_{p+i}),
     so whether a signed permutation maps the basis to itself up to sign
     depends on its permutation alone."""

@@ -2,8 +2,9 @@
 
 ``split_form`` rewrites ``build_affine(sig)`` or ``build_so(sig)`` on a basis
 of joint eigenvectors of the split torus, the boosts Y(i,p+i) for
-i <= r = min(p,q), again with integer structure constants, graded by
-translation count, torus weights and parity.  ``split_reduction`` names the
+i <= r = min(p,q): the canonical algebra conjugated by the change of basis,
+again with integer structure constants, graded by translation count, torus
+weights and parity.  ``split_reduction`` names the
 grade blocks of its Loday complex that can carry homology: torus weight 0
 and trivial character under the sign flips that commute with the torus.
 It also builds, once per signature, the finite group whose orbit sums of
@@ -22,6 +23,7 @@ module on its first reduced run, so importing the package does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -34,14 +36,12 @@ from .liealg import (
     Grade,
     LieAlgebra,
     Signature,
-    Translation,
-    _pair_sign,
     accumulate,
     build_affine,
     build_so,
     is_canonical,
+    letter_images,
     letter_pairs,
-    so_labels,
 )
 from .linalg import ExactEliminator
 from .repspace import Symmetry
@@ -87,108 +87,78 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     """``build_affine(sig)`` or ``build_so(sig)`` on a basis of joint
     eigenvectors of the split torus, the boosts Y(i,p+i) for i <= r = min(p,q).
 
-    In closed form: R^n gets the basis b_i = e_i + e_{p+i},
-    b_{p+i} = e_i - e_{p+i} (i <= r) and b_k = e_k (k unpaired), with
-    torus weight +1, -1 and 0 in coordinate i.  The translations are the
-    d(b_k), and so(p,q) ≅ Λ²R^n is spanned by the b_a ∧ b_b, signed so that
-    unpaired pairs give exactly X(a,b) or Y(a,b).  With the quadratic form B,
-
-        [u∧v, d(w)] = B(u,w) d(v) - B(v,w) d(u)
-        [u∧v, w∧z] = -B(v,w) u∧z + B(v,z) u∧w + B(u,w) v∧z - B(u,z) v∧w,
-
-    all integers.  An element is graded (count, torus weights, parity): its
-    weights are the sums of its vectors' weights, and its parity the XOR of
-    their bits, b_i and b_{p+i} both on bit i, so it is the character under
-    the diagonal flips with ε_i = ε_{p+i}, the ones that commute with the
+    R^n gets the basis b_i = e_i + e_{p+i}, b_{p+i} = e_i - e_{p+i}
+    (i <= r) and b_k = e_k (k unpaired), with torus weight +1, -1 and 0 in
+    coordinate i (``_split_table``).  The letters are the d(b_k) and the
+    signed b_a ∧ b_b of ``liealg.letter_images``, which gives their images
+    in the standard basis; unpaired pairs give exactly X(a,b) or Y(a,b).
+    The structure constants are those of ``alg`` in that basis: the bracket
+    of two images in ``alg``, written back in the images through the
+    inverse of the change of basis; every constant comes out an integer.
+    An element is graded (count, torus weights, parity): its weights are
+    the sums of its vectors' weights, and its parity the XOR of their bits,
+    b_i and b_{p+i} both on bit i, so it is the character under the
+    diagonal flips with ε_i = ε_{p+i}, the ones that commute with the
     torus.  Labels spell out each element in the standard basis; the torus
     element for i is -2Y(i,p+i), and it acts by twice the weight.  At
     q = 0 nothing is paired and this is the standard basis.
 
-    The construction is checked against ``alg`` and raises ``ValueError``
-    unless the map to the standard basis is injective and carries every
-    split bracket to the bracket of ``alg``, the torus elements act by
-    their weights, and every element's parity and count are those of its
-    standard terms.
+    Raises ``ValueError`` unless ``alg`` is canonical
+    (``liealg.is_canonical``), the images span the algebra, every constant
+    is an integer, every element's parity and count are those of its
+    standard terms and the torus elements act by their weights.
     """
-    sig = alg.sig
-    so = so_labels(sig) if sig is not None and sig.n >= 2 else []
-    nt = sig.n if so and alg.translation_indices else 0
-    expected = [Translation(k + 1) for k in range(nt)] + so
-    if not so or set(alg.labels) != set(expected) or alg.dim != len(expected):
+    if not is_canonical(alg):
         raise ValueError(f"{alg.name} is not so(p,q) or h_n on the canonical basis")
-    p, n = sig.p, sig.n
-    r = min(p, sig.q)
+    sig = alg.sig
+    p, r, dim = sig.p, min(sig.p, sig.q), alg.dim
     table = _split_table(sig)
-    vecs, weights, bits = table.vecs, table.weights, table.bits
+    weights, bits = table.weights, table.bits
     pairs, wedge = letter_pairs(sig)
-    metric = [1] * p + [-1] * (n - p)
-    gram = [[sum(metric[k] * c * v.get(k, 0) for k, c in u.items()) for v in vecs] for u in vecs]
-    structure: dict[tuple[int, int], dict[int, int]] = {}
-
-    def put(x: int, y: int, vec: dict[int, int]) -> None:
-        if vec:
-            structure[(x, y)] = vec
-            structure[(y, x)] = {c: -v for c, v in vec.items()}
-
-    for x, (a, b) in enumerate(pairs, nt):
-        sx = _pair_sign(a, b, p)
-        for w in range(nt):
-            vec: dict[int, int] = {}
-            accumulate(vec, b, sx * gram[a][w])
-            accumulate(vec, a, -sx * gram[b][w])
-            put(x, w, vec)
-        for y, (c, d) in enumerate(pairs[x - nt + 1:], x + 1):
-            vec = {}
-            for coef, u, v in (
-                (-gram[b][c], a, d), (gram[b][d], a, c), (gram[a][c], b, d), (-gram[a][d], b, c)
-            ):
-                if coef and u != v:
-                    t, s = wedge[(u, v)]
-                    accumulate(vec, nt + t, sx * _pair_sign(c, d, p) * coef * s)
-            put(x, y, vec)
-
-    # the images in the standard basis, and the grades
-    images: list[dict[int, int]] = [
-        {alg.index(Translation(k + 1)): c for k, c in vecs[w].items()} for w in range(nt)
-    ]
+    nt = dim - len(pairs)
+    images = letter_images(sig, nt, table.vecs)
     grades: list[Grade] = [(1,) + weights[w] + (bits[w],) for w in range(nt)]
     for a, b in pairs:
-        img: dict[int, int] = {}
-        for k, u in vecs[a].items():
-            for l, v in vecs[b].items():
-                if k != l:
-                    t, s = wedge[(k, l)]
-                    accumulate(img, alg.index(so[t]), _pair_sign(a, b, p) * s * u * v)
-        images.append(img)
         weight = tuple(x + y for x, y in zip(weights[a], weights[b]))
         grades.append((0,) + weight + (bits[a] ^ bits[b],))
     labels = [_expansion_label(img, alg.labels) for img in images]
-    split = LieAlgebra(labels, structure, grades=grades, sig=sig, name=f"{alg.name}-split")
 
     def fail(message: str) -> ValueError:
         return ValueError(f"the split form of {alg.name} is wrong: {message}")
 
-    elim = ExactEliminator(alg.dim)
+    # scale·e_k = Σ inverse[k][x]·images[x], from the relation of each
+    # standard letter e_k, fed after the images, on them
+    elim = ExactEliminator(dim, track=True)
     for img in images:
         elim.add_column(sorted(img.items()))
-    if elim.rank != alg.dim:
-        raise fail(f"its {alg.dim} elements span only {elim.rank} dimensions")
-    for x in range(alg.dim):
-        for y in range(x + 1, alg.dim):
-            mapped: dict[int, int] = {}
-            for c, v in split.bracket(x, y).items():
-                for k, t in images[c].items():
-                    accumulate(mapped, k, v * t)
+    if elim.rank != dim:
+        raise fail(f"its {dim} elements span only {elim.rank} dimensions")
+    relations = []
+    for k in range(dim):
+        elim.add_column([(k, 1)])
+        relation = elim.relation
+        relations.append((relation.pop(dim + k), relation))
+    scale = math.lcm(*(c for c, _ in relations))
+    inverse = [{x: -v * (scale // c) for x, v in rel.items()} for c, rel in relations]
+    structure: dict[tuple[int, int], dict[int, int]] = {}
+    for x in range(dim):
+        for y in range(x + 1, dim):
             direct: dict[int, Coeff] = {}
             for i, u in images[x].items():
                 for j, v in images[y].items():
                     for k, t in alg.bracket(i, j).items():
                         accumulate(direct, k, u * v * t)
-            if mapped != direct:
-                raise fail(
-                    f"[{labels[x]}, {labels[y]}] maps to {_expansion_label(mapped, alg.labels)}, "
-                    f"but the bracket of the images is {_expansion_label(direct, alg.labels)}"
-                )
+            vec: dict[int, int] = {}
+            for k, t in direct.items():
+                for z, v in inverse[k].items():
+                    accumulate(vec, z, t * v)
+            if any(v % scale for v in vec.values()):
+                raise fail(f"[{labels[x]}, {labels[y]}] has a constant that is no integer")
+            if vec:
+                structure[(x, y)] = {z: v // scale for z, v in vec.items()}
+                structure[(y, x)] = {z: -v // scale for z, v in vec.items()}
+    split = LieAlgebra(labels, structure, grades=grades, sig=sig, name=f"{alg.name}-split")
+
     fold = ((1 << r) - 1) << p
     for x, img in enumerate(images):
         for k in img:
@@ -199,7 +169,7 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
         t = nt + wedge[(i, p + i)][0]
         if images[t] != {alg.index(BoostY(i + 1, p + i + 1)): -2}:
             raise fail(f"{labels[t]} is not -2Y({i + 1},{p + i + 1})")
-        for x in range(alg.dim):
+        for x in range(dim):
             w = split.grades[x][1 + i]
             if split.bracket(t, x) != ({x: 2 * w} if w else {}):
                 raise fail(f"{labels[t]} does not act on {labels[x]} by twice its weight {w}")

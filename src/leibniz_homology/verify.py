@@ -4,8 +4,8 @@ Every check carries a ``claim`` string (the mathematical statement being
 verified) or the tag "plumbing" for artifact-internal consistency checks.
 Statuses: "pass" / "fail" for asserted checks, "reported" for values that are
 computed and recorded without being asserted (the n = 4, k = 2 coincidence of
-the middle invariant table, and statements outside the exact-solve range),
-and for the n = 4 witness solves when a block is past the exact cap.
+the middle invariant table), and for the witness solves when a block is past
+the exact cap.
 
 Every Betti number a suite checks is exact over Q.  The one modular rank is
 the cross-field check of the engines, ``structure.rank_cross_field``: the
@@ -312,34 +312,27 @@ def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optio
             "gamma_tilde is a cycle of the Loday complex",
             complexes.is_cycle(gamma_tilde),
         )
-        if n == 4:
-            # the witness solves are exact only: a block past cap_exact
-            # leaves its check reported as not run, and the suite goes on
-            claim = "gamma_tilde - gamma_bar is a boundary (the two classes agree in homology)"
-            try:
-                witness = complexes.is_boundary(gamma_tilde - gamma_bar, cap_exact=opts.cap_exact)
-            except CapExceededError as exc:
-                suite.report("complexes.gamma_homologous", claim, f"not run: {exc}")
-            else:
-                suite.record(
-                    "complexes.gamma_homologous",
-                    claim,
-                    witness is not None,
-                    "exact witness found" if witness is not None else "no witness",
-                )
-            claim = "the antisymmetrized volume tensor is not a boundary (degree-n class is nonzero)"
-            try:
-                not_bd = complexes.is_boundary(alpha_tilde, cap_exact=opts.cap_exact)
-            except CapExceededError as exc:
-                suite.report("complexes.alpha_tilde_not_boundary", claim, f"not run: {exc}")
-            else:
-                suite.record("complexes.alpha_tilde_not_boundary", claim, not_bd is None)
+        # the witness solves are exact only: a block past cap_exact
+        # leaves its check reported as not run, and the suite goes on
+        claim = "gamma_tilde - gamma_bar is a boundary (the two classes agree in homology)"
+        try:
+            witness = complexes.is_boundary(gamma_tilde - gamma_bar, cap_exact=opts.cap_exact)
+        except CapExceededError as exc:
+            suite.report("complexes.gamma_homologous", claim, f"not run: {exc}")
         else:
-            suite.report(
+            suite.record(
                 "complexes.gamma_homologous",
-                "gamma_tilde - gamma_bar is a boundary",
-                "exact witness solve is restricted to n = 4",
+                claim,
+                witness is not None,
+                "exact witness found" if witness is not None else "no witness",
             )
+        claim = "the antisymmetrized volume tensor is not a boundary (degree-n class is nonzero)"
+        try:
+            not_bd = complexes.is_boundary(alpha_tilde, cap_exact=opts.cap_exact)
+        except CapExceededError as exc:
+            suite.report("complexes.alpha_tilde_not_boundary", claim, f"not run: {exc}")
+        else:
+            suite.record("complexes.alpha_tilde_not_boundary", claim, not_bd is None)
 
     # homology versus the predicted dimension series
     maxdeg = 4 if n == 4 else 3

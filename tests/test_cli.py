@@ -233,6 +233,16 @@ def test_verify_paper_definite(tmp_path, capsys):
     assert data["resolved_gamma_sign"] == -1
 
 
+@pytest.mark.parametrize("pq", [(2, 3), (4, 1)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_verify_paper_asserts_witnesses_at_n5(pq):
+    # the witness solves run at every n, not only at n = 4
+    report = run_suite("paper", Signature(*pq))
+    statuses = {c.check_id: c.status for c in report.checks}
+    assert statuses["complexes.gamma_homologous"] == "pass"
+    assert statuses["complexes.alpha_tilde_not_boundary"] == "pass"
+    assert report.passed
+
+
 def test_verify_paper_modular_only_reports_witnesses_not_run(tmp_path, capsys):
     # a cap below the witness blocks (120 and 260 orbit columns) leaves the
     # exact witness solves unrun and reported as such; the homology table,

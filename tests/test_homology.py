@@ -336,13 +336,14 @@ def test_every_boundary_term_goes_through_canonical(monkeypatch):
 
 
 # at (2,2) d_4 has 161 orbit columns and d_5 1,240
-@pytest.mark.parametrize("cap_exact, capped_at", [(500, 5), (100, 4)])
+@pytest.mark.parametrize("cap_exact, capped_at", [(500, 5)])
 def test_dd_check_covers_capped_degrees(monkeypatch, cap_exact, capped_at):
     # a wrong sign on one non-representative word of the length-4 orbit
     # block of translation count 2 first shows in d_4∘d_5; the check still
-    # reaches degree 5 when d_5 (or already d_4) is past the cap.  Those
-    # degrees are not ranked, so they get the sampled check; 1,000 chains
-    # per degree catch this error whichever columns are drawn
+    # reaches degree 5 when d_5 is past the cap.  That degree is not
+    # ranked, so it gets the sampled check; 1,000 chains catch this error
+    # whichever columns are drawn.  A degree past the capped one is not
+    # checked: no entry of the table reads it
     h = build_affine(Signature(2, 2))
     opts = HomologyOptions(cap_exact=cap_exact)
     assert homology_dims(h, 4, options=opts).capped_at == capped_at
@@ -351,6 +352,17 @@ def test_dd_check_covers_capped_degrees(monkeypatch, cap_exact, capped_at):
     monkeypatch.setattr(complexes, "DD_CHECKS", 1_000)
     with pytest.raises(AssertionError, match=re.escape(f"d∘d != 0 at degree 5, grade {grade}")):
         homology_dims(h, 4, options=opts)
+
+
+def test_capped_run_checks_only_the_capped_degree(monkeypatch):
+    # no entry of a capped table reads a degree past the cap, so the
+    # sampled check builds no block there, whatever max_degree is
+    calls = []
+    monkeypatch.setattr(homology, "check_dd_zero", lambda op, degrees, rng: calls.append(tuple(degrees)))
+    h = build_affine(Signature(2, 2))
+    for max_degree in (4, 6):
+        assert homology_dims(h, max_degree, options=HomologyOptions(cap_exact=500)).capped_at == 5
+    assert calls == [(5,), (5,)]
 
 
 def test_ranked_dd_check_traced_as_complexes_layer(run_python):

@@ -64,7 +64,8 @@ def exact_rank(m):
 def modular_rank(m, p):
     rows, columns = m
     elim = SparseModularEliminator(rows, p)
-    elim.process_sparse_columns(columns)
+    for col in columns:
+        elim.add_column(col)
     return elim.rank
 
 

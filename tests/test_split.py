@@ -1,7 +1,9 @@
-"""The split form of the affine algebras: closed-form construction and its check."""
+"""The split form of the affine algebras: the canonical algebra conjugated
+to the split basis, and the checks the construction keeps."""
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -18,8 +20,12 @@ from leibniz_homology import (
     validate,
 )
 from leibniz_homology import liealg, rotations, split
-from leibniz_homology.liealg import check_automorphism, letter_action, signed_rotations, so_labels
+from leibniz_homology.liealg import (
+    accumulate, check_automorphism, letter_action, signed_rotations, so_labels,
+)
+from leibniz_homology.linalg import ExactEliminator
 from leibniz_homology.repspace import GradeBlock, graded_words
+from leibniz_homology.rotations import BasisTable
 from leibniz_homology.split import split_form, split_reduction
 
 
@@ -39,8 +45,7 @@ SPLIT_CASES = [
     [pytest.param(b, pq, id=f"{b.__name__[6:]}{pq[0]}{pq[1]}") for b, pq in SPLIT_CASES],
 )
 def test_split_form_is_isomorphic(build, pq):
-    # the construction checks itself against the standard table; here the
-    # split table is a Lie algebra with integer constants and torus weights
+    # the split table is a Lie algebra with integer constants and torus weights
     alg = build(Signature(*pq))
     split = split_form(alg)
     r = min(pq)
@@ -68,21 +73,85 @@ def _corrupted(alg):
 
 @pytest.mark.parametrize("pq", [(2, 2), (3, 1), (3, 3)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
 def test_split_form_rejects_corrupted_constants(pq):
-    for build in (build_affine, build_so):
-        with pytest.raises(ValueError, match="split form of .* is wrong"):
-            split_form(_corrupted(build(Signature(*pq))))
-    # only the canonical algebras have a split form
+    # only the canonical algebras have a split form: a corrupted constant,
+    # another basis or the split form itself is refused
     h = build_affine(Signature(*pq))
-    for alg in (build_abelian(3), LieAlgebra(h.labels[1:], {}, sig=h.sig), split_form(h)):
+    for alg in (
+        _corrupted(h),
+        _corrupted(build_so(Signature(*pq))),
+        build_abelian(3),
+        LieAlgebra(h.labels[1:], {}, sig=h.sig),
+        split_form(h),
+    ):
         with pytest.raises(ValueError, match="canonical basis"):
             split_form(alg)
+
+
+ALL_CASES = [(b, (p, n - p)) for n in range(2, 7) for p in range(n, 0, -1) for b in (build_affine, build_so)]
+
+
+@pytest.mark.parametrize(
+    "build, pq",
+    [pytest.param(b, pq, id=f"{b.__name__[6:]}{pq[0]}{pq[1]}") for b, pq in ALL_CASES],
+)
+def test_split_brackets_map_to_brackets_of_the_images(build, pq):
+    # the split constants are the canonical ones in another basis: the
+    # images of the split letters, read off their labels, span the algebra,
+    # and every split bracket, mapped back through them, is the bracket of
+    # the two images
+    alg = build(Signature(*pq))
+    form = split_form(alg)
+    images = _standard_images(form, alg)
+    elim = ExactEliminator(alg.dim)
+    for img in images:
+        elim.add_column(sorted(img.items()))
+    assert elim.rank == alg.dim
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            mapped: dict = {}
+            for c, v in form.bracket(x, y).items():
+                for k, t in images[c].items():
+                    accumulate(mapped, k, v * t)
+            direct: dict = {}
+            for i, u in images[x].items():
+                for j, v in images[y].items():
+                    for k, t in alg.bracket(i, j).items():
+                        accumulate(direct, k, u * v * t)
+            assert mapped == direct, (form.labels[x], form.labels[y])
+
+
+def test_split_form_rejects_a_non_integral_change_of_basis(monkeypatch):
+    # b_0 = e_0/2 at q = 0: [d(b_0), b_0 ∧ b_1] = d(b_1)/4.  An integral
+    # basis such as b_0 = 2e_0 cannot hit this: its constants are integer
+    # combinations of the B(b_a, b_b)
+    sig = Signature(4, 0)
+    table = split._split_table(sig)
+    halved = BasisTable([{0: Fraction(1, 2)}] + table.vecs[1:], table.weights, table.bits)
+    monkeypatch.setattr(split, "_split_table", lambda sig: halved)
+    with pytest.raises(ValueError, match=r"\[1/2d\(1\), 1/2X\(1,2\)\] has a constant that is no integer"):
+        split_form(build_affine(sig))
+    with pytest.raises(ValueError, match="has a constant that is no integer"):
+        split_form(build_so(sig))
+
+
+def _regrading(regrade):
+    """``LieAlgebra`` with ``regrade`` applied to every grade it is given."""
+
+    def regraded(labels, structure, *, grades, **kwargs):
+        return LieAlgebra(labels, structure, grades=[regrade(g) for g in grades], **kwargs)
+
+    return regraded
+
+
+def _weight_as_count(g):
+    """The translation count in place of the first torus weight."""
+    return (g[0], g[0]) + g[2:]
 
 
 @pytest.mark.parametrize(
     "regrade, message",
     [
-        # the translation count in place of the first torus weight
-        (lambda g: (g[0], g[0]) + g[2:], "does not act on .* by twice its weight 1"),
+        (_weight_as_count, "does not act on .* by twice its weight 1"),
         # every parity 0
         (lambda g: g[:-1] + (0,), "of another count or parity"),
     ],
@@ -91,25 +160,21 @@ def test_split_form_rejects_corrupted_constants(pq):
 def test_split_form_rejects_gradings_of_other_origin(monkeypatch, regrade, message):
     # both are valid gradings, but the first is not the eigenvalues of a
     # torus element and the second not the characters of the flips
-    real = split.LieAlgebra
-
-    def regraded(labels, structure, *, grades, **kwargs):
-        return real(labels, structure, grades=[regrade(g) for g in grades], **kwargs)
-
-    monkeypatch.setattr(split, "LieAlgebra", regraded)
+    monkeypatch.setattr(split, "LieAlgebra", _regrading(regrade))
     with pytest.raises(ValueError, match=message):
         split_form(build_affine(Signature(2, 2)))
 
 
 def test_split_form_check_survives_optimisation(run_python):
-    # the isomorphism and group checks raise, so python -O does not strip them
+    # the canonical refusal, the torus-weight check and the group check
+    # raise, so python -O does not strip them
     code = (
         "import sys\n"
         "import pytest\n"
-        "from leibniz_homology import Signature, build_affine\n"
+        "from leibniz_homology import Signature, build_affine, split\n"
         "from leibniz_homology.split import _split_reduction, split_form\n"
         "from test_complexes import _flip_first_letter\n"
-        "from test_split import _corrupted\n"
+        "from test_split import _corrupted, _regrading, _weight_as_count\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "try:\n"
@@ -118,6 +183,14 @@ def test_split_form_check_survives_optimisation(run_python):
         "    print(exc)\n"
         "else:\n"
         "    sys.exit('a corrupted constant passed')\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    mp.setattr(split, 'LieAlgebra', _regrading(_weight_as_count))\n"
+        "    try:\n"
+        "        split_form(build_affine(Signature(2, 2)))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        sys.exit('a torus weight of another origin passed')\n"
         "with pytest.MonkeyPatch.context() as mp:\n"
         "    _flip_first_letter(mp)\n"
         "    try:\n"
@@ -129,7 +202,8 @@ def test_split_form_check_survives_optimisation(run_python):
     )
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert "is wrong" in proc.stdout and "is no automorphism" in proc.stdout
+    assert "canonical basis" in proc.stdout and "is no automorphism" in proc.stdout
+    assert "by twice its weight" in proc.stdout
 
 
 def _moved(table, perm, signs):
