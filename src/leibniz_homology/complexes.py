@@ -56,10 +56,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+from ._value import Value
 from .liealg import Coeff, Grade, LieAlgebra, ModuleLawError, _perm_sign, accumulate
 from .linalg import DEFAULT_CAP_EXACT, CapExceededError, solve
 from .repspace import (
@@ -95,16 +95,22 @@ Column = list[tuple[int, Coeff]]  # sorted (row, value) pairs of one boundary co
 WordIndex = Union[GradeBlock, OrbitBlock, Space]
 
 
-@dataclass(slots=True)
-class BoundaryBlock:
+class BoundaryBlock(Value):
     """One block of a degree-k boundary: columns indexed by ``colspace``
     (degree k), rows by ``rowspace`` (degree k-1).  ``grade`` is the grade
     of a Loday block; a CE block spans its whole chain space and has None."""
 
-    grade: Optional[Grade]
-    colspace: WordIndex
-    rowspace: WordIndex
-    word_boundary: Callable[[Word], dict[Word, Coeff]]
+    __slots__ = ("grade", "colspace", "rowspace", "word_boundary")
+    _fields = __slots__
+
+    def __init__(
+        self, grade: Optional[Grade], colspace: WordIndex, rowspace: WordIndex,
+        word_boundary: Callable[[Word], dict[Word, Coeff]],
+    ) -> None:
+        self.grade = grade
+        self.colspace = colspace
+        self.rowspace = rowspace
+        self.word_boundary = word_boundary
 
     @property
     def rows(self) -> int:

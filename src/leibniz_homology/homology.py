@@ -40,26 +40,29 @@ one cap before it reads a column: a degree whose ranked blocks have more
 than ``cap_exact`` columns together ends the table there, as a partial
 report whose entries are all exact, and the loop writes the cap message.
 
-Every run checks d∘d = 0 on every column it ranks (the orbit columns, when
+Every run checks d∘d = 0 on the columns it ranks (the orbit columns, when
 reduced) and aborts on a nonzero composite, naming the degree and grade.  It
-makes one pass per degree k: the rank of d_k reads each column once,
-composed on the way with the columns of d_{k-1} of its grade that the last
-rank kept, and below the top degree keeps it for the next.  So the check
-generates no column of its own, and only two degrees' columns are held at a
-time.  A block with no rows, or whose grade had no ranked block below it,
-has a zero composite and is not composed.  The capped degree is not
-ranked, and its columns are not held: it is spot-checked on random
-chains, drawn from the seed, instead (``complexes.check_dd_zero``).  No
+makes one pass per degree k: the rank of d_k reads each column once, keeps
+it for the next degree below the top one, and composes it with the kept
+columns of d_{k-1} of its grade if it raised the rank of its block.  Any
+other column is 0 or a combination over Q of earlier columns of its block,
+whose composites were 0, so its own is 0 and is not computed.  The check
+generates no column of its own, and only two degrees' columns are held at
+a time.  A block with no rows, or whose grade had no ranked block below it,
+has a zero composite and is not composed.  The capped degree is not ranked,
+and its columns are not held: it is spot-checked on random chains, drawn
+from the seed, instead (``complexes.check_dd_zero``).  No
 entry of the table reads a later degree, so none is built.
 """
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from ._value import Frozen, Value
 from .complexes import (
     BoundaryBlock,
     CEBoundary,
@@ -84,51 +87,65 @@ __all__ = [
     "cohomology_dims",
 ]
 
-ColumnReader = Callable[[BoundaryBlock], Iterable[Column]]  # a block's columns, in order
+ColumnCheck = Callable[[Column, bool], None]  # a ranked column, and whether it raised the rank
 HeldColumns = dict[Optional[Grade], list[Column]]  # one degree's ranked columns, by grade
 
 
-@dataclass(frozen=True)
-class HomologyOptions:
-    cap_exact: int = DEFAULT_CAP_EXACT
-    seed: int = 0
+class HomologyOptions(Frozen):
+    _fields = ("cap_exact", "seed")
 
-    def __post_init__(self):
-        if self.cap_exact < 0:
-            raise ValueError(f"cap_exact must be at least 0, got {self.cap_exact}")
+    def __init__(self, cap_exact: int = DEFAULT_CAP_EXACT, seed: int = 0) -> None:
+        if cap_exact < 0:
+            raise ValueError(f"cap_exact must be at least 0, got {cap_exact}")
+        self.__dict__.update(cap_exact=cap_exact, seed=seed)
 
     def environment(self) -> dict:
         """The environment record of a report: seed and cap."""
         return {"seed": self.seed, "cap_exact": self.cap_exact}
 
 
-@dataclass
-class BettiEntry:
-    degree: int
-    dim: int
-    rank_d_k: int
-    rank_d_k1: int
-    betti: int
-    certification: str  # always "exact"
+class BettiEntry(Value):
+    _fields = ("degree", "dim", "rank_d_k", "rank_d_k1", "betti", "certification")
+
+    def __init__(
+        self, degree: int, dim: int, rank_d_k: int, rank_d_k1: int, betti: int, certification: str
+    ) -> None:
+        self.degree = degree
+        self.dim = dim
+        self.rank_d_k = rank_d_k
+        self.rank_d_k1 = rank_d_k1
+        self.betti = betti
+        self.certification = certification  # always "exact"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class BettiReport:
-    algebra: str
-    kind: str  # "loday" | "ce"
-    variant: str  # "homology" | "cohomology"
-    max_degree: int
-    entries: list[BettiEntry]
-    predicted: Optional[list[int]] = None
-    matches: Optional[list[bool]] = None
-    certificates: dict[int, RankCertificate] = field(default_factory=dict)
-    environment: dict = field(default_factory=dict)
-    capped_at: Optional[int] = None
-    cap_message: Optional[str] = None
-    reduction: Optional[SplitReduction] = None  # None: every block ranked
+class BettiReport(Value):
+    _fields = (
+        "algebra", "kind", "variant", "max_degree", "entries", "predicted", "matches",
+        "certificates", "environment", "capped_at", "cap_message", "reduction",
+    )
+
+    def __init__(
+        self, algebra: str, kind: str, variant: str, max_degree: int, entries: list[BettiEntry],
+        predicted: Optional[list[int]] = None, matches: Optional[list[bool]] = None,
+        certificates: Optional[dict[int, RankCertificate]] = None,
+        environment: Optional[dict] = None, capped_at: Optional[int] = None,
+        cap_message: Optional[str] = None, reduction: Optional[SplitReduction] = None,
+    ) -> None:
+        self.algebra = algebra
+        self.kind = kind  # "loday" | "ce"
+        self.variant = variant  # "homology" | "cohomology"
+        self.max_degree = max_degree
+        self.entries = entries
+        self.predicted = predicted
+        self.matches = matches
+        self.certificates = {} if certificates is None else certificates
+        self.environment = {} if environment is None else environment
+        self.capped_at = capped_at
+        self.cap_message = cap_message
+        self.reduction = reduction  # None: every block ranked
 
     @property
     def betti(self) -> list[int]:
@@ -198,50 +215,61 @@ def predicted_hl_dims(sig: Signature, max_degree: int) -> list[int]:
     return out
 
 
-def _composed_columns(
+def _composite(col: Column, below: list[Column]) -> dict[int, Coeff]:
+    """d_{k-1}(``col``) without zeros, ``below`` the columns of d_{k-1}."""
+    out: dict[int, Coeff] = {}
+    for i, v in col:
+        for r, w in below[i]:
+            nv = out.get(r, 0) + v * w
+            if nv:
+                out[r] = nv
+            elif r in out:
+                del out[r]
+    return out
+
+
+def _dd_check(
     k: int,
     lower: HeldColumns,
     kept: Optional[HeldColumns],
     block: BoundaryBlock,
-) -> Iterator[Column]:
-    """The columns of the degree-k ``block`` in order, each composed with
-    ``lower``'s columns of d_{k-1} of its grade, which it lets go; a nonzero
-    composite raises ``AssertionError``.  With ``kept`` the columns are kept
-    there, by grade, for degree k+1."""
+) -> ColumnCheck:
+    """What the rank of the degree-k ``block`` calls with each column: a
+    column that raised the rank is composed with ``lower``'s columns of
+    d_{k-1} of its grade, which the block lets go, and a nonzero composite
+    raises ``AssertionError``.  With ``kept`` every column is kept there, by
+    grade, for degree k+1."""
     below = lower.pop(block.grade, None)
     held = None if kept is None else kept.setdefault(block.grade, [])
-    for col in block.columns():
-        if below is not None:
-            out: dict[int, Coeff] = {}
-            for i, v in col:
-                for r, w in below[i]:
-                    nv = out.get(r, 0) + v * w
-                    if nv:
-                        out[r] = nv
-                    elif r in out:
-                        del out[r]
-            if out:
-                raise AssertionError(f"d∘d != 0 at degree {k}, grade {block.grade}")
+
+    def check_column(col: Column, raised: bool) -> None:
+        if raised and below is not None and _composite(col, below):
+            raise AssertionError(f"d∘d != 0 at degree {k}, grade {block.grade}")
         if held is not None:
             held.append(col)
-        yield col
+
+    return check_column
 
 
 def _rank_blocks(
-    blocks, p: Optional[int] = None, read: ColumnReader = BoundaryBlock.columns
+    blocks, p: Optional[int] = None, check: Optional[Callable[[BoundaryBlock], ColumnCheck]] = None
 ) -> int:
     """Sum of the ranks of ``blocks``: over Q without ``p``, else mod the
-    prime ``p``, which is at most the rank over Q.  ``read(block)`` gives a
-    block's columns in order.  Blocks with no rows or no columns are
-    skipped."""
+    prime ``p``, which is at most the rank over Q.  Blocks with no rows or
+    no columns are skipped.  ``check(block)``, if given, is called once per
+    ranked block, and what it returns gets each column of the block, in
+    order, with whether it raised the rank."""
     total = 0
     for block in blocks:
         if block.cols == 0 or block.rows == 0:
             continue
         elim = ExactEliminator(block.rows) if p is None else SparseModularEliminator(block.rows, p)
-        for col in read(block):
-            if col:
-                elim.add_column(col)
+        add = elim.add_column
+        check_column = None if check is None else check(block)
+        for col in block.columns():
+            raised = add(col) if col else False
+            if check_column is not None:
+                check_column(col, raised)
         total += elim.rank
     return total
 
@@ -295,8 +323,8 @@ def homology_dims(
     op = _boundary(algebra, kind, reduction)
 
     # one pass per degree k: past the cap the table ends; else the exact
-    # rank of d_k composes each column it reads with the kept columns of
-    # d_{k-1}, and below the top degree keeps it
+    # rank of d_k composes each column that raises it with the kept columns
+    # of d_{k-1}, and below the top degree keeps every column it reads
     lower: Optional[HeldColumns] = {}
     ranks: dict[int, RankCertificate] = {}
     capped_at = cap_message = None
@@ -309,8 +337,8 @@ def homology_dims(
             check_dd_zero(op, (k,), random.Random(opts.seed))
             break
         kept: Optional[HeldColumns] = {} if k <= max_degree else None
-        read = partial(_composed_columns, k, lower, kept)
-        ranks[k] = RankCertificate(_rank_blocks(blocks, read=read), "Q", "exact")
+        check = partial(_dd_check, k, lower, kept)
+        ranks[k] = RankCertificate(_rank_blocks(blocks, check=check), "Q", "exact")
         lower = kept
 
     entries = []
@@ -350,8 +378,7 @@ def homology_dims(
 
 def cohomology_dims(report: BettiReport) -> BettiReport:
     """The dual table: identical dimensions, flagged as cohomology."""
-    return replace(
-        report,
-        variant="cohomology",
-        entries=[replace(e) for e in report.entries],
-    )
+    out = copy.copy(report)
+    out.variant = "cohomology"
+    out.entries = [copy.copy(e) for e in report.entries]
+    return out

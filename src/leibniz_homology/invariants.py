@@ -42,10 +42,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._value import Value
 from .liealg import (
     BoostY, LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine, is_canonical,
 )
@@ -83,15 +83,15 @@ __all__ = [
 ROW_CAP = 2_000_000  # rows of the stacked action matrix of invariant_subspace
 
 
-@dataclass
-class InvariantBasis:
-    space: Space
-    basis: list[Chain]
-    dim: int
+class InvariantBasis(Value):
+    _fields = ("space", "basis", "dim")
 
-    def __post_init__(self) -> None:
-        if self.dim != len(self.basis):
-            raise ValueError(f"dim {self.dim} does not match {len(self.basis)} basis chains")
+    def __init__(self, space: Space, basis: list[Chain], dim: int) -> None:
+        if dim != len(basis):
+            raise ValueError(f"dim {dim} does not match {len(basis)} basis chains")
+        self.space = space
+        self.basis = basis
+        self.dim = dim
 
 
 def expected_invariant_dim(module: str, n: int, k: int = 0) -> Optional[int]:

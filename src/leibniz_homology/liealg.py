@@ -27,13 +27,14 @@ and ``complexes.is_boundary``.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import prod
 from operator import add
 from typing import Iterator, Mapping, Optional, Sequence, Union
+
+from ._value import Frozen, Value
 
 __all__ = [
     "Signature",
@@ -54,18 +55,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Signature (p, q) of the quadratic form sum x_i^2 (i<=p) - sum x_i^2 (i>p)."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p < 1:
+    def __init__(self, p: int, q: int) -> None:
+        if p < 1:
             raise ValueError("signature requires p >= 1")
-        if self.q < 0:
+        if q < 0:
             raise ValueError("signature requires q >= 0")
+        self.__dict__.update(p=p, q=q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     @property
     def n(self) -> int:
@@ -75,37 +83,68 @@ class Signature:
         return f"({self.p},{self.q})"
 
 
-@dataclass(frozen=True, order=True)
-class Translation:
-    i: int
+# The basis labels.  Two labels are equal only if they have the same class
+# and the same fields, so RotationX(1, 2) != BoostY(1, 2); they do not sort.
+
+
+class Translation(Frozen):
+    _fields = ("i",)
+
+    def __init__(self, i: int) -> None:
+        self.__dict__["i"] = i
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.i == other.i
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.i,))
 
     def __str__(self) -> str:
         return f"d({self.i})"
 
 
-@dataclass(frozen=True, order=True)
-class RotationX:
-    i: int
-    j: int
+class _IndexPair(Frozen):
+    _fields = ("i", "j")
 
+    def __init__(self, i: int, j: int) -> None:
+        self.__dict__.update(i=i, j=j)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.i == other.i and self.j == other.j
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.j))
+
+
+class RotationX(_IndexPair):
     def __str__(self) -> str:
         return f"X({self.i},{self.j})"
 
 
-@dataclass(frozen=True, order=True)
-class BoostY:
-    i: int
-    j: int
-
+class BoostY(_IndexPair):
     def __str__(self) -> str:
         return f"Y({self.i},{self.j})"
 
 
-@dataclass(frozen=True, order=True)
-class GenericLabel:
+class GenericLabel(Frozen):
     """Opaque label for algebras not built from the canonical fields."""
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.__dict__["name"] = name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -623,15 +662,25 @@ def build_abelian_extension(g: LieAlgebra, action: Sequence, *, m_dim: int) -> L
 # Validation.
 
 
-@dataclass
-class ValidationReport:
-    algebra: str
-    antisymmetry_ok: bool
-    jacobi_ok: bool
-    jacobi_failures: list[tuple[BasisLabel, BasisLabel, BasisLabel]] = field(default_factory=list)
-    antisymmetry_failures: list[tuple[BasisLabel, BasisLabel]] = field(default_factory=list)
-    integral: Optional[bool] = None
-    oracle_ok: Optional[bool] = None
+class ValidationReport(Value):
+    _fields = (
+        "algebra", "antisymmetry_ok", "jacobi_ok", "jacobi_failures",
+        "antisymmetry_failures", "integral", "oracle_ok",
+    )
+
+    def __init__(
+        self, algebra: str, antisymmetry_ok: bool, jacobi_ok: bool,
+        jacobi_failures: Optional[list[tuple[BasisLabel, BasisLabel, BasisLabel]]] = None,
+        antisymmetry_failures: Optional[list[tuple[BasisLabel, BasisLabel]]] = None,
+        integral: Optional[bool] = None, oracle_ok: Optional[bool] = None,
+    ) -> None:
+        self.algebra = algebra
+        self.antisymmetry_ok = antisymmetry_ok
+        self.jacobi_ok = jacobi_ok
+        self.jacobi_failures = [] if jacobi_failures is None else jacobi_failures
+        self.antisymmetry_failures = [] if antisymmetry_failures is None else antisymmetry_failures
+        self.integral = integral
+        self.oracle_ok = oracle_ok
 
     @property
     def ok(self) -> bool:

@@ -42,9 +42,10 @@ basis size is the rank.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
+
+from ._value import Value
 
 __all__ = [
     "RankCertificate",
@@ -126,14 +127,16 @@ def draw_primes(rng, count: int) -> list[int]:
     return out
 
 
-@dataclass
-class RankCertificate:
-    rank: int
-    field: str  # "Q"
-    method: str  # "exact"
+class RankCertificate(Value):
+    _fields = ("rank", "field", "method")
+
+    def __init__(self, rank: int, field: str, method: str) -> None:
+        self.rank = rank
+        self.field = field  # "Q"
+        self.method = method  # "exact"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
+from ._value import Frozen, Value
 from .liealg import Coeff, Grade, LieAlgebra, accumulate, add_grades
 
 __all__ = [
@@ -59,8 +59,7 @@ class SpaceMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Frozen):
     """Descriptor of a tensor/wedge/mixed power inside an ambient algebra.
 
     ``factors`` lists the ambient basis indices allowed as tensor/wedge
@@ -68,19 +67,29 @@ class Space:
     factor.  ``degree`` counts the tensor/wedge factors, excluding any lead.
     """
 
-    algebra: LieAlgebra
-    kind: str  # "tensor" | "wedge" | "mixed"
-    degree: int
-    factors: tuple[int, ...]
-    lead: Optional[tuple[int, ...]] = None
+    _fields = ("algebra", "kind", "degree", "factors", "lead")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("tensor", "wedge", "mixed"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.degree < 0:
+    def __init__(
+        self, algebra: LieAlgebra, kind: str, degree: int, factors: tuple[int, ...],
+        lead: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        if kind not in ("tensor", "wedge", "mixed"):
+            raise ValueError(f"unknown space kind {kind!r}")
+        if degree < 0:
             raise ValueError("degree must be >= 0")
-        if (self.kind == "mixed") != (self.lead is not None):
+        if (kind == "mixed") != (lead is not None):
             raise ValueError("mixed spaces (and only they) need a lead range")
+        self.__dict__.update(algebra=algebra, kind=kind, degree=degree, factors=factors, lead=lead)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.algebra, self.kind, self.degree, self.factors, self.lead) == (
+                other.algebra, other.kind, other.degree, other.factors, other.lead
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.kind, self.degree, self.factors, self.lead))
 
     # -- dimensions and positions -------------------------------------------
 
@@ -442,19 +451,18 @@ def mixed_space(
 # Chains.
 
 
-@dataclass
-class Chain:
+class Chain(Value):
     """Sparse rational linear combination of words of one space.  Every
     coefficient must be exact, an ``int`` or a ``Fraction``."""
 
-    space: Space
-    coeffs: dict[Word, Fraction]
+    _fields = ("space", "coeffs")
 
-    def __post_init__(self) -> None:
-        for w, c in self.coeffs.items():
+    def __init__(self, space: Space, coeffs: dict[Word, Fraction]) -> None:
+        for w, c in coeffs.items():
             if not isinstance(c, (int, Fraction)):
                 raise ValueError(f"coefficient of word {w} is {c!r}, not an int or a Fraction")
-        self.coeffs = {w: Fraction(c) for w, c in self.coeffs.items() if c}
+        self.space = space
+        self.coeffs = {w: Fraction(c) for w, c in coeffs.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs

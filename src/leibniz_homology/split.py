@@ -24,10 +24,10 @@ module on its first reduced run, so importing the package does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
+from ._value import Frozen
 from .liealg import (
     BasisLabel,
     BoostY,
@@ -176,8 +176,7 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     return split
 
 
-@dataclass(frozen=True)
-class SplitReduction:
+class SplitReduction(Frozen):
     """The grade blocks of the Loday complex of ``build_affine(sig)`` or
     ``build_so(sig)`` that can carry homology, as blocks of its split form.
 
@@ -199,11 +198,14 @@ class SplitReduction:
     grade, so it acts on each kept block (``repspace.OrbitBlock``).
     """
 
-    algebra: LieAlgebra = field(compare=False, repr=False)
-    torus: tuple[BasisLabel, ...]
-    flips: tuple[int, ...]
-    kept: tuple[int, ...]
-    symmetries: tuple[Symmetry, ...] = field(compare=False, repr=False)
+    _fields = ("torus", "flips", "kept")  # equality, hash and repr skip the other two
+
+    def __init__(
+        self, algebra: LieAlgebra, torus: tuple[BasisLabel, ...], flips: tuple[int, ...],
+        kept: tuple[int, ...], symmetries: tuple[Symmetry, ...],
+    ) -> None:
+        d = self.__dict__
+        d.update(algebra=algebra, torus=torus, flips=flips, kept=kept, symmetries=symmetries)
 
     def keeps(self, grade: Grade) -> bool:
         return grade[-1] in self.kept and not any(grade[1:-1])

@@ -19,10 +19,10 @@ produce byte-identical output (no timestamps, deterministic prime draws).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import complexes, invariants, liealg, repspace
+from ._value import Value
 from .homology import (
     HomologyOptions,
     _rank_blocks,
@@ -42,24 +42,31 @@ SCHEMA_VERSION = "1"
 CROSS_FIELD_PRIMES = 2
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    claim: str
-    status: str  # "pass" | "fail" | "reported"
-    details: str = ""
+class CheckResult(Value):
+    _fields = ("check_id", "claim", "status", "details")
+
+    def __init__(self, check_id: str, claim: str, status: str, details: str = "") -> None:
+        self.check_id = check_id
+        self.claim = claim
+        self.status = status  # "pass" | "fail" | "reported"
+        self.details = details
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    signature: Signature
-    checks: list[CheckResult]
-    environment: dict
-    resolved_gamma_sign: Optional[int] = None
+class VerifyReport(Value):
+    _fields = ("suite", "signature", "checks", "environment", "resolved_gamma_sign")
+
+    def __init__(
+        self, suite: str, signature: Signature, checks: list[CheckResult], environment: dict,
+        resolved_gamma_sign: Optional[int] = None,
+    ) -> None:
+        self.suite = suite
+        self.signature = signature
+        self.checks = checks
+        self.environment = environment
+        self.resolved_gamma_sign = resolved_gamma_sign
 
     @property
     def passed(self) -> bool:

@@ -35,3 +35,18 @@ def test_no_assert_or_debug_flag_in_the_package():
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
             if isinstance(node, ast.Name):
                 assert node.id != "__debug__", f"{path.name}:{node.lineno} reads __debug__"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect(run_python):
+    # every CLI call pays the package import, and dataclasses, with the
+    # inspect it loads, was about a third of it
+    code = (
+        "import sys\n"
+        "import leibniz_homology\n"
+        "from leibniz_homology import cli, split\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "if loaded:\n"
+        "    sys.exit(f'loaded {loaded}')\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr

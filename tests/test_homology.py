@@ -26,7 +26,7 @@ from leibniz_homology import (
 )
 from leibniz_homology import complexes, homology
 from leibniz_homology.homology import DEFAULT_CAP_EXACT, _rank_blocks
-from leibniz_homology.linalg import draw_primes
+from leibniz_homology.linalg import ExactEliminator, draw_primes
 from leibniz_homology.repspace import GradeBlock, OrbitBlock, graded_words
 from leibniz_homology.split import split_reduction
 
@@ -191,13 +191,9 @@ def test_modular_rank_depends_on_the_prime():
     # and over Q; a rank mod p is at most the rank over Q, and the prime
     # decides whether it falls below
     p1, p2 = draw_primes(random.Random(9), 2)
-    block = SimpleNamespace(grade=(1, 3), rows=1, cols=1)
-
-    def read(b):
-        return [[(0, p1)]]
-
-    assert _rank_blocks([block], p1, read) == 0
-    assert _rank_blocks([block], p2, read) == 1 == _rank_blocks([block], read=read)
+    block = SimpleNamespace(grade=(1, 3), rows=1, cols=1, columns=lambda: [[(0, p1)]])
+    assert _rank_blocks([block], p1) == 0
+    assert _rank_blocks([block], p2) == 1 == _rank_blocks([block])
 
 
 def test_pure_python_import_and_ranks(run_python):
@@ -267,27 +263,90 @@ def test_orbit_sign_error_caught_by_dd_check(monkeypatch):
         homology_dims(build_affine(Signature(2, 2)), 4)
 
 
+def _every_column_dd_check(k, lower, kept, block):
+    """The d∘d check as it was before it skipped the columns that do not
+    raise the rank: every column of the block is composed."""
+    below = lower.pop(block.grade, None)
+    held = None if kept is None else kept.setdefault(block.grade, [])
+
+    def check(col, raised):
+        if below is not None:
+            out = Counter()
+            for i, v in col:
+                for r, w in below[i]:
+                    out[r] += v * w
+            if any(out.values()):
+                raise AssertionError(f"d∘d != 0 at degree {k}, grade {block.grade}")
+        if held is not None:
+            held.append(col)
+
+    return check
+
+
 def test_no_orbit_sign_error_changes_the_table_silently(monkeypatch):
     # each of the 104 single-word sign errors on the length-4 orbit block of
     # grade (0,0,0,0) at (2,2) either fails the d∘d check of the ranked
     # columns or leaves the table right; 100 random chains per degree let 16
-    # of them through with the table [1, 0, 0, 1, 0]
+    # of them through with the table [1, 0, 0, 1, 0].  Composing only the
+    # columns that raise the rank raises on exactly the words, with the
+    # messages, of a copy of the check that composes every column
     h = build_affine(Signature(2, 2))
     words = _non_representatives(_reduced_h22(), 4, (0, 0, 0, 0))
     assert len(words) == 104
     wrong = _flip_orbit_signs(monkeypatch)
-    raised = 0
-    for word in words:
-        wrong.clear()
-        wrong.add(word)
-        try:
-            betti = homology_dims(h, 4).betti
-        except AssertionError as exc:
-            assert re.fullmatch(r"d∘d != 0 at degree [45], grade .*", str(exc)), word
-            raised += 1
-        else:
-            assert betti == [1, 0, 0, 1, 1], word
+
+    def sweep():
+        raised = {}
+        for word in words:
+            wrong.clear()
+            wrong.add(word)
+            try:
+                betti = homology_dims(h, 4).betti
+            except AssertionError as exc:
+                assert re.fullmatch(r"d∘d != 0 at degree [45], grade .*", str(exc)), word
+                raised[word] = str(exc)
+            else:
+                assert betti == [1, 0, 0, 1, 1], word
+        return raised
+
+    raised = sweep()
     assert raised  # the sweep reaches errors that the check must catch
+    monkeypatch.setattr(homology, "_dd_check", _every_column_dd_check)
+    assert sweep() == raised
+
+
+def test_dd_check_composes_only_columns_that_raise_the_rank(monkeypatch):
+    # a column that does not raise the rank of its block lies in the span of
+    # earlier columns whose composites were 0, so only the columns that
+    # raise it are composed: each composite follows a True from add_column
+    events = []
+    add_column = ExactEliminator.add_column
+    composite = homology._composite
+
+    def logged_add(self, col):
+        raised = add_column(self, col)
+        events.append(raised)
+        return raised
+
+    def logged_composite(col, below):
+        events.append("composite")
+        return composite(col, below)
+
+    read = 0
+    column = complexes.BoundaryBlock.column
+
+    def counted(self, j):
+        nonlocal read
+        read += 1
+        return column(self, j)
+
+    monkeypatch.setattr(ExactEliminator, "add_column", logged_add)
+    monkeypatch.setattr(homology, "_composite", logged_composite)
+    monkeypatch.setattr(complexes.BoundaryBlock, "column", counted)
+    assert homology_dims(build_affine(Signature(2, 2)), 4).betti == [1, 0, 0, 1, 1]
+    composed = [t for t, e in enumerate(events) if e == "composite"]
+    assert composed and all(events[t - 1] is True for t in composed)
+    assert len(composed) < read
 
 
 def test_each_ranked_column_generated_once(monkeypatch):
