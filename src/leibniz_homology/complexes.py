@@ -68,6 +68,7 @@ from .repspace import (
     Chain,
     GradeBlock,
     OrbitBlock,
+    OrbitGroup,
     Space,
     SpaceMismatchError,
     Symmetry,
@@ -191,7 +192,7 @@ class LodayBoundary(_Boundary):
     ):
         self.algebra = algebra
         self.keep = keep
-        self.symmetries = symmetries
+        self.symmetries = None if symmetries is None else OrbitGroup(symmetries)
         self._indices: dict[tuple[int, Grade], WordIndex] = {}
         # _brackets[b][a]: the (c, s) terms of [e_a, e_b]
         self._brackets: list[list[tuple[tuple[int, Coeff], ...]]] = [

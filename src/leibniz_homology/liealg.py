@@ -15,13 +15,8 @@ The commutator of two such pairs is again degree <= 1:
 so all structure constants of so(p,q) and of the affine algebra
 h_n = I_n ⋊ so(p,q) come out as exact integers.  Basis order is fixed:
 translations by i, then X(i,j) lexicographic (p-block before q-block), then
-Y(i,j) lexicographic.  ``letter_images`` writes the letters on any basis
-of R^n in the standard letters, with the pair signs of ``letter_pairs``:
-``split.split_form`` takes the split form's letters from it, and
-``letter_action`` the signed letter permutation of a signed coordinate
-permutation in SO(p)×SO(q) (``signed_rotations``).  The last two have one
-caller, ``rotations.symmetry_group``, which builds the groups of ``split``
-and ``complexes.is_boundary``.
+Y(i,j) lexicographic.  The letters on another basis of R^n, and the
+signed letter permutations of SO(p)×SO(q), are in ``rotations``.
 """
 
 from __future__ import annotations
@@ -29,10 +24,8 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import prod
 from operator import add
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ._value import Frozen, Value
 
@@ -449,74 +442,6 @@ def _perm_sign(perm: Sequence[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def signed_rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """The maps e_k -> s_k·e_{perm[k]} (0-based) in SO(p)×SO(q), grouped by
-    perm: each perm keeping both blocks, the identity first, with the sign
-    vectors s giving det +1 on each block, in ``product((1, -1))`` order."""
-    p, n = sig.p, sig.n
-    by_dets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for signs in product((1, -1), repeat=n):
-        by_dets.setdefault((prod(signs[:p]), prod(signs[p:])), []).append(signs)
-    for head in permutations(range(p)):
-        for tail in permutations(range(p, n)):
-            yield head + tail, by_dets[_perm_sign(head), _perm_sign([t - p for t in tail])]
-
-
-def _pair_sign(k: int, l: int, p: int) -> int:
-    """The sign s with e_k ∧ e_l = s·(the X or Y label of the pair), 0-based
-    k < l: the field of x -> e_k B(e_l, x) - e_l B(e_k, x) is X(k+1,l+1) in
-    the p-block, and -X(k+1,l+1) in the q-block or -Y(k+1,l+1) across."""
-    return 1 if l < p else -1
-
-
-@lru_cache(maxsize=None)
-def letter_pairs(sig: Signature) -> tuple[list[tuple[int, int]], dict[tuple[int, int], tuple[int, int]]]:
-    """The pairs (i-1, j-1) of ``so_labels(sig)`` in order, and
-    ``wedge[(a, b)] = (t, s)`` for a != b when e_a ∧ e_b = s·so_labels(sig)[t]."""
-    pairs = [(lab.i - 1, lab.j - 1) for lab in so_labels(sig)]
-    wedge = {}
-    for t, (a, b) in enumerate(pairs):
-        s = _pair_sign(a, b, sig.p)
-        wedge[(a, b)], wedge[(b, a)] = (t, s), (t, -s)
-    return pairs, wedge
-
-
-def letter_images(
-    sig: Signature, nt: int, vecs: Sequence[Mapping[int, int]]
-) -> list[dict[int, int]]:
-    """The letters on a basis b of R^n, b_k = Σ vecs[k][j]·e_j (0-based), as
-    sparse combinations of the standard letters of ``build_affine(sig)`` or
-    ``build_so(sig)``: the d(b_k) for k < nt (nt = n with translations, else
-    0), then ``_pair_sign(a, b, p)·b_a ∧ b_b`` for the ``letter_pairs``
-    (a, b).  For b = e these are the standard letters; ``split`` gets the
-    split form's letters from its split vectors, and ``letter_action`` the
-    image of a signed permutation from one-term vectors."""
-    pairs, wedge = letter_pairs(sig)
-    images = [dict(vecs[k]) for k in range(nt)]
-    for a, b in pairs:
-        sign = wedge[(a, b)][1]
-        img: dict[int, int] = {}
-        for k, u in vecs[a].items():
-            for l, v in vecs[b].items():
-                if k != l:
-                    t, s = wedge[(k, l)]
-                    accumulate(img, nt + t, sign * s * u * v)
-        images.append(img)
-    return images
-
-
-def letter_action(alg: LieAlgebra, moved: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """The signed letter permutation of ``alg`` induced by b_k -> s·b_k' for
-    ``moved[k] = (k', s)``, on a basis b of R^n whose letters are those of
-    ``letter_images``: the standard letters of ``build_affine(sig)`` and
-    ``build_so(sig)`` for b = e, the split form's letters for its split
-    vectors.  It is read off the one-term images of the letters under
-    b_k -> s·e_k'."""
-    nt = alg.dim - len(letter_pairs(alg.sig)[0])
-    images = letter_images(alg.sig, nt, [{k: s} for k, s in moved])
-    return tuple(zip(*(img.popitem() for img in images)))
 
 
 def structure_triples(alg: LieAlgebra) -> frozenset[tuple[int, int, int, Coeff]]:

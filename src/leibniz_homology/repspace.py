@@ -28,6 +28,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from operator import add
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ._value import Frozen, Value
@@ -38,6 +39,7 @@ __all__ = [
     "GradedWords",
     "GradeBlock",
     "OrbitBlock",
+    "OrbitGroup",
     "graded_words",
     "Chain",
     "SpaceMismatchError",
@@ -196,15 +198,16 @@ class GradedWords:
     letter is below a (the last entry is the total), ``successors[a]`` is
     the state of the suffix after a first letter a, or None when no word
     starts with a.  Above the table, count(L, g) is the total of the state
-    of (L, g), so each suffix grade is formed once, as its state is built,
-    and 0 with no state when no length-L word can have the grade: its
-    (count, parity) pair is not reached at length L, or a field is off
-    [L·min, L·max] over the letters.  Only a pair with words keeps its
-    state; a pair found to have none is kept in ``_empty``.  So a reduced
-    complex counts only the grades its kept blocks reach, and a state is
-    built when a block first reaches it.  In lexicographic order within a
-    block, ranking a word is one lookup per letter and unranking one bisect
-    per letter.
+    of (L, g), and 0 with no state when no length-L word can have the
+    grade: its (count, parity) pair is not reached at length L, or a field
+    is off [L·min, L·max] over the letters.  A state is built in one loop
+    over the letters' inverse grades: each suffix grade is formed once, and
+    its count read from the table, a kept state or the state built for it.
+    Only a pair with words keeps its state; a pair found to have none is
+    kept in ``_empty``.  So a reduced complex counts only the grades its
+    kept blocks reach, and a state is built when a block first reaches it.
+    In lexicographic order within a block, ranking a word is one lookup per
+    letter and unranking one bisect per letter.
     """
 
     def __init__(self, grades: Sequence[Grade]):
@@ -214,7 +217,7 @@ class GradedWords:
             raise ValueError("every grade needs the same number of fields")
         self._zero = (0,) * (widths.pop() if widths else 2)
         # adding a letter's inverse takes its grade off the front of a word
-        self._inverses = [tuple(-x for x in g[:-1]) + (g[-1],) for g in self.grades]
+        self._inverses = [(tuple(-x for x in g[:-1]), g[-1]) for g in self.grades]
         self._counts: list[dict[Grade, int]] = [{self._zero: 1}]  # length -> grade -> words
         self._bounds = [(min(f), max(f)) for f in list(zip(*self.grades))[:-1]]
         self._pairs = {(g[0], g[-1]) for g in self.grades}
@@ -260,12 +263,23 @@ class GradedWords:
         key = (length, grade)
         st = self._states.get(key)
         if st is None:
+            m = length - 1
+            table = self._counts[m] if m < len(self._counts) else None
+            states, empty = self._states, self._empty
+            head, parity = grade[:-1], grade[-1]
             off, successors = [0], []
-            for inv in self._inverses:
-                h = add_grades(grade, inv)
-                n = self.count(length - 1, h)
+            for inv, bit in self._inverses:
+                h = (*map(add, head, inv), parity ^ bit)
+                if table is not None:
+                    n = table.get(h, 0)
+                    nxt = self.state(m, h) if n else None
+                else:
+                    nxt = states.get((m, h))
+                    if nxt is None and (m, h) not in empty and self._occurs(m, h):
+                        nxt = self.state(m, h)
+                    n = nxt[0][-1] if nxt else 0
                 off.append(off[-1] + n)
-                successors.append(self.state(length - 1, h) if n else None)
+                successors.append(nxt if n else None)
             st = (off, successors)
             if off[-1]:
                 self._states[key] = st
@@ -323,6 +337,46 @@ class GradeBlock:
 
 
 Symmetry = tuple[tuple[int, ...], tuple[int, ...]]  # letter permutation, letter signs
+PREFIX = 3  # the longest prefix an ``OrbitGroup`` keeps the survivors of
+
+
+def _prune(survivors: Sequence[Symmetry], letters: Word) -> Sequence[Symmetry]:
+    """Of the survivors, those that map the first letter lowest, of those
+    the ones that map the next letter lowest, and so on."""
+    for a in letters:
+        if len(survivors) == 1:
+            break
+        least = min(perm[a] for perm, _ in survivors)
+        survivors = [g for g in survivors if g[0][a] == least]
+    return survivors
+
+
+class OrbitGroup(tuple):
+    """A finite group of signed letter permutations, the identity among
+    them, with the one memo that every orbit block on it shares.
+
+    The survivors of a word are the elements whose image of it is the
+    lex-least one; pruning the group letter by letter finds them.  Those of
+    a prefix depend on the prefix alone, so ``survivors(word)`` looks up
+    word[:PREFIX] in ``_prefixes``, filled on demand from the entry one
+    letter shorter, and prunes only the letters past it: the first level
+    of a Schreier–Sims stabiliser chain.  The table holds at most
+    Σ_{m <= PREFIX} letters^m entries.  ``OrbitGroup(g)`` is g itself for
+    an ``OrbitGroup`` g, so the blocks built on one group share its table."""
+
+    def __new__(cls, elements: Sequence[Symmetry]) -> "OrbitGroup":
+        if type(elements) is cls:
+            return elements
+        group = super().__new__(cls, elements)
+        group._prefixes = {(): group}
+        return group
+
+    def survivors(self, word: Word) -> Sequence[Symmetry]:
+        prefix = word[:PREFIX]
+        out = self._prefixes.get(prefix)
+        if out is None:
+            out = self._prefixes[prefix] = _prune(self.survivors(prefix[:-1]), prefix[-1:])
+        return _prune(out, word[PREFIX:]) if len(word) > PREFIX else out
 
 
 class OrbitBlock:
@@ -338,25 +392,23 @@ class OrbitBlock:
     order that keeps, per prefix, the elements fixing it: a prefix is pruned
     as soon as one of them maps its last letter lower (every word that
     extends it then has a smaller image), and a leaf is dropped when one of
-    them acts on it by -1.  ``canonical(word)`` prunes the group the same
-    way, letter by letter: it keeps the elements that map the first letter
-    of the word lowest, of those the ones that map the next letter lowest,
-    and so on until one is left or the word ends.  The survivors are the
-    elements whose image of the word is the lex-least one, its
-    representative r.  It gives (r, ±1) with word = ±1·(an image of r), or
-    None when two survivors act on the word with different signs (a dropped
-    orbit), and caches only the words it is asked for.
+    them acts on it by -1.  ``canonical(word)`` takes the survivors of the
+    word from the ``OrbitGroup`` that every block of a boundary shares; their
+    image of the word is its representative r.  It gives (r, ±1) with
+    word = ±1·(an image of r), or None when two survivors act on the word
+    with different signs (a dropped orbit), and caches only the words it is
+    asked for.
     """
 
-    __slots__ = ("length", "grade", "dim", "_symmetries", "_reps", "_rank", "_canon")
+    __slots__ = ("length", "grade", "dim", "_group", "_reps", "_rank", "_canon")
 
     def __init__(self, block: GradeBlock, symmetries: Sequence[Symmetry]):
         self.length = block.length
         self.grade = block.grade
-        self._symmetries = tuple(symmetries)
+        self._group = OrbitGroup(symmetries)
         self._reps: list[Word] = []
         if block.dim:
-            self._walk(block._root, (), [(perm, signs, 1) for perm, signs in self._symmetries])
+            self._walk(block._root, (), [(perm, signs, 1) for perm, signs in self._group])
         self._rank = {w: r for r, w in enumerate(self._reps)}
         self.dim = len(self._reps)
         self._canon: dict[Word, Optional[tuple[Word, int]]] = {}
@@ -385,12 +437,7 @@ class OrbitBlock:
     def canonical(self, word: Word) -> Optional[tuple[Word, int]]:
         if word in self._canon:
             return self._canon[word]
-        survivors = self._symmetries
-        for a in word:
-            if len(survivors) == 1:
-                break
-            least = min(perm[a] for perm, _ in survivors)
-            survivors = [g for g in survivors if g[0][a] == least]
+        survivors = self._group.survivors(word)
         perm, signs = survivors[0]
         sign = math.prod(map(signs.__getitem__, word))
         if any(math.prod(map(s.__getitem__, word)) != sign for _, s in survivors[1:]):

@@ -40,12 +40,10 @@ from .liealg import (
     build_affine,
     build_so,
     is_canonical,
-    letter_images,
-    letter_pairs,
 )
 from .linalg import ExactEliminator
-from .repspace import Symmetry
-from .rotations import BasisTable, symmetry_group
+from .repspace import OrbitGroup, Symmetry
+from .rotations import BasisTable, letter_images, letter_pairs, symmetry_group
 
 __all__ = ["SplitReduction", "split_form", "split_reduction"]
 
@@ -90,7 +88,7 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     R^n gets the basis b_i = e_i + e_{p+i}, b_{p+i} = e_i - e_{p+i}
     (i <= r) and b_k = e_k (k unpaired), with torus weight +1, -1 and 0 in
     coordinate i (``_split_table``).  The letters are the d(b_k) and the
-    signed b_a ∧ b_b of ``liealg.letter_images``, which gives their images
+    signed b_a ∧ b_b of ``rotations.letter_images``, which gives their images
     in the standard basis; unpaired pairs give exactly X(a,b) or Y(a,b).
     The structure constants are those of ``alg`` in that basis: the bracket
     of two images in ``alg``, written back in the images through the
@@ -265,4 +263,4 @@ def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
     torus = tuple(BoostY(i, p + i) for i in range(1, r + 1))
     zeros = (0,) * r
     group = symmetry_group(split, _split_table(sig), {(0, *zeros, m): {} for m in kept})
-    return SplitReduction(split, torus, tuple(flips), kept, tuple(group))
+    return SplitReduction(split, torus, tuple(flips), kept, OrbitGroup(group))

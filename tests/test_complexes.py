@@ -31,8 +31,7 @@ from leibniz_homology import (
 )
 from leibniz_homology import liealg, rotations, split
 from leibniz_homology.complexes import BoundaryBlock, LodayBoundary, check_dd_zero
-from leibniz_homology.liealg import letter_action
-from leibniz_homology.rotations import chain_symmetries
+from leibniz_homology.rotations import chain_symmetries, letter_action
 from leibniz_homology.homology import _rank_blocks
 from leibniz_homology.split import split_form, split_reduction
 from leibniz_homology.linalg import ExactEliminator, _image, solve
@@ -441,7 +440,7 @@ def test_one_letter_action_per_group_element(monkeypatch):
 
     def counted(alg, moved):
         calls.append(moved)
-        return liealg.letter_action(alg, moved)
+        return letter_action(alg, moved)
 
     monkeypatch.setattr(rotations, "letter_action", counted)
     for pq, order in [((2, 2), 4), ((3, 3), 24), ((4, 0), 24)]:
@@ -455,6 +454,26 @@ def test_one_letter_action_per_group_element(monkeypatch):
             calls.clear()
             group = chain_symmetries(chain.space.algebra, _by_grade(chain))
             assert len(calls) == len(group) == ROTATION_PERMS[pq], pq
+
+
+def test_trivial_stabiliser_takes_one_letter_action_per_index_map(monkeypatch, rng):
+    # a boundary fixed by the identity alone: each index map takes the one
+    # letter action of its first sign vector, and its other sign vectors
+    # are flips read off that action's image of the chain; trying each
+    # took 13, 21 and 185 letter actions
+    calls = []
+
+    def counted(alg, moved):
+        calls.append(moved)
+        return letter_action(alg, moved)
+
+    monkeypatch.setattr(rotations, "letter_action", counted)
+    for pq in [(2, 2), (3, 1), (4, 0)]:
+        h = build_affine(Signature(*pq))
+        c = LodayBoundary(h).apply(random_chain(tensor_space(h, 4), rng))
+        calls.clear()
+        assert chain_symmetries(h, _by_grade(c)) is None
+        assert len(calls) == math.factorial(pq[0]) * math.factorial(pq[1]), pq
 
 
 def _half_turn_sum(alg, word):
@@ -514,7 +533,7 @@ def _flip_first_letter(monkeypatch):
     """Patch the letter action ``rotations`` calls to negate the first letter."""
 
     def wrong(alg, moved):
-        letters, letter_signs = liealg.letter_action(alg, moved)
+        letters, letter_signs = letter_action(alg, moved)
         return letters, (-letter_signs[0],) + letter_signs[1:]
 
     monkeypatch.setattr(rotations, "letter_action", wrong)
@@ -559,7 +578,7 @@ def test_letter_action_that_moves_a_grade_is_rejected(monkeypatch):
     # action sends the second: d(b_0) and d(b_1) differ in grade on the
     # split form, d(1) and d(2) in parity on the standard basis
     def swap_first_letters(alg, moved):
-        letters, letter_signs = liealg.letter_action(alg, moved)
+        letters, letter_signs = letter_action(alg, moved)
         if any(k != k2 for k, (k2, _) in enumerate(moved)):
             letters = (letters[1], letters[0]) + letters[2:]
         return letters, letter_signs

@@ -518,19 +518,35 @@ def test_h4_degree5_exact():
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "pq, table",
-    [((4, 0), [1, 0, 0, 1, 1, 0, 1]), ((5, 0), [1, 0, 0, 0, 1, 1, 0]), ((6, 0), [1, 0, 0, 0, 0, 1, 1])],
-    ids=["4_0", "5_0", "6_0"],
+    [
+        ((4, 0), [1, 0, 0, 1, 1, 0, 1]),
+        ((5, 0), [1, 0, 0, 0, 1, 1, 0]),
+        ((6, 0), [1, 0, 0, 0, 0, 1, 1]),
+        ((7, 0), [1, 0, 0, 0, 0, 0, 1]),
+    ],
+    ids=["4_0", "5_0", "6_0", "7_0"],
 )
 def test_degree6_exact(pq, table):
     # degree 6 needs d_7 on the orbit sums of its kept blocks: 53,088
-    # columns at (4,0), 97,727 at (5,0) and 106,358 at (6,0), all within
-    # the default cap; at n = 6 Betti_6 is the alpha~ class in degree n,
-    # and at n = 5 degree 6 has no class
+    # columns at (4,0), 97,727 at (5,0), 106,358 at (6,0) and 89,821 at
+    # (7,0), all within the default cap; at n = 6 Betti_6 is the alpha~
+    # class in degree n, at n = 7 the gamma~ class in degree n - 1, and at
+    # n = 5 degree 6 has no class
     sig = Signature(*pq)
     rep = homology_dims(build_affine(sig), 6)
     assert rep.capped_at is None
     assert rep.betti == table == predicted_hl_dims(sig, 6)
     assert all(e.certification == "exact" for e in rep.entries)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_signatures_of_one_n_agree(n):
+    # over Q(i) every h(p,q) with p + q = n is h(n,0), so their tables
+    # agree; each signature ranks its own complex (a torus when q > 0,
+    # none at q = 0, groups of order 4 to 120), so agreement can fail.
+    # Degree 4 reaches the gamma~ class at n = 5.
+    rows = {(p, n - p): homology_dims(build_affine(Signature(p, n - p)), 4).betti for p in range(n, 0, -1)}
+    assert all(row == predicted_hl_dims(Signature(n, 0), 4) for row in rows.values()), rows
 
 
 def test_reduction_only_for_canonical_algebras(full_route):

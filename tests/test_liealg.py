@@ -19,7 +19,8 @@ from leibniz_homology import (
     standard_translation_action,
     validate,
 )
-from leibniz_homology.liealg import check_automorphism, letter_action
+from leibniz_homology.liealg import check_automorphism
+from leibniz_homology.rotations import letter_action
 
 from vfield_oracle import oracle_bracket
 

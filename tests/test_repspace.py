@@ -25,10 +25,9 @@ from leibniz_homology import (
     tensor_space,
     wedge_space,
 )
-from leibniz_homology import repspace
 from leibniz_homology.complexes import LodayBoundary
 from leibniz_homology.linalg import _image
-from leibniz_homology.repspace import GradeBlock, GradedWords, OrbitBlock, graded_words
+from leibniz_homology.repspace import PREFIX, GradeBlock, GradedWords, OrbitBlock, graded_words
 from leibniz_homology.split import split_reduction
 
 
@@ -241,15 +240,13 @@ def test_counts_on_demand_match_full_table(grades, top):
         assert (length < len(words._counts)) == (length < 2)
 
 
-def test_reduced_route_counts_few_grades(monkeypatch):
+def test_reduced_route_counts_few_grades():
     # the kept blocks of the split h(3,3) through length 4 build the table
-    # of every grade only to length 2 and count the rest on demand: 5,796
-    # grade additions with the states, 14,490 with the full table
+    # of every grade only to length 2 (132 grades) and the states they
+    # reach above it: 173 states and 41 pairs found to have no words.  The
+    # full table through length 4 forms 1,513 grades.
     red = split_reduction(build_affine(Signature(3, 3)))
     op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
-    adds = []
-    add_grades = repspace.add_grades
-    monkeypatch.setattr(repspace, "add_grades", lambda g, h: adds.append(1) or add_grades(g, h))
     graded_words.cache_clear()
     for k in range(1, 5):
         for grade in op._grades(k):
@@ -257,7 +254,10 @@ def test_reduced_route_counts_few_grades(monkeypatch):
     words = graded_words(red.algebra.grades)
     graded_words.cache_clear()
     assert len(words._counts) == 3
-    assert len(adds) <= 6000
+    assert sum(map(len, words._counts)) + len(words._states) + len(words._empty) <= 400
+    full = GradedWords(red.algebra.grades)
+    full.grades_of_length(4)
+    assert sum(map(len, full._counts)) > 400
 
 
 def test_orbit_block_indexes_even_orbits():
@@ -306,7 +306,9 @@ def _brute_force_reps(block, group):
     "pq, top",
     [
         pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}")
-        for pq, top in [((2, 2), 5), ((3, 1), 5), ((1, 3), 5), ((4, 0), 5), ((2, 3), 4), ((3, 3), 4)]
+        for pq, top in [
+            ((2, 2), 5), ((3, 1), 5), ((1, 3), 5), ((4, 0), 5), ((2, 3), 4), ((3, 3), 4), ((6, 0), 3),
+        ]
     ],
 )
 def test_orbit_walk_matches_brute_force(pq, top):
@@ -334,26 +336,74 @@ def _brute_force_canonical(word, group):
     return None if sign is None else (best, sign)
 
 
-@pytest.mark.parametrize("pq", [(2, 2), (4, 0), (3, 3)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
-def test_canonical_matches_brute_force(pq):
-    # pruning the group letter by letter finds the least image over the
-    # whole group, and drops the same orbits, on every word of every kept
-    # block through degree 4
+def _letter_by_letter(word, group):
+    """The least image of the word by pruning the whole group letter by
+    letter, the route before the prefix table: the oracle of
+    ``OrbitGroup.survivors``."""
+    survivors = group
+    for a in word:
+        if len(survivors) == 1:
+            break
+        least = min(perm[a] for perm, _ in survivors)
+        survivors = [g for g in survivors if g[0][a] == least]
+    perm, signs = survivors[0]
+    sign = math.prod(signs[a] for a in word)
+    if any(math.prod(s[a] for a in word) != sign for _, s in survivors[1:]):
+        return None
+    return tuple(perm[a] for a in word), sign
+
+
+def _kept_words(pq, top):
+    """The split reduction of h(p,q), its boundary and every (block, word)
+    of its kept blocks through degree ``top``."""
     red = split_reduction(build_affine(Signature(*pq)))
     op = LodayBoundary(red.algebra, keep=red.grades, symmetries=red.symmetries)
     words = graded_words(red.algebra.grades)
-    outcomes = set()
-    for k in range(1, 5):
+    pairs = []
+    for k in range(1, top + 1):
         for grade in op._grades(k):
-            orbits, block = op.word_index(k, grade), GradeBlock(words, k, grade)
-            for w in map(block.unrank_word, range(block.dim)):
-                hit = orbits.canonical(w)
-                assert hit == _brute_force_canonical(w, red.symmetries), (k, grade, w)
-                outcomes.add(None if hit is None else (hit[0] == w, hit[1]))
-    # representatives and other words of both signs occur (and dropped
-    # orbits at (2,2) and (3,3))
+            block = GradeBlock(words, k, grade)
+            pairs += [(op.word_index(k, grade), w) for w in map(block.unrank_word, range(block.dim))]
+    return red, op, pairs
+
+
+@pytest.mark.parametrize(
+    "pq, top",
+    [pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}") for pq, top in [
+        ((2, 2), 4), ((4, 0), 4), ((3, 3), 4), ((2, 3), 5), ((6, 0), 3),
+    ]],
+)
+def test_canonical_matches_brute_force(pq, top):
+    # the survivors of a word, from the prefix table and pruned past it,
+    # give the least image over the whole group and drop the same orbits,
+    # on every word of every kept block
+    red, _, pairs = _kept_words(pq, top)
+    outcomes = set()
+    for orbits, w in pairs:
+        hit = orbits.canonical(w)
+        assert hit == _brute_force_canonical(w, red.symmetries), w
+        outcomes.add(None if hit is None else (hit[0] == w, hit[1]))
+    # representatives and other words of both signs occur, and dropped
+    # orbits when q > 0
     assert outcomes - {None} == {(True, 1), (False, 1), (False, -1)}
-    assert (None in outcomes) == (pq != (4, 0))
+    assert (None in outcomes) == (pq[1] > 0)
+
+
+@pytest.mark.parametrize(
+    "pq, top",
+    [pytest.param(pq, top, id=f"{pq[0]}_{pq[1]}") for pq, top in [((4, 0), 5), ((2, 3), 5), ((6, 0), 4)]],
+)
+def test_prefix_table_matches_letter_by_letter(pq, top):
+    # every block of a boundary reads one table, bounded by its prefixes of
+    # at most PREFIX letters; its survivors, pruned past the prefix, pick
+    # the image that pruning the whole group letter by letter picks
+    red, op, pairs = _kept_words(pq, top)
+    group = op.symmetries
+    assert all(orbits._group is group for orbits, _ in pairs)
+    for orbits, w in pairs:
+        assert orbits.canonical(w) == _letter_by_letter(w, red.symmetries), w
+    assert max(map(len, group._prefixes)) == PREFIX < top
+    assert len(group._prefixes) <= sum(red.algebra.dim**m for m in range(PREFIX + 1))
 
 
 def test_empty_word_renders_as_one(h22):

@@ -20,12 +20,10 @@ from leibniz_homology import (
     validate,
 )
 from leibniz_homology import liealg, rotations, split
-from leibniz_homology.liealg import (
-    accumulate, check_automorphism, letter_action, signed_rotations, so_labels,
-)
+from leibniz_homology.liealg import accumulate, check_automorphism, so_labels
 from leibniz_homology.linalg import ExactEliminator
 from leibniz_homology.repspace import GradeBlock, graded_words
-from leibniz_homology.rotations import BasisTable
+from leibniz_homology.rotations import BasisTable, letter_action, signed_rotations
 from leibniz_homology.split import split_form, split_reduction
 
 
@@ -275,7 +273,7 @@ def test_symmetry_that_breaks_a_bracket_is_rejected(monkeypatch):
     # the rotation e1 <-> e2, e3 <-> e4 (one sign in each block) with the
     # sign of the translation d(b_0) flipped in its letter action
     def broken(alg, moved):
-        letters, letter_signs = liealg.letter_action(alg, moved)
+        letters, letter_signs = letter_action(alg, moved)
         if any(k != k2 for k, (k2, _) in enumerate(moved)):
             letter_signs = (-letter_signs[0],) + letter_signs[1:]
         return letters, letter_signs
@@ -302,7 +300,7 @@ def test_symmetry_check_rejects_hand_made_actions(monkeypatch):
 
     # the letters of d(b_0) and d(b_1) swapped, the split vectors kept
     def swap_first_letters(alg, moved):
-        letters, letter_signs = liealg.letter_action(alg, moved)
+        letters, letter_signs = letter_action(alg, moved)
         return (letters[1], letters[0]) + letters[2:], letter_signs
 
     monkeypatch.setattr(rotations, "letter_action", swap_first_letters)
@@ -468,3 +466,98 @@ def test_automorphism_set_check_matches_per_pair_check(pq):
     assert all(_outcome(check_automorphism, form, sym) is None for sym in actions)
     for sym in (flipped, swapped):
         assert "is no automorphism" in _outcome(check_automorphism, form, sym)
+
+
+def _enumerated_group(alg, table, target):
+    """The group builder's former route, kept as its oracle: every sign
+    vector of every signed rotation, one letter action each until its index
+    map has a kept action, the grades acted on through the full weight
+    matrix and the bit map, the chains checked term by term."""
+    r = len(table.weights[0])
+    kept, group = set(), {}
+    for coords, signings in signed_rotations(alg.sig):
+        for signing in signings:
+            moved = _moved(table, coords, signing)
+            if None in moved:
+                break
+            index = tuple(k for k, _ in moved)
+            if index in kept:
+                continue
+            perm, signs = letter_action(alg, moved)
+            if perm in group:
+                kept.add(index)
+                continue
+            bit_of = {table.bits[k]: table.bits[k2] for k, k2 in enumerate(index)}
+            axes = [table.weights[index[i]] for i in range(r)]
+
+            def act(g):
+                weight = (sum(g[1 + i] * axes[i][j] for i in range(r)) for j in range(r))
+                return (g[0], *weight, sum(b2 for b, b2 in bit_of.items() if g[-1] & b))
+
+            def fixes(chain):
+                return all(
+                    chain.get(tuple(perm[a] for a in w)) == c * math.prod(signs[a] for a in w)
+                    for w, c in chain.items()
+                )
+
+            if all(act(g) == g and fixes(chain) for g, chain in target.items()):
+                group[perm] = signs
+                kept.add(index)
+    return sorted(group.items())
+
+
+ALL_SIGNATURES = [(p, n - p) for n in range(2, 7) for p in range(n, 0, -1)]
+
+
+@pytest.mark.parametrize("build", [build_affine, build_so], ids=lambda b: b.__name__[6:])
+@pytest.mark.parametrize("pq", ALL_SIGNATURES, ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_orbit_group_matches_enumeration(build, pq):
+    # by index map, with each sign vector a flip of the first action, the
+    # builder gives the group of the former route, element for element
+    alg = build(Signature(*pq))
+    red = split_reduction(alg)
+    target = {(0, *(0,) * min(pq), m): {} for m in red.kept}
+    assert list(red.symmetries) == _enumerated_group(red.algebra, split._split_table(alg.sig), target)
+
+
+def _fixed_chain(alg, sym, words):
+    """Σ_k g^k(w) over k < 24, a multiple of the order of every signed
+    permutation of four coordinates, for g = ``sym`` and each word w: a
+    chain fixed by g, by grade."""
+    perm, signs = sym
+    chain = {}
+    for word in words:
+        w, s = word, 1
+        for _ in range(24):
+            chain[w] = chain.get(w, 0) + s
+            s *= math.prod(signs[a] for a in w)
+            w = tuple(perm[a] for a in w)
+    by_grade = {}
+    for w, c in chain.items():
+        if c:
+            by_grade.setdefault(graded_words(alg.grades).grade_of(w), {})[w] = c
+    return by_grade
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (3, 1), (1, 3)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_chain_stabiliser_matches_enumeration(pq):
+    # for every signed rotation g, a chain fixed by g in a few grades: the
+    # builder reads each flip's sign off the first action of an index map
+    # and picks the sign vector the former route found by trying each; g's
+    # letter permutation is kept when g fixes each grade, and some elements
+    # need a sign vector other than their index map's first
+    alg = build_affine(Signature(*pq))
+    table = rotations._standard_table(alg.sig.n)
+    words = graded_words(alg.grades)
+    firsts = dict(letter_action(alg, list(zip(coords, signings[0]))) for coords, signings in signed_rotations(alg.sig))
+    flipped = 0
+    for coords, signings in signed_rotations(alg.sig):
+        for signing in signings:
+            perm, signs = letter_action(alg, list(zip(coords, signing)))
+            by_grade = _fixed_chain(alg, (perm, signs), [(0, 0, 4), (0, 4, 9)])
+            group = rotations.symmetry_group(alg, table, by_grade)
+            assert group == _enumerated_group(alg, table, by_grade), (coords, signing)
+            moves = any(words.grade_of(tuple(perm[a] for a in w)) != g for g, c in by_grade.items() for w in c)
+            assert (perm in dict(group)) != moves
+            flipped += sum(firsts[q] != s for q, s in group)
+    assert flipped
