@@ -6,6 +6,12 @@ affine algebra h_n = I_n ⋊ so(p,q) as exact structure-constant tables,
 computes invariant subspaces of their tensor/wedge modules, builds the named
 invariant elements, assembles the Loday and Chevalley-Eilenberg complexes and
 verifies the homology dimension claims by exact rank computations over Q.
+
+Importing the package loads the engine only: ``liealg``, ``linalg``,
+``repspace``, ``complexes``, ``homology`` and ``invariants``.  The
+verification suites and the structure validators of ``verify`` are loaded on
+the first lookup of one of their names here (``run_suite``, ``validate``,
+...); ``split`` and ``rotations`` on the first reduced run.
 """
 
 from .complexes import (
@@ -50,13 +56,9 @@ from .liealg import (
     RotationX,
     Signature,
     Translation,
-    ValidationReport,
     build_abelian,
-    build_abelian_extension,
     build_affine,
     build_so,
-    standard_translation_action,
-    validate,
 )
 from .linalg import (
     CapExceededError,
@@ -80,6 +82,28 @@ from .repspace import (
     tensor_to_wedge,
     wedge_space,
 )
-from .verify import VerifyReport, run_suite
 
 __version__ = "0.1.0"
+
+# the names of ``verify``, imported on their first lookup (PEP 562)
+_FROM_VERIFY = (
+    "ValidationReport",
+    "VerifyReport",
+    "build_abelian_extension",
+    "run_suite",
+    "standard_translation_action",
+    "validate",
+)
+
+
+def __getattr__(name: str):
+    if name not in _FROM_VERIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = globals()[name] = getattr(verify, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FROM_VERIFY})

@@ -29,12 +29,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .homology import DEFAULT_CAP_EXACT, HomologyOptions, cohomology_dims, homology_dims
+from .homology import DEFAULT_CAP_EXACT, SCHEMA_VERSION, HomologyOptions, cohomology_dims, homology_dims
 from .invariants import expected_invariant_dim, invariant_subspace
-from .liealg import Signature, build_abelian, build_affine, build_so, validate
+from .liealg import Signature, build_abelian, build_affine, build_so
 from .linalg import CapExceededError
 from .repspace import Space, mixed_space, tensor_space, wedge_space
-from .verify import SCHEMA_VERSION, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,6 +105,10 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_algebra(args) -> int:
+    # ``verify`` is loaded only by the subcommands that run it, so the
+    # others do not compile it
+    from .verify import validate
+
     sig = _signature(args)
     so = build_so(sig)
     h = build_affine(sig)
@@ -246,6 +249,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     sig = _signature(args)
     opts = _options(args)
     try:

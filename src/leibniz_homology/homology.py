@@ -85,7 +85,10 @@ __all__ = [
     "homology_dims",
     "predicted_hl_dims",
     "cohomology_dims",
+    "SCHEMA_VERSION",
 ]
+
+SCHEMA_VERSION = "1"  # of every JSON report the CLI writes
 
 ColumnCheck = Callable[[Column, bool], None]  # a ranked column, and whether it raised the rank
 HeldColumns = dict[Optional[Grade], list[Column]]  # one degree's ranked columns, by grade

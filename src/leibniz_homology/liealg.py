@@ -16,7 +16,10 @@ so all structure constants of so(p,q) and of the affine algebra
 h_n = I_n ⋊ so(p,q) come out as exact integers.  Basis order is fixed:
 translations by i, then X(i,j) lexicographic (p-block before q-block), then
 Y(i,j) lexicographic.  The letters on another basis of R^n, and the
-signed letter permutations of SO(p)×SO(q), are in ``rotations``.
+signed letter permutations of SO(p)×SO(q), are in ``rotations``.  The
+structure validators (``validate``, ``build_abelian_extension``,
+``standard_translation_action``) are in ``verify``, which no Betti table or
+invariant computation loads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
-from ._value import Frozen, Value
+from ._value import Frozen
 
 __all__ = [
     "Signature",
@@ -37,14 +40,10 @@ __all__ = [
     "GenericLabel",
     "BasisLabel",
     "LieAlgebra",
-    "ValidationReport",
     "ModuleLawError",
     "build_abelian",
     "build_so",
     "build_affine",
-    "build_abelian_extension",
-    "standard_translation_action",
-    "validate",
 ]
 
 
@@ -490,25 +489,6 @@ class ModuleLawError(ValueError):
 Matrix = dict[tuple[int, int], Coeff]
 
 
-def _as_sparse_matrix(mat, m: int) -> Matrix:
-    """Accept a dict (i, j) -> value or a nested sequence of rows and return
-    a sparse dict.  Every value must be exact, an ``int`` or a ``Fraction``."""
-    if isinstance(mat, dict):
-        entries = mat.items()
-    else:
-        entries = (((i, j), v) for i, row in enumerate(mat) for j, v in enumerate(row))
-    out = {}
-    for (i, j), v in entries:
-        if not isinstance(v, (int, Fraction)):
-            raise ValueError(f"action matrix entry ({i},{j}) is {v!r}, not an int or a Fraction")
-        if v:
-            out[(i, j)] = v
-    for (i, j) in out:
-        if not (0 <= i < m and 0 <= j < m):
-            raise ValueError(f"action matrix entry ({i},{j}) outside dimension {m}")
-    return out
-
-
 def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
     """AB - BA of two sparse matrices."""
     out: dict[tuple[int, int], Coeff] = {}
@@ -521,157 +501,3 @@ def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
             if k == k2:
                 out[(i, j)] = out.get((i, j), 0) - vb * va
     return {k: v for k, v in out.items() if v}
-
-
-def standard_translation_action(sig: Signature) -> list[Matrix]:
-    """Matrices of the standard action of so(p,q) on I_n.
-
-    action(X)·m = [X, m] inside the affine algebra; for a label with field
-    matrix A this is -A^T, so build_abelian_extension(build_so(sig), these)
-    reproduces build_affine(sig) entry for entry.
-    """
-    mats = []
-    for lab in so_labels(sig):
-        A, _ = field_of_label(lab, sig)
-        mats.append({(j, i): -v for (i, j), v in A.items()})
-    return mats
-
-
-def build_abelian_extension(g: LieAlgebra, action: Sequence, *, m_dim: int) -> LieAlgebra:
-    """Abelian extension M ⊕ g with bracket [g1+m1, g2+m2] = [g1,g2] + [g1,m2] - [g2,m1].
-
-    ``action[a]`` is the matrix of m -> [e_a, m] on M, a dict (i, j) -> value
-    or a list of rows, with ``int`` or ``Fraction`` entries only (any other
-    value raises ``ValueError``: no float is rounded).  The matrices must
-    satisfy action([a,b]) = action(a)action(b) - action(b)action(a); the
-    failing pair is named otherwise.  Basis order: M = span of m(1), ...,
-    m(m_dim) first, then g; M has grade (1, 0) and g grade (0, 0).
-    """
-    if len(action) != g.dim:
-        raise ValueError("need one action matrix per basis element of g")
-    mats = [_as_sparse_matrix(mat, m_dim) for mat in action]
-
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            lhs: dict[tuple[int, int], Coeff] = {}
-            for c, s in g.bracket(a, b).items():
-                for key, v in mats[c].items():
-                    lhs[key] = lhs.get(key, 0) + s * v
-            rhs = _mat_commutator(mats[a], mats[b])
-            diff = dict(lhs)
-            for key, v in rhs.items():
-                diff[key] = diff.get(key, 0) - v
-            if any(v for v in diff.values()):
-                raise ModuleLawError((g.labels[a], g.labels[b]), "action([a,b]) != [action(a),action(b)]")
-
-    labels: list[BasisLabel] = [GenericLabel(f"m({i})") for i in range(1, m_dim + 1)] + list(g.labels)
-    structure: dict[tuple[int, int], dict[int, Coeff]] = {}
-    # g-g block, shifted by m_dim.
-    for (a, b), vec in g.structure.items():
-        structure[(a + m_dim, b + m_dim)] = {c + m_dim: v for c, v in vec.items()}
-    # mixed block: [m_i, g_a] = -[g_a, m_i] = -action(a)·e_i.
-    for a in range(g.dim):
-        for (i, j), v in mats[a].items():
-            # action(a)·e_j has component v at i:  [g_a, m_j] = sum_i v·m_i
-            vec = structure.setdefault((a + m_dim, j), {})
-            vec[i] = vec.get(i, 0) + v
-    for (a, j) in [k for k in structure if k[0] >= m_dim and k[1] < m_dim]:
-        structure[(j, a)] = {c: -v for c, v in structure[(a, j)].items()}
-    structure = {k: {c: v for c, v in vec.items() if v} for k, vec in structure.items()}
-    structure = {k: vec for k, vec in structure.items() if vec}
-    grades = [(1, 0)] * m_dim + [(0, 0)] * g.dim
-    return LieAlgebra(labels, structure, grades=grades, sig=g.sig, name=f"{g.name}+M{m_dim}")
-
-
-# ---------------------------------------------------------------------------
-# Validation.
-
-
-class ValidationReport(Value):
-    _fields = (
-        "algebra", "antisymmetry_ok", "jacobi_ok", "jacobi_failures",
-        "antisymmetry_failures", "integral", "oracle_ok",
-    )
-
-    def __init__(
-        self, algebra: str, antisymmetry_ok: bool, jacobi_ok: bool,
-        jacobi_failures: Optional[list[tuple[BasisLabel, BasisLabel, BasisLabel]]] = None,
-        antisymmetry_failures: Optional[list[tuple[BasisLabel, BasisLabel]]] = None,
-        integral: Optional[bool] = None, oracle_ok: Optional[bool] = None,
-    ) -> None:
-        self.algebra = algebra
-        self.antisymmetry_ok = antisymmetry_ok
-        self.jacobi_ok = jacobi_ok
-        self.jacobi_failures = [] if jacobi_failures is None else jacobi_failures
-        self.antisymmetry_failures = [] if antisymmetry_failures is None else antisymmetry_failures
-        self.integral = integral
-        self.oracle_ok = oracle_ok
-
-    @property
-    def ok(self) -> bool:
-        checks = [self.antisymmetry_ok, self.jacobi_ok]
-        if self.integral is not None:
-            checks.append(self.integral)
-        if self.oracle_ok is not None:
-            checks.append(self.oracle_ok)
-        return all(checks)
-
-
-MAX_FAILURES = 5  # failing pairs and triples listed per check
-
-
-def validate(alg: LieAlgebra) -> ValidationReport:
-    """Check antisymmetry and Jacobi exactly; canonical algebras additionally
-    get an integrality check and a recomputation from their defining fields."""
-    report = ValidationReport(algebra=alg.name, antisymmetry_ok=True, jacobi_ok=True)
-    d = alg.dim
-    for a in range(d):
-        if alg.bracket(a, a):
-            report.antisymmetry_ok = False
-            report.antisymmetry_failures.append((alg.labels[a], alg.labels[a]))
-        for b in range(a + 1, d):
-            vab = alg.bracket(a, b)
-            vba = alg.bracket(b, a)
-            keys = set(vab) | set(vba)
-            if any(vab.get(c, 0) != -vba.get(c, 0) for c in keys):
-                report.antisymmetry_ok = False
-                if len(report.antisymmetry_failures) < MAX_FAILURES:
-                    report.antisymmetry_failures.append((alg.labels[a], alg.labels[b]))
-
-    for a in range(d):
-        for b in range(a + 1, d):
-            for c in range(b + 1, d):
-                acc: dict[int, Coeff] = {}
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for m, s in alg.bracket(x, y).items():
-                        for r, t in alg.bracket(m, z).items():
-                            acc[r] = acc.get(r, 0) + s * t
-                if any(v for v in acc.values()):
-                    report.jacobi_ok = False
-                    if len(report.jacobi_failures) < MAX_FAILURES:
-                        report.jacobi_failures.append(
-                            (alg.labels[a], alg.labels[b], alg.labels[c])
-                        )
-
-    canonical = alg.sig is not None and all(
-        isinstance(lab, (Translation, RotationX, BoostY)) for lab in alg.labels
-    )
-    if canonical:
-        report.integral = all(
-            isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
-            for vec in alg.structure.values()
-            for v in vec.values()
-        )
-        index = {lab: k for k, lab in enumerate(alg.labels)}
-        fields = [field_of_label(lab, alg.sig) for lab in alg.labels]
-        ok = True
-        for a in range(d):
-            for b in range(d):
-                if a == b:
-                    continue
-                expect = _decompose_field(commutator_fields(fields[a], fields[b]), alg.sig, index)
-                got = {c: v for c, v in alg.bracket(a, b).items() if v}
-                if {c: int(v) for c, v in got.items()} != expect:
-                    ok = False
-        report.oracle_ok = ok
-    return report

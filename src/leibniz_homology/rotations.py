@@ -144,14 +144,13 @@ def symmetry_group(
     q = 0), the index map is the map of coordinates, whatever the signs: the
     n! index maps are enumerated and a sign vector is only a flip mask.  An
     index map acts on grades by a signed permutation of the torus
-    coordinates (each image of b_0..b_{r-1} has a signed unit weight) and a
-    table of the permuted parity bits.  The first action of each index map
+    coordinates (each image of b_0..b_{r-1} has a signed unit weight) and
+    the images of the parity bits.  The first action of each index map
     must map every letter to one of the acted-on grade and pass
     ``liealg.check_automorphism``, against the structure triples built once
     per call; otherwise ``ValueError`` is raised.
     """
-    r = len(table.weights[0])
-    grades = alg.grades
+    r, grades = len(table.weights[0]), alg.grades
     triples = structure_triples(alg)
     lead = [next(iter(v)) for v in table.vecs]  # a coordinate of each b_k
     single = all(len(v) == 1 for v in table.vecs)
@@ -172,12 +171,13 @@ def symmetry_group(
             for i in range(r):
                 ((j, c),) = [(j, c) for j, c in enumerate(table.weights[index[i]]) if c]
                 coord[j] = (i, c)
-            bits = {0: 0}  # every parity mask -> its image, bit by bit
-            for b, b2 in {table.bits[k]: table.bits[k2] for k, k2 in enumerate(index)}.items():
-                bits.update([(m | b, v | b2) for m, v in bits.items()])
+            moves = {table.bits[k]: table.bits[k2] for k, k2 in enumerate(index)}  # parity bit -> image
 
             def act(g: Grade) -> Grade:
-                return (g[0], *[c * g[1 + i] for i, c in coord], bits[g[-1]])
+                m, image = g[-1], 0  # the parity's image, one set bit at a time
+                while m:
+                    m, image = m & (m - 1), image | moves[m & -m]
+                return (g[0], *[c * g[1 + i] for i, c in coord], image)
 
             for x, g in enumerate(grades):
                 if grades[perm[x]] != act(g):

@@ -308,13 +308,15 @@ def test_verify_report_shape(tmp_path):
 )
 def test_unwritable_json_path_is_usage_error(monkeypatch, capsys, tmp_path, argv):
     # refused before any computation: every subcommand's work raises here
-    from leibniz_homology import cli
+    from leibniz_homology import cli, verify
 
     def no_work(*args, **kwargs):
         raise RuntimeError("computed before the --json path was checked")
 
-    for name in ("validate", "invariant_subspace", "homology_dims", "run_suite"):
-        monkeypatch.setattr(cli, name, no_work)
+    # algebra and verify import their work from ``verify`` when they run
+    for module, name in ((verify, "validate"), (cli, "invariant_subspace"),
+                         (cli, "homology_dims"), (verify, "run_suite")):
+        monkeypatch.setattr(module, name, no_work)
     missing = tmp_path / "missing" / "x.json"
     head = "cannot write the --json report"
     for flags, err in [
