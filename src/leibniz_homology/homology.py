@@ -71,8 +71,10 @@ from .complexes import (
     WedgeBoundary,
     check_dd_zero,
 )
-from .liealg import Coeff, Grade, LieAlgebra, Signature
-from .linalg import DEFAULT_CAP_EXACT, ExactEliminator, RankCertificate, SparseModularEliminator
+from .liealg import Grade, LieAlgebra, Signature
+from .linalg import (
+    DEFAULT_CAP_EXACT, ExactEliminator, RankCertificate, SparseModularEliminator, _image,
+)
 
 if TYPE_CHECKING:
     from .split import SplitReduction
@@ -218,19 +220,6 @@ def predicted_hl_dims(sig: Signature, max_degree: int) -> list[int]:
     return out
 
 
-def _composite(col: Column, below: list[Column]) -> dict[int, Coeff]:
-    """d_{k-1}(``col``) without zeros, ``below`` the columns of d_{k-1}."""
-    out: dict[int, Coeff] = {}
-    for i, v in col:
-        for r, w in below[i]:
-            nv = out.get(r, 0) + v * w
-            if nv:
-                out[r] = nv
-            elif r in out:
-                del out[r]
-    return out
-
-
 def _dd_check(
     k: int,
     lower: HeldColumns,
@@ -246,7 +235,7 @@ def _dd_check(
     held = None if kept is None else kept.setdefault(block.grade, [])
 
     def check_column(col: Column, raised: bool) -> None:
-        if raised and below is not None and _composite(col, below):
+        if raised and below is not None and _image(below, dict(col)):
             raise AssertionError(f"d∘d != 0 at degree {k}, grade {block.grade}")
         if held is not None:
             held.append(col)
@@ -307,9 +296,9 @@ def homology_dims(
 
     For the Loday complex of an affine algebra with n >= 4 (n basis elements
     of translation count 1) the report carries the predicted dimension series
-    and per-degree match flags.  The Loday complex of ``build_affine``/
-    ``build_so`` runs on the orbit sums of the kept blocks of its split
-    form only (``reduction`` in the report).  Every rank is exact over Q.  A
+    and per-degree match flags, through the last degree of its table.  The
+    Loday complex of ``build_affine``/``build_so`` runs on the orbit sums of
+    the kept blocks of its split form only (``reduction`` in the report).  Every rank is exact over Q.  A
     degree past ``cap_exact`` ends the table in a partial report
     (``capped_at`` set) rather than an exception.  A negative ``max_degree``
     raises ``ValueError``.
@@ -360,7 +349,7 @@ def homology_dims(
 
     sig = algebra.sig
     affine = sig is not None and sig.n >= 4 and sum(g[0] for g in algebra.grades) == sig.n
-    predicted = predicted_hl_dims(sig, max_degree) if kind == "loday" and affine else None
+    predicted = predicted_hl_dims(sig, len(entries) - 1) if kind == "loday" and affine else None
     matches = None if predicted is None else [e.betti == predicted[e.degree] for e in entries]
 
     return BettiReport(

@@ -4,14 +4,15 @@ Every linear map on chains is a word map extended by ``Chain.map``, as in
 ``repspace``.  ``invariant_subspace`` stacks the action of every acting basis
 element on one basis word (``act_word``) into one column, reads the kernel
 from ``linalg.kernel_basis`` and re-verifies each kernel chain by direct
-annihilation (``act``).  On an algebra equal to ``build_affine(sig)`` or
-``build_so(sig)`` (``liealg.is_canonical``) only the words whose parity is
-constant on each block get a column: for an acting ``X(i,j)``, both indices
-in one block, exp(π·X(i,j)) is the flip ε_iε_j, which multiplies a word of
-parity s by (-1)^(s_i + s_j), and a vector killed by X is fixed by every
-exp(tX), so an invariant has no word with s_i != s_j.  Every other algebra
-(a ``sig=None`` copy included) solves over all words.  ``lead_projection``
-extends the projection of one tensor word onto lead ⊗ Λ^(k-1).
+annihilation (``annihilated_by``).  On an algebra equal to
+``build_affine(sig)`` or ``build_so(sig)`` (``liealg.is_canonical``) only
+the words whose parity is constant on each block get a column: for an
+acting ``X(i,j)``, both indices in one block, exp(π·X(i,j)) is the flip
+ε_iε_j, which multiplies a word of parity s by (-1)^(s_i + s_j), and a
+vector killed by X is fixed by every exp(tX), so an invariant has no word
+with s_i != s_j.  Every other algebra (a ``sig=None`` copy included) solves
+over all words.  ``lead_projection`` extends the projection of one tensor
+word onto lead ⊗ Λ^(k-1).
 ``expected_invariant_dim`` is the paper's table of invariant dimensions.
 
 The named elements (all exact, integer up to the stated 1/n! prefactor):
@@ -28,11 +29,11 @@ The named elements (all exact, integer up to the stated 1/n! prefactor):
                 (-1)^(i+j) on q-block X pairs and on Y pairs (the unique
                 pattern annihilated by so(p,q); confirmed against the kernel
                 solver at every tested signature).
-* gamma_bar / gamma_bar_prime — the degree-(n-1) tensor lifts of gamma with
-                the so-factor first resp. last: for each eligible (i,j) the
-                tail runs over all bijections s from the n-2 slots onto
-                {1..n} minus {i,j}, signed by sgn(s) relative to the
-                increasing order of that complement, with prefactor 1/n!.
+* gamma_bar   — the degree-(n-1) tensor lift of gamma with the so-factor
+                first: gamma embedded by ``complexes.embed_mixed_in_tensor``
+                (tail antisymmetrized with prefactor 1/(n-2)!), divided by
+                n(n-1), so the prefactor is 1/n!.
+* gamma_bar_prime — gamma_bar with the so-factor of each word moved last.
 * gamma_tilde — gamma_bar + sign * gamma_bar_prime; the surviving sign is
                 resolved at runtime by ``resolve_gamma_tilde_sign``.
 """
@@ -40,14 +41,15 @@ The named elements (all exact, integer up to the stated 1/n! prefactor):
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._value import Value
+from .complexes import embed_mixed_in_tensor
 from .liealg import (
-    BoostY, LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine, is_canonical,
+    LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine, is_canonical,
+    so_labels,
 )
 from .linalg import CapExceededError, kernel_basis
 from .repspace import (
@@ -198,9 +200,8 @@ def invariant_subspace(acting: Union[LieAlgebra, Sequence[int]], space: Space) -
         chains.append(chain)
     chains.sort(key=lambda c: space.rank_word(min(c.coeffs, key=space.rank_word)))
     for chain in chains:
-        for x in gens:
-            if not act(x, chain).is_zero():
-                raise AssertionError("kernel chain failed exact annihilation re-check")
+        if not annihilated_by(chain, gens):
+            raise AssertionError("kernel chain failed exact annihilation re-check")
     return InvariantBasis(space, chains, len(chains))
 
 
@@ -285,35 +286,13 @@ def make_beta(sig: Signature) -> Chain:
 def make_rho(sig: Signature) -> Chain:
     """The invariant of so ⊗ Λ^2; requires n >= 2 with at least one valid pair."""
     h = build_affine(sig)
-    p, n = sig.p, sig.n
     space = mixed_space(h, 2, lead=h.so_indices)
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            coeffs[(h.index(RotationX(i, j)), _trans(h, i), _trans(h, j))] = Fraction(1)
-    for i in range(p + 1, n + 1):
-        for j in range(i + 1, n + 1):
-            coeffs[(h.index(RotationX(i, j)), _trans(h, i), _trans(h, j))] = Fraction(-1)
-    for i in range(1, p + 1):
-        for j in range(p + 1, n + 1):
-            coeffs[(h.index(BoostY(i, j)), _trans(h, i), _trans(h, j))] = Fraction(1)
+    for lab in so_labels(sig):
+        q_block = isinstance(lab, RotationX) and lab.i > sig.p
+        word = (h.index(lab), _trans(h, lab.i), _trans(h, lab.j))
+        coeffs[word] = Fraction(-1 if q_block else 1)
     return Chain(space, coeffs)
-
-
-def _gamma_blocks(sig: Signature) -> list[tuple[int, int, object, int]]:
-    """(i, j, lead label, sign) for every eligible pair, with the verified signs."""
-    p, n = sig.p, sig.n
-    out = []
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            out.append((i, j, RotationX(i, j), (-1) ** (i + j + 1)))
-    for i in range(p + 1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append((i, j, RotationX(i, j), (-1) ** (i + j)))
-    for i in range(1, p + 1):
-        for j in range(p + 1, n + 1):
-            out.append((i, j, BoostY(i, j), (-1) ** (i + j)))
-    return out
 
 
 def make_gamma(sig: Signature) -> Chain:
@@ -322,37 +301,23 @@ def make_gamma(sig: Signature) -> Chain:
     n = sig.n
     space = mixed_space(h, n - 2, lead=h.so_indices)
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    for i, j, lab, sign in _gamma_blocks(sig):
-        word = (h.index(lab),) + _complement_wedge(h, n, (i, j))
-        coeffs[word] = Fraction(sign)
+    for lab in so_labels(sig):
+        p_block = isinstance(lab, RotationX) and lab.j <= sig.p
+        word = (h.index(lab),) + _complement_wedge(h, n, (lab.i, lab.j))
+        coeffs[word] = Fraction((-1) ** (lab.i + lab.j + p_block))
     return Chain(space, coeffs)
-
-
-def _gamma_bar_words(sig: Signature, lead_first: bool) -> dict[tuple[int, ...], Fraction]:
-    h = build_affine(sig)
-    n = sig.n
-    pref = Fraction(1, math.factorial(n))
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for i, j, lab, sign in _gamma_blocks(sig):
-        lead = h.index(lab)
-        complement = _complement_wedge(h, n, (i, j))
-        for perm in itertools.permutations(range(n - 2)):
-            tail = tuple(complement[t] for t in perm)
-            word = (lead,) + tail if lead_first else tail + (lead,)
-            coeffs[word] = coeffs.get(word, Fraction(0)) + pref * sign * _perm_sign(perm)
-    return coeffs
 
 
 def make_gamma_bar(sig: Signature) -> Chain:
     """Tensor lift of gamma with the so-factor leading, prefactor 1/n!."""
-    h = build_affine(sig)
-    return Chain(tensor_space(h, sig.n - 1), _gamma_bar_words(sig, lead_first=True))
+    n = sig.n
+    return Fraction(1, n * (n - 1)) * embed_mixed_in_tensor(make_gamma(sig))
 
 
 def make_gamma_bar_prime(sig: Signature) -> Chain:
     """Tensor lift of gamma with the so-factor trailing, prefactor 1/n!."""
-    h = build_affine(sig)
-    return Chain(tensor_space(h, sig.n - 1), _gamma_bar_words(sig, lead_first=False))
+    chain = make_gamma_bar(sig)
+    return chain.map(lambda w: {w[1:] + w[:1]: 1}, chain.space)
 
 
 def make_gamma_tilde(sig: Signature, sign: int) -> Chain:
@@ -369,10 +334,7 @@ def resolve_gamma_tilde_sign(sig: Signature) -> tuple[Optional[int], dict[int, b
     is expected to survive; both surviving or neither is reported as None.
     """
     h = build_affine(sig)
-    results: dict[int, bool] = {}
-    for sign in (1, -1):
-        chain = make_gamma_tilde(sig, sign)
-        results[sign] = all(act(x, chain).is_zero() for x in range(h.dim))
+    results = {sign: annihilated_by(make_gamma_tilde(sig, sign), h) for sign in (1, -1)}
     survivors = [s for s, ok in results.items() if ok]
     return (survivors[0] if len(survivors) == 1 else None), results
 

@@ -59,14 +59,6 @@ class Signature(Frozen):
             raise ValueError("signature requires q >= 0")
         self.__dict__.update(p=p, q=q)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p and self.q == other.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
     @property
     def n(self) -> int:
         return self.p + self.q
@@ -85,14 +77,6 @@ class Translation(Frozen):
     def __init__(self, i: int) -> None:
         self.__dict__["i"] = i
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.i == other.i
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.i,))
-
     def __str__(self) -> str:
         return f"d({self.i})"
 
@@ -102,14 +86,6 @@ class _IndexPair(Frozen):
 
     def __init__(self, i: int, j: int) -> None:
         self.__dict__.update(i=i, j=j)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.i == other.i and self.j == other.j
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.j))
 
 
 class RotationX(_IndexPair):
@@ -129,14 +105,6 @@ class GenericLabel(Frozen):
 
     def __init__(self, name: str) -> None:
         self.__dict__["name"] = name
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name

@@ -83,16 +83,6 @@ class Space(Frozen):
             raise ValueError("mixed spaces (and only they) need a lead range")
         self.__dict__.update(algebra=algebra, kind=kind, degree=degree, factors=factors, lead=lead)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.algebra, self.kind, self.degree, self.factors, self.lead) == (
-                other.algebra, other.kind, other.degree, other.factors, other.lead
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.kind, self.degree, self.factors, self.lead))
-
     # -- dimensions and positions -------------------------------------------
 
     @property
@@ -530,13 +520,6 @@ class Chain(Value):
             raise ValueError(f"scalar {scalar!r} is not an int or a Fraction")
         s = Fraction(scalar)
         return Chain(self.space, {w: s * c for w, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Chain)
-            and self.space == other.space
-            and self.coeffs == other.coeffs
-        )
 
     def map(self, word_map: Callable[[Word], Mapping[Word, Coeff]], target: Space) -> "Chain":
         """The linear extension of ``word_map`` to this chain, a chain of ``target``."""

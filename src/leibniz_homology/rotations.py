@@ -45,10 +45,11 @@ def signed_rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], list[tup
             yield head + tail, by_dets[_perm_sign(head), _perm_sign([t - p for t in tail])]
 
 
-def _pair_sign(k: int, l: int, p: int) -> int:
+def _pair_sign(l: int, p: int) -> int:
     """The sign s with e_k ∧ e_l = s·(the X or Y label of the pair), 0-based
     k < l: the field of x -> e_k B(e_l, x) - e_l B(e_k, x) is X(k+1,l+1) in
-    the p-block, and -X(k+1,l+1) in the q-block or -Y(k+1,l+1) across."""
+    the p-block, and -X(k+1,l+1) in the q-block or -Y(k+1,l+1) across, so
+    only l decides."""
     return 1 if l < p else -1
 
 
@@ -59,7 +60,7 @@ def letter_pairs(sig: Signature) -> tuple[list[tuple[int, int]], dict[tuple[int,
     pairs = [(lab.i - 1, lab.j - 1) for lab in so_labels(sig)]
     wedge = {}
     for t, (a, b) in enumerate(pairs):
-        s = _pair_sign(a, b, sig.p)
+        s = _pair_sign(b, sig.p)
         wedge[(a, b)], wedge[(b, a)] = (t, s), (t, -s)
     return pairs, wedge
 
@@ -70,7 +71,7 @@ def letter_images(
     """The letters on a basis b of R^n, b_k = Σ vecs[k][j]·e_j (0-based), as
     sparse combinations of the standard letters of ``build_affine(sig)`` or
     ``build_so(sig)``: the d(b_k) for k < nt (nt = n with translations, else
-    0), then ``_pair_sign(a, b, p)·b_a ∧ b_b`` for the ``letter_pairs``
+    0), then ``_pair_sign(b, p)·b_a ∧ b_b`` for the ``letter_pairs``
     (a, b).  For b = e these are the standard letters; ``split`` gets the
     split form's letters from its split vectors, and ``letter_action`` the
     image of a signed permutation from one-term vectors."""

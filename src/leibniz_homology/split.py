@@ -239,10 +239,6 @@ def split_reduction(alg: LieAlgebra) -> Optional[SplitReduction]:
     return _split_reduction(alg.sig, bool(alg.translation_indices))
 
 
-def _even(mask: int) -> bool:
-    return bin(mask).count("1") % 2 == 0
-
-
 @lru_cache(maxsize=None)
 def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
     alg = build_affine(sig) if affine else build_so(sig)
@@ -256,10 +252,10 @@ def _split_reduction(sig: Signature, affine: bool) -> SplitReduction:
     flips: list[int] = []
     span = {0}
     for m in masks:
-        if _even(m & p_block) and _even(m & q_block) and m not in span:
+        if (m & p_block).bit_count() % 2 == (m & q_block).bit_count() % 2 == 0 and m not in span:
             flips.append(m)
             span |= {x ^ m for x in span}
-    kept = tuple(m for m in masks if all(_even(m & f) for f in flips))
+    kept = tuple(m for m in masks if not any((m & f).bit_count() % 2 for f in flips))
     torus = tuple(BoostY(i, p + i) for i in range(1, r + 1))
     zeros = (0,) * r
     group = symmetry_group(split, _split_table(sig), {(0, *zeros, m): {} for m in kept})

@@ -130,6 +130,20 @@ def test_homology_cap_gives_partial_and_exit3(capsys):
     assert captured.err == "partial report: degree 5: 1240 columns exceed the exact cap 1000\n"
 
 
+def test_capped_report_predicts_only_the_printed_degrees(tmp_path, capsys):
+    # the predicted series stops at the last printed degree (2, before the
+    # cap at degree 4), while max_degree records the requested one
+    out = tmp_path / "capped.json"
+    argv = ["homology", "--p", "2", "--q", "2", "--max-degree", "1000", "--cap-exact", "100"]
+    assert run(argv + ["--json", str(out)]) == EXIT_CAP
+    results = json.loads(out.read_text())["results"]
+    assert [r["variant"] for r in results] == ["homology", "cohomology"]
+    for r in results:
+        assert (r["max_degree"], r["capped_at"]) == (1000, 4)
+        assert r["predicted"] == [1, 0, 0] and r["matches"] == [True] * 3 and len(r["entries"]) == 3
+    capsys.readouterr()
+
+
 def test_cap_defaults_follow_library():
     args = build_parser().parse_args(["homology", "--abelian", "2"])
     assert args.cap_exact == DEFAULT_CAP_EXACT

@@ -321,16 +321,16 @@ def test_dd_check_composes_only_columns_that_raise_the_rank(monkeypatch):
     # raise it are composed: each composite follows a True from add_column
     events = []
     add_column = ExactEliminator.add_column
-    composite = homology._composite
+    image = homology._image
 
     def logged_add(self, col):
         raised = add_column(self, col)
         events.append(raised)
         return raised
 
-    def logged_composite(col, below):
+    def logged_image(cols, x):
         events.append("composite")
-        return composite(col, below)
+        return image(cols, x)
 
     read = 0
     column = complexes.BoundaryBlock.column
@@ -341,7 +341,7 @@ def test_dd_check_composes_only_columns_that_raise_the_rank(monkeypatch):
         return column(self, j)
 
     monkeypatch.setattr(ExactEliminator, "add_column", logged_add)
-    monkeypatch.setattr(homology, "_composite", logged_composite)
+    monkeypatch.setattr(homology, "_image", logged_image)
     monkeypatch.setattr(complexes.BoundaryBlock, "column", counted)
     assert homology_dims(build_affine(Signature(2, 2)), 4).betti == [1, 0, 0, 1, 1]
     composed = [t for t, e in enumerate(events) if e == "composite"]

@@ -151,19 +151,23 @@ def test_alpha_antisymmetrization():
     assert proj == Fraction(math.factorial(4)) * make_alpha(sig)
 
 
-def test_gamma_bar_word_count_and_projection():
-    sig = Signature(2, 2)
+@pytest.mark.parametrize(
+    "pq", [(p, n - p) for n in range(3, 7) for p in range(1, n + 1)], ids=lambda pq: f"{pq[0]}_{pq[1]}"
+)
+def test_gamma_bar_word_count_and_projection(pq):
+    sig = Signature(*pq)
     h = build_affine(sig)
-    gb = make_gamma_bar(sig)
-    assert len(gb.coeffs) == 12  # 6 lead elements x 2 permutations
-    proj = lead_projection(gb, h.so_indices)
     n = sig.n
+    words = len(h.so_indices) * math.factorial(n - 2)  # each lead element x (n-2)! tails
+    gb = make_gamma_bar(sig)
+    assert len(gb.coeffs) == words
+    proj = lead_projection(gb, h.so_indices)
     assert Fraction(math.factorial(n), math.factorial(n - 2)) * proj == make_gamma(sig)
     gbp = make_gamma_bar_prime(sig)
-    assert len(gbp.coeffs) == 12
+    assert len(gbp.coeffs) == words
     # the primed lift has the so-factor last
-    assert all(w[-1] in set(h.so_indices) for w in gbp.coeffs)
-    assert all(w[0] in set(h.so_indices) for w in gb.coeffs)
+    so = set(h.so_indices)
+    assert all(w[0] in so for w in gb.coeffs) and all(w[-1] in so for w in gbp.coeffs)
 
 
 def test_gamma_bar_prefactor():

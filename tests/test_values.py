@@ -1,8 +1,12 @@
 """The value classes: plain classes with the constructors, validation,
 equality, hashing and immutability of the records they model."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import leibniz_homology
 from leibniz_homology import (
     BettiEntry,
     BettiReport,
@@ -23,6 +27,7 @@ from leibniz_homology import (
     homology_dims,
     tensor_space,
 )
+from leibniz_homology._value import Frozen, Value
 from leibniz_homology.complexes import BoundaryBlock
 from leibniz_homology.homology import DEFAULT_CAP_EXACT
 from leibniz_homology.liealg import GenericLabel
@@ -117,6 +122,36 @@ def test_value_semantics(cls, kwargs, defaults, frozen, bad):
     if bad is not None:
         with pytest.raises(ValueError):
             cls(**{**kwargs, **bad})
+
+
+def test_hashes_are_the_hashes_of_the_field_tuples():
+    # a one-field class hashes a 1-tuple, as a tuple of its fields would
+    assert hash(Signature(2, 2)) == hash((2, 2))
+    assert hash(Translation(3)) == hash((3,))
+    assert hash(RotationX(1, 2)) == hash((1, 2)) == hash(BoostY(1, 2))
+    assert hash(GenericLabel("x")) == hash(("x",))
+    assert hash(T2) == hash((H22, "tensor", 2, T2.factors, None))
+
+
+def _package_value_classes():
+    for info in pkgutil.iter_modules(leibniz_homology.__path__):
+        importlib.import_module(f"leibniz_homology.{info.name}")
+    todo, seen = [Value], []
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("leibniz_homology.") and sub not in seen:
+                seen.append(sub)
+                todo.append(sub)
+    return seen
+
+
+def test_value_classes_inherit_equality_and_hash():
+    # equality and hash have one definition, in _value, over ``_fields``
+    classes = _package_value_classes()
+    assert {Signature, RotationX, Space, Chain, BoundaryBlock, CheckResult} <= set(classes)
+    for cls in classes:
+        if cls is not Frozen:
+            assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls.__name__
 
 
 def test_labels_compare_by_class_and_fields_and_do_not_sort():
