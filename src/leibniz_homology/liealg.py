@@ -6,11 +6,13 @@ Everything is built from the defining vector fields on R^n:
     Y(i,j) =  x_i d/dx_j + x_j d/dx_i     (boosts, i <= p < j)
     d(i)   =  d/dx_i                      (translations)
 
-A vector field of polynomial degree <= 1 is stored as a pair (A, b) where
-A[(i,j)] is the coefficient of x_i d/dx_j and b[j] the coefficient of d/dx_j.
-The commutator of two such pairs is again degree <= 1:
+A vector field of polynomial degree <= 1 is stored as one sparse matrix M
+over the coordinates x_0, ..., x_{n-1} and the constant x_n = 1:
+M[(i, j)] is the coefficient of x_i d/dx_j, and row n holds the constant
+part.  No column n is ever set, so the commutator of two such fields is
+again of degree <= 1 and is the matrix commutator:
 
-    [(A, b), (B, c)] = (AB - BA, B^T b - A^T c)
+    [M, N] = MN - NM
 
 so all structure constants of so(p,q) and of the affine algebra
 h_n = I_n ⋊ so(p,q) come out as exact integers.  Basis order is fixed:
@@ -27,6 +29,7 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
@@ -143,76 +146,43 @@ def so_labels(sig: Signature) -> list[BasisLabel]:
 
 
 # ---------------------------------------------------------------------------
-# Degree <= 1 polynomial vector fields as (A, b) pairs.
+# Degree <= 1 polynomial vector fields as sparse matrices.
 
-Field = tuple[dict[tuple[int, int], int], dict[int, int]]
+Coeff = Union[int, Fraction]
+Matrix = dict[tuple[int, int], Coeff]
 
 
-def field_of_label(label: BasisLabel, sig: Signature) -> Field:
-    """The defining vector field of a canonical basis label (0-based keys)."""
+def field_of_label(label: BasisLabel, sig: Signature) -> Matrix:
+    """The defining vector field of a canonical basis label (0-based keys).
+
+    Each field is 1 at its largest key, its top entry, and no other field has
+    that entry: (n, i-1) for d(i), since a translation is the only field with
+    an entry in row n, and (j-1, i-1) for X(i,j) or Y(i,j), since the pair
+    {i, j} belongs to exactly one X or Y field."""
     if not label_is_valid(label, sig):
         raise ValueError(f"label {label} is not valid for signature {sig}")
     if isinstance(label, Translation):
-        return {}, {label.i - 1: 1}
+        return {(sig.n, label.i - 1): 1}
     i, j = label.i - 1, label.j - 1
-    if isinstance(label, RotationX):
-        return {(i, j): -1, (j, i): 1}, {}
-    return {(i, j): 1, (j, i): 1}, {}
+    return {(i, j): -1 if isinstance(label, RotationX) else 1, (j, i): 1}
 
 
-def commutator_fields(f: Field, g: Field) -> Field:
-    """[(A,b),(B,c)] = (AB - BA, B^T b - A^T c), all dictionaries sparse."""
-    A, b = f
-    B, c = g
-    const: dict[int, int] = {}
-    for i, v in b.items():
-        for (i2, j), a in B.items():
-            if i == i2:
-                const[j] = const.get(j, 0) + v * a
-    for i, v in c.items():
-        for (i2, j), a in A.items():
-            if i == i2:
-                const[j] = const.get(j, 0) - v * a
-    return _mat_commutator(A, B), {k: v for k, v in const.items() if v}
-
-
-def _decompose_field(fld: Field, sig: Signature, index: Mapping[BasisLabel, int]) -> dict[int, int]:
-    """Express a degree <= 1 field in the canonical basis; raise if outside the span."""
-    A, b = fld
-    out: dict[int, int] = {}
-    for j, v in b.items():
-        out[index[Translation(j + 1)]] = v
-    seen: set[tuple[int, int]] = set()
-    p = sig.p
-    for (i, j) in A.keys():
-        if i == j:
-            raise ValueError("field has a diagonal linear part; not in so(p,q)")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        i1, j1 = key[0] + 1, key[1] + 1  # 1-based, i1 < j1
-        upper = A.get((key[0], key[1]), 0)  # coeff of x_{i1} d_{j1}
-        lower = A.get((key[1], key[0]), 0)  # coeff of x_{j1} d_{i1}
-        same_block = (j1 <= p) or (i1 >= p + 1)
-        if same_block:
-            # X(i1,j1) contributes (-1, +1); no Y label exists for this pair.
-            if upper != -lower:
-                raise ValueError(f"linear part at ({i1},{j1}) is not antisymmetric")
-            if lower:
-                out[index[RotationX(i1, j1)]] = lower
-        else:
-            # Y(i1,j1) contributes (+1, +1).
-            if upper != lower:
-                raise ValueError(f"linear part at ({i1},{j1}) is not symmetric")
-            if upper:
-                out[index[BoostY(i1, j1)]] = upper
+def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
+    """AB - BA of two sparse matrices: the bracket of two fields."""
+    out: dict[tuple[int, int], Coeff] = {}
+    for (i, k), va in a.items():
+        for (k2, j), vb in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + va * vb
+    for (i, k), vb in b.items():
+        for (k2, j), va in a.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) - vb * va
     return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
 
-Coeff = Union[int, Fraction]
 Grade = tuple[int, ...]  # (translation count, torus weights..., parity bitmask)
 
 
@@ -332,12 +302,24 @@ class LieAlgebra:
 def _structure_from_fields(
     labels: Sequence[BasisLabel], sig: Signature
 ) -> dict[tuple[int, int], dict[int, int]]:
-    index = {lab: k for k, lab in enumerate(labels)}
+    """The structure constants of the labels' fields.  A bracket's coefficient
+    on a field is the bracket's value at that field's top entry (see
+    ``field_of_label``); raises ``ValueError`` naming the pair when the
+    combination so read is not the bracket, which then leaves the labels'
+    span."""
     fields = [field_of_label(lab, sig) for lab in labels]
+    top = {max(fld): c for c, fld in enumerate(fields)}
     structure: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
-            vec = _decompose_field(commutator_fields(fields[a], fields[b]), sig, index)
+            br = _mat_commutator(fields[a], fields[b])
+            vec = {top[key]: v for key, v in br.items() if key in top}
+            rebuilt: Matrix = {}
+            for c, v in vec.items():
+                for key, w in fields[c].items():
+                    accumulate(rebuilt, key, v * w)
+            if rebuilt != br:
+                raise ValueError(f"the bracket [{labels[a]}, {labels[b]}] leaves the span of the labels")
             if vec:
                 structure[(a, b)] = vec
                 structure[(b, a)] = {c: -v for c, v in vec.items()}
@@ -394,21 +376,8 @@ def is_canonical(alg: LieAlgebra) -> bool:
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation of range(len(perm)): -1 to its number of inversions."""
+    return -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1
 
 
 def structure_triples(alg: LieAlgebra) -> frozenset[tuple[int, int, int, Coeff]]:
@@ -453,19 +422,3 @@ class ModuleLawError(ValueError):
         self.pair = pair
         super().__init__(f"module law fails at pair {pair[0]}, {pair[1]}: {message}")
 
-
-Matrix = dict[tuple[int, int], Coeff]
-
-
-def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    """AB - BA of two sparse matrices."""
-    out: dict[tuple[int, int], Coeff] = {}
-    for (i, k), va in a.items():
-        for (k2, j), vb in b.items():
-            if k == k2:
-                out[(i, j)] = out.get((i, j), 0) + va * vb
-    for (i, k), vb in b.items():
-        for (k2, j), va in a.items():
-            if k == k2:
-                out[(i, j)] = out.get((i, j), 0) - vb * va
-    return {k: v for k, v in out.items() if v}

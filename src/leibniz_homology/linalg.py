@@ -29,7 +29,8 @@ row count and a list of columns, each a sorted list of ``(row, value)``
 pairs of Python integers or ``Fraction``s.  ``kernel_basis(rows, columns)``
 and ``solve(rows, columns, b)`` raise ``ValueError`` on a row index outside
 ``[0, rows)``, which a tracked ``ExactEliminator`` would read as a
-combination coordinate.  ``integer_column`` scales a column with fractions
+combination coordinate, and on a column that repeats a row index, whose
+entries the eliminators would not sum.  ``integer_column`` scales a column with fractions
 by the lcm of its denominators before either engine reduces it; the scaled
 column spans the same line over Q, so the rank over Q is unchanged, a rank
 mod p stays at most the rank over Q, and no prime can divide a denominator.
@@ -345,10 +346,14 @@ class SparseModularEliminator:
 
 
 def _checked(rows: int, columns: Iterable[SparseColumn]) -> list[SparseColumn]:
-    """The columns as a list, after checking every row index against ``rows``."""
+    """The columns as a list, after checking every row index against ``rows``
+    and that no column repeats a row index."""
     cols = list(columns)
     if any(not 0 <= i < rows for col in cols for i, _ in col):
         raise ValueError(f"column row index out of range for {rows} rows")
+    for j, col in enumerate(cols):
+        if len({i for i, _ in col}) != len(col):
+            raise ValueError(f"column {j} repeats a row index")
     return cols
 
 

@@ -130,6 +130,14 @@ def test_homology_cap_gives_partial_and_exit3(capsys):
     assert captured.err == "partial report: degree 5: 1240 columns exceed the exact cap 1000\n"
 
 
+def test_cap_exceeded_error_exits_3_with_its_message(capsys):
+    # tensor:h:7 at (2,2) stacks 6 action matrices of dimension 10^7
+    assert run(["invariants", "--p", "2", "--q", "2", "--module", "tensor:h:7"]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource cap exceeded: stacked action matrix has 60000000 rows")
+    assert captured.out == ""
+
+
 def test_capped_report_predicts_only_the_printed_degrees(tmp_path, capsys):
     # the predicted series stops at the last printed degree (2, before the
     # cap at degree 4), while max_degree records the requested one

@@ -1,5 +1,7 @@
 """Construction, validation and oracle agreement of the algebras."""
 
+import itertools
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from leibniz_homology import (
     standard_translation_action,
     validate,
 )
-from leibniz_homology.liealg import check_automorphism
+from leibniz_homology.liealg import _perm_sign, _structure_from_fields, check_automorphism
 from leibniz_homology.rotations import letter_action
 
 from vfield_oracle import oracle_bracket
@@ -115,6 +117,62 @@ def test_oracle_agreement_entry_for_entry():
                 got = {str(h.labels[c]): Fraction(v) for c, v in h.bracket(a, b).items()}
                 want = oracle_bracket(str(h.labels[a]), str(h.labels[b]), p, sig.n)
                 assert got == want, (h.labels[a], h.labels[b])
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_oracle_agreement_at_n7_and_n8(n):
+    # criterion 1 compares the tables up to n = 6; the slow rows reach h(7,0)
+    for p in range(1, n + 1):
+        sig = Signature(p, n - p)
+        for alg in (build_so(sig), build_affine(sig)):
+            for a in range(alg.dim):
+                for b in range(a + 1, alg.dim):
+                    got = {str(alg.labels[c]): Fraction(v) for c, v in alg.bracket(a, b).items()}
+                    want = oracle_bracket(str(alg.labels[a]), str(alg.labels[b]), p, n)
+                    assert got == want, (sig, alg.labels[a], alg.labels[b])
+
+
+@pytest.mark.parametrize(
+    "labels, sig",
+    [
+        ([RotationX(1, 2), RotationX(2, 3)], Signature(3, 0)),  # [X(1,2), X(2,3)] = -X(1,3)
+        ([Translation(1), RotationX(1, 2)], Signature(2, 0)),  # [d(1), X(1,2)] = -d(2)
+    ],
+)
+def test_validate_reports_labels_whose_brackets_leave_their_span(labels, sig):
+    rep = validate(LieAlgebra(labels, {}, sig=sig))
+    assert rep.oracle_ok is False
+    assert not rep.ok
+
+
+def test_validate_rejects_a_label_invalid_for_the_signature():
+    with pytest.raises(ValueError, match=re.escape("label X(1,3) is not valid for signature (2,2)")):
+        validate(LieAlgebra([RotationX(1, 3)], {}, sig=Signature(2, 2)))
+
+
+def test_structure_from_fields_names_the_pair_leaving_the_span():
+    with pytest.raises(ValueError, match=re.escape("[X(1,2), X(2,3)]")):
+        _structure_from_fields([RotationX(1, 2), RotationX(2, 3)], Signature(3, 0))
+
+
+def _cycle_sign(perm):
+    """-1 to the number of even-length cycles: the oracle for ``_perm_sign``."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        length, t = 0, start
+        while not seen[t]:
+            seen[t] = True
+            t = perm[t]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_perm_sign_matches_the_cycle_walk():
+    for k in range(8):
+        for perm in itertools.permutations(range(k)):
+            assert _perm_sign(perm) == _cycle_sign(perm), perm
 
 
 def test_structure_constants_are_integers():

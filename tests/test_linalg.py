@@ -91,6 +91,18 @@ def test_column_row_index_out_of_range(row):
         solve(3, columns, {0: 1})
 
 
+def test_column_repeating_a_row_index_is_rejected():
+    # the eliminators keep one entry of a repeated row while the re-check
+    # sums them: a zero column would read as independent, a wrong kernel
+    with pytest.raises(ValueError, match="column 0 repeats a row index"):
+        kernel_basis(1, [[(0, 1), (0, -1)]])
+    with pytest.raises(ValueError, match="column 1 repeats a row index"):
+        solve(1, [[(0, 1)], [(0, 1), (0, 1)]], {0: 1})
+    # distinct rows in any order stay accepted
+    assert kernel_basis(2, [[(1, 1), (0, 2)], [(0, 2), (1, 1)]]) == [{0: -1, 1: 1}]
+    assert solve(2, [[(1, 1), (0, 2)]], {0: 4, 1: 2}) == {0: 2}
+
+
 def test_primes():
     assert is_probable_prime(262147)
     assert not is_probable_prime(262149)
