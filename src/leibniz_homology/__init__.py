@@ -45,6 +45,7 @@ from .invariants import (
     make_gamma_bar_prime,
     make_gamma_tilde,
     make_rho,
+    module_space,
     proportional,
     resolve_gamma_tilde_sign,
 )

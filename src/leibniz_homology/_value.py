@@ -1,5 +1,7 @@
 """Bases of the package's value classes.  ``Value`` gives equality, repr and
-a dict over the fields ``_fields`` names, in order, and no hash.  ``Frozen``
+a dict over the fields ``_fields`` names, in order, and no hash; that dict,
+``_asdict``, is the JSON of a flat value (one whose fields are all JSON
+values), such as a Betti entry, a rank certificate or a check.  ``Frozen``
 adds a hash over them and refuses assignment; its ``__init__`` writes each
 field into ``__dict__`` once.  Each class reads its field tuple with one
 ``operator.attrgetter``, built when the class is defined; a one-field class

@@ -30,10 +30,10 @@ import sys
 from typing import Optional, Sequence
 
 from .homology import DEFAULT_CAP_EXACT, SCHEMA_VERSION, HomologyOptions, cohomology_dims, homology_dims
-from .invariants import expected_invariant_dim, invariant_subspace
+from .invariants import expected_invariant_dim, invariant_subspace, module_space
 from .liealg import Signature, build_abelian, build_affine, build_so
 from .linalg import CapExceededError
-from .repspace import Space, mixed_space, tensor_space, wedge_space
+from .repspace import Space, tensor_space
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -144,32 +144,31 @@ def _parse_module(desc: str, sig: Signature) -> tuple[Space, Optional[int], str]
     """Descriptor -> (space, expected dimension or None, note on the value);
     every field must be read, so a trailing field is a usage error."""
     h = build_affine(sig)
-    n = sig.n
     name, *fields = desc.split(":")
+    # the fields before k of each name that takes k; ``so`` takes none
+    prefix = {"wedge": ["I"], "tensor": ["h"], "I*wedge": [], "so*wedge": []}.get(name)
     try:
-        if name == "wedge" and len(fields) == 2 and fields[0] == "I":
-            k = int(fields[1])
-            return wedge_space(h, k), expected_invariant_dim("wedge", n, k), ""
-        if name == "tensor" and len(fields) == 2 and fields[0] == "h":
-            return tensor_space(h, int(fields[1])), None, ""
-        if name in ("I*wedge", "so*wedge") and len(fields) == 1:
-            k = int(fields[0])
-            lead = h.translation_indices if name == "I*wedge" else h.so_indices
-            expected = expected_invariant_dim(name, n, k)
-            note = ""
-            if expected is None:  # the two ends coincide: so ⊗ Λ^2 at n = 4, I ⊗ Λ^1 at n = 2
-                note = f" (expected 2 by direct computation; the k={k} / k=n-{k} statements coincide here)"
-            return mixed_space(h, k, lead=lead), expected, note
         if name == "so" and not fields:
-            expected = expected_invariant_dim("so", n)
-            note = "" if expected is not None else " (recorded: so is 1-dimensional and abelian at n = 2)"
-            return tensor_space(h, 1, factors=h.so_indices), expected, note
+            k = 0
+        elif prefix is not None and len(fields) == len(prefix) + 1 and fields[:-1] == prefix:
+            k = int(fields[-1])
+        else:
+            raise ValueError(desc)
+        if name == "tensor":
+            return tensor_space(h, k), None, ""
+        space = module_space(h, name, k)
     except ValueError:
-        pass
-    raise UsageError(
-        f"cannot parse module descriptor {desc!r} "
-        "(expected wedge:I:k, tensor:h:k, I*wedge:k, so*wedge:k or so)"
-    )
+        raise UsageError(
+            f"cannot parse module descriptor {desc!r} "
+            "(expected wedge:I:k, tensor:h:k, I*wedge:k, so*wedge:k or so)"
+        ) from None
+    expected = expected_invariant_dim(name, sig.n, k)
+    note = ""
+    if expected is None and name == "so":
+        note = " (recorded: so is 1-dimensional and abelian at n = 2)"
+    elif expected is None:  # the two ends coincide: so ⊗ Λ^2 at n = 4, I ⊗ Λ^1 at n = 2
+        note = f" (expected 2 by direct computation; the k={k} / k=n-{k} statements coincide here)"
+    return space, expected, note
 
 
 def cmd_invariants(args) -> int:

@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ._value import Value
-from .liealg import Coeff, Grade, LieAlgebra, ModuleLawError, _perm_sign, accumulate
+from .liealg import Coeff, Grade, LieAlgebra, ModuleLawError, accumulate
 from .linalg import DEFAULT_CAP_EXACT, CapExceededError, solve
 from .repspace import (
     CHAIN_COEFFS,
@@ -413,12 +413,13 @@ def is_boundary(chain: Chain, *, cap_exact: int = DEFAULT_CAP_EXACT) -> Optional
 
 def embed_mixed_in_tensor(chain: Chain) -> Chain:
     """Embed lead ⊗ (wedge tail) into the full tensor power: the tail is
-    antisymmetrized with prefactor 1/k! (so X ⊗ a∧b becomes X ⊗ (a⊗b - b⊗a)/2)."""
+    antisymmetrized with prefactor 1/k!, its permutations in ``itertools``
+    order signed by ``sort_wedge`` (so X ⊗ a∧b becomes X ⊗ (a⊗b - b⊗a)/2)."""
     if chain.space.kind != "mixed":
         raise SpaceMismatchError("embed_mixed_in_tensor expects a mixed chain")
     k = chain.space.degree
     pref = Fraction(1, math.factorial(k))
-    perms = [(perm, pref * _perm_sign(perm)) for perm in itertools.permutations(range(k))]
+    perms = [(perm, pref * sort_wedge(perm)[1]) for perm in itertools.permutations(range(k))]
 
     def embed(word: Word) -> dict[Word, Fraction]:
         lead, tail = word[:1], word[1:]

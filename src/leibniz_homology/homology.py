@@ -122,9 +122,6 @@ class BettiEntry(Value):
         self.betti = betti
         self.certification = certification  # always "exact"
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 class BettiReport(Value):
     _fields = (
@@ -157,24 +154,13 @@ class BettiReport(Value):
         return [e.betti for e in self.entries]
 
     def to_json_dict(self) -> dict:
-        out = {
-            "algebra": self.algebra,
-            "kind": self.kind,
-            "variant": self.variant,
-            "max_degree": self.max_degree,
-            "entries": [e.to_json_dict() for e in self.entries],
-            "predicted": self.predicted,
-            "matches": self.matches,
-            "certificates": {
-                str(k): c.to_json_dict() for k, c in sorted(self.certificates.items())
-            },
-            "environment": self.environment,
-            "capped_at": self.capped_at,
-            "cap_message": self.cap_message,
-        }
+        out = self._asdict()
+        out["entries"] = [e._asdict() for e in self.entries]
+        out["certificates"] = {str(k): c._asdict() for k, c in sorted(self.certificates.items())}
         # only reduced reports carry the key, so unreduced ones keep their bytes
-        if self.reduction is not None:
-            out["reduction"] = self.reduction.to_json_dict()
+        reduction = out.pop("reduction")
+        if reduction is not None:
+            out["reduction"] = reduction.to_json_dict()
         return out
 
     def table(self) -> str:

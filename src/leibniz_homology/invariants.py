@@ -13,13 +13,17 @@ vector killed by X is fixed by every exp(tX), so an invariant has no word
 with s_i != s_j.  Every other algebra (a ``sig=None`` copy included) solves
 over all words.  ``lead_projection`` extends the projection of one tensor
 word onto lead ⊗ Λ^(k-1).
-``expected_invariant_dim`` is the paper's table of invariant dimensions.
+``expected_invariant_dim`` is the paper's table of invariant dimensions,
+and ``module_space`` the space of each module it names.
 
 The named elements (all exact, integer up to the stated 1/n! prefactor):
 
 * alpha       — the volume element d1 ∧ ... ∧ dn of the top wedge power.
 * alpha_tilde — its full tensor antisymmetrization, sum over S_n of
-                sgn(s) d_{s(1)} ⊗ ... ⊗ d_{s(n)}.
+                sgn(s) d_{s(1)} ⊗ ... ⊗ d_{s(n)}: moving d_m to the front
+                of d_1 ⊗ ... ⊗ d_n costs (-1)^(m-1), so this is (n-1)!
+                times beta embedded by ``complexes.embed_mixed_in_tensor``,
+                the lift that gives gamma_bar from gamma.
 * delta       — the signed trace element sum_{i<=p} d_i⊗d_i - sum_{i>p} d_i⊗d_i.
 * beta        — sum_{m=1..n} (-1)^(m-1) d_m ⊗ (wedge of the complement of m).
 * rho         — the invariant of so ⊗ Λ^2: sum X(i,j)⊗d_i∧d_j over p-pairs,
@@ -40,7 +44,7 @@ The named elements (all exact, integer up to the stated 1/n! prefactor):
 
 from __future__ import annotations
 
-import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -48,8 +52,7 @@ from typing import Optional, Sequence, Union
 from ._value import Value
 from .complexes import embed_mixed_in_tensor
 from .liealg import (
-    LieAlgebra, RotationX, Signature, Translation, _perm_sign, build_affine, is_canonical,
-    so_labels,
+    LieAlgebra, RotationX, Signature, Translation, build_affine, is_canonical, so_labels,
 )
 from .linalg import CapExceededError, kernel_basis
 from .repspace import (
@@ -80,6 +83,7 @@ __all__ = [
     "proportional",
     "lead_projection",
     "expected_invariant_dim",
+    "module_space",
 ]
 
 ROW_CAP = 2_000_000  # rows of the stacked action matrix of invariant_subspace
@@ -109,6 +113,18 @@ def expected_invariant_dim(module: str, n: int, k: int = 0) -> Optional[int]:
     if k in ends and ends[0] == ends[1]:
         return None
     return 1 if k in ends else 0
+
+
+def module_space(h: LieAlgebra, module: str, k: int = 0) -> Space:
+    """The space of the module ``expected_invariant_dim`` names, inside the
+    affine algebra ``h``: Λ^k I (``"wedge"``), I ⊗ Λ^k (``"I*wedge"``),
+    so ⊗ Λ^k (``"so*wedge"``) or so itself (``"so"``, k unread)."""
+    if module == "wedge":
+        return wedge_space(h, k)
+    if module == "so":
+        return tensor_space(h, 1, factors=h.so_indices)
+    lead = {"I*wedge": h.translation_indices, "so*wedge": h.so_indices}[module]
+    return mixed_space(h, k, lead=lead)
 
 
 def _resolve_acting(acting, space: Space) -> list[int]:
@@ -241,15 +257,10 @@ def make_alpha(sig: Signature) -> Chain:
 
 
 def make_alpha_tilde(sig: Signature) -> Chain:
-    """Alternating sum over S_n of d_{s(1)} ⊗ ... ⊗ d_{s(n)} in the full tensor power."""
-    h = build_affine(sig)
-    space = tensor_space(h, sig.n)
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    base = [_trans(h, i) for i in range(1, sig.n + 1)]
-    for perm in itertools.permutations(range(sig.n)):
-        word = tuple(base[t] for t in perm)
-        coeffs[word] = Fraction(_perm_sign(perm))
-    return Chain(space, coeffs)
+    """Alternating sum over S_n of d_{s(1)} ⊗ ... ⊗ d_{s(n)} in the full
+    tensor power: the tensor lift of beta times (n-1)!, its words in
+    lexicographic order of s."""
+    return math.factorial(sig.n - 1) * embed_mixed_in_tensor(make_beta(sig))
 
 
 def make_delta(sig: Signature) -> Chain:

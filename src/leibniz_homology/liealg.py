@@ -29,7 +29,6 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
@@ -373,11 +372,6 @@ def is_canonical(alg: LieAlgebra) -> bool:
         return False
     ref = build_affine(sig) if alg.translation_indices else build_so(sig)
     return (alg.labels, alg.grades, alg.structure) == (ref.labels, ref.grades, ref.structure)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation of range(len(perm)): -1 to its number of inversions."""
-    return -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1
 
 
 def structure_triples(alg: LieAlgebra) -> frozenset[tuple[int, int, int, Coeff]]:

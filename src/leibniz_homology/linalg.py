@@ -136,9 +136,6 @@ class RankCertificate(Value):
         self.field = field  # "Q"
         self.method = method  # "exact"
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 # ---------------------------------------------------------------------------
 # Exact engine.

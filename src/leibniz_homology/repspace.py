@@ -66,7 +66,9 @@ class Space(Frozen):
 
     ``factors`` lists the ambient basis indices allowed as tensor/wedge
     factors; ``lead`` (mixed spaces only) the indices allowed as the leading
-    factor.  ``degree`` counts the tensor/wedge factors, excluding any lead.
+    factor.  Each lists distinct indices of the algebra, or rank/unrank
+    would go wrong.  ``degree`` counts the tensor/wedge factors, excluding
+    any lead.
     """
 
     _fields = ("algebra", "kind", "degree", "factors", "lead")
@@ -81,6 +83,10 @@ class Space(Frozen):
             raise ValueError("degree must be >= 0")
         if (kind == "mixed") != (lead is not None):
             raise ValueError("mixed spaces (and only they) need a lead range")
+        for role, indices in (("factor", factors), ("lead", lead or ())):
+            for t, idx in enumerate(indices):
+                if idx in indices[:t] or not 0 <= idx < algebra.dim:
+                    raise ValueError(f"{role} index {idx} repeats or lies outside range({algebra.dim})")
         self.__dict__.update(algebra=algebra, kind=kind, degree=degree, factors=factors, lead=lead)
 
     # -- dimensions and positions -------------------------------------------
@@ -317,10 +323,7 @@ class GradeBlock:
             off, nxt = nxt[a]
         return tuple(out)
 
-    def ranked(self, terms: Mapping[Word, Coeff]) -> list[tuple[int, Coeff]]:
-        """A combination of this block's words as a sorted ``(row, value)``
-        column."""
-        return sorted((self.rank_word(w), v) for w, v in terms.items())
+    ranked = Space.ranked
 
     def __repr__(self) -> str:
         return f"GradeBlock(length={self.length}, grade={self.grade}, dim={self.dim})"
@@ -607,10 +610,7 @@ def assemble_action(space: Space, x: int) -> list[list[tuple[int, Coeff]]]:
     """The action of x as sorted ``(row, value)`` columns, the matrix format
     of ``linalg``: column j is ``act_word(space, x, word_j)`` in rank
     coordinates, so it agrees column for column with ``act``."""
-    return [
-        sorted((space.rank_word(w), c) for w, c in act_word(space, x, word).items())
-        for word in space.words()
-    ]
+    return [space.ranked(act_word(space, x, word)) for word in space.words()]
 
 
 def tensor_to_wedge(chain: Chain, target: Optional[Space] = None) -> Chain:

@@ -24,10 +24,10 @@ from math import prod
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .liealg import (
-    Coeff, Grade, LieAlgebra, Signature, _perm_sign, accumulate, check_automorphism, is_canonical,
-    so_labels, structure_triples,
+    Coeff, Grade, LieAlgebra, Signature, accumulate, check_automorphism, is_canonical, so_labels,
+    structure_triples,
 )
-from .repspace import Symmetry
+from .repspace import Symmetry, sort_wedge
 
 Word = tuple[int, ...]
 
@@ -42,7 +42,7 @@ def signed_rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], list[tup
         by_dets.setdefault((prod(signs[:p]), prod(signs[p:])), []).append(signs)
     for head in permutations(range(p)):
         for tail in permutations(range(p, n)):
-            yield head + tail, by_dets[_perm_sign(head), _perm_sign([t - p for t in tail])]
+            yield head + tail, by_dets[sort_wedge(head)[1], sort_wedge(tail)[1]]
 
 
 def _pair_sign(l: int, p: int) -> int:
@@ -69,7 +69,7 @@ def letter_images(
     sig: Signature, nt: int, vecs: Sequence[Mapping[int, int]]
 ) -> list[dict[int, int]]:
     """The letters on a basis b of R^n, b_k = Σ vecs[k][j]·e_j (0-based), as
-    sparse combinations of the standard letters of ``build_affine(sig)`` or
+    sparse sums over the standard letters of ``build_affine(sig)`` or
     ``build_so(sig)``: the d(b_k) for k < nt (nt = n with translations, else
     0), then ``_pair_sign(b, p)·b_a ∧ b_b`` for the ``letter_pairs``
     (a, b).  For b = e these are the standard letters; ``split`` gets the

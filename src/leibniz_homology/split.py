@@ -41,7 +41,7 @@ from .liealg import (
     build_so,
     is_canonical,
 )
-from .linalg import ExactEliminator
+from .linalg import kernel_basis
 from .repspace import OrbitGroup, Symmetry
 from .rotations import BasisTable, letter_images, letter_pairs, symmetry_group
 
@@ -93,6 +93,8 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     The structure constants are those of ``alg`` in that basis: the bracket
     of two images in ``alg``, written back in the images through the
     inverse of the change of basis; every constant comes out an integer.
+    The inverse is read from ``linalg.kernel_basis`` of the images followed
+    by the standard letters: each letter's relation on the images.
     An element is graded (count, torus weights, parity): its weights are
     the sums of its vectors' weights, and its parity the XOR of their bits,
     b_i and b_{p+i} both on bit i, so it is the character under the
@@ -124,18 +126,13 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     def fail(message: str) -> ValueError:
         return ValueError(f"the split form of {alg.name} is wrong: {message}")
 
-    # scale·e_k = Σ inverse[k][x]·images[x], from the relation of each
-    # standard letter e_k, fed after the images, on them
-    elim = ExactEliminator(dim, track=True)
-    for img in images:
-        elim.add_column(sorted(img.items()))
-    if elim.rank != dim:
-        raise fail(f"its {dim} elements span only {elim.rank} dimensions")
-    relations = []
-    for k in range(dim):
-        elim.add_column([(k, 1)])
-        relation = elim.relation
-        relations.append((relation.pop(dim + k), relation))
+    # scale·e_k = Σ inverse[k][x]·images[x], from the relation of each letter
+    # e_k fed after the images; an image's own relation lies below dim
+    kernel = kernel_basis(dim, [sorted(img.items()) for img in images] + [[(k, 1)] for k in range(dim)])
+    rank = dim - sum(max(rel) < dim for rel in kernel)
+    if rank != dim:
+        raise fail(f"its {dim} elements span only {rank} dimensions")
+    relations = [(rel.pop(dim + k), rel) for k, rel in enumerate(kernel)]
     scale = math.lcm(*(c for c, _ in relations))
     inverse = [{x: -v * (scale // c) for x, v in rel.items()} for c, rel in relations]
     structure: dict[tuple[int, int], dict[int, int]] = {}

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import complexes, invariants, repspace
 from ._value import Value
 from .homology import (
     SCHEMA_VERSION,
+    BettiReport,
     HomologyOptions,
     _rank_blocks,
     cohomology_dims,
@@ -86,9 +87,6 @@ class CheckResult(Value):
         self.status = status  # "pass" | "fail" | "reported"
         self.details = details
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 class VerifyReport(Value):
     _fields = ("suite", "signature", "checks", "environment", "resolved_gamma_sign")
@@ -116,7 +114,7 @@ class VerifyReport(Value):
             "environment": self.environment,
             "resolved_gamma_sign": self.resolved_gamma_sign,
             "passed": self.passed,
-            "results": [c.to_json_dict() for c in self.checks],
+            "results": [c._asdict() for c in self.checks],
         }
 
     def table(self) -> str:
@@ -135,6 +133,14 @@ class _Suite:
 
     def report(self, check_id: str, claim: str, details: str) -> None:
         self.checks.append(CheckResult(check_id, claim, "reported", details))
+
+    def record_table(self, check_id: str, claim: str, rep: BettiReport, ok: bool, details: str) -> None:
+        """``record`` a check on the Betti table ``rep``, or ``report`` it as
+        not run when the cap cut the table short."""
+        if rep.capped_at is not None:
+            self.report(check_id, claim, f"not run: {rep.cap_message}")
+        else:
+            self.record(check_id, claim, ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +333,10 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
     )
     # abelian homology oracle
     rep = homology_dims(build_abelian(2), 3, options=opts)
-    suite.record(
+    suite.record_table(
         "structure.abelian_homology",
         "the Loday homology of a 2-dim abelian algebra has dimensions 2^k",
-        rep.betti == [1, 2, 4, 8],
-        f"betti={rep.betti}",
+        rep, rep.betti == [1, 2, 4, 8], f"betti={rep.betti}",
     )
     # rank/unrank round trips
     spaces = [
@@ -344,14 +349,14 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
     )
     suite.record("structure.rank_unrank", "plumbing", ok)
     # matrix-free vs assembled action agreement on random chains
-    sp = mixed_space(h, 2, lead=h.so_indices)
+    sp = spaces[2]
     ok = True
     for _ in range(10):
         x = rng.choice(h.so_indices)
         columns = repspace.assemble_action(sp, x)
         ch = random_chain(sp, rng)
-        image = _image(columns, {sp.rank_word(w): c for w, c in ch.coeffs.items()})
-        direct = {sp.rank_word(w): c for w, c in act(x, ch).coeffs.items()}
+        image = _image(columns, dict(sp.ranked(ch.coeffs)))
+        direct = dict(sp.ranked(act(x, ch).coeffs))
         ok = ok and image == direct
     suite.record("structure.action_paths_agree", "plumbing", ok)
     # d∘d = 0 spot checks (Loday and CE)
@@ -388,31 +393,23 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
 
 
 def _dim_table(
-    suite: _Suite,
-    check_id: str,
-    claim: str,
-    so,
-    module: str,
-    space_maker: Callable[[int], repspace.Space],
-    n: int,
-) -> None:
-    """The invariant dimensions of ``space_maker(k)`` for k = 0..n against
-    ``invariants.expected_invariant_dim(module, n, k)``."""
+    suite: _Suite, check_id: str, claim: str, so: LieAlgebra, h: LieAlgebra, module: str, n: int
+) -> list[invariants.InvariantBasis]:
+    """The invariant dimensions of ``invariants.module_space(h, module, k)``
+    for k = 0..n against ``invariants.expected_invariant_dim(module, n, k)``;
+    returns the invariant bases, indexed by k."""
     ks = range(0, n + 1)
-    got, want, reported = [], [], []
-    for k in ks:
-        dim = invariants.invariant_subspace(so, space_maker(k)).dim
-        exp = invariants.expected_invariant_dim(module, n, k)
-        got.append(dim)
-        want.append(exp)
-        if exp is None:
-            reported.append((k, dim))
+    bases = [invariants.invariant_subspace(so, invariants.module_space(h, module, k)) for k in ks]
+    got = [basis.dim for basis in bases]
+    want = [invariants.expected_invariant_dim(module, n, k) for k in ks]
+    reported = [(k, g) for k, g, e in zip(ks, got, want) if e is None]
     asserted_ok = all(e is None or g == e for g, e in zip(got, want))
     detail = f"k={list(ks)} computed={got} expected={['*' if e is None else e for e in want]}"
     if reported:
         suite.report(check_id + ".coincident", claim + " (coincident case, recorded)",
                      "; ".join(f"k={k}: dim={d} (expected 2, statement ambiguous)" for k, d in reported))
     suite.record(check_id, claim, asserted_ok, detail)
+    return bases
 
 
 def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optional[int]:
@@ -420,37 +417,21 @@ def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optio
     h = build_affine(sig)
     so = build_so(sig)
 
-    _dim_table(
-        suite,
-        "invariants.wedge_table",
-        "invariants of the wedge powers of the translations are 1-dimensional at k=0 and k=n, zero otherwise",
-        so,
-        "wedge",
-        lambda k: wedge_space(h, k),
-        n,
-    )
-    _dim_table(
-        suite,
-        "invariants.vector_wedge_table",
-        "invariants of translations ⊗ wedge^k are 1-dimensional at k=1 and k=n-1, zero otherwise",
-        so,
-        "I*wedge",
-        lambda k: mixed_space(h, k, lead=h.translation_indices),
-        n,
-    )
-    _dim_table(
-        suite,
-        "invariants.so_wedge_table",
-        "invariants of so ⊗ wedge^k are 1-dimensional at k=2 and k=n-2, zero otherwise",
-        so,
-        "so*wedge",
-        lambda k: mixed_space(h, k, lead=h.so_indices),
-        n,
-    )
+    bases = {
+        module: _dim_table(suite, check_id, claim, so, h, module, n)
+        for check_id, module, claim in (
+            ("invariants.wedge_table", "wedge", "invariants of the wedge powers of the translations "
+             "are 1-dimensional at k=0 and k=n, zero otherwise"),
+            ("invariants.vector_wedge_table", "I*wedge", "invariants of translations ⊗ wedge^k "
+             "are 1-dimensional at k=1 and k=n-1, zero otherwise"),
+            ("invariants.so_wedge_table", "so*wedge", "invariants of so ⊗ wedge^k "
+             "are 1-dimensional at k=2 and k=n-2, zero otherwise"),
+        )
+    }
     suite.record(
         "invariants.adjoint_trivial",
         "the adjoint module of so(p,q) has no invariants",
-        invariants.invariant_subspace(so, tensor_space(h, 1, factors=h.so_indices)).dim
+        invariants.invariant_subspace(so, invariants.module_space(h, "so")).dim
         == invariants.expected_invariant_dim("so", n),
     )
 
@@ -467,18 +448,13 @@ def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optio
             invariants.annihilated_by(chain, so),
         )
     if n >= 5:
-        ib2 = invariants.invariant_subspace(so, mixed_space(h, 2, lead=h.so_indices))
-        ib3 = invariants.invariant_subspace(so, mixed_space(h, n - 2, lead=h.so_indices))
-        suite.record(
-            "invariants.rho_spans",
-            "the so ⊗ wedge^2 invariant space is spanned by rho",
-            ib2.dim == 1 and invariants.proportional(ib2.basis[0], named["rho"]),
-        )
-        suite.record(
-            "invariants.gamma_spans",
-            "the so ⊗ wedge^(n-2) invariant space is spanned by gamma",
-            ib3.dim == 1 and invariants.proportional(ib3.basis[0], named["gamma"]),
-        )
+        for name, k, power in (("rho", 2, "2"), ("gamma", n - 2, "(n-2)")):
+            basis = bases["so*wedge"][k]
+            suite.record(
+                f"invariants.{name}_spans",
+                f"the so ⊗ wedge^{power} invariant space is spanned by {name}",
+                basis.dim == 1 and invariants.proportional(basis.basis[0], named[name]),
+            )
     alpha_tilde = invariants.make_alpha_tilde(sig)
     suite.record(
         "invariants.alpha_tilde_invariant",
@@ -521,34 +497,29 @@ def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optio
         )
         # the witness solves are exact only: a block past cap_exact
         # leaves its check reported as not run, and the suite goes on
-        claim = "gamma_tilde - gamma_bar is a boundary (the two classes agree in homology)"
-        try:
-            witness = complexes.is_boundary(gamma_tilde - gamma_bar, cap_exact=opts.cap_exact)
-        except CapExceededError as exc:
-            suite.report("complexes.gamma_homologous", claim, f"not run: {exc}")
-        else:
-            suite.record(
-                "complexes.gamma_homologous",
-                claim,
-                witness is not None,
-                "exact witness found" if witness is not None else "no witness",
-            )
-        claim = "the antisymmetrized volume tensor is not a boundary (degree-n class is nonzero)"
-        try:
-            not_bd = complexes.is_boundary(alpha_tilde, cap_exact=opts.cap_exact)
-        except CapExceededError as exc:
-            suite.report("complexes.alpha_tilde_not_boundary", claim, f"not run: {exc}")
-        else:
-            suite.record("complexes.alpha_tilde_not_boundary", claim, not_bd is None)
+        for check_id, chain, bounds, claim in (
+            ("complexes.gamma_homologous", gamma_tilde - gamma_bar, True,
+             "gamma_tilde - gamma_bar is a boundary (the two classes agree in homology)"),
+            ("complexes.alpha_tilde_not_boundary", alpha_tilde, False,
+             "the antisymmetrized volume tensor is not a boundary (degree-n class is nonzero)"),
+        ):
+            try:
+                witness = complexes.is_boundary(chain, cap_exact=opts.cap_exact)
+            except CapExceededError as exc:
+                suite.report(check_id, claim, f"not run: {exc}")
+                continue
+            found = witness is not None
+            details = ("exact witness found" if found else "no witness") if bounds else ""
+            suite.record(check_id, claim, found == bounds, details)
 
     # homology versus the predicted dimension series
     maxdeg = 4 if n == 4 else 3
     rep = homology_dims(h, maxdeg, options=opts)
     pred = predicted_hl_dims(sig, maxdeg)
-    suite.record(
+    suite.record_table(
         "homology.matches_prediction",
         "Loday homology dimensions equal the predicted series (1 + t^n) * sum t^(k(n-1))",
-        rep.capped_at is None and rep.betti == pred,
+        rep, rep.betti == pred,
         f"computed={rep.betti} predicted={pred} "
         f"certs={[rep.certificates[k].method for k in sorted(rep.certificates)]}",
     )

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from leibniz_homology import Signature, run_suite
+from leibniz_homology import Signature, invariants, run_suite
 from leibniz_homology.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 from leibniz_homology.homology import DEFAULT_CAP_EXACT
 
@@ -265,23 +265,65 @@ def test_verify_paper_asserts_witnesses_at_n5(pq):
     assert report.passed
 
 
+def test_spans_checks_reuse_the_table_bases(monkeypatch):
+    # at n = 5 the rho and gamma spans checks read the so ⊗ wedge^k table's
+    # bases at k = 2 and k = n - 2: one kernel per module and k, 3·(n+1)
+    # for the three tables and one for the adjoint module
+    calls = []
+    kernel = invariants.invariant_subspace
+
+    def counted(acting, space):
+        calls.append(space)
+        return kernel(acting, space)
+
+    monkeypatch.setattr(invariants, "invariant_subspace", counted)
+    report = run_suite("paper", Signature(3, 2))
+    statuses = {c.check_id: c.status for c in report.checks}
+    assert statuses["invariants.rho_spans"] == statuses["invariants.gamma_spans"] == "pass"
+    assert len(calls) == 3 * 6 + 1 == len(set(calls))
+
+
 def test_verify_paper_modular_only_reports_witnesses_not_run(tmp_path, capsys):
     # a cap below the witness blocks (120 and 260 orbit columns) leaves the
     # exact witness solves unrun and reported as such; the homology table,
-    # exact under the same cap (d_5 has 1,240 columns), fails the prediction
-    # check because it is partial, and the suite goes on to duality
+    # cut short under the same cap (d_4 has 161 columns), leaves the
+    # prediction check reported as not run too, and the suite goes on to
+    # duality
     out = tmp_path / "capped.json"
     assert run(["verify", "--suite", "paper", "--p", "2", "--q", "2", "--cap-exact", "100",
-                "--json", str(out)]) == EXIT_CHECK_FAILED
+                "--json", str(out)]) == EXIT_OK
     data = json.loads(out.read_text())
     results = {r["check_id"]: r for r in data["results"]}
     for check_id in ("complexes.gamma_homologous", "complexes.alpha_tilde_not_boundary"):
         assert results[check_id]["status"] == "reported"
         assert re.fullmatch(r"not run: exact solve block \(grade .*\) has \d+ columns, cap 100",
                             results[check_id]["details"])
-    assert [r["check_id"] for r in data["results"] if r["status"] == "fail"] == ["homology.matches_prediction"]
-    assert "certs=['exact', 'exact', 'exact']" in results["homology.matches_prediction"]["details"]
+    assert not [r["check_id"] for r in data["results"] if r["status"] == "fail"]
+    assert results["homology.matches_prediction"] == {
+        "check_id": "homology.matches_prediction",
+        "claim": "Loday homology dimensions equal the predicted series (1 + t^n) * sum t^(k(n-1))",
+        "status": "reported",
+        "details": "not run: degree 4: 161 columns exceed the exact cap 100",
+    }
     assert results["homology.duality"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("suite, check_id", [
+    ("paper", "homology.matches_prediction"),
+    ("all", "structure.abelian_homology"),
+])
+def test_capped_table_is_reported_not_refuted(tmp_path, capsys, suite, check_id):
+    # a Betti table the cap cut short checks no claim: the check on it is
+    # reported as not run with the cap's message, like the witness solves
+    # past the same cap, and the suite passes
+    out = tmp_path / "capped.json"
+    assert run(["verify", "--suite", suite, "--p", "2", "--q", "2", "--cap-exact", "10",
+                "--json", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    assert data["passed"]
+    result = {r["check_id"]: r for r in data["results"]}[check_id]
+    assert result["status"] == "reported"
+    assert re.fullmatch(r"not run: degree \d+: \d+ columns exceed the exact cap 10", result["details"])
 
 
 @pytest.mark.slow

@@ -87,3 +87,30 @@ def test_import_loads_the_engine_only(run_python):
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_imported_name_is_read():
+    # an import whose name the module never reads is left over from code
+    # that moved or was deleted; a name the module re-exports through its
+    # __all__ counts as read
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        bound: dict[str, int] = {}
+        read, exported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        unread = {name: line for name, line in bound.items() if name not in read | exported}
+        assert not unread, f"{path.name} imports names it never reads: {unread}"

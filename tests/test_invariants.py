@@ -1,6 +1,7 @@
 """Invariant subspace dimensions and the named invariant elements."""
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -26,6 +27,7 @@ from leibniz_homology import (
     make_gamma_tilde,
     make_rho,
     mixed_space,
+    module_space,
     proportional,
     resolve_gamma_tilde_sign,
     tensor_space,
@@ -149,6 +151,45 @@ def test_alpha_antisymmetrization():
     assert len(at.coeffs) == math.factorial(4)
     proj = tensor_to_wedge(at, target=wedge_space(h, 4))
     assert proj == Fraction(math.factorial(4)) * make_alpha(sig)
+
+
+def _s_n_sum(sig):
+    """The alternating sum over S_n of d_{s(1)} ⊗ ... ⊗ d_{s(n)}, s in
+    ``itertools.permutations`` order, the sign -1 to the inversions of s:
+    the oracle for ``make_alpha_tilde``."""
+    h = build_affine(sig)
+    base = [h.index(Translation(i)) for i in range(1, sig.n + 1)]
+    coeffs = {}
+    for perm in itertools.permutations(range(sig.n)):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        coeffs[tuple(base[t] for t in perm)] = Fraction((-1) ** inversions)
+    return tensor_space(h, sig.n), coeffs
+
+
+def test_alpha_tilde_is_the_s_n_sum():
+    # (n-1)! times the lift of beta: the same words, in the same order,
+    # with the same Fraction coefficients as the sum over S_n
+    for n in range(2, 8):
+        for p in range(1, n + 1):
+            sig = Signature(p, n - p)
+            space, coeffs = _s_n_sum(sig)
+            at = make_alpha_tilde(sig)
+            assert at.space == space
+            assert list(at.coeffs.items()) == list(coeffs.items()), sig
+            assert all(type(c) is Fraction for c in at.coeffs.values())
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (3, 3)])
+def test_module_space_names_the_tabulated_modules(pq):
+    h = build_affine(Signature(*pq))
+    for k in range(4):
+        assert module_space(h, "wedge", k) == wedge_space(h, k)
+        assert module_space(h, "I*wedge", k) == mixed_space(h, k, lead=h.translation_indices)
+        assert module_space(h, "so*wedge", k) == mixed_space(h, k, lead=h.so_indices)
+    assert module_space(h, "so") == tensor_space(h, 1, factors=h.so_indices)
+    assert module_space(h, "wedge") == wedge_space(h, 0)
+    with pytest.raises(KeyError):
+        module_space(h, "tensor", 1)
 
 
 @pytest.mark.parametrize(

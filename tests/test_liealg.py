@@ -21,7 +21,8 @@ from leibniz_homology import (
     standard_translation_action,
     validate,
 )
-from leibniz_homology.liealg import _perm_sign, _structure_from_fields, check_automorphism
+from leibniz_homology.liealg import _structure_from_fields, check_automorphism
+from leibniz_homology.repspace import sort_wedge
 from leibniz_homology.rotations import letter_action
 
 from vfield_oracle import oracle_bracket
@@ -156,7 +157,8 @@ def test_structure_from_fields_names_the_pair_leaving_the_span():
 
 
 def _cycle_sign(perm):
-    """-1 to the number of even-length cycles: the oracle for ``_perm_sign``."""
+    """-1 to the number of even-length cycles: the oracle for the sign
+    ``sort_wedge`` gives a permutation."""
     sign, seen = 1, [False] * len(perm)
     for start in range(len(perm)):
         length, t = 0, start
@@ -172,7 +174,7 @@ def _cycle_sign(perm):
 def test_perm_sign_matches_the_cycle_walk():
     for k in range(8):
         for perm in itertools.permutations(range(k)):
-            assert _perm_sign(perm) == _cycle_sign(perm), perm
+            assert sort_wedge(perm)[1] == _cycle_sign(perm), perm
 
 
 def test_structure_constants_are_integers():

@@ -1,6 +1,7 @@
 """Word enumeration, rank/unrank, actions, canonicalization."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,21 @@ def test_space_escape_raises(h22):
     c = sp.basis_chain((h22.index(RotationX(1, 2)), t(h22, 3)))
     with pytest.raises(SpaceMismatchError):
         act(t(h22, 1), c)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda h: tensor_space(h, 2, factors=[0, 0]), "factor index 0 repeats or lies outside range(10)"),
+    (lambda h: wedge_space(h, 2, factors=[0, 0]), "factor index 0 repeats or lies outside range(10)"),
+    (lambda h: mixed_space(h, 1, lead=(4, 4)), "lead index 4 repeats or lies outside range(10)"),
+    (lambda h: tensor_space(h, 1, factors=[99]), "factor index 99 repeats or lies outside range(10)"),
+    (lambda h: wedge_space(h, 1, factors=[-1]), "factor index -1 repeats or lies outside range(10)"),
+    (lambda h: mixed_space(h, 1, lead=(10,)), "lead index 10 repeats or lies outside range(10)"),
+], ids=["tensor-repeat", "wedge-repeat", "lead-repeat", "tensor-range", "wedge-range", "lead-range"])
+def test_space_rejects_repeated_or_foreign_indices(h22, make, message):
+    # a repeated index gives two positions to one letter and an index past
+    # the algebra names no letter: either indexes the space wrongly
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(h22)
 
 
 def test_module_law_on_random_chains(h22, rng):

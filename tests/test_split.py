@@ -132,6 +132,18 @@ def test_split_form_rejects_a_non_integral_change_of_basis(monkeypatch):
         split_form(build_so(sig))
 
 
+def test_split_form_rejects_a_basis_that_does_not_span(monkeypatch):
+    # b_1 = b_0 = e_0: d(b_1) repeats d(b_0), b_0 ∧ b_1 is 0, and so on
+    sig = Signature(4, 0)
+    table = split._split_table(sig)
+    repeated = BasisTable([table.vecs[0], {0: 1}] + table.vecs[2:], table.weights, table.bits)
+    monkeypatch.setattr(split, "_split_table", lambda sig: repeated)
+    with pytest.raises(ValueError, match="its 10 elements span only 6 dimensions"):
+        split_form(build_affine(sig))
+    with pytest.raises(ValueError, match="its 6 elements span only 3 dimensions"):
+        split_form(build_so(sig))
+
+
 def _regrading(regrade):
     """``LieAlgebra`` with ``regrade`` applied to every grade it is given."""
 
