@@ -4,7 +4,8 @@ Every linear map on chains is a word map extended by ``Chain.map``, as in
 ``repspace``.  ``invariant_subspace`` stacks the action of every acting basis
 element on one basis word (``act_word``) into one column, reads the kernel
 from ``linalg.kernel_basis`` and re-verifies each kernel chain by direct
-annihilation (``annihilated_by``).  On an algebra equal to
+annihilation (``annihilated_by``, which sums the ``act_word`` terms of the
+chain scaled to integers).  On an algebra equal to
 ``build_affine(sig)`` or ``build_so(sig)`` (``liealg.is_canonical``) only
 the words whose parity is constant on each block get a column: for an
 acting ``X(i,j)``, both indices in one block, exp(π·X(i,j)) is the flip
@@ -52,13 +53,13 @@ from typing import Optional, Sequence, Union
 from ._value import Value
 from .complexes import embed_mixed_in_tensor
 from .liealg import (
-    LieAlgebra, RotationX, Signature, Translation, build_affine, is_canonical, so_labels,
+    Coeff, LieAlgebra, RotationX, Signature, Translation, accumulate, build_affine, is_canonical,
+    so_labels,
 )
-from .linalg import CapExceededError, kernel_basis
+from .linalg import CapExceededError, integer_column, kernel_basis
 from .repspace import (
     Chain,
     Space,
-    act,
     act_word,
     mixed_space,
     sort_wedge,
@@ -222,9 +223,24 @@ def invariant_subspace(acting: Union[LieAlgebra, Sequence[int]], space: Space) -
 
 
 def annihilated_by(chain: Chain, acting: Union[LieAlgebra, Sequence[int]]) -> bool:
-    """True iff every basis element of ``acting`` kills the chain exactly."""
-    gens = _resolve_acting(acting, chain.space)
-    return all(act(x, chain).is_zero() for x in gens)
+    """True iff every basis element of ``acting`` kills the chain exactly.
+
+    The chain is scaled once to integers by the lcm of its denominators
+    (``linalg.integer_column``).  The action is linear, so a positive
+    multiple of the chain is killed iff the chain is, and each generator's
+    image is summed exactly, in a plain dict of the ``act_word`` terms; the
+    first generator that leaves a term answers False."""
+    space = chain.space
+    gens = _resolve_acting(acting, space)
+    terms = integer_column(list(chain.coeffs.items()))[1]
+    for x in gens:
+        image: dict[tuple[int, ...], Coeff] = {}
+        for word, c in terms:
+            for new, v in act_word(space, x, word).items():
+                accumulate(image, new, c * v)
+        if image:
+            return False
+    return True
 
 
 def proportional(a: Chain, b: Chain) -> bool:
@@ -325,17 +341,22 @@ def make_gamma_bar(sig: Signature) -> Chain:
     return Fraction(1, n * (n - 1)) * embed_mixed_in_tensor(make_gamma(sig))
 
 
+def _so_last(gamma_bar: Chain) -> Chain:
+    """gamma_bar with the so-factor of each word moved last: gamma_bar_prime."""
+    return Chain(gamma_bar.space, {w[1:] + w[:1]: c for w, c in gamma_bar.coeffs.items()})
+
+
 def make_gamma_bar_prime(sig: Signature) -> Chain:
     """Tensor lift of gamma with the so-factor trailing, prefactor 1/n!."""
-    chain = make_gamma_bar(sig)
-    return chain.map(lambda w: {w[1:] + w[:1]: 1}, chain.space)
+    return _so_last(make_gamma_bar(sig))
 
 
 def make_gamma_tilde(sig: Signature, sign: int) -> Chain:
     """gamma_bar + sign * gamma_bar_prime for sign in {+1, -1}."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return make_gamma_bar(sig) + sign * make_gamma_bar_prime(sig)
+    gamma_bar = make_gamma_bar(sig)
+    return gamma_bar + sign * _so_last(gamma_bar)
 
 
 def resolve_gamma_tilde_sign(sig: Signature) -> tuple[Optional[int], dict[int, bool]]:
@@ -343,9 +364,12 @@ def resolve_gamma_tilde_sign(sig: Signature) -> tuple[Optional[int], dict[int, b
 
     Returns (resolved sign or None, {sign: is_invariant}).  Exactly one sign
     is expected to survive; both surviving or neither is reported as None.
+    gamma_bar is built once, and gamma_bar_prime by moving its words' so-factor.
     """
     h = build_affine(sig)
-    results = {sign: annihilated_by(make_gamma_tilde(sig, sign), h) for sign in (1, -1)}
+    gamma_bar = make_gamma_bar(sig)
+    prime = _so_last(gamma_bar)
+    results = {sign: annihilated_by(gamma_bar + sign * prime, h) for sign in (1, -1)}
     survivors = [s for s, ok in results.items() if ok]
     return (survivors[0] if len(survivors) == 1 else None), results
 

@@ -18,10 +18,11 @@ the least.
   coordinate (the ``[A; I]`` augmentation), so a row carries its combination
   of the fed columns as coordinates of the same dict.
 
-* ``SparseModularEliminator`` — mod p, every pivot entry 1.  Primes are drawn
-  from [2^29, 2^30).  A rank mod p never exceeds the rank over Q, so it is
-  only an upper bound; no Betti number rests on it.  It stays as an
-  independent cross-check of the exact engine (``verify``'s
+* ``SparseModularEliminator`` — mod p, every pivot entry 1.  ``verify``
+  draws the primes from [2^29, 2^30) and holds the primality test, which
+  the eliminator loads from it.  A rank mod p never exceeds the rank over
+  Q, so it is only an upper bound; no Betti number rests on it.  It stays
+  as an independent cross-check of the exact engine (``verify``'s
   ``structure.rank_cross_field``) and as a test oracle.
 
 Every matrix of the package is one format, the one both engines read: its
@@ -56,16 +57,8 @@ __all__ = [
     "kernel_basis",
     "solve",
     "integer_column",
-    "is_probable_prime",
-    "draw_primes",
-    "PRIME_LO",
-    "PRIME_HI",
     "DEFAULT_CAP_EXACT",
 ]
-
-# Random 30-bit primes for the modular ranks.
-PRIME_LO = 1 << 29
-PRIME_HI = 1 << 30
 
 # Default cap on the columns of one degree's exact rank (``homology``) or of
 # one exact solve block (``complexes.is_boundary``); kept here, below both
@@ -82,50 +75,10 @@ class CapExceededError(RuntimeError):
 def integer_column(col: SparseColumn) -> tuple[int, SparseColumn]:
     """``(scale, scale * col)``: the lcm of the column's denominators and the
     integer column it scales to, the column itself when it is all ``int``s."""
-    if all(type(v) is int for _, v in col):  # skips the slow ABC check of Fraction
+    if all(type(v) is int for _, v in col):  # returned as it is
         return 1, col
-    scale = math.lcm(*(v.denominator for _, v in col if isinstance(v, Fraction)))
-    return scale, [(r, int(v * scale)) for r, v in col]
-
-
-# ---------------------------------------------------------------------------
-# Primes.
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
-
-
-def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the sizes used here (n < 3.4e14)."""
-    if n < 2:
-        return False
-    for sp in _MR_WITNESSES:
-        if n % sp == 0:
-            return n == sp
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def draw_primes(rng, count: int) -> list[int]:
-    """Distinct random primes from [PRIME_LO, PRIME_HI), reproducible from the rng state."""
-    out: list[int] = []
-    while len(out) < count:
-        c = rng.randrange(PRIME_LO | 1, PRIME_HI, 2)
-        if c not in out and is_probable_prime(c):
-            out.append(c)
-    return out
+    scale = math.lcm(*(v.denominator for _, v in col))
+    return scale, [(r, v.numerator * (scale // v.denominator)) for r, v in col]
 
 
 class RankCertificate(Value):
@@ -281,6 +234,8 @@ class SparseModularEliminator:
     """
 
     def __init__(self, rowdim: int, p: int):
+        from .verify import is_probable_prime  # kept beside the prime draws
+
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

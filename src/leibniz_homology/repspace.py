@@ -67,8 +67,10 @@ class Space(Frozen):
     ``factors`` lists the ambient basis indices allowed as tensor/wedge
     factors; ``lead`` (mixed spaces only) the indices allowed as the leading
     factor.  Each lists distinct indices of the algebra, or rank/unrank
-    would go wrong.  ``degree`` counts the tensor/wedge factors, excluding
-    any lead.
+    would go wrong, and the factors of a wedge or mixed space ascend: a
+    wedge tail is ranked by the colex rank of its factor positions, which
+    holds only when sorted words have ascending positions.  ``degree``
+    counts the tensor/wedge factors, excluding any lead.
     """
 
     _fields = ("algebra", "kind", "degree", "factors", "lead")
@@ -87,6 +89,8 @@ class Space(Frozen):
             for t, idx in enumerate(indices):
                 if idx in indices[:t] or not 0 <= idx < algebra.dim:
                     raise ValueError(f"{role} index {idx} repeats or lies outside range({algebra.dim})")
+        if kind != "tensor" and list(factors) != sorted(factors):
+            raise ValueError(f"the factors {factors} of a {kind} space do not ascend")
         self.__dict__.update(algebra=algebra, kind=kind, degree=degree, factors=factors, lead=lead)
 
     # -- dimensions and positions -------------------------------------------

@@ -18,15 +18,17 @@ is an automorphism.  It is loaded with ``split`` or on the first
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import prod
+from operator import xor
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .liealg import (
     Coeff, Grade, LieAlgebra, Signature, accumulate, check_automorphism, is_canonical, so_labels,
     structure_triples,
 )
+from .linalg import integer_column
 from .repspace import Symmetry, sort_wedge
 
 Word = tuple[int, ...]
@@ -149,8 +151,11 @@ def symmetry_group(
     the images of the parity bits.  The first action of each index map
     must map every letter to one of the acted-on grade and pass
     ``liealg.check_automorphism``, against the structure triples built once
-    per call; otherwise ``ValueError`` is raised.
+    per call; otherwise ``ValueError`` is raised.  Each target chain is
+    scaled once per call to integers (``_scaled``), so ``_sign_on``
+    compares ints.
     """
+    scaled = {g: _scaled(chain) for g, chain in target.items()}
     r, grades = len(table.weights[0]), alg.grades
     triples = structure_triples(alg)
     lead = [next(iter(v)) for v in table.vecs]  # a coordinate of each b_k
@@ -188,7 +193,7 @@ def symmetry_group(
             check_automorphism(alg, (perm, signs), triples)
             if any(act(g) != g for g in target):
                 continue
-            needs = [(g[-1], _sign_on(perm, signs, chain)) for g, chain in target.items()]
+            needs = [(g[-1], _sign_on(perm, signs, *chain)) for g, chain in scaled.items()]
             if any(t is None for _, t in needs):
                 continue
             first = found[0]
@@ -205,18 +210,33 @@ def symmetry_group(
     return sorted(group.items())
 
 
-def _sign_on(perm: Sequence[int], signs: Sequence[int], chain: Mapping[Word, Coeff]) -> Optional[int]:
+def _scaled(chain: Mapping[Word, Coeff]) -> tuple[dict[Word, int], list[tuple[Word, int, int]]]:
+    """The chain scaled to integers (``linalg.integer_column``), and its
+    terms (word, coefficient, mask of the letters of odd multiplicity)."""
+    chain = dict(integer_column(list(chain.items()))[1])
+    return chain, [(w, c, reduce(xor, (1 << a for a in w), 0)) for w, c in chain.items()]
+
+
+def _sign_on(perm: Sequence[int], signs: Sequence[int], chain: dict, terms: list) -> Optional[int]:
     """t with (perm, signs) mapping ``chain`` to t·chain, 0 for the empty
-    chain (either sign), None when it maps it to neither ±chain."""
-    out = 0
-    for w, c in chain.items():
-        image = chain.get(tuple(map(perm.__getitem__, w)))
-        v = c if prod(map(signs.__getitem__, w)) == 1 else -c
-        t = 1 if image == v else -1 if image == -v else None
-        if t is None or t != (out or t):
+    chain (either sign), None when it maps it to neither ±chain, for the
+    ``chain`` and ``terms`` of ``_scaled``: a positive multiple of a chain
+    maps to t times itself for the same t, so every comparison is exact on
+    ints.  The action negates a word whose mask holds an odd number of the
+    letters it negates."""
+    if not terms:
+        return 0
+    neg = sum(1 << a for a, s in enumerate(signs) if s < 0)
+    t, get = 0, chain.get
+    for w, c, mask in terms:
+        if (mask & neg).bit_count() & 1:
+            c = -c  # the coefficient of the image word in the image
+        image = get(tuple(map(perm.__getitem__, w)))
+        if not t and image in (c, -c):
+            t = 1 if image == c else -1
+        if image != t * c:
             return None
-        out = t
-    return out
+    return t
 
 
 def chain_symmetries(

@@ -61,7 +61,7 @@ from .liealg import (
     label_is_valid,
     so_labels,
 )
-from .linalg import CapExceededError, _image, draw_primes
+from .linalg import CapExceededError, _image
 from .repspace import act, mixed_space, random_chain, tensor_space, wedge_space
 
 __all__ = [
@@ -76,6 +76,46 @@ __all__ = [
 
 # primes of the cross-field rank check, drawn from the seed
 CROSS_FIELD_PRIMES = 2
+
+# Random 30-bit primes for the modular ranks.
+PRIME_LO = 1 << 29
+PRIME_HI = 1 << 30
+
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for the sizes used here (n < 3.4e14)."""
+    if n < 2:
+        return False
+    for sp in _MR_WITNESSES:
+        if n % sp == 0:
+            return n == sp
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def draw_primes(rng, count: int) -> list[int]:
+    """Distinct random primes from [PRIME_LO, PRIME_HI), reproducible from the rng state."""
+    out: list[int] = []
+    while len(out) < count:
+        c = rng.randrange(PRIME_LO | 1, PRIME_HI, 2)
+        if c not in out and is_probable_prime(c):
+            out.append(c)
+    return out
 
 
 class CheckResult(Value):

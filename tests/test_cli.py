@@ -265,6 +265,15 @@ def test_verify_paper_asserts_witnesses_at_n5(pq):
     assert report.passed
 
 
+def test_verify_paper_asserts_witnesses_at_n6():
+    # at (6,0) both witness solves scan the 720 elements of the rotation group
+    report = run_suite("paper", Signature(6, 0))
+    statuses = {c.check_id: c.status for c in report.checks}
+    assert statuses["complexes.gamma_homologous"] == "pass"
+    assert statuses["complexes.alpha_tilde_not_boundary"] == "pass"
+    assert report.passed
+
+
 def test_spans_checks_reuse_the_table_bases(monkeypatch):
     # at n = 5 the rho and gamma spans checks read the so ⊗ wedge^k table's
     # bases at k = 2 and k = n - 2: one kernel per module and k, 3·(n+1)

@@ -1,5 +1,6 @@
 """Loday and CE boundaries, cycles, boundaries, embeddings."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -430,6 +431,80 @@ def test_orbit_route_matches_plain_blocks_on_named_chains(pq, full_route):
     diff = make_gamma_tilde(sig, sign) - make_gamma_bar(sig)
     assert _assert_routes_agree(diff, full_route, ROTATION_PERMS[pq])
     assert not _assert_routes_agree(make_alpha_tilde(sig), full_route, ROTATION_PERMS[pq])
+
+
+def _fraction_sign_on(perm, signs, chain):
+    """The Fraction scan that ``rotations._sign_on`` replaces: t with
+    (perm, signs) mapping ``chain`` to t·chain, 0 for the empty chain, None
+    for neither ±chain."""
+    out = 0
+    for w, c in chain.items():
+        image = chain.get(tuple(map(perm.__getitem__, w)))
+        v = c if math.prod(map(signs.__getitem__, w)) == 1 else -c
+        t = 1 if image == v else -1 if image == -v else None
+        if t is None or t != (out or t):
+            return None
+        out = t
+    return out
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (3, 1), (4, 0)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_sign_scan_matches_the_fraction_scan(pq, rng):
+    # every element of the rotation group, with its letter signs flipped on
+    # the letters of one parity bit too, on the named chains, their Fraction
+    # multiples, chains w ± g·w and random chains of one grade block
+    sig = Signature(*pq)
+    h = build_affine(sig)
+    group = rotations.symmetry_group(h, rotations._standard_table(sig.n), {})
+    flipped = [
+        (perm, tuple(-s if g[-1] & 1 else s for s, g in zip(signs, h.grades))) for perm, signs in group
+    ]
+    sign, _ = resolve_gamma_tilde_sign(sig)
+    named = [make_gamma_tilde(sig, sign) - make_gamma_bar(sig), make_alpha_tilde(sig)]
+    chains = [{}] + [dict(c.coeffs) for c in named] + [dict((Fraction(-5, 6) * c).coeffs) for c in named]
+    words = graded_words(h.grades)
+    block = GradeBlock(words, 4, max(words.grades_of_length(4), key=lambda g: words.count(4, g)))
+    for perm, signs in group:
+        w = block.unrank_word(rng.randrange(block.dim))
+        image = tuple(perm[a] for a in w)
+        for t in (1, -1):
+            chain = {w: Fraction(1, 3)}
+            liealg.accumulate(chain, image, t * math.prod(signs[a] for a in w) * Fraction(1, 3))
+            chains.append(chain)
+    for _ in range(10):
+        picked = [block.unrank_word(rng.randrange(block.dim)) for _ in range(3)]
+        chains.append({w: Fraction(rng.randint(1, 9), 7) for w in picked})
+    scaled = [rotations._scaled(c) for c in chains]
+    got = [[rotations._sign_on(perm, signs, *sc) for sc in scaled] for perm, signs in group + flipped]
+    assert got == [[_fraction_sign_on(perm, signs, c) for c in chains] for perm, signs in group + flipped]
+    assert {t for row in got for t in row} == {1, -1, 0, None}
+
+
+# (order, sha256 prefix of the repr) of the chain_symmetries groups of
+# gamma~ - gamma_bar and of alpha~ at n = 4, 5 and 6, pinned from the
+# Fraction scan
+NAMED_CHAIN_GROUPS = {
+    (2, 2): ((4, "0e88a3b446f92e65"), (4, "0e88a3b446f92e65")),
+    (3, 1): ((6, "42be55058a6ec2c6"), (6, "42be55058a6ec2c6")),
+    (5, 0): ((120, "b2fda3a2df26047d"), (120, "b2fda3a2df26047d")),
+    (3, 2): ((12, "2162dc2f9a3e48db"), (12, "2162dc2f9a3e48db")),
+    (6, 0): ((720, "ba5731edeb7416fd"), (720, "ba5731edeb7416fd")),
+    (3, 3): ((36, "3cdf05193e3b4991"), (36, "3cdf05193e3b4991")),
+}
+
+
+@pytest.mark.parametrize("pq", list(NAMED_CHAIN_GROUPS), ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_named_chain_stabilisers_are_pinned(pq, monkeypatch):
+    sig = Signature(*pq)
+    sign, _ = resolve_gamma_tilde_sign(sig)
+    chains = [make_gamma_tilde(sig, sign) - make_gamma_bar(sig), make_alpha_tilde(sig)]
+    groups = [chain_symmetries(c.space.algebra, _by_grade(c)) for c in chains]
+    pins = [(len(g), hashlib.sha256(repr(g).encode()).hexdigest()[:16]) for g in groups]
+    assert pins == list(NAMED_CHAIN_GROUPS[pq])
+    if sig.n < 6:  # the same groups from the Fraction scan
+        monkeypatch.setattr(rotations, "_scaled", lambda chain: (chain,))
+        monkeypatch.setattr(rotations, "_sign_on", _fraction_sign_on)
+        assert [chain_symmetries(c.space.algebra, _by_grade(c)) for c in chains] == groups
 
 
 def test_one_letter_action_per_group_element(monkeypatch):

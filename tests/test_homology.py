@@ -26,9 +26,10 @@ from leibniz_homology import (
 )
 from leibniz_homology import complexes, homology
 from leibniz_homology.homology import DEFAULT_CAP_EXACT, _rank_blocks
-from leibniz_homology.linalg import ExactEliminator, draw_primes
+from leibniz_homology.linalg import ExactEliminator
 from leibniz_homology.repspace import GradeBlock, OrbitBlock, graded_words
 from leibniz_homology.split import split_reduction
+from leibniz_homology.verify import draw_primes
 
 
 def test_abelian_oracle():

@@ -12,6 +12,7 @@ from leibniz_homology import (
     RotationX,
     Signature,
     Translation,
+    act,
     annihilated_by,
     build_affine,
     build_so,
@@ -29,6 +30,7 @@ from leibniz_homology import (
     mixed_space,
     module_space,
     proportional,
+    random_chain,
     resolve_gamma_tilde_sign,
     tensor_space,
     tensor_to_wedge,
@@ -225,6 +227,73 @@ def test_gamma_tilde_sign_resolution():
         resolved[(p, q)] = sign
     # the same sign survives at both n = 4 signatures
     assert resolved[(2, 2)] == resolved[(3, 1)]
+
+
+# resolve_gamma_tilde_sign at n = 4, 5 and 6, pinned from the Fraction route
+GAMMA_TILDE_SIGNS = {
+    (2, 2): (-1, {1: False, -1: True}),
+    (3, 1): (-1, {1: False, -1: True}),
+    (5, 0): (1, {1: True, -1: False}),
+    (3, 2): (1, {1: True, -1: False}),
+    (6, 0): (-1, {1: False, -1: True}),
+    (3, 3): (-1, {1: False, -1: True}),
+}
+
+
+@pytest.mark.parametrize("pq", list(GAMMA_TILDE_SIGNS), ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_gamma_tilde_sign_is_pinned(pq):
+    # gamma_bar is built once and gamma_bar' rotated from it; both signs
+    # are also checked on the Fraction route, a chain per generator
+    sig = Signature(*pq)
+    assert resolve_gamma_tilde_sign(sig) == GAMMA_TILDE_SIGNS[pq]
+    h = build_affine(sig)
+    for sign in (1, -1):
+        gt = make_gamma_tilde(sig, sign)
+        assert gt == make_gamma_bar(sig) + sign * make_gamma_bar_prime(sig)
+        assert _killed_by(gt, range(h.dim)) == GAMMA_TILDE_SIGNS[pq][1][sign]
+
+
+def _killed_by(chain, gens):
+    """The Fraction route of ``annihilated_by``: one chain per generator."""
+    return all(act(x, chain).is_zero() for x in gens)
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (3, 1)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+def test_annihilated_by_matches_the_fraction_route(pq, rng):
+    # random chains of wedge, mixed and tensor spaces, with int and Fraction
+    # coefficients, the named invariants and their sums with random chains,
+    # and the zero chain: the integer scan and the Fraction route agree
+    sig = Signature(*pq)
+    h, so = build_affine(sig), build_so(sig)
+    spaces = [
+        (wedge_space(h, 2), range(h.dim)),
+        (wedge_space(h, 3), h.so_indices),
+        (mixed_space(h, 1, lead=h.translation_indices), h.so_indices),
+        (mixed_space(h, 2, lead=h.so_indices), h.so_indices),
+        (tensor_space(h, 2), range(h.dim)),
+        (tensor_space(h, 3), range(h.dim)),
+    ]
+    named = [
+        (make_delta(sig), h.so_indices), (make_beta(sig), h.so_indices), (make_rho(sig), h.so_indices),
+        (make_gamma(sig), h.so_indices), (make_alpha_tilde(sig), range(h.dim)),
+        (make_gamma_tilde(sig, -1), range(h.dim)), (make_gamma_tilde(sig, 1), range(h.dim)),
+    ]
+    cases = [(space.zero(), gens) for space, gens in spaces]
+    for space, gens in spaces:
+        for _ in range(10):
+            c = random_chain(space, rng)
+            cases += [(c, gens), (Fraction(1, 6) * c + Fraction(2, 35) * random_chain(space, rng), gens)]
+    for chain, gens in named:
+        cases += [(chain, gens), (Fraction(-3, 14) * chain, gens),
+                  (chain + Fraction(1, 9) * random_chain(chain.space, rng), gens)]
+    results = [annihilated_by(chain, gens) for chain, gens in cases]
+    assert results == [_killed_by(chain, gens) for chain, gens in cases]
+    assert sum(results) >= len(spaces) + 2 * 6 and not all(results)
+    # and one generator at a time, so that each generator's verdict counts
+    single = [annihilated_by(chain, [x]) for chain, gens in cases for x in gens]
+    assert single == [_killed_by(chain, [x]) for chain, gens in cases for x in gens]
+    # the acting set may also be a subalgebra, resolved inside the space's algebra
+    assert annihilated_by(make_gamma(sig), so) and not annihilated_by(make_gamma_tilde(sig, 1), h)
 
 
 def test_gamma_tilde_invariance(sig4):

@@ -15,18 +15,9 @@ from leibniz_homology import (
     solve,
 )
 from leibniz_homology.complexes import BoundaryBlock, LodayBoundary
-from leibniz_homology.linalg import (
-    PRIME_HI,
-    PRIME_LO,
-    _cofactors,
-    _combine,
-    _image,
-    _normalize,
-    draw_primes,
-    integer_column,
-    is_probable_prime,
-)
+from leibniz_homology.linalg import _cofactors, _combine, _image, _normalize, integer_column
 from leibniz_homology.split import split_reduction
+from leibniz_homology.verify import PRIME_HI, PRIME_LO, draw_primes, is_probable_prime
 
 
 def matrix(rows, cols, entries=()):

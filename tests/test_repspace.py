@@ -131,6 +131,21 @@ def test_space_rejects_repeated_or_foreign_indices(h22, make, message):
         make(h22)
 
 
+def test_space_rejects_wedge_factors_out_of_order(h22):
+    # a wedge tail is ranked by the colex rank of its factor positions, so
+    # factors [3, 1, 2] would unrank (3, 1) and rank the stored (1, 3) as
+    # the index of (3, 2); a tensor space and a mixed space's lead take any order
+    for make in (lambda: wedge_space(h22, 2, factors=[3, 1, 2]),
+                 lambda: mixed_space(h22, 1, lead=(0,), factors=[2, 1])):
+        with pytest.raises(ValueError, match="do not ascend"):
+            make()
+    assert tensor_space(h22, 2, factors=[3, 1, 2]).unrank_word(1) == (3, 1)
+    sp = mixed_space(h22, 1, lead=(5, 4), factors=[1, 3])
+    assert [sp.rank_word(sp.unrank_word(r)) for r in range(sp.dim)] == list(range(sp.dim))
+    sp = wedge_space(h22, 2, factors=[1, 2, 3])
+    assert all(sort_wedge(w) == (w, 1) for w in sp.words())
+
+
 def test_module_law_on_random_chains(h22, rng):
     # act(x, m) = [m, x] is a right action: acting by a then b, minus b then
     # a, equals acting by [b, a].
