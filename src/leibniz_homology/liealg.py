@@ -6,6 +6,10 @@ Everything is built from the defining vector fields on R^n:
     Y(i,j) =  x_i d/dx_j + x_j d/dx_i     (boosts, i <= p < j)
     d(i)   =  d/dx_i                      (translations)
 
+X(i,j) and Y(i,j) are the wedges ±e_i ∧ e_j, u ∧ v acting by
+x -> u B(v, x) - v B(u, x) (``wedge_field``); read off the Gram matrix of
+another basis of R^n, the same formula gives the letters in its coordinates.
+
 A vector field of polynomial degree <= 1 is stored as one sparse matrix M
 over the coordinates x_0, ..., x_{n-1} and the constant x_n = 1:
 M[(i, j)] is the coefficient of x_i d/dx_j, and row n holds the constant
@@ -14,8 +18,8 @@ again of degree <= 1 and is the matrix commutator:
 
     [M, N] = MN - NM
 
-so all structure constants of so(p,q) and of the affine algebra
-h_n = I_n ⋊ so(p,q) come out as exact integers.  Basis order is fixed:
+and ``_structure_from_fields`` reads the constants of any basis off it;
+those of so(p,q) and h_n = I_n ⋊ so(p,q) are exact integers.  Basis order is fixed:
 translations by i, then X(i,j) lexicographic (p-block before q-block), then
 Y(i,j) lexicographic.  The letters on another basis of R^n, and the
 signed letter permutations of SO(p)×SO(q), are in ``rotations``.  The
@@ -151,8 +155,26 @@ Coeff = Union[int, Fraction]
 Matrix = dict[tuple[int, int], Coeff]
 
 
+def _pair_sign(l: int, p: int) -> int:
+    """The sign s with e_k ∧ e_l = s·(the X or Y label of the pair), 0-based
+    k < l: the field of x -> e_k B(e_l, x) - e_l B(e_k, x) is X(k+1,l+1) in
+    the p-block, and -X(k+1,l+1) in the q-block or -Y(k+1,l+1) across, so
+    only l decides."""
+    return 1 if l < p else -1
+
+
+def wedge_field(a: int, c: int, gram: Sequence[Mapping[int, Coeff]], p: int) -> Matrix:
+    """The field of the letter s·b_a ∧ b_c, s = ``_pair_sign(c, p)``, in the
+    coordinates of a basis b of R^n, 0-based a < c: s·(x -> b_a B(b_c, x) -
+    b_c B(b_a, x)), with B(b_i, b_j) = ``gram[i].get(j, 0)``.  On the
+    standard basis it is X(a+1,c+1) or Y(a+1,c+1)."""
+    s = _pair_sign(c, p)
+    return {**{(i, a): s * v for i, v in gram[c].items()}, **{(i, c): -s * v for i, v in gram[a].items()}}
+
+
 def field_of_label(label: BasisLabel, sig: Signature) -> Matrix:
-    """The defining vector field of a canonical basis label (0-based keys).
+    """The defining vector field of a canonical basis label (0-based keys),
+    for X(i,j) and Y(i,j) the ``wedge_field`` on the standard Gram matrix.
 
     Each field is 1 at its largest key, its top entry, and no other field has
     that entry: (n, i-1) for d(i), since a translation is the only field with
@@ -162,8 +184,8 @@ def field_of_label(label: BasisLabel, sig: Signature) -> Matrix:
         raise ValueError(f"label {label} is not valid for signature {sig}")
     if isinstance(label, Translation):
         return {(sig.n, label.i - 1): 1}
-    i, j = label.i - 1, label.j - 1
-    return {(i, j): -1 if isinstance(label, RotationX) else 1, (j, i): 1}
+    p = sig.p  # the standard Gram matrix is diag(1^p, (-1)^q)
+    return wedge_field(label.i - 1, label.j - 1, [{k: 1 if k < p else -1} for k in range(sig.n)], p)
 
 
 def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -299,26 +321,27 @@ class LieAlgebra:
 
 
 def _structure_from_fields(
-    labels: Sequence[BasisLabel], sig: Signature
-) -> dict[tuple[int, int], dict[int, int]]:
-    """The structure constants of the labels' fields.  A bracket's coefficient
-    on a field is the bracket's value at that field's top entry (see
-    ``field_of_label``); raises ``ValueError`` naming the pair when the
-    combination so read is not the bracket, which then leaves the labels'
-    span."""
-    fields = [field_of_label(lab, sig) for lab in labels]
-    top = {max(fld): c for c, fld in enumerate(fields)}
-    structure: dict[tuple[int, int], dict[int, int]] = {}
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
+    fields: Sequence[Matrix], names: Sequence[BasisLabel]
+) -> dict[tuple[int, int], dict[int, Coeff]]:
+    """The structure constants of the ``fields``, each with a top entry, its
+    largest key, that no other field has.  A bracket's coefficient on a field
+    is its value at that field's top entry over the field's own value there,
+    an ``int`` when that divides; raises ``ValueError`` naming the pair by
+    ``names`` when the combination so read is not the bracket, which then
+    leaves the fields' span."""
+    top = {max(fld): (c, fld[max(fld)]) for c, fld in enumerate(fields)}
+    structure: dict[tuple[int, int], dict[int, Coeff]] = {}
+    for a in range(len(fields)):
+        for b in range(a + 1, len(fields)):
             br = _mat_commutator(fields[a], fields[b])
-            vec = {top[key]: v for key, v in br.items() if key in top}
+            vec = {c: Fraction(v, t) if v % t else v // t
+                   for key, v in br.items() if key in top for c, t in [top[key]]}
             rebuilt: Matrix = {}
             for c, v in vec.items():
                 for key, w in fields[c].items():
                     accumulate(rebuilt, key, v * w)
             if rebuilt != br:
-                raise ValueError(f"the bracket [{labels[a]}, {labels[b]}] leaves the span of the labels")
+                raise ValueError(f"the bracket [{names[a]}, {names[b]}] leaves the span of the labels")
             if vec:
                 structure[(a, b)] = vec
                 structure[(b, a)] = {c: -v for c, v in vec.items()}
@@ -347,7 +370,7 @@ def build_so(sig: Signature) -> LieAlgebra:
     if sig.n < 2:
         raise ValueError("build_so requires n >= 2")
     labels = so_labels(sig)
-    structure = _structure_from_fields(labels, sig)
+    structure = _structure_from_fields([field_of_label(lab, sig) for lab in labels], labels)
     grades = [_label_grade(lab) for lab in labels]
     return LieAlgebra(labels, structure, grades=grades, sig=sig, name=f"so{sig}")
 
@@ -359,7 +382,7 @@ def build_affine(sig: Signature) -> LieAlgebra:
         raise ValueError("build_affine requires n >= 2")
     labels: list[BasisLabel] = [Translation(i) for i in range(1, sig.n + 1)]
     labels += so_labels(sig)
-    structure = _structure_from_fields(labels, sig)
+    structure = _structure_from_fields([field_of_label(lab, sig) for lab in labels], labels)
     grades = [_label_grade(lab) for lab in labels]
     return LieAlgebra(labels, structure, grades=grades, sig=sig, name=f"h{sig}")
 

@@ -25,8 +25,8 @@ from operator import xor
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .liealg import (
-    Coeff, Grade, LieAlgebra, Signature, accumulate, check_automorphism, is_canonical, so_labels,
-    structure_triples,
+    Coeff, Grade, LieAlgebra, Signature, _pair_sign, accumulate, check_automorphism, is_canonical,
+    so_labels, structure_triples,
 )
 from .linalg import integer_column
 from .repspace import Symmetry, sort_wedge
@@ -45,14 +45,6 @@ def signed_rotations(sig: Signature) -> Iterator[tuple[tuple[int, ...], list[tup
     for head in permutations(range(p)):
         for tail in permutations(range(p, n)):
             yield head + tail, by_dets[sort_wedge(head)[1], sort_wedge(tail)[1]]
-
-
-def _pair_sign(l: int, p: int) -> int:
-    """The sign s with e_k ∧ e_l = s·(the X or Y label of the pair), 0-based
-    k < l: the field of x -> e_k B(e_l, x) - e_l B(e_k, x) is X(k+1,l+1) in
-    the p-block, and -X(k+1,l+1) in the q-block or -Y(k+1,l+1) across, so
-    only l decides."""
-    return 1 if l < p else -1
 
 
 @lru_cache(maxsize=None)

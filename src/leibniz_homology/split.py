@@ -2,8 +2,8 @@
 
 ``split_form`` rewrites ``build_affine(sig)`` or ``build_so(sig)`` on a basis
 of joint eigenvectors of the split torus, the boosts Y(i,p+i) for
-i <= r = min(p,q): the canonical algebra conjugated by the change of basis,
-again with integer structure constants, graded by translation count, torus
+i <= r = min(p,q): the same fields in that basis's coordinates, again with
+integer structure constants, graded by translation count, torus
 weights and parity.  ``split_reduction`` names the
 grade blocks of its Loday complex that can carry homology: torus weight 0
 and trivial character under the sign flips that commute with the torus.
@@ -23,7 +23,6 @@ module on its first reduced run, so importing the package does not load it.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
@@ -31,15 +30,15 @@ from ._value import Frozen
 from .liealg import (
     BasisLabel,
     BoostY,
-    Coeff,
     GenericLabel,
     Grade,
     LieAlgebra,
     Signature,
-    accumulate,
+    _structure_from_fields,
     build_affine,
     build_so,
     is_canonical,
+    wedge_field,
 )
 from .linalg import kernel_basis
 from .repspace import OrbitGroup, Symmetry
@@ -90,11 +89,10 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     coordinate i (``_split_table``).  The letters are the d(b_k) and the
     signed b_a ∧ b_b of ``rotations.letter_images``, which gives their images
     in the standard basis; unpaired pairs give exactly X(a,b) or Y(a,b).
-    The structure constants are those of ``alg`` in that basis: the bracket
-    of two images in ``alg``, written back in the images through the
-    inverse of the change of basis; every constant comes out an integer.
-    The inverse is read from ``linalg.kernel_basis`` of the images followed
-    by the standard letters: each letter's relation on the images.
+    The structure constants are those of the letters' fields in the
+    coordinates of b (``liealg._structure_from_fields``): d/dy_k for d(b_k),
+    and for a wedge its ``liealg.wedge_field`` on the Gram matrix of b; no
+    inverse of the change of basis is taken.  Every constant is an integer.
     An element is graded (count, torus weights, parity): its weights are
     the sums of its vectors' weights, and its parity the XOR of their bits,
     b_i and b_{p+i} both on bit i, so it is the character under the
@@ -126,32 +124,17 @@ def split_form(alg: LieAlgebra) -> LieAlgebra:
     def fail(message: str) -> ValueError:
         return ValueError(f"the split form of {alg.name} is wrong: {message}")
 
-    # scale·e_k = Σ inverse[k][x]·images[x], from the relation of each letter
-    # e_k fed after the images; an image's own relation lies below dim
-    kernel = kernel_basis(dim, [sorted(img.items()) for img in images] + [[(k, 1)] for k in range(dim)])
-    rank = dim - sum(max(rel) < dim for rel in kernel)
+    rank = dim - len(kernel_basis(dim, [sorted(img.items()) for img in images]))
     if rank != dim:
         raise fail(f"its {dim} elements span only {rank} dimensions")
-    relations = [(rel.pop(dim + k), rel) for k, rel in enumerate(kernel)]
-    scale = math.lcm(*(c for c, _ in relations))
-    inverse = [{x: -v * (scale // c) for x, v in rel.items()} for c, rel in relations]
-    structure: dict[tuple[int, int], dict[int, int]] = {}
-    for x in range(dim):
-        for y in range(x + 1, dim):
-            direct: dict[int, Coeff] = {}
-            for i, u in images[x].items():
-                for j, v in images[y].items():
-                    for k, t in alg.bracket(i, j).items():
-                        accumulate(direct, k, u * v * t)
-            vec: dict[int, int] = {}
-            for k, t in direct.items():
-                for z, v in inverse[k].items():
-                    accumulate(vec, z, t * v)
-            if any(v % scale for v in vec.values()):
-                raise fail(f"[{labels[x]}, {labels[y]}] has a constant that is no integer")
-            if vec:
-                structure[(x, y)] = {z: v // scale for z, v in vec.items()}
-                structure[(y, x)] = {z: -v // scale for z, v in vec.items()}
+    eps = [1 if k < p else -1 for k in range(sig.n)]  # B(e_k, e_k)
+    dot = [[sum(c * u.get(k, 0) * eps[k] for k, c in b.items()) for u in table.vecs] for b in table.vecs]
+    gram = [{j: v for j, v in enumerate(row) if v} for row in dot]
+    fields = [{(sig.n, k): 1} for k in range(nt)] + [wedge_field(a, b, gram, p) for a, b in pairs]
+    structure = _structure_from_fields(fields, labels)
+    for (x, y), vec in structure.items():
+        if x < y and any(type(v) is not int for v in vec.values()):
+            raise fail(f"[{labels[x]}, {labels[y]}] has a constant that is no integer")
     split = LieAlgebra(labels, structure, grades=grades, sig=sig, name=f"{alg.name}-split")
 
     fold = ((1 << r) - 1) << p

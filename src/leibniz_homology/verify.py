@@ -340,7 +340,8 @@ def validate(alg: LieAlgebra) -> ValidationReport:
             for v in vec.values()
         )
         try:
-            report.oracle_ok = alg.structure == _structure_from_fields(alg.labels, alg.sig)
+            fields = [field_of_label(lab, alg.sig) for lab in alg.labels]
+            report.oracle_ok = alg.structure == _structure_from_fields(fields, alg.labels)
         except ValueError:
             if not all(label_is_valid(lab, alg.sig) for lab in alg.labels):
                 raise
@@ -421,10 +422,10 @@ def _structure_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> N
     )
     # duality on the abelian report
     dual = cohomology_dims(rep)
-    suite.record(
+    suite.record_table(
         "structure.duality",
         "cohomology dimensions equal homology dimensions degreewise",
-        dual.betti == rep.betti and dual.variant == "cohomology",
+        rep, dual.betti == rep.betti and dual.variant == "cohomology", "",
     )
 
 
@@ -522,7 +523,7 @@ def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optio
         suite.record(
             "invariants.gamma_tilde_invariant",
             "the resolved combination is annihilated by every affine generator",
-            invariants.annihilated_by(gamma_tilde, range(h.dim)),
+            results[resolved],
         )
         gamma_bar = invariants.make_gamma_bar(sig)
         suite.record(
@@ -564,10 +565,10 @@ def _claim_checks(sig: Signature, opts: HomologyOptions, suite: _Suite) -> Optio
         f"certs={[rep.certificates[k].method for k in sorted(rep.certificates)]}",
     )
     dual = cohomology_dims(rep)
-    suite.record(
+    suite.record_table(
         "homology.duality",
         "cohomology dimensions equal homology dimensions degreewise",
-        dual.betti == rep.betti,
+        rep, dual.betti == rep.betti, "",
     )
     return resolved
 

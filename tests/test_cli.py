@@ -296,8 +296,8 @@ def test_verify_paper_modular_only_reports_witnesses_not_run(tmp_path, capsys):
     # a cap below the witness blocks (120 and 260 orbit columns) leaves the
     # exact witness solves unrun and reported as such; the homology table,
     # cut short under the same cap (d_4 has 161 columns), leaves the
-    # prediction check reported as not run too, and the suite goes on to
-    # duality
+    # prediction check and the duality check on that table reported as not
+    # run too
     out = tmp_path / "capped.json"
     assert run(["verify", "--suite", "paper", "--p", "2", "--q", "2", "--cap-exact", "100",
                 "--json", str(out)]) == EXIT_OK
@@ -314,7 +314,8 @@ def test_verify_paper_modular_only_reports_witnesses_not_run(tmp_path, capsys):
         "status": "reported",
         "details": "not run: degree 4: 161 columns exceed the exact cap 100",
     }
-    assert results["homology.duality"]["status"] == "pass"
+    assert results["homology.duality"]["status"] == "reported"
+    assert results["homology.duality"]["details"] == results["homology.matches_prediction"]["details"]
 
 
 @pytest.mark.parametrize("suite, check_id", [
@@ -333,6 +334,21 @@ def test_capped_table_is_reported_not_refuted(tmp_path, capsys, suite, check_id)
     result = {r["check_id"]: r for r in data["results"]}[check_id]
     assert result["status"] == "reported"
     assert re.fullmatch(r"not run: degree \d+: \d+ columns exceed the exact cap 10", result["details"])
+
+
+def test_duality_on_a_capped_table_is_reported_not_run(tmp_path):
+    # both duality checks compare the table with its dual, a copy of it:
+    # on a table the cap cut short they check nothing, so they are reported
+    # as not run with the cap's message, like the checks on the table itself
+    out = tmp_path / "capped.json"
+    assert run(["verify", "--suite", "all", "--p", "2", "--q", "2", "--cap-exact", "10",
+                "--json", str(out)]) == EXIT_OK
+    results = {r["check_id"]: r for r in json.loads(out.read_text())["results"]}
+    for table, duality in (("structure.abelian_homology", "structure.duality"),
+                           ("homology.matches_prediction", "homology.duality")):
+        assert results[table]["status"] == results[duality]["status"] == "reported"
+        assert results[duality]["details"] == results[table]["details"]
+        assert results[duality]["details"].startswith("not run: degree ")
 
 
 @pytest.mark.slow

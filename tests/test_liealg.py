@@ -21,7 +21,9 @@ from leibniz_homology import (
     standard_translation_action,
     validate,
 )
-from leibniz_homology.liealg import _structure_from_fields, check_automorphism
+from leibniz_homology.liealg import (
+    _structure_from_fields, check_automorphism, field_of_label, so_labels, wedge_field,
+)
 from leibniz_homology.repspace import sort_wedge
 from leibniz_homology.rotations import letter_action
 
@@ -152,8 +154,25 @@ def test_validate_rejects_a_label_invalid_for_the_signature():
 
 
 def test_structure_from_fields_names_the_pair_leaving_the_span():
+    labels, sig = [RotationX(1, 2), RotationX(2, 3)], Signature(3, 0)
     with pytest.raises(ValueError, match=re.escape("[X(1,2), X(2,3)]")):
-        _structure_from_fields([RotationX(1, 2), RotationX(2, 3)], Signature(3, 0))
+        _structure_from_fields([field_of_label(lab, sig) for lab in labels], labels)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wedge_field_on_the_standard_gram_is_the_label_field(n):
+    # X(i,j) = -x_i d/dx_j + x_j d/dx_i and Y(i,j) = x_i d/dx_j + x_j d/dx_i,
+    # written out by hand, are the wedge fields of their pairs on the Gram
+    # matrix diag(1^p, (-1)^q)
+    for p in range(n, 0, -1):
+        sig = Signature(p, n - p)
+        gram = [{k: 1 if k < p else -1} for k in range(n)]
+        for lab in so_labels(sig):
+            i, j = lab.i - 1, lab.j - 1
+            by_hand = {(i, j): -1 if isinstance(lab, RotationX) else 1, (j, i): 1}
+            field = wedge_field(i, j, gram, p)
+            assert field == by_hand == field_of_label(lab, sig), (sig, lab)
+            assert all(type(v) is int for v in field.values())
 
 
 def _cycle_sign(perm):

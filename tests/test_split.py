@@ -1,6 +1,7 @@
-"""The split form of the affine algebras: the canonical algebra conjugated
-to the split basis, and the checks the construction keeps."""
+"""The split form of the affine algebras: the canonical fields in the
+coordinates of the split basis, and the checks the construction keeps."""
 
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -118,6 +119,59 @@ def test_split_brackets_map_to_brackets_of_the_images(build, pq):
             assert mapped == direct, (form.labels[x], form.labels[y])
 
 
+def _gram(vecs, p):
+    """B(b_i, b_j) for the b_k of ``vecs`` under the form diag(1^p, -1, ...),
+    as sparse rows, summed term by term."""
+    rows = []
+    for u in vecs:
+        row = {}
+        for j, v in enumerate(vecs):
+            b = sum(c * v.get(k, 0) * (1 if k < p else -1) for k, c in u.items())
+            if b:
+                row[j] = b
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_no_key_is_the_top_entry_of_two_fields(n):
+    # ``_structure_from_fields`` reads a bracket's coefficient on a field at
+    # the field's top entry, so no two fields may share it: on the standard
+    # basis, whose fields are those of the labels, and on the split basis
+    for p in range(n, 0, -1):
+        sig = Signature(p, n - p)
+        pairs, _ = rotations.letter_pairs(sig)
+        standard = [{k: 1} for k in range(n)]
+        for vecs in (standard, split._split_table(sig).vecs):
+            gram = _gram(vecs, p)
+            fields = [{(n, k): 1} for k in range(n)] + [liealg.wedge_field(a, b, gram, p) for a, b in pairs]
+            tops = [max(fld) for fld in fields]
+            assert len(set(tops)) == len(tops), (sig, vecs)
+            if vecs is standard:
+                assert fields == [liealg.field_of_label(lab, sig) for lab in build_affine(sig).labels]
+
+
+# sha256 of (name, labels, grades, sorted constants) of build_so and
+# build_affine at every signature with 2 <= n <= 8, each followed by its
+# split_form for n <= 7: 124 algebras, computed when the split constants
+# still came from an inverse change of basis
+CONSTRUCTION_SHA256 = "72f175437eb3ebcef03333f818cd54ee56cf76f75b509e1191781141a6f9671e"
+
+
+def test_construction_is_pinned():
+    # the value repr of each constant pins its type too: every one an int
+    lines = []
+    for n in range(2, 9):
+        for p in range(n, 0, -1):
+            for build in (build_so, build_affine):
+                alg = build(Signature(p, n - p))
+                for form in (alg, split_form(alg)) if n <= 7 else (alg,):
+                    terms = sorted((a, b, c, repr(v)) for (a, b), vec in form.structure.items() for c, v in vec.items())
+                    lines.append(repr((form.name, [str(lab) for lab in form.labels], form.grades, terms)))
+    assert len(lines) == 124
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CONSTRUCTION_SHA256
+
+
 def test_split_form_rejects_a_non_integral_change_of_basis(monkeypatch):
     # b_0 = e_0/2 at q = 0: [d(b_0), b_0 ∧ b_1] = d(b_1)/4.  An integral
     # basis such as b_0 = 2e_0 cannot hit this: its constants are integer
@@ -173,6 +227,19 @@ def test_split_form_rejects_gradings_of_other_origin(monkeypatch, regrade, messa
     monkeypatch.setattr(split, "LieAlgebra", _regrading(regrade))
     with pytest.raises(ValueError, match=message):
         split_form(build_affine(Signature(2, 2)))
+
+
+def test_split_form_rejects_a_torus_element_of_another_sign(monkeypatch):
+    # b_2 = -e_0 + e_2 at (2,2): a basis of weight vectors with integer
+    # constants and the parities of its terms, but the letter of the pair
+    # (b_0, b_2) is 2Y(1,3), not the torus element -2Y(1,3)
+    sig = Signature(2, 2)
+    table = split._split_table(sig)
+    flipped = BasisTable(table.vecs[:2] + [{0: -1, 2: 1}] + table.vecs[3:], table.weights, table.bits)
+    monkeypatch.setattr(split, "_split_table", lambda sig: flipped)
+    for alg in (build_affine(sig), build_so(sig)):
+        with pytest.raises(ValueError, match=re.escape("2Y(1,3) is not -2Y(1,3)")):
+            split_form(alg)
 
 
 def test_split_form_check_survives_optimisation(run_python):
