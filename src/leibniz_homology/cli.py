@@ -94,11 +94,24 @@ def _check_json_path(path: Optional[str]) -> None:
     raise UsageError(f"cannot write the --json report to {path}: {why}")
 
 
-def _emit(args, payload: dict) -> None:
+def _write(args, payload: dict) -> None:
     if args.json:
         data = json.dumps(payload, indent=2, sort_keys=False) + "\n"
         with open(args.json, "w") as fh:
             fh.write(data)
+
+
+def _emit(args, *results: dict, environment: Optional[dict] = None) -> None:
+    """Write the ``--json`` report of ``algebra``, ``invariants`` or
+    ``homology``: one envelope around the command's results."""
+    abelian = getattr(args, "abelian", None)
+    _write(args, {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "signature": {"p": args.p, "q": args.q} if abelian is None else {"abelian": abelian},
+        "environment": environment or {},
+        "results": list(results),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -116,27 +129,18 @@ def cmd_algebra(args) -> int:
     print(f"signature {sig}: dim so = {so.dim}, dim affine = {h.dim}")
     print("basis:", " ".join(str(lab) for lab in h.labels))
     print(f"validation: so {'pass' if rep_so.ok else 'FAIL'}, affine {'pass' if rep_h.ok else 'FAIL'}")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "algebra",
-        "signature": {"p": sig.p, "q": sig.q},
-        "environment": {},
-        "results": [
-            {
-                "dim_so": so.dim,
-                "dim_affine": h.dim,
-                "labels": [str(lab) for lab in h.labels],
-                "validation": {"so": rep_so.ok, "affine": rep_h.ok},
-                "structure": [
-                    {"a": str(h.labels[a]), "b": str(h.labels[b]),
-                     "bracket": {str(h.labels[c]): int(v) for c, v in sorted(vec.items())}}
-                    for (a, b), vec in sorted(h.structure.items())
-                    if a < b
-                ],
-            }
+    _emit(args, {
+        "dim_so": so.dim,
+        "dim_affine": h.dim,
+        "labels": [str(lab) for lab in h.labels],
+        "validation": {"so": rep_so.ok, "affine": rep_h.ok},
+        "structure": [
+            {"a": str(h.labels[a]), "b": str(h.labels[b]),
+             "bracket": {str(h.labels[c]): int(v) for c, v in sorted(vec.items())}}
+            for (a, b), vec in sorted(h.structure.items())
+            if a < b
         ],
-    }
-    _emit(args, payload)
+    })
     return EXIT_OK if rep_so.ok and rep_h.ok else EXIT_CHECK_FAILED
 
 
@@ -181,31 +185,18 @@ def cmd_invariants(args) -> int:
     print(f"invariants of {args.module} under so{sig}: dim {basis.dim}{flag}")
     for chain in basis.basis:
         print("  ", chain)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "invariants",
-        "signature": {"p": sig.p, "q": sig.q},
-        "environment": {},
-        "results": [
-            {
-                "module": args.module,
-                "dim": basis.dim,
-                "expected": expected,
-                "basis": [
-                    [
-                        {
-                            "word": chain.word_str(w),
-                            "numerator": c.numerator,
-                            "denominator": c.denominator,
-                        }
-                        for w, c in chain.terms()
-                    ]
-                    for chain in basis.basis
-                ],
-            }
+    _emit(args, {
+        "module": args.module,
+        "dim": basis.dim,
+        "expected": expected,
+        "basis": [
+            [
+                {"word": chain.word_str(w), "numerator": c.numerator, "denominator": c.denominator}
+                for w, c in chain.terms()
+            ]
+            for chain in basis.basis
         ],
-    }
-    _emit(args, payload)
+    })
     if expected is not None and basis.dim != expected:
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -231,14 +222,7 @@ def cmd_homology(args) -> int:
     report = homology_dims(algebra, max_degree, options=_options(args))
     print(report.table())
     dual = cohomology_dims(report)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "homology",
-        "signature": {"p": args.p, "q": args.q} if args.abelian is None else {"abelian": args.abelian},
-        "environment": report.environment,
-        "results": [report.to_json_dict(), dual.to_json_dict()],
-    }
-    _emit(args, payload)
+    _emit(args, report.to_json_dict(), dual.to_json_dict(), environment=report.environment)
     if report.capped_at is not None:
         print(f"partial report: {report.cap_message}", file=sys.stderr)
         return EXIT_CAP
@@ -257,7 +241,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     print(report.table())
-    _emit(args, report.to_json_dict())
+    _write(args, report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

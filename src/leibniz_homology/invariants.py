@@ -156,10 +156,10 @@ def _kept_words(space: Space, gens: Sequence[int]) -> list[tuple[int, ...]]:
     alg = space.algebra
     flips = []
     if is_canonical(alg):
-        flips = [alg.grades[x][1] for x in gens if isinstance(alg.labels[x], RotationX)]
+        flips = [alg.grades[x][-1] for x in gens if isinstance(alg.labels[x], RotationX)]
     if not flips:
         return list(space.words())
-    parity = [g[1] for g in alg.grades]
+    parity = [g[-1] for g in alg.grades]
     out = []
     for word in space.words():
         s = 0

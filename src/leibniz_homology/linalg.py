@@ -18,9 +18,9 @@ the least.
   coordinate (the ``[A; I]`` augmentation), so a row carries its combination
   of the fed columns as coordinates of the same dict.
 
-* ``SparseModularEliminator`` — mod p, every pivot entry 1.  ``verify``
-  draws the primes from [2^29, 2^30) and holds the primality test, which
-  the eliminator loads from it.  A rank mod p never exceeds the rank over
+* ``SparseModularEliminator`` — mod p, every pivot entry 1.  Its modulus
+  must pass ``_is_prime``, the exact primality test that ``verify``'s draws
+  from [2^29, 2^30) also use.  A rank mod p never exceeds the rank over
   Q, so it is only an upper bound; no Betti number rests on it.  It stays
   as an independent cross-check of the exact engine (``verify``'s
   ``structure.rank_cross_field``) and as a test oracle.
@@ -43,6 +43,7 @@ basis size is the rank.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -79,6 +80,14 @@ def integer_column(col: SparseColumn) -> tuple[int, SparseColumn]:
         return 1, col
     scale = math.lcm(*(v.denominator for _, v in col))
     return scale, [(r, v.numerator * (scale // v.denominator)) for r, v in col]
+
+
+@functools.lru_cache
+def _is_prime(n: int) -> bool:
+    """Exact primality by trial division up to ``isqrt(n)``."""
+    if n < 4:
+        return n > 1
+    return n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 class RankCertificate(Value):
@@ -234,9 +243,7 @@ class SparseModularEliminator:
     """
 
     def __init__(self, rowdim: int, p: int):
-        from .verify import is_probable_prime  # kept beside the prime draws
-
-        if not is_probable_prime(p):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.rowdim = rowdim

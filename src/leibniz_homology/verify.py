@@ -10,7 +10,8 @@ the exact cap.
 Every Betti number a suite checks is exact over Q.  The one modular rank is
 the cross-field check of the engines, ``structure.rank_cross_field``: the
 exact rank of a boundary against its ranks mod ``CROSS_FIELD_PRIMES``
-primes drawn from the seed.
+primes drawn from the seed; a draw is kept when it passes the modular
+engine's own exact test, ``linalg._is_prime``.
 
 Reports serialize to a versioned JSON document; with a fixed seed two runs
 produce byte-identical output (no timestamps, deterministic prime draws).
@@ -61,7 +62,7 @@ from .liealg import (
     label_is_valid,
     so_labels,
 )
-from .linalg import CapExceededError, _image
+from .linalg import CapExceededError, _image, _is_prime
 from .repspace import act, mixed_space, random_chain, tensor_space, wedge_space
 
 __all__ = [
@@ -81,39 +82,12 @@ CROSS_FIELD_PRIMES = 2
 PRIME_LO = 1 << 29
 PRIME_HI = 1 << 30
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
-
-
-def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the sizes used here (n < 3.4e14)."""
-    if n < 2:
-        return False
-    for sp in _MR_WITNESSES:
-        if n % sp == 0:
-            return n == sp
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def draw_primes(rng, count: int) -> list[int]:
     """Distinct random primes from [PRIME_LO, PRIME_HI), reproducible from the rng state."""
     out: list[int] = []
     while len(out) < count:
         c = rng.randrange(PRIME_LO | 1, PRIME_HI, 2)
-        if c not in out and is_probable_prime(c):
+        if c not in out and _is_prime(c):
             out.append(c)
     return out
 

@@ -89,6 +89,30 @@ def test_import_loads_the_engine_only(run_python):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_modular_eliminator_does_not_load_verify(run_python):
+    # the prime test lives beside the modular engine; ``verify`` only draws
+    code = (
+        "import sys\n"
+        "from leibniz_homology.linalg import SparseModularEliminator\n"
+        "SparseModularEliminator(3, 7)\n"
+        "if 'leibniz_homology.verify' in sys.modules:\n"
+        "    sys.exit('building an eliminator loaded verify')\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_cli_and_the_package_import_verify():
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                if "verify" in names:
+                    importers.add(path.name)
+    assert importers == {"cli.py", "__init__.py"}
+
+
 def test_every_imported_name_is_read():
     # an import whose name the module never reads is left over from code
     # that moved or was deleted; a name the module re-exports through its
